@@ -28,7 +28,7 @@ func readSuite(path string) (*suiteResult, error) {
 // blockSpread is how far a run's slow blocks sit above its median, as
 // a share of the median: the run's own resolution for wall time.
 func blockSpread(wr *workloadResult) float64 {
-	p50 := wr.EndToEnd["wall_us_per_op"].Value
+	p50 := wr.Extras["run.block_p50_us_per_op"].Value
 	p90 := wr.Extras["run.block_p90_us_per_op"].Value
 	if p50 <= 0 {
 		return 0

@@ -349,10 +349,11 @@ func updateExpected() error {
 	return os.WriteFile("benchmark/expected.json", append(blob, '\n'), 0o644)
 }
 
-// checkOnly runs just the check window of w at the expected seed.
+// checkOnly runs just the check window (one block) of w at the expected
+// seed.
 func checkOnly(w *workload, sc scale) (checkRecord, error) {
 	in := generate(w, expectedSeed, sc)
-	opt := sessionOpts{workers: -1, blocks: w.checkBlocks}
+	opt := sessionOpts{workers: -1, blocks: 1}
 	var res *sessionResult
 	var err error
 	if w.recover {

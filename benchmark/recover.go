@@ -151,7 +151,7 @@ func runRecover(w *workload, in *inputs, sc scale, opt sessionOpts, setupBudget 
 	if opt.traced {
 		res.tr = newTracer()
 	}
-	res.host0 = readHost()
+	host0 := readHost()
 	for {
 		var from int64
 		if res.tr != nil {
@@ -175,7 +175,7 @@ func runRecover(w *workload, in *inputs, sc scale, opt sessionOpts, setupBudget 
 			break
 		}
 	}
-	res.host1 = readHost()
+	res.host.add(host0, readHost())
 	res.attempted += res.ops
 	return res, rssMiB, setupS, nil
 }

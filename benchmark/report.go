@@ -79,8 +79,9 @@ type runConfig struct {
 	setupSeconds float64 // budget of the extra set-up samples
 }
 
-// Set-up is repeated so that setup_s is a median: at least minSetups
-// samples, and more of them (up to maxSetups) while they are cheap.
+// Set-up is repeated so that setup_s is not one sample: at least
+// minSetups of them, and more (up to maxSetups) while they are cheap.
+// With fewer than ten samples their lower decile is the fastest one.
 const (
 	minSetups = 3
 	maxSetups = 9
@@ -98,6 +99,18 @@ func moreSetups(done []float64, budget float64) bool {
 	return len(done) < minSetups || len(done) < maxSetups && sum < budget
 }
 
+// undisturbed is the quantile of the timed blocks (and of the set-up
+// samples) that a run reports as its time: the lower decile, not the
+// median.  The host is a few cores of a shared machine, and what the
+// neighbours do to it only ever adds time: for half a minute at a
+// stretch every block runs 40 % slower, and the median of a run that
+// falls into such a stretch reads 40 % high (measured: ocean_serial and
+// ocean16, +42 % and +41 %) while its lower decile reads 15 % high, and
+// that of a run the stretch only partly covers does not move.  The
+// median and the p90 are printed beside it, so what the lower decile
+// hides — a stall every few blocks — still shows.
+const undisturbed = 0.1
+
 // tracedShare is the part of the requested seconds a traced run spends
 // on the workload; the layer probes get the rest.
 const tracedShare = 1.0 / 3
@@ -108,7 +121,7 @@ const tracedShare = 1.0 / 3
 func runWorkload(w *workload, rc runConfig) (*outcome, error) {
 	in := generate(w, rc.seed, rc.sc)
 	meas := sessionOpts{workers: 0, budget: time.Duration(rc.seconds * float64(time.Second))}
-	ref := sessionOpts{workers: -1, blocks: w.checkBlocks}
+	ref := sessionOpts{workers: -1, blocks: 1}
 	if rc.traced {
 		meas.workers, meas.traced = -1, true
 		meas.budget = time.Duration(float64(meas.budget) * tracedShare)
@@ -185,16 +198,13 @@ func runWorkload(w *workload, rc runConfig) (*outcome, error) {
 	v := out.raw
 	wallUs := float64(res.wall()) / 1e3
 	ops := float64(res.ops)
-	v["setup_s"] = median(setupS)
+	v["setup_s"] = quantile(setupS, undisturbed)
 	per := make([]float64, len(res.blocks))
 	for i, b := range res.blocks {
 		per[i] = float64(b) / 1e3 / float64(res.blockOps)
 	}
-	// The headline is the median block, not the mean: the host's speed
-	// drifts by several percent over seconds, and a handful of slow
-	// blocks would otherwise decide the number.  The mean and the p90
-	// are printed beside it, so stalls that a median hides still show.
-	v["wall_us_per_op"] = median(per)
+	v["wall_us_per_op"] = quantile(per, undisturbed)
+	v["run.block_p50_us_per_op"] = median(per)
 	v["run.block_p90_us_per_op"] = quantile(per, 0.9)
 	v["run.mean_us_per_op"] = wallUs / ops
 	v["run.samples"] = float64(len(per))
@@ -315,13 +325,13 @@ func layerMetrics(v map[string]float64, w *workload, res, ref *sessionResult) {
 	v["gcm.host_mflops"] = flops / wops / (wallNsPerOp / 1e3)
 
 	// host
-	h0, h1 := res.host0, res.host1
-	v["host.allocs_per_op"] = float64(h1.mallocs-h0.mallocs) / ops
-	v["host.alloc_bytes_per_op"] = float64(h1.bytes-h0.bytes) / ops
-	v["host.gc_cycles"] = float64(h1.gcs - h0.gcs)
-	v["host.cpu_user_s"] = (h1.user - h0.user).Seconds()
-	v["host.cpu_sys_s"] = (h1.sys - h0.sys).Seconds()
-	v["host.cpu_util"] = (h1.user - h0.user + h1.sys - h0.sys).Seconds() / res.wall().Seconds()
+	h := res.host
+	v["host.allocs_per_op"] = float64(h.mallocs) / ops
+	v["host.alloc_bytes_per_op"] = float64(h.bytes) / ops
+	v["host.gc_cycles"] = float64(h.gcs)
+	v["host.cpu_user_s"] = h.user.Seconds()
+	v["host.cpu_sys_s"] = h.sys.Seconds()
+	v["host.cpu_util"] = (h.user + h.sys).Seconds() / res.wall().Seconds()
 
 	// traced self times and the ledger
 	tr := res.tr
@@ -348,14 +358,9 @@ func layerMetrics(v map[string]float64, w *workload, res, ref *sessionResult) {
 	v["ledger.in.handoffs_per_op"] = 2 * float64(m.intraExch) / wops
 
 	// Tracing overhead over the check window: the reference session ran
-	// the same ops untraced on the worker pool.
-	if ref != nil && len(ref.blocks) >= w.checkBlocks && len(res.blocks) >= w.checkBlocks {
-		var a, b time.Duration
-		for i := 0; i < w.checkBlocks; i++ {
-			a += ref.blocks[i]
-			b += res.blocks[i]
-		}
-		v["trace.overhead_pct"] = 100 * (float64(b)/float64(a) - 1)
+	// the same block untraced on the worker pool.
+	if ref != nil && len(ref.blocks) > 0 && len(res.blocks) > 0 {
+		v["trace.overhead_pct"] = 100 * (float64(res.blocks[0])/float64(ref.blocks[0]) - 1)
 	}
 }
 

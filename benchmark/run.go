@@ -1,12 +1,12 @@
 package main
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
 	"runtime"
 	"sort"
-	"sync/atomic"
 	"syscall"
 	"time"
 
@@ -22,24 +22,22 @@ import (
 //
 //  1. a reference session in the *other* execution mode (inline
 //     Workers: -1 for an untraced run, the worker pool for a traced
-//     one), run just to the end of the check window: its digest,
-//     virtual clock and event count are what the measured session must
-//     reproduce;
-//  2. set-up-only sessions, so setup_s is a median and not one sample;
+//     one), run for one block: its digest, virtual clock and event
+//     count are what the measured session must reproduce;
+//  2. set-up-only sessions, so setup_s is not one sample;
 //  3. the measured session, which runs blocks until the requested
 //     seconds are spent.
 //
-// The check window is the first checkBlocks blocks of the timed
-// region.  Everything deterministic — the state digest, simulated time,
-// event, packet, exchange and flop counts — is taken over exactly that
-// window, so it does not depend on how many blocks the host managed to
-// run; wall time is taken over all timed blocks.
-
-// stopLookahead is how many blocks ahead rank 0 announces the end of
-// the run.  Ranks meet at least once per block (a global sum, a
-// neighbour exchange, the coupler), so by the time any rank finishes
-// block b+1, rank 0's decision at the end of block b is visible to it.
-const stopLookahead = 2
+// Every block is the same blockOps ops on the same state: after the
+// warm-up each rank keeps a copy of its state, and puts it back before
+// every block but the first.  A model's cost per step follows its
+// solver's iteration count, which wanders by a fifth over a few hundred
+// steps, so blocks cut from one long integration are not samples of one
+// quantity and how many of them a run reaches depends on the host's
+// speed; repeated blocks are, and what is left between them is the
+// host.  The first block is the check window: everything deterministic
+// (the state digest, simulated time, event, packet, exchange and flop
+// counts) is taken over it.  Wall time is taken over all blocks.
 
 // rankSnap is one rank's cumulative accounting at a window edge.
 type rankSnap struct {
@@ -79,6 +77,15 @@ type hostSnap struct {
 	user, sys      time.Duration
 }
 
+// add accumulates the resources spent between from and to.
+func (h *hostSnap) add(from, to hostSnap) {
+	h.mallocs += to.mallocs - from.mallocs
+	h.bytes += to.bytes - from.bytes
+	h.gcs += to.gcs - from.gcs
+	h.user += to.user - from.user
+	h.sys += to.sys - from.sys
+}
+
 func readHost() hostSnap {
 	var m runtime.MemStats
 	runtime.ReadMemStats(&m)
@@ -101,7 +108,7 @@ type sessionResult struct {
 	failed                int64
 	win                   window
 	digest                string
-	host0, host1          hostSnap
+	host                  hostSnap // resources spent inside the timed blocks
 	tr                    *tracer
 	notes                 []string // why ops failed
 }
@@ -123,7 +130,10 @@ type sessionOpts struct {
 	budget    time.Duration // else: run blocks until this much is spent
 }
 
-// session is the shared state of one session's ranks.
+// session is the shared state of one session's ranks.  Rank code runs
+// only while it holds the DES baton, so the ranks take turns at these
+// fields; what rank 0 writes between two barriers the others read after
+// the second.
 type session struct {
 	w   *workload
 	in  *inputs
@@ -132,18 +142,19 @@ type session struct {
 	cl  *cluster.Cluster
 	res *sessionResult
 
-	t0     time.Time     // session start
-	last   time.Time     // rank 0's previous block edge
-	spent  time.Duration // rank 0's timed blocks so far
-	stopAt atomic.Int64
+	t0      time.Time // session start
+	timing  time.Time // start of the first block
+	last    time.Time // start of rank 0's current block
+	atStart hostSnap  // the process's resources then
+	stop    bool      // rank 0: the block just run was the last
 
-	bodies       []body
-	errs         []error
-	from, to     []rankSnap
-	sums         [][]byte
-	failed       []int64
-	gFrom, gTo   globalSnap
-	windowClosed bool // rank 0 has passed the end of the check window
+	bodies     []body
+	errs       []error
+	from, to   []rankSnap
+	sums       [][]byte
+	failed     []int64
+	drifted    []bool // the last block's digest differs from the first's
+	gFrom, gTo globalSnap
 }
 
 // runSession executes one session of w.
@@ -154,13 +165,10 @@ func runSession(w *workload, in *inputs, opt sessionOpts) (*sessionResult, error
 	}
 	s := &session{
 		w: w, in: in, opt: opt,
-		res:    &sessionResult{blockOps: w.blockOps, blocks: make([]time.Duration, 0, 1<<14)},
+		res:    &sessionResult{blockOps: w.blockOps, blocks: make([]time.Duration, 0, 1<<10)},
 		bodies: make([]body, n), errs: make([]error, n),
 		from: make([]rankSnap, n), to: make([]rankSnap, n),
-		sums: make([][]byte, n), failed: make([]int64, n),
-	}
-	if opt.blocks > 0 {
-		s.stopAt.Store(int64(opt.blocks))
+		sums: make([][]byte, n), failed: make([]int64, n), drifted: make([]bool, n),
 	}
 	if opt.traced {
 		s.res.tr = newTracer()
@@ -245,14 +253,32 @@ func (s *session) rank(r int, raw comm.Endpoint) {
 	if s.opt.setupOnly {
 		return
 	}
+	if s.opt.blocks != 1 {
+		// A one-block session never restores, and its peak RSS is the
+		// program's alone.
+		if err := b.save(); err != nil {
+			s.errs[r] = err
+		}
+	}
 	s.from[r] = s.snapRank(r, raw)
 	if r == 0 {
 		s.gFrom = s.snapGlobal()
-		s.res.host0 = readHost()
-		s.startClock()
+		s.timing = time.Now()
 	}
 	ops := int64(s.w.warmOps)
-	for blk := int64(1); ; blk++ {
+	blk := 1
+	for ; ; blk++ {
+		if blk > 1 {
+			// Put the state back and meet, off the clock, so that no rank
+			// starts the block while another is still restoring.
+			if err := b.restore(); err != nil {
+				s.errs[r] = err
+			}
+			raw.Barrier()
+		}
+		if r == 0 {
+			s.startClock(blk)
+		}
 		for i := 0; i < s.w.blockOps; i++ {
 			if tep != nil {
 				tep.beginOp()
@@ -263,71 +289,76 @@ func (s *session) rank(r int, raw comm.Endpoint) {
 			}
 		}
 		ops += int64(s.w.blockOps)
-		if r == 0 {
-			s.endBlock(blk)
-		}
-		if blk == int64(s.w.checkBlocks) {
-			// The check window closes here.  Digests are taken off the
-			// clock, and a barrier keeps rank 0 from restarting it
-			// while another rank is still hashing.
+		if blk == 1 {
+			// The check window closes at each rank's last op.
 			s.to[r] = s.snapRank(r, raw)
 			if r == 0 {
 				s.gTo = s.snapGlobal()
-				s.windowClosed = true
-				s.stopClock()
+				if tr := s.res.tr; tr != nil {
+					tr.model.on = false
+				}
 			}
+		}
+		// The block ends when the last rank has finished it.
+		ep.Barrier()
+		if r == 0 {
+			s.stopClock(blk)
+		}
+		if blk == 1 {
 			h := sha256.New()
 			if err := b.digest(h); err != nil {
 				s.errs[r] = err
 			}
 			s.sums[r] = h.Sum(nil)
-			raw.Barrier()
-			if r == 0 {
-				s.startClock()
-			}
 		}
-		if stop := s.stopAt.Load(); stop != 0 && blk >= stop {
+		raw.Barrier()
+		if s.stop {
 			break
 		}
 	}
 	if r == 0 {
-		s.stopClock()
-		s.res.host1 = readHost()
 		s.res.attempted = ops
 	}
 	s.failed[r] = b.verify()
+	if blk > 1 {
+		// Every block started from the same state, so the last one must
+		// have ended where the first did.
+		h := sha256.New()
+		if err := b.digest(h); err != nil {
+			s.errs[r] = err
+		}
+		s.drifted[r] = !bytes.Equal(h.Sum(nil), s.sums[r])
+	}
 }
 
-func (s *session) startClock() {
+// startClock opens rank 0's block blk.  The heap is collected first, so
+// that what the restore left behind is not collected on the clock.
+func (s *session) startClock(blk int) {
+	runtime.GC()
 	if tr := s.res.tr; tr != nil {
-		tr.model.on = !s.windowClosed // count traffic inside the check window only
+		tr.model.on = blk == 1 // count traffic inside the check window only
 		tr.start()
 	}
+	s.atStart = readHost()
 	s.last = time.Now()
 }
 
-func (s *session) stopClock() {
+// stopClock closes rank 0's block blk and decides whether it was the
+// last: the next one would overrun the budget by more than it stays
+// under it.
+func (s *session) stopClock(blk int) {
+	now := time.Now()
 	if tr := s.res.tr; tr != nil {
 		tr.stop()
-		tr.model.on = false
 	}
-}
-
-// endBlock closes rank 0's block and, once the budget is nearly spent,
-// announces the last block.
-func (s *session) endBlock(blk int64) {
-	now := time.Now()
-	d := now.Sub(s.last)
-	s.res.blocks = append(s.res.blocks, d)
-	s.last = now
-	s.spent += d
-	if s.stopAt.Load() != 0 {
+	s.res.host.add(s.atStart, readHost())
+	s.res.blocks = append(s.res.blocks, now.Sub(s.last))
+	if s.opt.blocks > 0 {
+		s.stop = blk >= s.opt.blocks
 		return
 	}
-	ahead := time.Duration(stopLookahead) * s.spent / time.Duration(blk)
-	if s.spent+ahead >= s.opt.budget && blk+stopLookahead >= int64(s.w.checkBlocks) {
-		s.stopAt.Store(blk + stopLookahead)
-	}
+	spent := now.Sub(s.timing)
+	s.stop = spent+spent/time.Duration(2*blk) > s.opt.budget
 }
 
 // finish folds the per-rank slots into the result.
@@ -335,7 +366,7 @@ func (s *session) finish() {
 	res := s.res
 	res.ops = int64(len(res.blocks)) * int64(s.w.blockOps)
 	w := &res.win
-	w.ops = int64(s.w.checkBlocks) * int64(s.w.blockOps)
+	w.ops = int64(s.w.blockOps)
 	w.simPs = int64(s.gTo.now - s.gFrom.now)
 	w.events = int64(s.gTo.events - s.gFrom.events)
 	w.net = subNet(s.gTo.net, s.gFrom.net)
@@ -355,6 +386,10 @@ func (s *session) finish() {
 		w.body.solves += b.body.solves - a.body.solves
 		all.Write(s.sums[r])
 		res.failed += s.failed[r]
+		if s.drifted[r] {
+			res.failed = res.attempted
+			res.notes = append(res.notes, fmt.Sprintf("rank %d: the last block ended in another state than the first", r))
+		}
 	}
 	if f0, ok := s.bodies[0].(folder); ok {
 		for r, b := range s.bodies {
