@@ -398,41 +398,11 @@ func benchCoupledSteps(b *testing.B, workers int) {
 	cfg.Atmos.Grid.NX, cfg.Atmos.Grid.NY = 32, 16
 	cfg.CoupleEvery = 5
 
-	tiles := cfg.Ocean.Decomp.Tiles()
-	nWorkers := 2 * tiles
-	ccfg := cluster.DefaultConfig(nWorkers, 1)
-	ccfg.Workers = workers
-	cl, err := cluster.New(ccfg)
+	res, err := gcm.RunCoupled(2*cfg.Ocean.Decomp.Tiles(), 1, cfg, b.N, gcm.ParallelOpts{Workers: workers}, nil, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
-	defer cl.Close()
-	lib, err := comm.NewHyades(cl, comm.DefaultHyadesConfig())
-	if err != nil {
-		b.Fatal(err)
-	}
-	var buildErr error
-	cl.Start(func(w *cluster.Worker) {
-		c := cfg
-		if w.Rank < tiles {
-			ph := physics.New(physics.Default())
-			c.Atmos.Forcing = ph
-			c.Physics = ph
-		}
-		cp, err := gcm.NewCoupled(c, lib.Bind(w))
-		if err != nil {
-			buildErr = err
-			return
-		}
-		cp.Run(b.N)
-	})
-	if err := cl.Run(); err != nil {
-		b.Fatal(err)
-	}
-	if buildErr != nil {
-		b.Fatal(buildErr)
-	}
-	b.ReportMetric(cl.Eng.Now().Millis()/float64(b.N), "simulated_ms")
+	b.ReportMetric(res.FinalTime.Millis()/float64(b.N), "simulated_ms")
 	// The provisioning metric for the Fig. 9 science run: model years
 	// integrated per hour of host wall clock, at this benchmark's grid
 	// and time step.

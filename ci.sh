@@ -43,7 +43,7 @@ echo "== hyadeslint -fix fixed point"
 # rewrite" lines on stderr).  Exit status 1 (findings) is judged by
 # the baseline-aware gate above, not here; 2+ is a load error.
 fixstatus=0
-fixlog=$(go run ./cmd/hyadeslint -fix -n ./... 2>&1 >/dev/null) || fixstatus=$?
+fixlog=$(/tmp/hyadeslint.ci -fix -n ./... 2>&1 >/dev/null) || fixstatus=$?
 if [ "$fixstatus" -ge 2 ]; then
     echo "$fixlog" >&2
     exit 1
@@ -61,7 +61,7 @@ echo "== hotalloc budget ratchet"
 # measured-vs-budget accounting.  After a deliberate optimization,
 # regenerate with `go run ./cmd/hyadeslint -writebudget ./...` and
 # commit the lowered file to lock it in.
-if ! ratchet=$(go run ./cmd/hyadeslint -analyzers hotalloc ./...); then
+if ! ratchet=$(/tmp/hyadeslint.ci -analyzers hotalloc ./...); then
     echo "$ratchet" >&2
     echo "allocation ratchet violated: measured sites exceed lint/allocbudget.json" >&2
     exit 1
@@ -69,14 +69,39 @@ fi
 
 echo "== hyadeslint -sarif (artifact)"
 sarif_out="${HYADESLINT_SARIF:-/tmp/hyadeslint.sarif}"
-go run ./cmd/hyadeslint -sarif ./... > "$sarif_out"
+/tmp/hyadeslint.ci -sarif ./... > "$sarif_out"
 echo "wrote $sarif_out"
+
+echo "== line budget (DESIGN.md, \"Line budget\")"
+# Every row of the budget table is a directory (recursive when it ends
+# in /...) and a ceiling on its non-test Go lines.  Growing past a
+# ceiling is a decision: raise the row in the same change and say why.
+awk -F'|' '/line-budget:begin/ {on=1; next} /line-budget:end/ {on=0} on && $2 ~ /`/ {gsub(/[` ]/, "", $2); gsub(/ /, "", $4); print $2, $4}' DESIGN.md |
+while read -r dir budget; do
+    depth=(-maxdepth 1)
+    case "$dir" in */...) dir=${dir%/...}; depth=() ;; esac
+    lines=$(find "$dir" "${depth[@]}" -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' -print0 | xargs -0 cat | wc -l)
+    if [ "$lines" -gt "$budget" ]; then
+        echo "line budget exceeded: $dir has $lines non-test Go lines, budget $budget (DESIGN.md)" >&2
+        exit 1
+    fi
+done
 
 echo "== go build"
 go build ./...
+# The smoke stages below run the drivers several times; link them once.
+bin_dir=$(mktemp -d)
+go build -o "$bin_dir/" ./cmd/hyades ./cmd/figure9
 
 echo "== go test -race -short"
 go test -race -short ./...
+
+echo "== rank-runner fixture (full worker matrix, no race detector)"
+# testdata/golden_runner.json pins digest, event count and clock of the
+# fault-free, checkpoint-only, crash-recovery and commodity-network
+# schedules; -short skips it above because the race detector only makes
+# a comparison of deterministic observables slow.
+go test -run 'TestGoldenRunner' .
 
 echo "== chaos (fault injection + reliable delivery)"
 # The chaos determinism test under the race detector, then a driver
@@ -92,7 +117,7 @@ echo "== determinism across worker counts (race)"
 # — including the node-crash recovery matrix (two crashes exercising
 # both dead-peer detection paths, digest equal to the fault-free run).
 go test -race -run 'TestDeterminismAcrossWorkerCounts|TestChaosDeterminismAcrossWorkerCounts|TestNodeCrashRecoveryDeterministic' .
-chaos_out=$(go run ./cmd/hyades -model gyre -nodes 2 -ppn 1 -steps 2 -warmup 1 -drop-rate 1e-2)
+chaos_out=$("$bin_dir/hyades" -model gyre -nodes 2 -ppn 1 -steps 2 -warmup 1 -drop-rate 1e-2)
 echo "$chaos_out" | tail -n 5
 retx=$(echo "$chaos_out" | awk '/^retransmits/ {print $(NF-2)}')
 retx=${retx:-0}
@@ -107,7 +132,7 @@ echo "== node-failure smoke (crash, recover, bit-identical digest)"
 # digest as the fault-free run.  This is the survival contract on the
 # CLI surface; the in-depth matrix ran under -race above.
 crash_args=(-model gyre -nodes 4 -ppn 1 -steps 6 -warmup 0 -px 2 -py 2 -digest)
-crash_out=$(go run ./cmd/hyades "${crash_args[@]}" \
+crash_out=$("$bin_dir/hyades" "${crash_args[@]}" \
     -node-outage '1:500000-501000' -checkpoint-every 2)
 echo "$crash_out" | tail -n 6
 restarts=$(echo "$crash_out" | awk '/^node restarts survived/ {print $NF}')
@@ -117,7 +142,7 @@ if [ "$restarts" -eq 0 ]; then
     exit 1
 fi
 crash_digest=$(echo "$crash_out" | awk '/^state digest/ {print $NF}')
-clean_digest=$(go run ./cmd/hyades "${crash_args[@]}" | awk '/^state digest/ {print $NF}')
+clean_digest=$("$bin_dir/hyades" "${crash_args[@]}" | awk '/^state digest/ {print $NF}')
 if [ -z "$crash_digest" ] || [ "$crash_digest" != "$clean_digest" ]; then
     echo "node-failure smoke: recovered digest $crash_digest != fault-free digest $clean_digest" >&2
     exit 1
@@ -125,24 +150,35 @@ fi
 
 echo "== figure9 long-run smoke (checkpoint plates + digest-stable resume)"
 # The -years mode on a reduced grid: a run with periodic plates, then a
-# -resume from the newest plate set re-integrating the tail.  The two
-# must report the same state digest — the restart path is bit-exact or
-# the 1000-year science run cannot be trusted across job boundaries.
+# -resume from the newest complete plate set re-integrating the tail.
+# The two must report the same state digest — the restart path is
+# bit-exact or the 1000-year science run cannot be trusted across job
+# boundaries.
 fig_dir=$(mktemp -d)
 fig_args=(-years 0.05 -checkpoint-every 0.02 -nx 32 -ny 16 -out "$fig_dir")
-full_digest=$(go run ./cmd/figure9 "${fig_args[@]}" | awk '/^state digest/ {print $NF}')
+full_digest=$("$bin_dir/figure9" "${fig_args[@]}" | awk '/^state digest/ {print $NF}')
 plates=$(ls "$fig_dir"/plates/plate_step*_rank*.ck 2>/dev/null | wc -l)
 if [ "$plates" -eq 0 ]; then
     echo "figure9 smoke: no checkpoint plates written" >&2
     exit 1
 fi
-resumed_digest=$(go run ./cmd/figure9 "${fig_args[@]}" -resume | awk '/^state digest/ {print $NF}')
+# A run killed while writing a newer set: fifteen of its plates made it
+# to their final names, rank 0's is still a .tmp.  -resume must pass
+# the torn set over for the newest complete one, not count sixteen
+# files and die on the missing plate.
+last_step=$(ls "$fig_dir"/plates | sed -n 's/^plate_step\([0-9]*\)_rank000\.ck$/\1/p' | sort | tail -n 1)
+torn_step=$(printf '%08d' $((10#$last_step + 1)))
+for f in "$fig_dir"/plates/plate_step"${last_step}"_rank*.ck; do
+    cp "$f" "${f/step${last_step}/step${torn_step}}"
+done
+mv "$fig_dir/plates/plate_step${torn_step}_rank000.ck" "$fig_dir/plates/plate_step${torn_step}_rank000.ck.tmp"
+resumed_digest=$("$bin_dir/figure9" "${fig_args[@]}" -resume | awk '/^state digest/ {print $NF}')
 if [ -z "$full_digest" ] || [ "$full_digest" != "$resumed_digest" ]; then
     echo "figure9 smoke: resumed digest $resumed_digest != full-run digest $full_digest" >&2
     exit 1
 fi
-rm -rf "$fig_dir"
-echo "figure9 smoke: $plates plates, resume digest matches"
+rm -rf "$fig_dir" "$bin_dir"
+echo "figure9 smoke: $plates plates, resume past a torn set, digest matches"
 
 echo "== bench (hot-path benchmarks, artifact)"
 # Short-benchtime run of the hot-path microbenchmarks, converted to a
@@ -153,7 +189,10 @@ echo "== bench (hot-path benchmarks, artifact)"
 # The hyadeslint wall-clock measurement rides along as a synthetic
 # benchmark line, so the lint suite's cost has a committed trajectory
 # too.
-bench_out="${HYADES_BENCH_JSON:-BENCH_pr10.json}"
+# The artifact lands in a scratch file unless HYADES_BENCH_JSON names
+# one: a committed BENCH_pr*.json is a PR's evidence and a gate run
+# must not overwrite it.
+bench_out="${HYADES_BENCH_JSON:-$(mktemp -t hyades_bench.XXXXXX.json)}"
 {
     # The hot-path microbenchmarks run long enough to amortize one-time
     # setup (cluster construction, freelist warm-up): at 1x their
@@ -178,15 +217,14 @@ bench_out="${HYADES_BENCH_JSON:-BENCH_pr10.json}"
 } | go run ./cmd/benchjson "gate run: 100x hot path, 200000x scheduler, 10x coupled step, 1x heavies" > "$bench_out"
 echo "wrote $bench_out"
 
-echo "== bench compare (soft gate vs previous committed artifact)"
-# Diff the fresh artifact against the newest committed BENCH_pr*.json
-# from an earlier PR.  Allocation regressions over 10% print loudly but
+echo "== bench compare (soft gate vs newest committed artifact)"
+# Diff the fresh artifact against the newest committed BENCH_pr*.json.  Allocation regressions over 10% print loudly but
 # do not fail the build: cross-PR artifacts were produced at different
 # benchtimes, so the hard gate is the hotalloc ratchet above — this
 # stage is the early-warning trajectory.  ns/op growth past 25% on a
 # shared benchmark is flagged SLOW in the same table (soft, never
 # failing: wall clock is host noise on shared machines).
-prev=$(ls BENCH_pr*.json 2>/dev/null | grep -vx "$bench_out" | sort -V | tail -n 1 || true)
+prev=$( (git ls-files 'BENCH_pr*.json' 2>/dev/null || ls BENCH_pr*.json) | grep -vx "$bench_out" | sort -V | tail -n 1 || true)
 if [ -n "$prev" ]; then
     go run ./cmd/benchjson -compare "$prev" "$bench_out" ||
         echo "bench compare: allocs/op regression vs $prev (soft gate — investigate before merging)" >&2

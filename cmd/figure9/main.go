@@ -24,14 +24,12 @@ import (
 
 	"math"
 
-	"hyades/internal/cluster"
-	"hyades/internal/comm"
 	"hyades/internal/gcm"
 	"hyades/internal/gcm/diag"
 	"hyades/internal/gcm/field"
 	"hyades/internal/gcm/grid"
-	"hyades/internal/gcm/physics"
 	"hyades/internal/gcm/tile"
+	"hyades/internal/plates"
 	"hyades/internal/report"
 )
 
@@ -66,70 +64,23 @@ func main() {
 	}
 	nWorkers := 2 * d.Tiles()
 
-	plateDir := filepath.Join(*outDir, "plates")
+	// Checkpoint plates are the on-disk image of the runner's committed
+	// checkpoints; -resume seeds the run with the newest complete set.
+	var dir *plates.Dir
+	if chunk > 0 || *resume {
+		dir = &plates.Dir{Path: filepath.Join(*outDir, "plates")}
+	}
 	startStep := 0
 	if *resume {
-		s, err := newestPlateStep(plateDir, nWorkers)
-		if err != nil {
-			log.Fatal(err)
-		}
-		startStep = s
-	}
-	if chunk > 0 || *resume {
-		if err := os.MkdirAll(plateDir, 0o755); err != nil {
-			log.Fatal(err)
+		var err error
+		if startStep, err = dir.Load(nWorkers); err != nil {
+			log.Fatalf("figure9: -resume: %v", err)
 		}
 	}
 
-	cl, err := cluster.New(cluster.DefaultConfig(8, 2))
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer cl.Close()
-	lib, err := comm.NewHyades(cl, comm.DefaultHyadesConfig())
-	if err != nil {
-		log.Fatal(err)
-	}
-	coupled := make([]*gcm.Coupled, nWorkers)
 	fields := map[string]*field.F2{}
 	var oceanDiag *diag.State
-	var buildErr error
-	wall0 := time.Now()
-	cl.Start(func(w *cluster.Worker) {
-		c := cfg
-		if w.Rank < d.Tiles() {
-			ph := physics.New(physics.Default())
-			c.Atmos.Forcing = ph
-			c.Physics = ph
-		}
-		cp, err := gcm.NewCoupled(c, lib.Bind(w))
-		if err != nil {
-			buildErr = err
-			return
-		}
-		coupled[w.Rank] = cp
-		if startStep > 0 {
-			if err := restorePlate(plateDir, startStep, w.Rank, cp); err != nil {
-				buildErr = err
-				return
-			}
-		}
-		for s := startStep; s < steps; {
-			next := steps
-			if chunk > 0 {
-				if b := (s/chunk + 1) * chunk; b < next {
-					next = b
-				}
-			}
-			cp.Run(next - s)
-			s = next
-			if chunk > 0 && s%chunk == 0 {
-				if err := writePlate(plateDir, s, w.Rank, cp); err != nil {
-					buildErr = err
-					return
-				}
-			}
-		}
+	gather := func(cp *gcm.Coupled) {
 		// Gather the figure fields on each component's root.
 		m := cp.M
 		if cp.IsOcean {
@@ -164,12 +115,11 @@ func main() {
 				fields["atmos_theta_surface"] = g
 			}
 		}
-	})
-	if err := cl.Run(); err != nil {
-		log.Fatal(err)
 	}
-	if buildErr != nil {
-		log.Fatal(buildErr)
+	wall0 := time.Now()
+	res, err := gcm.RunCoupled(8, 2, cfg, steps, gcm.ParallelOpts{CheckpointEvery: chunk}, dir, gather)
+	if err != nil {
+		log.Fatal(err)
 	}
 	wall := time.Since(wall0)
 
@@ -190,10 +140,7 @@ func main() {
 	fmt.Printf("integrated %.4f model years in %v: %.2f model years per wall hour\n",
 		integratedYears, wall.Round(time.Millisecond), integratedYears/wall.Hours())
 	h := sha256.New()
-	for r, cp := range coupled {
-		if cp == nil {
-			log.Fatalf("worker %d did not build", r)
-		}
+	for r, cp := range res.Coupled {
 		if err := cp.Checkpoint(h); err != nil {
 			log.Fatalf("worker %d: digest: %v", r, err)
 		}
@@ -205,7 +152,7 @@ func main() {
 	}
 	if f, ok := fields["ocean_u_25m"]; ok {
 		fmt.Println("\nOCEAN: zonal current at ~25 m (north up; '#' = land):")
-		maskLand(coupled, f)
+		maskLand(cfg.Ocean.Grid.DepthFrac, f)
 		fmt.Print(report.FieldASCII(f, 96))
 	}
 	if oceanDiag != nil && oceanDiag.Validate() == nil {
@@ -236,20 +183,9 @@ func main() {
 	}
 }
 
-// maskLand marks land columns as NaN for the quick-look renderer.
-func maskLand(coupled []*gcm.Coupled, f *field.F2) {
-	// Rebuild the global land mask from any ocean tile's grid config.
-	var oc *gcm.Coupled
-	for _, c := range coupled {
-		if c != nil && c.IsOcean {
-			oc = c
-			break
-		}
-	}
-	if oc == nil {
-		return
-	}
-	depth := oc.M.Cfg.Grid.DepthFrac
+// maskLand marks the land columns of the ocean's depth map as NaN for
+// the quick-look renderer.
+func maskLand(depth func(x, y float64) float64, f *field.F2) {
 	if depth == nil {
 		return
 	}
@@ -258,73 +194,8 @@ func maskLand(coupled []*gcm.Coupled, f *field.F2) {
 			x := (float64(i) + 0.5) / float64(f.NX)
 			y := (float64(j) + 0.5) / float64(f.NY)
 			if depth(x, y) == 0 {
-				f.Set(i, j, nan())
+				f.Set(i, j, math.NaN())
 			}
 		}
 	}
-}
-
-func nan() float64 { return math.NaN() }
-
-// platePath names one rank's plate file for a given step count.
-func platePath(dir string, step, rank int) string {
-	return filepath.Join(dir, fmt.Sprintf("plate_step%08d_rank%03d.ck", step, rank))
-}
-
-// writePlate atomically writes one rank's checkpoint plate: the plate
-// appears under its final name only once fully written, so a crashed
-// run never leaves a truncated plate that a -resume would trip over.
-func writePlate(dir string, step, rank int, cp *gcm.Coupled) error {
-	tmp := platePath(dir, step, rank) + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	if err := cp.Checkpoint(f); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return os.Rename(tmp, platePath(dir, step, rank))
-}
-
-// restorePlate loads one rank's plate for the given step.
-func restorePlate(dir string, step, rank int, cp *gcm.Coupled) error {
-	f, err := os.Open(platePath(dir, step, rank))
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	return cp.Restore(f)
-}
-
-// newestPlateStep scans dir for the highest step count at which every
-// rank's plate is present, so -resume never starts from a partially
-// written set.
-func newestPlateStep(dir string, nWorkers int) (int, error) {
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		return 0, fmt.Errorf("figure9: -resume: %w", err)
-	}
-	count := map[int]int{}
-	for _, e := range ents {
-		var step, rank int
-		if _, err := fmt.Sscanf(e.Name(), "plate_step%d_rank%d.ck", &step, &rank); err == nil {
-			count[step]++
-		}
-	}
-	best := 0
-	for step, n := range count {
-		if n == nWorkers && step > best {
-			best = step
-		}
-	}
-	if best == 0 {
-		return 0, fmt.Errorf("figure9: -resume: no complete plate set (all %d ranks) in %s", nWorkers, dir)
-	}
-	return best, nil
 }

@@ -14,10 +14,7 @@ import (
 	"fmt"
 	"log"
 
-	"hyades/internal/cluster"
-	"hyades/internal/comm"
 	"hyades/internal/gcm"
-	"hyades/internal/gcm/physics"
 	"hyades/internal/gcm/tile"
 	"hyades/internal/report"
 )
@@ -32,30 +29,7 @@ func main() {
 	const steps = 4 * 213 // about 4 model days
 	nWorkers := 2 * d.Tiles()
 
-	cl, err := cluster.New(cluster.DefaultConfig(nWorkers, 1))
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer cl.Close()
-	lib, err := comm.NewHyades(cl, comm.DefaultHyadesConfig())
-	if err != nil {
-		log.Fatal(err)
-	}
-	cl.Start(func(w *cluster.Worker) {
-		// Each atmosphere worker holds its own physics instance so the
-		// coupler can hand it a tile-local SST.
-		c := cfg
-		if w.Rank < d.Tiles() {
-			ph := physics.New(physics.Default())
-			c.Atmos.Forcing = ph
-			c.Physics = ph
-		}
-		cp, err := gcm.NewCoupled(c, lib.Bind(w))
-		if err != nil {
-			log.Fatal(err)
-		}
-		cp.Run(steps)
-
+	_, err := gcm.RunCoupled(nWorkers, 1, cfg, steps, gcm.ParallelOpts{}, nil, func(cp *gcm.Coupled) {
 		m := cp.M
 		if cp.IsOcean {
 			if g := m.Halo.Gather3Level(m.S.Theta, 0); g != nil {
@@ -71,7 +45,7 @@ func main() {
 			}
 		}
 	})
-	if err := cl.Run(); err != nil {
+	if err != nil {
 		log.Fatal(err)
 	}
 }

@@ -119,31 +119,9 @@ func TestCoupledFigure9Integration(t *testing.T) {
 	cfg.Ocean.Grid.NX, cfg.Ocean.Grid.NY = 32, 16
 	cfg.Atmos.Grid.NX, cfg.Atmos.Grid.NY = 32, 16
 	cfg.CoupleEvery = 20
-	nWorkers := 2 * d.Tiles()
-	cl, err := cluster.New(cluster.DefaultConfig(nWorkers, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-	lib, err := comm.NewHyades(cl, comm.DefaultHyadesConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
 	var sstMean float64
 	var windRange float64
-	cl.Start(func(w *cluster.Worker) {
-		c := cfg
-		if w.Rank < d.Tiles() {
-			ph := physics.New(physics.Default())
-			c.Atmos.Forcing = ph
-			c.Physics = ph
-		}
-		cp, err := gcm.NewCoupled(c, lib.Bind(w))
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		cp.Run(60)
+	_, err := gcm.RunCoupled(2*d.Tiles(), 1, cfg, 60, gcm.ParallelOpts{}, nil, func(cp *gcm.Coupled) {
 		m := cp.M
 		if cp.IsOcean {
 			if g := m.Halo.Gather3Level(m.S.Theta, 0); g != nil {
@@ -169,7 +147,7 @@ func TestCoupledFigure9Integration(t *testing.T) {
 			}
 		}
 	})
-	if err := cl.Run(); err != nil {
+	if err != nil {
 		t.Fatal(err)
 	}
 	if sstMean < -5 || sstMean > 40 || math.IsNaN(sstMean) {

@@ -88,9 +88,7 @@ type Cluster struct {
 	body    func(w *Worker)
 	workers []*Worker
 
-	// Crashes / Restarts count executed node-crash and node-restart
-	// events.
-	Crashes  int
+	// Restarts counts executed node-restart events.
 	Restarts int
 
 	// OnNodeCrash and OnNodeRestart, if set, observe (in engine
@@ -234,7 +232,6 @@ func (c *Cluster) armNodeFaults() {
 // any parked waits are abandoned), the NIU goes dark, and — for a
 // finite window — the restart is scheduled.
 func (c *Cluster) crashNode(nodeID int, win fault.NodeWindow) {
-	c.Crashes++
 	for r := nodeID * c.Cfg.ProcsPerNode; r < (nodeID+1)*c.Cfg.ProcsPerNode; r++ {
 		if w := c.workers[r]; w != nil && w.Proc != nil {
 			w.Proc.Kill()

@@ -42,13 +42,7 @@ func (e *PeerUnreachableError) Unwrap() error { return ErrPeerUnreachable }
 // injected fault rate).
 type FaultStats struct {
 	// Reliable-channel protocol counters (summed over NIUs).
-	DataPackets    int64
-	Retransmits    int64
-	Timeouts       int64
-	AcksSent       int64
-	DupSuppressed  int64
-	GapDropped     int64
-	CorruptDropped int64
+	startx.RelStats
 
 	// Fabric fault counters.
 	FaultDropped   int64 // packets silently dropped by injected link faults

@@ -196,17 +196,13 @@ func NewHyades(cl *cluster.Cluster, cfg HyadesConfig) (*Hyades, error) {
 	return h, nil
 }
 
-// Recovery returns the crash-recovery controller, or nil when the
-// fault plan crashes no nodes and EnableRecovery was not called.
-func (h *Hyades) Recovery() *Recovery { return h.rec }
-
-// EnableRecovery attaches a recovery controller to a cluster whose
-// fault plan crashes no nodes — checkpoint-only runs still want the
-// rendezvous and the committed-checkpoint store.  With no node faults
-// there is nothing to detect, so no heartbeat traffic is started.
-// Must be called before the simulation runs.  Idempotent.
-func (h *Hyades) EnableRecovery() *Recovery {
-	if h.rec == nil {
+// Recovery returns the crash-recovery controller.  A fault plan that
+// crashes nodes attaches one at construction; otherwise attach asks
+// for one on a cluster with nothing to detect — a checkpointing run
+// still wants the rendezvous and the committed-checkpoint store, and
+// gets no heartbeat traffic.  Call it before the simulation runs.
+func (h *Hyades) Recovery(attach bool) *Recovery {
+	if h.rec == nil && attach {
 		h.rec = newRecovery(h)
 	}
 	return h.rec

@@ -34,18 +34,22 @@ package comm
 import (
 	"fmt"
 
-	"hyades/internal/cluster"
 	"hyades/internal/des"
+	"hyades/internal/plates"
 	"hyades/internal/startx"
 	"hyades/internal/units"
 )
 
-// Recovery controller defaults; overridable through the exported
-// fields before the simulation runs.
+// DefaultMaxRestarts is the crash budget of a new controller.
+const DefaultMaxRestarts = 8
+
+// The release of a post-crash generation is delayed by backoffBase,
+// doubling per accumulated restart up to backoffCap.  The base must
+// comfortably exceed the NIU transmit latency so no pre-crash packet
+// injection can straddle the epoch reset (see release).
 const (
-	DefaultMaxRestarts = 8
-	DefaultBackoff     = 200 * units.Microsecond
-	DefaultBackoffCap  = 3200 * units.Microsecond
+	backoffBase = 200 * units.Microsecond
+	backoffCap  = 3200 * units.Microsecond
 )
 
 // NodeDownError is the cause carried by the interrupt that unwinds a
@@ -67,21 +71,6 @@ func (e *NodeDownError) Error() string {
 
 func (e *NodeDownError) Unwrap() error { return ErrPeerUnreachable }
 
-// RecoveryRound records one crash and the release of the generation
-// that recovered from it.
-type RecoveryRound struct {
-	Node      int        // the node that crashed
-	CrashAt   units.Time // virtual crash instant
-	ReleaseAt units.Time // release of the recovery generation (0 until released)
-	Permanent bool       // no restart was scheduled; the run failed
-}
-
-// CheckpointMark records one committed checkpoint.
-type CheckpointMark struct {
-	Step int
-	At   units.Time // virtual commit instant
-}
-
 // RecoveryStats summarizes a run's availability behaviour.
 type RecoveryStats struct {
 	Restarts         int        // node crashes survived
@@ -93,25 +82,16 @@ type RecoveryStats struct {
 }
 
 // Recovery coordinates crash recovery for one Hyades library instance.
-// The exported fields tune it and must be set before the simulation
-// runs.
 type Recovery struct {
 	// MaxRestarts bounds the number of crashes survived before the run
-	// fails with a diagnostic instead of retrying forever.
+	// fails with a diagnostic instead of retrying forever.  Set it
+	// before the simulation runs.
 	MaxRestarts int
-
-	// Backoff delays the release of a post-crash generation, doubling
-	// per accumulated restart up to BackoffCap.  It must comfortably
-	// exceed the NIU transmit latency so no pre-crash packet injection
-	// can straddle the epoch reset (see release).
-	Backoff    units.Time
-	BackoffCap units.Time
 
 	h   *Hyades
 	sig *des.Signal // generation release broadcast
 
 	n       int // total ranks
-	gen     int // completed release count
 	epoch   uint32
 	joined  []bool // rank is parked in the rendezvous
 	joinedN int
@@ -123,23 +103,22 @@ type Recovery struct {
 	crashed      bool // a crash happened since the last release
 	releaseTimer *des.Timer
 
-	restarts int
-	rounds   []RecoveryRound
+	stats   RecoveryStats // counted as the events happen
+	crashes []units.Time  // crash instants no generation has recovered from yet
 
 	// Two-phase checkpoint store.  A step's blobs accumulate in the
 	// pending set; when all N ranks have saved, the set commits and
 	// becomes the restart point.  Everything lives on the launcher
 	// frame (comm is outside the rank partition), surviving the death
-	// of any rank incarnation.
+	// of any rank incarnation.  With plates set, every commit is also
+	// written to disk (see Persist).
 	ckStep   int // committed step; -1 before the first commit
-	ckAt     units.Time
 	ckData   [][]byte
 	pendStep int // -1 when no set is pending
 	pendData [][]byte
 	pendN    int
-	commits  []CheckpointMark
-	ckBytes  int64
-	discards int
+	commitAt units.Time // newest commit's virtual instant
+	plates   *plates.Dir
 }
 
 // newRecovery builds the controller for h's cluster.
@@ -147,8 +126,6 @@ func newRecovery(h *Hyades) *Recovery {
 	n := h.cl.Processors()
 	return &Recovery{
 		MaxRestarts: DefaultMaxRestarts,
-		Backoff:     DefaultBackoff,
-		BackoffCap:  DefaultBackoffCap,
 		h:           h,
 		sig:         des.NewSignal(h.cl.Eng, "recovery.release"),
 		n:           n,
@@ -169,11 +146,10 @@ func (rc *Recovery) eng() *des.Engine { return rc.h.cl.Eng }
 // releases a generation with all N ranks present and no node down.  It
 // returns true if the job already completed — a respawned incarnation
 // of a node that crashed after the final step has nothing left to do.
-func (rc *Recovery) Enter(w *cluster.Worker) bool {
+func (rc *Recovery) Enter(r int) bool {
 	if rc.doneN == rc.n {
 		return true
 	}
-	r := w.Rank
 	rc.joined[r] = true
 	rc.joinedN++
 	rc.maybeRelease()
@@ -181,18 +157,18 @@ func (rc *Recovery) Enter(w *cluster.Worker) bool {
 	// The park is subject to the engine watchdog, so a wedged recovery
 	// surfaces as a loud waiter dump, never a hang.
 	for rc.joined[r] {
-		rc.sig.Wait(w.Proc, rc.sig.Seq())
+		rc.sig.Wait(rc.h.cl.Worker(r).Proc, rc.sig.Seq())
 	}
 	return rc.doneN == rc.n
 }
 
 // Done marks a rank's job complete.  When the last rank finishes, the
 // heartbeat and lease timer chains stop so the event queue can drain.
-func (rc *Recovery) Done(w *cluster.Worker) {
-	if rc.done[w.Rank] {
+func (rc *Recovery) Done(r int) {
+	if rc.done[r] {
 		return
 	}
-	rc.done[w.Rank] = true
+	rc.done[r] = true
 	rc.doneN++
 	if rc.doneN == rc.n {
 		for _, nd := range rc.h.cl.Nodes {
@@ -205,18 +181,8 @@ func (rc *Recovery) Done(w *cluster.Worker) {
 	}
 }
 
-// Generation returns the number of released generations — 1 for a
-// fault-free run, plus one per recovery round.
-func (rc *Recovery) Generation() int { return rc.gen }
-
 // Restarts returns the number of node crashes seen so far.
-func (rc *Recovery) Restarts() int { return rc.restarts }
-
-// Rounds returns the recorded crash/recovery rounds.
-func (rc *Recovery) Rounds() []RecoveryRound { return rc.rounds }
-
-// Commits returns the committed checkpoint marks.
-func (rc *Recovery) Commits() []CheckpointMark { return rc.commits }
+func (rc *Recovery) Restarts() int { return rc.stats.Restarts }
 
 // maybeRelease releases the next generation once every rank is either
 // parked in the rendezvous or done and no node is down.  A fault-free
@@ -236,17 +202,13 @@ func (rc *Recovery) maybeRelease() {
 	rc.releaseTimer = rc.eng().After(rc.backoff(), rc.release)
 }
 
-// backoff returns the current release delay: Backoff doubled per
-// accumulated restart, capped.
+// backoff returns the current release delay.
 func (rc *Recovery) backoff() units.Time {
-	d := rc.Backoff
-	for i := 1; i < rc.restarts && d < rc.BackoffCap; i++ {
+	d := backoffBase
+	for i := 1; i < rc.stats.Restarts && d < backoffCap; i++ {
 		d <<= 1
 	}
-	if d > rc.BackoffCap {
-		d = rc.BackoffCap
-	}
-	return d
+	return min(d, backoffCap)
 }
 
 // release opens the next generation.  After a crash it first rolls the
@@ -266,14 +228,11 @@ func (rc *Recovery) release() {
 			nd.NIU.ResetComm(rc.epoch)
 		}
 		rc.h.resetNodeComm()
-		now := rc.eng().Now()
-		for i := range rc.rounds {
-			if rc.rounds[i].ReleaseAt == 0 && !rc.rounds[i].Permanent {
-				rc.rounds[i].ReleaseAt = now
-			}
+		for _, at := range rc.crashes {
+			rc.stats.RecoveryTime += rc.eng().Now() - at
 		}
+		rc.crashes = rc.crashes[:0]
 	}
-	rc.gen++
 	for r := range rc.joined {
 		rc.joined[r] = false
 	}
@@ -290,8 +249,9 @@ func (rc *Recovery) nodeCrashed(nodeID int, permanent bool) {
 		return // post-completion crash event: nothing left to protect
 	}
 	now := rc.eng().Now()
-	rc.restarts++
-	rc.rounds = append(rc.rounds, RecoveryRound{Node: nodeID, CrashAt: now, Permanent: permanent})
+	rc.stats.Restarts++
+	rc.crashes = append(rc.crashes, now)
+	rc.stats.LostVirtual += now - rc.commitAt
 	if permanent {
 		rc.eng().Fail(fmt.Errorf("comm: node %d lost permanently at %v, recovery impossible: %w",
 			nodeID, now, ErrPeerUnreachable))
@@ -302,9 +262,9 @@ func (rc *Recovery) nodeCrashed(nodeID int, permanent bool) {
 			nodeID, now, rc.doneN, rc.n))
 		return
 	}
-	if rc.restarts > rc.MaxRestarts {
+	if rc.stats.Restarts > rc.MaxRestarts {
 		rc.eng().Fail(fmt.Errorf("comm: node %d crash #%d exceeds the restart budget (max %d)",
-			nodeID, rc.restarts, rc.MaxRestarts))
+			nodeID, rc.stats.Restarts, rc.MaxRestarts))
 		return
 	}
 	rc.crashed = true
@@ -399,7 +359,7 @@ func (rc *Recovery) SaveCheckpoint(rank, step int, blob []byte) {
 		if rc.pendStep >= 0 {
 			// A stale set from a rank that saved just before a crash
 			// interrupted the round; the replay supersedes it.
-			rc.discards++
+			rc.stats.PendingDiscarded++
 		}
 		rc.pendStep = step
 		rc.pendN = 0
@@ -415,16 +375,34 @@ func (rc *Recovery) SaveCheckpoint(rank, step int, blob []byte) {
 		return
 	}
 	rc.ckStep = rc.pendStep
-	rc.ckAt = rc.eng().Now()
 	rc.ckData, rc.pendData = rc.pendData, rc.ckData
 	rc.pendStep = -1
 	rc.pendN = 0
 	for i := range rc.pendData {
 		rc.pendData[i] = nil
 	}
-	rc.commits = append(rc.commits, CheckpointMark{Step: rc.ckStep, At: rc.ckAt})
+	rc.stats.Checkpoints++
+	rc.commitAt = rc.eng().Now()
 	for _, b := range rc.ckData {
-		rc.ckBytes += int64(len(b))
+		rc.stats.CheckpointBytes += int64(len(b))
+	}
+	if rc.plates != nil {
+		if err := rc.plates.Write(rc.ckStep, rc.ckData); err != nil {
+			rc.eng().Fail(err)
+		}
+	}
+}
+
+// Persist makes d the on-disk image of the committed set: from now on
+// every commit is also written there, one plate per rank, at the moment
+// it commits — so a plate set on disk is complete by construction.  If
+// d.Load found a set, it becomes the committed set and the first
+// generation restores from it (a resumed run is generation 0 of a new
+// job, not a crash).  Must be called before the simulation runs.
+func (rc *Recovery) Persist(d *plates.Dir) {
+	rc.plates = d
+	if step, blobs := d.Loaded(); blobs != nil {
+		rc.ckStep, rc.ckData = step, blobs
 	}
 }
 
@@ -437,9 +415,6 @@ func (rc *Recovery) Checkpoint(rank int) (step int, blob []byte, ok bool) {
 	return rc.ckStep, rc.ckData[rank], true
 }
 
-// CommittedStep returns the committed checkpoint step, or -1.
-func (rc *Recovery) CommittedStep() int { return rc.ckStep }
-
 // discardPending throws away an unfinished checkpoint round.
 func (rc *Recovery) discardPending() {
 	if rc.pendStep < 0 {
@@ -450,31 +425,21 @@ func (rc *Recovery) discardPending() {
 	for i := range rc.pendData {
 		rc.pendData[i] = nil
 	}
-	rc.discards++
+	rc.stats.PendingDiscarded++
 }
 
 // Stats summarizes the run.  RecoveryTime sums each round's
 // crash-to-release span; LostVirtual sums the virtual time between
-// each crash and the newest commit at or before it — the integration
-// work the rollback repeated.
-func (rc *Recovery) Stats() RecoveryStats {
-	s := RecoveryStats{
-		Restarts:         rc.restarts,
-		Checkpoints:      len(rc.commits),
-		CheckpointBytes:  rc.ckBytes,
-		PendingDiscarded: rc.discards,
-	}
-	for _, rd := range rc.rounds {
-		if rd.ReleaseAt > rd.CrashAt {
-			s.RecoveryTime += rd.ReleaseAt - rd.CrashAt
-		}
-		var last units.Time
-		for _, c := range rc.commits {
-			if c.At <= rd.CrashAt {
-				last = c.At
-			}
-		}
-		s.LostVirtual += rd.CrashAt - last
-	}
-	return s
+// each crash and the newest commit before it — the integration work
+// the rollback repeated.
+func (rc *Recovery) Stats() RecoveryStats { return rc.stats }
+
+// Fail stops the simulation with err: a rank found the job
+// unrecoverable (nothing to restore, a checkpoint it cannot read).
+func (rc *Recovery) Fail(err error) { rc.eng().Fail(err) }
+
+// CopyCost is the virtual time a rank's processor spends moving an
+// n-byte checkpoint through memory, in either direction.
+func (rc *Recovery) CopyCost(n int) units.Time {
+	return rc.h.cl.Cfg.Node.MemcpyBandwidth.Transfer(n)
 }

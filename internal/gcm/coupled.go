@@ -60,6 +60,17 @@ func DefaultCoupledConfig(d tile.Decomp) CoupledConfig {
 	}
 }
 
+// withOwnPhysics returns c with a fresh physics instance of the same
+// parameters wired in as both the atmosphere's forcing and the
+// coupler's SST target.  Every rank's job gets its own: the coupler
+// hands an atmosphere rank a tile-local SST.
+func (c CoupledConfig) withOwnPhysics() CoupledConfig {
+	ph := physics.New(c.Physics.P)
+	at := c.Atmos
+	at.Forcing = ph
+	return CoupledConfig{Ocean: c.Ocean, Atmos: at, CoupleEvery: c.CoupleEvery, Physics: ph}
+}
+
 // CoupledOceanForcing carries the atmosphere-supplied surface boundary
 // conditions into the ocean's tendencies, combined with the standalone
 // wind-stress climatology before the first coupling exchange.
@@ -116,7 +127,6 @@ type Coupled struct {
 
 	oceanF *CoupledOceanForcing // ocean side
 	phys   *physics.Physics     // atmosphere side
-	steps  int
 
 	// Per-coupling scratch: sst receives the surface level on the ocean
 	// side; xspare recycles the received cross-component payload as the
@@ -211,20 +221,13 @@ func (o *offsetEndpoint) encF64(v float64) []byte {
 	} else {
 		b = b[:8]
 	}
-	bits := math.Float64bits(v)
-	for i := range b {
-		b[i] = byte(bits >> (8 * i))
-	}
+	binary.LittleEndian.PutUint64(b, math.Float64bits(v))
 	return b
 }
 
 // decF64 deserializes a little-endian float64.
 func decF64(b []byte) float64 {
-	var bits uint64
-	for i := 0; i < 8; i++ {
-		bits |= uint64(b[i]) << (8 * i)
-	}
-	return math.Float64frombits(bits)
+	return math.Float64frombits(binary.LittleEndian.Uint64(b))
 }
 
 // gsumExchange is Exchange plus payload recycling: the received 8-byte
@@ -367,10 +370,9 @@ func unpackInto(dst *field.F2, buf []byte, nx, ny int) {
 // time, so the exchanges rendezvous naturally).
 func (c *Coupled) Run(steps int) {
 	for i := 0; i < steps; i++ {
-		if c.steps%c.Cfg.CoupleEvery == 0 {
+		if c.M.Steps%c.Cfg.CoupleEvery == 0 {
 			c.couple()
 		}
 		c.M.Step()
-		c.steps++
 	}
 }

@@ -30,69 +30,75 @@ func (c *Coupled) Checkpoint(w io.Writer) error {
 		return err
 	}
 	var flags uint64
+	var secs []checkpointSection
 	if c.IsOcean {
+		flags = coupledFlagHasField
 		if c.oceanF.active {
 			flags |= coupledFlagActive
 		}
-		flags |= coupledFlagHasField
-		if err := binary.Write(w, binary.LittleEndian, flags); err != nil {
-			return fmt.Errorf("gcm: coupled checkpoint flags: %w", err)
-		}
-		for _, f := range []*field.F2{c.oceanF.TauX, c.oceanF.TauY, c.oceanF.Q} {
-			if err := writeF2(w, f); err != nil {
-				return fmt.Errorf("gcm: coupled checkpoint ocean forcing: %w", err)
-			}
-		}
-		return nil
-	}
-	if c.phys != nil && c.phys.SST != nil {
-		flags |= coupledFlagHasField
+		secs = c.oceanSections()
+	} else if c.phys != nil && c.phys.SST != nil {
+		flags = coupledFlagHasField
+		secs = []checkpointSection{{"SST", c.phys.SST.Raw()}}
 	}
 	if err := binary.Write(w, binary.LittleEndian, flags); err != nil {
 		return fmt.Errorf("gcm: coupled checkpoint flags: %w", err)
 	}
-	if flags&coupledFlagHasField != 0 {
-		if err := writeF2(w, c.phys.SST); err != nil {
-			return fmt.Errorf("gcm: coupled checkpoint SST: %w", err)
-		}
+	return writeSections(w, secs)
+}
+
+// oceanSections lists the ocean side's coupling state in stream order.
+func (c *Coupled) oceanSections() []checkpointSection {
+	return []checkpointSection{
+		{"ocean forcing TauX", c.oceanF.TauX.Raw()},
+		{"ocean forcing TauY", c.oceanF.TauY.Raw()},
+		{"ocean forcing Q", c.oceanF.Q.Raw()},
 	}
-	return nil
 }
 
 // Restore loads a stream written by Checkpoint on a worker of the same
 // configuration, rank and component, replacing the coupled state in
-// place.  The coupling cadence resumes from the restored step count.
+// place; a stream that fails to parse leaves the worker untouched.
+// The coupling cadence resumes from the restored step count.
 func (c *Coupled) Restore(r io.Reader) error {
-	if err := c.M.Restore(r); err != nil {
+	adoptTile, err := c.M.stage(r)
+	if err != nil {
 		return err
 	}
-	c.steps = c.M.Steps
 	var flags uint64
 	if err := binary.Read(r, binary.LittleEndian, &flags); err != nil {
 		return fmt.Errorf("gcm: coupled checkpoint flags: %w", err)
 	}
-	if c.IsOcean {
+	if flags&^(coupledFlagHasField|coupledFlagActive) != 0 {
+		return fmt.Errorf("gcm: coupled checkpoint flags: unknown bits in %#x", flags)
+	}
+	var secs []checkpointSection
+	var sst *field.F2
+	switch {
+	case c.IsOcean:
 		if flags&coupledFlagHasField == 0 {
 			return fmt.Errorf("gcm: coupled checkpoint missing ocean forcing section")
 		}
-		c.oceanF.active = flags&coupledFlagActive != 0
-		for _, f := range []*field.F2{c.oceanF.TauX, c.oceanF.TauY, c.oceanF.Q} {
-			if err := readF2(r, f); err != nil {
-				return fmt.Errorf("gcm: coupled restore ocean forcing: %w", err)
-			}
-		}
-		return nil
-	}
-	if flags&coupledFlagHasField != 0 {
+		secs = c.oceanSections()
+	case flags&coupledFlagHasField != 0:
 		if c.phys == nil {
 			return fmt.Errorf("gcm: coupled checkpoint has SST but worker has no physics")
 		}
-		if c.phys.SST == nil {
-			c.phys.SST = field.NewF2(c.M.G.NX, c.M.G.NY, 2)
+		if sst = c.phys.SST; sst == nil {
+			sst = field.NewF2(c.M.G.NX, c.M.G.NY, 2)
 		}
-		if err := readF2(r, c.phys.SST); err != nil {
-			return fmt.Errorf("gcm: coupled restore SST: %w", err)
-		}
+		secs = []checkpointSection{{"SST", sst.Raw()}}
 	}
+	raw, err := readSections(r, secs)
+	if err != nil {
+		return err
+	}
+	loadSections(secs, raw)
+	if c.IsOcean {
+		c.oceanF.active = flags&coupledFlagActive != 0
+	} else if sst != nil {
+		c.phys.SST = sst
+	}
+	adoptTile()
 	return nil
 }

@@ -4,61 +4,34 @@ import (
 	"bytes"
 	"testing"
 
-	"hyades/internal/cluster"
-	"hyades/internal/comm"
-	"hyades/internal/gcm/physics"
+	"hyades/internal/plates"
 )
 
-// runCoupledSegment builds a fresh coupled cluster, optionally restores
-// every worker from plates, runs extra steps, and returns one full
-// Coupled.Checkpoint stream per rank.
-func runCoupledSegment(t *testing.T, plates [][]byte, steps int) [][]byte {
+// runCoupledSegment runs the mini coupled job to step `to` through the
+// rank runner — resuming from the plates under path when resume is set,
+// writing a plate set every `every` steps when it is nonzero — and
+// returns one full Coupled.Checkpoint stream per rank.
+func runCoupledSegment(t *testing.T, path string, resume bool, every, to int) [][]byte {
 	t.Helper()
 	cfg := miniCoupled(2, 1)
-	tiles := cfg.Ocean.Decomp.Tiles()
-	nWorkers := 2 * tiles
-	cl, err := cluster.New(cluster.DefaultConfig(nWorkers, 1))
+	n := 2 * cfg.Ocean.Decomp.Tiles()
+	dir := &plates.Dir{Path: path}
+	if resume {
+		if _, err := dir.Load(n); err != nil {
+			t.Fatal(err)
+		}
+	}
+	res, err := RunCoupled(n, 1, cfg, to, ParallelOpts{CheckpointEvery: every}, dir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer cl.Close()
-	lib, err := comm.NewHyades(cl, comm.DefaultHyadesConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := make([][]byte, nWorkers)
-	var bodyErr error
-	cl.Start(func(w *cluster.Worker) {
-		c := cfg
-		if w.Rank < tiles {
-			ph := physics.New(physics.Default())
-			c.Atmos.Forcing = ph
-			c.Physics = ph
-		}
-		cp, err := NewCoupled(c, lib.Bind(w))
-		if err != nil {
-			bodyErr = err
-			return
-		}
-		if plates != nil {
-			if err := cp.Restore(bytes.NewReader(plates[w.Rank])); err != nil {
-				bodyErr = err
-				return
-			}
-		}
-		cp.Run(steps)
+	out := make([][]byte, n)
+	for r, cp := range res.Coupled {
 		var buf bytes.Buffer
 		if err := cp.Checkpoint(&buf); err != nil {
-			bodyErr = err
-			return
+			t.Fatal(err)
 		}
-		out[w.Rank] = buf.Bytes()
-	})
-	if err := cl.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if bodyErr != nil {
-		t.Fatal(bodyErr)
+		out[r] = buf.Bytes()
 	}
 	return out
 }
@@ -71,9 +44,9 @@ func runCoupledSegment(t *testing.T, plates [][]byte, steps int) [][]byte {
 // stream bit-identical to the uninterrupted run.
 func TestCoupledCheckpointRestartBitExact(t *testing.T) {
 	const n1, n2 = 7, 6 // CoupleEvery is 5: the split straddles a coupling exchange
-	full := runCoupledSegment(t, nil, n1+n2)
-	plates := runCoupledSegment(t, nil, n1)
-	resumed := runCoupledSegment(t, plates, n2)
+	dir := t.TempDir()
+	full := runCoupledSegment(t, dir, false, n1, n1+n2)
+	resumed := runCoupledSegment(t, dir, true, 0, n1+n2)
 	for r := range full {
 		if !bytes.Equal(full[r], resumed[r]) {
 			t.Fatalf("rank %d: resumed state stream differs from uninterrupted run", r)

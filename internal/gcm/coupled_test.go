@@ -6,7 +6,6 @@ import (
 
 	"hyades/internal/cluster"
 	"hyades/internal/comm"
-	"hyades/internal/gcm/physics"
 	"hyades/internal/gcm/tile"
 )
 
@@ -26,44 +25,12 @@ func miniCoupled(px, py int) CoupledConfig {
 
 func TestCoupledRunsAndExchangesBoundaries(t *testing.T) {
 	cfg := miniCoupled(2, 1)
-	nWorkers := 2 * cfg.Ocean.Decomp.Tiles()
-	cl, err := cluster.New(cluster.DefaultConfig(nWorkers, 1))
+	res, err := RunCoupled(2*cfg.Ocean.Decomp.Tiles(), 1, cfg, 12, ParallelOpts{}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer cl.Close()
-	lib, err := comm.NewHyades(cl, comm.DefaultHyadesConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	coupled := make([]*Coupled, nWorkers)
-	var buildErr error
-	cl.Start(func(w *cluster.Worker) {
-		// Each worker needs its own physics instance (per-tile SST).
-		c := cfg
-		if w.Rank < cfg.Ocean.Decomp.Tiles() {
-			ph := physics.New(physics.Default())
-			c.Atmos.Forcing = ph
-			c.Physics = ph
-		}
-		cp, err := NewCoupled(c, lib.Bind(w))
-		if err != nil {
-			buildErr = err
-			return
-		}
-		coupled[w.Rank] = cp
-		cp.Run(12)
-	})
-	if err := cl.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if buildErr != nil {
-		t.Fatal(buildErr)
-	}
+	coupled := res.Coupled
 	for r, cp := range coupled {
-		if cp == nil {
-			t.Fatalf("worker %d did not build", r)
-		}
 		ke := 0.0
 		for k := 0; k < cp.M.G.NZ; k++ {
 			for j := 0; j < cp.M.G.NY; j++ {

@@ -9,18 +9,20 @@ import (
 	"hyades/internal/fault"
 	"hyades/internal/gcm/solver"
 	"hyades/internal/netmodel"
+	"hyades/internal/plates"
 	"hyades/internal/units"
 )
 
 // Result summarizes a timed parallel run.
 type Result struct {
-	Models  []*Model
+	Models  []*Model   // every rank's tile
+	Coupled []*Coupled // every rank's component (RunCoupled only)
 	Elapsed units.Time // virtual wall-clock of the timed steps
 	Steps   int
 
-	TotalPS, TotalDS int64 // flops across all workers
+	TotalPS, TotalDS int64 // timed-region flops across all workers
 
-	// Aggregated endpoint accounting over the timed region.
+	// Aggregated endpoint accounting over the timed region (see run).
 	ComputeTime, ExchangeTime, GsumTime units.Time // summed over workers
 
 	MeanNi float64 // mean CG iterations per step
@@ -31,7 +33,8 @@ type Result struct {
 	Net   arctic.Stats
 
 	// Recovery reports availability behaviour when the run used the
-	// crash-recovery controller (node faults or a checkpoint interval).
+	// crash-recovery controller (node faults, a checkpoint interval or
+	// a plate directory).
 	Recovery RecoveryResult
 
 	// Engine observables of the whole simulation (Hyades runs only):
@@ -60,15 +63,19 @@ func (r *Result) PerStep() units.Time {
 	return r.Elapsed / units.Time(r.Steps)
 }
 
+// RecoveryResult summarizes the availability behaviour of a run that
+// used the crash-recovery controller.
+type RecoveryResult struct {
+	comm.RecoveryStats
+	Enabled   bool
+	LostFlops int64 // flops of abandoned attempts (work redone)
+}
+
 // ParallelOpts tunes a Hyades cluster run beyond the machine shape.
 type ParallelOpts struct {
 	// Fault selects the deterministic fault plan.  Enabling any fault
 	// also switches on the NIUs' reliable channel (see cluster.Config).
 	Fault fault.Config
-
-	// Watchdog overrides the cluster's virtual-time wait limit when
-	// nonzero (zero keeps the cluster default).
-	Watchdog units.Time
 
 	// Workers sizes the host worker pool running the ranks' offloaded
 	// compute phases: 0 means GOMAXPROCS, 1 a single pool worker,
@@ -85,10 +92,6 @@ type ParallelOpts struct {
 	// MaxRestarts overrides the recovery controller's crash budget
 	// when positive.
 	MaxRestarts int
-
-	// RecoveryBackoff overrides the controller's base release backoff
-	// when positive.
-	RecoveryBackoff units.Time
 }
 
 // RunParallel executes cfg for the given number of timed steps (plus
@@ -99,15 +102,57 @@ func RunParallel(nodes, ppn int, cfg Config, warmup, steps int) (*Result, error)
 	return RunParallelOpts(nodes, ppn, cfg, warmup, steps, ParallelOpts{})
 }
 
-// RunParallelOpts is RunParallel with fault injection and watchdog
-// control.  The returned Result carries the fault/recovery counters.
+// RunParallelOpts is RunParallel with fault injection, worker-pool and
+// checkpoint control.  The returned Result carries the fault/recovery
+// counters.
 func RunParallelOpts(nodes, ppn int, cfg Config, warmup, steps int, opts ParallelOpts) (*Result, error) {
+	if cfg.Decomp.Tiles() != nodes*ppn {
+		return nil, fmt.Errorf("gcm: %d tiles for %d workers", cfg.Decomp.Tiles(), nodes*ppn)
+	}
+	build := func(rank int, ep comm.Endpoint) (job, error) { return New(cfg, ep) }
+	return runHyades(nodes, ppn, opts, nil, build, warmup, steps, nil)
+}
+
+// RunCoupled executes the coupled ocean-atmosphere job cfg for steps
+// steps on a Hyades cluster of nodes*ppn workers, the atmosphere on the
+// first half of the ranks and the ocean on the second.  With dir set,
+// every committed checkpoint is also written there as plates and, if
+// dir.Load found a set, the run resumes from it.  after, if
+// non-nil, runs on every rank's simulated process once the job is
+// complete — the place for collective diagnostics such as gathers.
+func RunCoupled(nodes, ppn int, cfg CoupledConfig, steps int, opts ParallelOpts, dir *plates.Dir, after func(c *Coupled)) (*Result, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	coupled := make([]*Coupled, nodes*ppn)
+	build := func(rank int, ep comm.Endpoint) (job, error) {
+		cp, err := NewCoupled(cfg.withOwnPhysics(), ep)
+		if err != nil {
+			return nil, err
+		}
+		coupled[rank] = cp
+		return cp, nil
+	}
+	var hook func(j job)
+	if after != nil {
+		hook = func(j job) { after(j.(*Coupled)) }
+	}
+	res, err := runHyades(nodes, ppn, opts, dir, build, 0, steps, hook)
+	if err != nil {
+		return nil, err
+	}
+	res.Coupled = coupled
+	return res, nil
+}
+
+// runHyades assembles the simulated Hyades machine for a job and runs
+// it.  The crash-recovery controller is attached only when something
+// needs it — a fault plan that crashes nodes, a checkpoint interval or
+// a plate directory — so a plain run pays for none of it.
+func runHyades(nodes, ppn int, opts ParallelOpts, dir *plates.Dir, build buildFn, warmup, steps int, after func(job)) (*Result, error) {
 	ccfg := cluster.DefaultConfig(nodes, ppn)
 	ccfg.Fault = opts.Fault
 	ccfg.Workers = opts.Workers
-	if opts.Watchdog != 0 {
-		ccfg.Watchdog = opts.Watchdog
-	}
 	cl, err := cluster.New(ccfg)
 	if err != nil {
 		return nil, err
@@ -117,26 +162,18 @@ func RunParallelOpts(nodes, ppn int, cfg Config, warmup, steps int, opts Paralle
 	if err != nil {
 		return nil, err
 	}
-	rec := lib.Recovery()
-	if rec == nil && opts.CheckpointEvery > 0 {
-		rec = lib.EnableRecovery()
+	rec := lib.Recovery(opts.CheckpointEvery > 0 || dir != nil)
+	if rec != nil && opts.MaxRestarts > 0 {
+		rec.MaxRestarts = opts.MaxRestarts
 	}
-	var res *Result
-	if rec != nil {
-		if opts.MaxRestarts > 0 {
-			rec.MaxRestarts = opts.MaxRestarts
-		}
-		if opts.RecoveryBackoff > 0 {
-			rec.Backoff = opts.RecoveryBackoff
-		}
-		res, err = runRecovery(cl, lib, cfg, warmup, steps, opts.CheckpointEvery)
-	} else {
-		launch := func(body func(rank int, ep comm.Endpoint)) error {
-			cl.Start(func(w *cluster.Worker) { body(w.Rank, lib.Bind(w)) })
-			return cl.Run()
-		}
-		res, err = runOn(cl.Processors(), launch, cfg, warmup, steps)
+	if dir != nil {
+		rec.Persist(dir)
 	}
+	launch := func(body func(ep comm.Endpoint)) error {
+		cl.Start(func(w *cluster.Worker) { body(lib.Bind(w)) })
+		return cl.Run()
+	}
+	res, err := run(cl.Processors(), launch, rec, build, warmup, steps, opts.CheckpointEvery, after)
 	if err != nil {
 		return nil, err
 	}
@@ -151,86 +188,14 @@ func RunParallelOpts(nodes, ppn int, cfg Config, warmup, steps int, opts Paralle
 // (Fast Ethernet, Gigabit Ethernet, Myrinet/HPVM) with one worker per
 // node — the "portable MPI" configurations of Fig. 12.
 func RunParallelNet(prm netmodel.Params, cfg Config, warmup, steps int) (*Result, error) {
-	n := cfg.Decomp.Tiles()
-	nc := netmodel.New(n, prm)
+	nc := netmodel.New(cfg.Decomp.Tiles(), prm)
 	defer nc.Close()
-	launch := func(body func(rank int, ep comm.Endpoint)) error {
-		nc.Start(func(ep *netmodel.Endpoint) { body(ep.Rank(), ep) })
+	launch := func(body func(ep comm.Endpoint)) error {
+		nc.Start(func(ep *netmodel.Endpoint) { body(ep) })
 		return nc.Run()
 	}
-	return runOn(n, launch, cfg, warmup, steps)
-}
-
-// runOn is the machine-agnostic core of the parallel runners: launch
-// must start nWorkers processes running body and drain the simulation.
-func runOn(nWorkers int, launch func(body func(rank int, ep comm.Endpoint)) error, cfg Config, warmup, steps int) (*Result, error) {
-	if cfg.Decomp.Tiles() != nWorkers {
-		return nil, fmt.Errorf("gcm: %d tiles for %d workers", cfg.Decomp.Tiles(), nWorkers)
-	}
-	// Every slot the rank bodies write is rank-indexed: the shareheap
-	// partition-safety rule certifies the closure writes no cross-rank
-	// shared state, so the result is independent of how the engine
-	// interleaves the rank coroutines.  Aggregation happens below, on
-	// the launcher frame, after the simulation drains.
-	res := &Result{Models: make([]*Model, nWorkers), Steps: steps}
-	t0s := make([]units.Time, nWorkers)
-	t1s := make([]units.Time, nWorkers)
-	buildErrs := make([]error, nWorkers)
-	ps := make([]int64, nWorkers)
-	ds := make([]int64, nWorkers)
-	baseline := make([]comm.Stats, nWorkers)
-	eps := make([]comm.Endpoint, nWorkers)
-	err := launch(func(rank int, ep comm.Endpoint) {
-		eps[rank] = ep
-		m, err := New(cfg, ep)
-		if err != nil {
-			buildErrs[rank] = err
-			return
-		}
-		res.Models[rank] = m
-		m.Run(warmup)
-		ep.Barrier()
-		baseline[rank] = *ep.Stats()
-		t0s[rank] = ep.Now()
-		psBase, dsBase := m.C.PS, m.C.DS
-		m.Run(steps)
-		ep.Barrier()
-		t1s[rank] = ep.Now()
-		ps[rank] = m.C.PS - psBase
-		ds[rank] = m.C.DS - dsBase
-	})
-	if err != nil {
-		return nil, err
-	}
-	for _, e := range buildErrs {
-		if e != nil {
-			return nil, e
-		}
-	}
-	for r := range ps {
-		res.TotalPS += ps[r]
-		res.TotalDS += ds[r]
-	}
-	// Rank 0's barrier-exit times bracket the timed region.
-	res.Elapsed = t1s[0] - t0s[0]
-	for r, ep := range eps {
-		if ep == nil {
-			continue
-		}
-		s := ep.Stats()
-		res.ComputeTime += s.ComputeTime - baseline[r].ComputeTime
-		res.ExchangeTime += s.ExchangeTime - baseline[r].ExchangeTime
-		res.GsumTime += s.GsumTime - baseline[r].GsumTime
-	}
-	var iters, solves int64
-	for _, m := range res.Models {
-		iters += m.Solver.TotalIters
-		solves += m.Solver.Solves
-	}
-	if solves > 0 {
-		res.MeanNi = float64(iters) / float64(solves)
-	}
-	return res, nil
+	build := func(rank int, ep comm.Endpoint) (job, error) { return New(cfg, ep) }
+	return run(nc.N, launch, nil, build, warmup, steps, 0, nil)
 }
 
 // RunSerial executes cfg on the serial endpoint (single tile) and

@@ -142,11 +142,8 @@ func (f *F3) CopyFrom(src *F3) {
 // Raw exposes the backing slice for kernel sweeps.
 func (f *F3) Raw() []float64 { return f.data }
 
-// Stride returns the i-run length; Plane the level size.
+// Stride returns the i-run length.
 func (f *F3) Stride() int { return f.stride }
-
-// Plane returns the number of elements per level.
-func (f *F3) Plane() int { return f.plane }
 
 // Idx exposes the flat offset computation for kernel sweeps.
 func (f *F3) Idx(i, j, k int) int { return f.idx(i, j, k) }
