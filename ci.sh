@@ -7,6 +7,22 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
+# Everything the gate writes — the lint binary, the smoke drivers, the
+# figure9 plates, the SARIF and bench artifacts unless the environment
+# names a destination — lives under one directory that is removed
+# however the script ends.
+tmp_root=$(mktemp -d)
+trap 'rm -rf "$tmp_root"' EXIT
+
+echo "== toolchain"
+# internal/des runs processes on iter.Pull coroutines (Go 1.23).  Say so
+# here rather than as a type error from deep inside the kernel.
+go_minor=$(go version | sed -n 's/^go version go1\.\([0-9][0-9]*\).*/\1/p')
+if [ -z "$go_minor" ] || [ "$go_minor" -lt 23 ]; then
+    echo "ci.sh: Go 1.23 or newer is required (go.mod), found: $(go version)" >&2
+    exit 1
+fi
+
 echo "== gofmt"
 unformatted=$(gofmt -l .)
 if [ -n "$unformatted" ]; then
@@ -27,10 +43,11 @@ echo "== hyadeslint (determinism + communication contract)"
 # stage quietly.  The binary is prebuilt so the budget measures
 # analysis, not compilation; the measured time is archived in the
 # bench artifact below.
-go build -o /tmp/hyadeslint.ci ./cmd/hyadeslint
+hyadeslint="$tmp_root/hyadeslint"
+go build -o "$hyadeslint" ./cmd/hyadeslint
 lint_budget_s="${HYADESLINT_BUDGET_S:-30}"
 lint_start=$(date +%s%N)
-/tmp/hyadeslint.ci -baseline lint/baseline.json ./...
+"$hyadeslint" -baseline lint/baseline.json ./...
 lint_ms=$(( ($(date +%s%N) - lint_start) / 1000000 ))
 echo "hyadeslint full tree: ${lint_ms} ms (budget ${lint_budget_s} s)"
 if [ "$lint_ms" -gt $(( lint_budget_s * 1000 )) ]; then
@@ -43,7 +60,7 @@ echo "== hyadeslint -fix fixed point"
 # rewrite" lines on stderr).  Exit status 1 (findings) is judged by
 # the baseline-aware gate above, not here; 2+ is a load error.
 fixstatus=0
-fixlog=$(/tmp/hyadeslint.ci -fix -n ./... 2>&1 >/dev/null) || fixstatus=$?
+fixlog=$("$hyadeslint" -fix -n ./... 2>&1 >/dev/null) || fixstatus=$?
 if [ "$fixstatus" -ge 2 ]; then
     echo "$fixlog" >&2
     exit 1
@@ -61,15 +78,15 @@ echo "== hotalloc budget ratchet"
 # measured-vs-budget accounting.  After a deliberate optimization,
 # regenerate with `go run ./cmd/hyadeslint -writebudget ./...` and
 # commit the lowered file to lock it in.
-if ! ratchet=$(/tmp/hyadeslint.ci -analyzers hotalloc ./...); then
+if ! ratchet=$("$hyadeslint" -analyzers hotalloc ./...); then
     echo "$ratchet" >&2
     echo "allocation ratchet violated: measured sites exceed lint/allocbudget.json" >&2
     exit 1
 fi
 
 echo "== hyadeslint -sarif (artifact)"
-sarif_out="${HYADESLINT_SARIF:-/tmp/hyadeslint.sarif}"
-/tmp/hyadeslint.ci -sarif ./... > "$sarif_out"
+sarif_out="${HYADESLINT_SARIF:-$tmp_root/hyadeslint.sarif}"
+"$hyadeslint" -sarif ./... > "$sarif_out"
 echo "wrote $sarif_out"
 
 echo "== line budget (DESIGN.md, \"Line budget\")"
@@ -90,7 +107,8 @@ done
 echo "== go build"
 go build ./...
 # The smoke stages below run the drivers several times; link them once.
-bin_dir=$(mktemp -d)
+bin_dir="$tmp_root/bin"
+mkdir "$bin_dir"
 go build -o "$bin_dir/" ./cmd/hyades ./cmd/figure9
 
 echo "== go test -race -short"
@@ -154,7 +172,8 @@ echo "== figure9 long-run smoke (checkpoint plates + digest-stable resume)"
 # The two must report the same state digest — the restart path is
 # bit-exact or the 1000-year science run cannot be trusted across job
 # boundaries.
-fig_dir=$(mktemp -d)
+fig_dir="$tmp_root/figure9"
+mkdir "$fig_dir"
 fig_args=(-years 0.05 -checkpoint-every 0.02 -nx 32 -ny 16 -out "$fig_dir")
 full_digest=$("$bin_dir/figure9" "${fig_args[@]}" | awk '/^state digest/ {print $NF}')
 plates=$(ls "$fig_dir"/plates/plate_step*_rank*.ck 2>/dev/null | wc -l)
@@ -177,7 +196,6 @@ if [ -z "$full_digest" ] || [ "$full_digest" != "$resumed_digest" ]; then
     echo "figure9 smoke: resumed digest $resumed_digest != full-run digest $full_digest" >&2
     exit 1
 fi
-rm -rf "$fig_dir" "$bin_dir"
 echo "figure9 smoke: $plates plates, resume past a torn set, digest matches"
 
 echo "== bench (hot-path benchmarks, artifact)"
@@ -192,7 +210,7 @@ echo "== bench (hot-path benchmarks, artifact)"
 # The artifact lands in a scratch file unless HYADES_BENCH_JSON names
 # one: a committed BENCH_pr*.json is a PR's evidence and a gate run
 # must not overwrite it.
-bench_out="${HYADES_BENCH_JSON:-$(mktemp -t hyades_bench.XXXXXX.json)}"
+bench_out="${HYADES_BENCH_JSON:-$tmp_root/bench.json}"
 {
     # The hot-path microbenchmarks run long enough to amortize one-time
     # setup (cluster construction, freelist warm-up): at 1x their
@@ -206,6 +224,11 @@ bench_out="${HYADES_BENCH_JSON:-$(mktemp -t hyades_bench.XXXXXX.json)}"
     # tiny measurement window.
     go test -run '^$' -bench '^BenchmarkSchedule$' \
         -benchmem -benchtime 200000x .
+    # The process switch itself: into a parked peer through a mailbox,
+    # and out of a process and back into the same one through a Delay
+    # that has to block.
+    go test -run '^$' -bench '^(BenchmarkProcHandoff|BenchmarkProcSelfWake)$' \
+        -benchmem -benchtime 200000x ./internal/des
     # The coupled step runs at a fixed 10x for the same reason as the
     # 100x hot path: at 1x its allocs/op is all cluster construction
     # and the zero-steady-state-alloc kernels are invisible.
@@ -230,6 +253,16 @@ if [ -n "$prev" ]; then
         echo "bench compare: allocs/op regression vs $prev (soft gate — investigate before merging)" >&2
 else
     echo "no previous BENCH_pr*.json to compare against"
+fi
+
+echo "== no process left running"
+# Every stage above waits for what it starts; a survivor here is a leak
+# that would outlive the gate.
+pgrep -P $$ > "$tmp_root/children" || true
+if [ -s "$tmp_root/children" ]; then
+    echo "ci.sh: child processes still alive:" >&2
+    ps -o pid,etime,args -p "$(paste -sd, "$tmp_root/children")" >&2 || true
+    exit 1
 fi
 
 echo "CI OK"

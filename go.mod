@@ -6,4 +6,4 @@
 // DESIGN.md before adding any external module here.
 module hyades
 
-go 1.22
+go 1.23

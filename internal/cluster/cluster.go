@@ -292,7 +292,7 @@ func (c *Cluster) Run() (err error) {
 	return nil
 }
 
-// Close releases the engine's process goroutines and the host worker
+// Close releases the engine's process coroutines and the host worker
 // pool.
 func (c *Cluster) Close() {
 	c.Eng.Close()

@@ -18,13 +18,19 @@
 //     Semaphore.Acquire; control transfers back to the kernel until the
 //     wake-up event fires.
 //
-// Processes are backed by goroutines but are strictly coroutines: the
-// kernel hands a "baton" to at most one goroutine at a time, so process
-// code may freely touch shared simulation state without locking.
+// Processes are runtime coroutines (iter.Pull).  Every event closure runs
+// on one dispatcher — the goroutine that called Run, RunUntil or Step —
+// and an event that wakes a process switches straight into it; the
+// process switches straight back when it next blocks or returns.  A
+// process switch is therefore two coroutine switches, with no pass
+// through the Go scheduler and no second OS thread woken, and exactly
+// one activity holds the "baton" at a time, so process code may freely
+// touch shared simulation state without locking.
 package des
 
 import (
 	"fmt"
+	"iter"
 	"runtime/debug"
 	"strings"
 
@@ -81,30 +87,6 @@ type Engine struct {
 	limit units.Time
 	// failed stops the run loop with a recorded cause; see Fail.
 	failed error
-	// Direct-handoff baton state.  xfer is the process the event that
-	// just executed woke: the dispatcher completes the handoff after
-	// the event fn returns (every wake is the last effect of its
-	// event, so no engine work is reordered).  mainCh parks the
-	// Run/RunUntil caller while a process goroutine is dispatching.
-	// engPanic carries a panic raised by an event that executed on a
-	// process dispatcher back to the run loop's caller, preserving
-	// the contract that watchdog and scheduling panics unwind Run —
-	// never a baton goroutine.  single makes dispatch loops stop
-	// after the current event (Engine.Step).
-	xfer     *Proc
-	mainCh   chan struct{}
-	engPanic interface{}
-	single   bool
-	// disp is the process currently acting as dispatcher (nil when the
-	// Run/RunUntil caller is dispatching).  finishKill consults it: a
-	// process dispatching the very event that kills it cannot hand
-	// itself the unwind baton and must unwind after the event returns.
-	disp *Proc
-	// procFailure carries a panic out of a process goroutine so wake
-	// can re-raise it in engine context, where Run's caller can
-	// recover it (a raw panic in the baton goroutine would kill the
-	// whole OS process instead).
-	procFailure *ProcPanic
 }
 
 // NewEngine returns an empty kernel at virtual time zero, using the
@@ -118,7 +100,7 @@ func NewEngine() *Engine {
 // strict (at, seq) order, so a simulation's digest is identical under
 // either — the determinism suite asserts exactly that.
 func NewEngineWithScheduler(kind SchedulerKind) *Engine {
-	e := &Engine{mainCh: make(chan struct{})}
+	e := &Engine{}
 	switch kind {
 	case SchedHeap:
 		e.sched = &heapSched{}
@@ -232,37 +214,21 @@ func (e *Engine) RunUntil(limit units.Time) {
 			return
 		}
 		e.sched.pop()
-		if ev.at > e.now {
-			e.now = ev.at
-		}
-		ev.fn()
-		e.recycle(ev)
-		if q := e.xfer; q != nil {
-			// The event woke a process: hand it the baton directly and
-			// park until the dispatch chain returns it (the woken
-			// process, and every process it transitively hands to,
-			// keeps draining the queue in the same (at, seq) order
-			// this loop would).
-			e.xfer = nil
-			q.resume <- true
-			<-e.mainCh
-			e.reraise()
-		}
+		e.dispatch(ev)
 	}
 }
 
-// reraise surfaces a failure carried back with the baton: a panic from
-// an event that executed on a process dispatcher, or a process body
-// panic, re-thrown in the run loop caller's context.
-func (e *Engine) reraise() {
-	if r := e.engPanic; r != nil {
-		e.engPanic = nil
-		panic(r)
+// dispatch executes one popped event on the calling goroutine — the only
+// place an event closure ever runs.  An event that wakes a process runs
+// it, inside wake, up to its next block; a panic from the event (the
+// watchdog, a scheduling bug) or from that process (*ProcPanic) unwinds
+// straight through Run's caller.
+func (e *Engine) dispatch(ev *event) {
+	if ev.at > e.now {
+		e.now = ev.at
 	}
-	if f := e.procFailure; f != nil {
-		e.procFailure = nil
-		panic(f)
-	}
+	ev.fn()
+	e.recycle(ev)
 }
 
 // Fail records a fatal simulation error and stops the run loop at the
@@ -334,10 +300,10 @@ func (w *WatchdogError) Error() string {
 		w.Culprit, w.Limit, FormatWaiters(w.Waiters))
 }
 
-// ProcPanic wraps a panic raised inside a simulated process.  The
-// kernel re-raises it from engine context so that the caller of Run can
-// recover and report it; Value is the original panic payload and Stack
-// the goroutine stack captured at the panic site.
+// ProcPanic wraps a panic raised inside a simulated process.  It is
+// raised again on the dispatcher, so the caller of Run can recover and
+// report it; Value is the original panic payload and Stack the
+// coroutine's stack captured at the panic site.
 type ProcPanic struct {
 	Proc  string
 	Value any
@@ -395,7 +361,9 @@ func (t *Timer) Cancel() {
 // Active reports whether the timer is still pending.
 func (t *Timer) Active() bool { return t.ev != nil }
 
-// Step executes a single event and reports whether one was available.
+// Step executes a single event — and, when that event wakes a process,
+// the process up to its next block — and reports whether one was
+// available.
 func (e *Engine) Step() bool {
 	if e.stopped {
 		return false
@@ -404,21 +372,7 @@ func (e *Engine) Step() bool {
 	if ev == nil {
 		return false
 	}
-	if ev.at > e.now {
-		e.now = ev.at
-	}
-	ev.fn()
-	e.recycle(ev)
-	if q := e.xfer; q != nil {
-		// single keeps the woken process from dispatching further
-		// events: it runs to its next block, then returns the baton.
-		e.xfer = nil
-		e.single = true
-		q.resume <- true
-		<-e.mainCh
-		e.single = false
-		e.reraise()
-	}
+	e.dispatch(ev)
 	return true
 }
 
@@ -437,17 +391,22 @@ func (e *Engine) Blocked() int {
 	return n
 }
 
-// Close terminates all live processes by unwinding their goroutines.
+// Close terminates all live processes by unwinding their coroutines.
 // After Close the engine must not be used.  It is safe to call Close on
 // an engine whose Run has returned; it is also idempotent.
 func (e *Engine) Close() {
 	e.stopped = true
-	for _, p := range e.procs {
-		if p.blocked {
-			p.kill()
+	// Detach the list first: an unwinding process may run deferred code
+	// that kills another, and dropProc must not shift the slice under
+	// this loop.
+	procs := e.procs
+	e.procs = nil
+	for _, p := range procs {
+		if p.blocked && !p.dead {
+			p.dead = true
+			p.stop()
 		}
 	}
-	e.procs = nil
 }
 
 // dropProc unregisters a finished process, preserving spawn order.
@@ -492,10 +451,14 @@ type waiterList interface {
 
 // Proc is a simulated thread of control.
 type Proc struct {
-	eng     *Engine
-	name    string
-	resume  chan bool // true = run, false = unwind
-	yield   chan struct{}
+	eng  *Engine
+	name string
+	// The coroutine (iter.Pull over the process body): next switches
+	// into it until it blocks or returns, yield switches back out and
+	// reports false when stop, which unwinds it, was called meanwhile.
+	next    func() (struct{}, bool)
+	stop    func()
+	yield   func(struct{}) bool
 	blocked bool
 	dead    bool
 
@@ -531,11 +494,6 @@ type Proc struct {
 	parkFac     waiterList
 	inExec      bool
 	killPending bool
-	// selfKill marks a process killed by an event it was itself
-	// dispatching; the dispatch loop unwinds it at the next event
-	// boundary and the dying goroutine keeps dispatching on its way
-	// out (see finishKill).
-	selfKill bool
 
 	// Exec offload state, created lazily on the first pooled Exec and
 	// reused for every later one: a Proc has at most one outstanding
@@ -549,67 +507,37 @@ type Proc struct {
 // "now".  fn runs in coroutine discipline; when it returns the process
 // disappears.
 func (e *Engine) Spawn(name string, fn func(p *Proc)) *Proc {
-	p := &Proc{
-		eng:    e,
-		name:   name,
-		resume: make(chan bool),
-		yield:  make(chan struct{}),
-	}
+	p := &Proc{eng: e, name: name}
 	p.wakeFn = p.wake
 	p.wdFireFn = p.wdFire
-	e.procs = append(e.procs, p)
-	// The kernel's coroutine baton: the one legitimate raw goroutine
-	// in the simulation core.  It runs only while holding the baton
-	// (handed over via p.resume / p.yield), so it never races with
-	// engine state.  All other concurrency must go through Spawn.
-	//lint:allow nogoroutine kernel baton launch; coroutine discipline documented above
-	go func() {
+	p.next, p.stop = iter.Pull(func(yield func(struct{}) bool) {
+		p.yield = yield
 		defer func() {
-			if r := recover(); r != nil {
-				if _, ok := r.(stopSignal); ok {
-					if p.selfKill {
-						// Killed by an event this process was itself
-						// dispatching: no killer is waiting for the
-						// yield handshake, so keep dispatching on the
-						// way out instead.
-						e.exitDispatch()
-						return
-					}
-					// Killed by Engine.Close or Proc.Kill.  Hand the baton
-					// back so the killer can proceed synchronously.
-					p.yield <- struct{}{}
-					return
-				}
-				// Real bug in simulation code: capture it and hand the
-				// baton back so wake re-raises in engine context, where
-				// the caller of Run can recover and report it.  A raw
-				// re-panic here would crash the whole OS process from a
-				// bare goroutine, unrecoverable by any test.
-				p.dead = true
-				e.dropProc(p)
-				e.procFailure = &ProcPanic{Proc: p.name, Value: r, Stack: debug.Stack()}
-				e.mainCh <- struct{}{}
+			r := recover()
+			if _, ok := r.(stopSignal); ok {
+				return // killed; the killer did the bookkeeping
+			}
+			p.dead = true
+			e.dropProc(p)
+			if r != nil {
+				// Real bug in simulation code: wrap it with the stack of
+				// the panic site (still on this coroutine) and let
+				// iter.Pull raise it from next, on the dispatcher.
+				panic(&ProcPanic{Proc: p.name, Value: r, Stack: debug.Stack()})
 			}
 		}()
-		if !<-p.resume {
-			panic(stopSignal{})
-		}
 		fn(p)
-		p.dead = true
-		e.dropProc(p)
-		e.exitDispatch()
-	}()
+	})
+	e.procs = append(e.procs, p)
 	p.blocked = true
 	e.Schedule(0, p.wakeFn)
 	return p
 }
 
-// wake marks p runnable.  The baton itself moves when the current
-// event fn returns: the dispatcher sees e.xfer set and completes the
-// handoff (or, when p is the dispatcher, simply returns from block).
-// Every caller invokes wake as the last effect of its event, so
-// deferring the transfer to the event boundary reorders nothing.
-// Must only be called from engine context (inside an event).
+// wake resumes p on the dispatcher and returns when p next blocks or
+// finishes.  Every caller invokes wake as the last effect of its event,
+// so the process observes exactly the state the event left.  Must only
+// be called from engine context (inside an event).
 func (p *Proc) wake() {
 	if p.dead {
 		return
@@ -623,17 +551,7 @@ func (p *Proc) wake() {
 		return
 	}
 	p.blocked = false
-	p.eng.xfer = p
-}
-
-// kill unwinds a blocked process.  Called from Engine.Close only.
-func (p *Proc) kill() {
-	if p.dead {
-		return
-	}
-	p.dead = true
-	p.resume <- false
-	<-p.yield
+	p.next()
 }
 
 // Kill terminates a blocked process at the current virtual instant, as
@@ -656,7 +574,9 @@ func (p *Proc) Kill() {
 	p.finishKill()
 }
 
-// finishKill detaches and unwinds a blocked process (engine context).
+// finishKill detaches and unwinds a blocked process.  From another
+// process's context the unwind is a coroutine switch nested inside the
+// killer's coroutine, which the runtime allows.
 func (p *Proc) finishKill() {
 	if p.parkFac != nil {
 		p.parkFac.dropWaiter(p)
@@ -666,17 +586,7 @@ func (p *Proc) finishKill() {
 	p.wdFacility = nil
 	p.dead = true
 	p.eng.dropProc(p)
-	if p.eng.disp == p {
-		// The process is dispatching the very event that kills it (a
-		// node crash reaches the node's own ranks this way whenever
-		// one of them holds the baton): it cannot complete a
-		// synchronous unwind handshake with itself.  Flag the suicide;
-		// the dispatch loop unwinds after the event completes.
-		p.selfKill = true
-		return
-	}
-	p.resume <- false
-	<-p.yield
+	p.stop()
 }
 
 // Interrupt arranges for cause to be raised inside the process as an
@@ -713,105 +623,30 @@ func (p *Proc) maybeInterrupt() {
 	panic(&Interrupt{Proc: p.name, Cause: cause})
 }
 
-// block parks the process until its wake event fires.  There is no
-// central engine goroutine to yield to: the blocking process itself
-// becomes the dispatcher, draining the event queue in the same
-// strict (at, seq) order the run loop uses — the virtual schedule is
-// bit-identical by construction.  Waking itself costs no goroutine
-// switch at all (the dominant case: a Delay with only timer events in
-// between); waking another process is one direct channel handoff.
-// When the run bound is reached, the engine stops or fails, or an
-// event panics, the baton is returned to the Run/RunUntil caller.
-// Must only be called from process context.
+// block parks the process until its wake event fires: it switches back
+// to the dispatcher, which carries on with the event queue, and unwinds
+// if the process was killed instead of woken.  Must only be called from
+// process context.
 func (p *Proc) block() {
 	p.blocked = true
-	e := p.eng
-	e.disp = p
-	for !e.single && !e.stopped && e.failed == nil {
-		ev := e.peekNext()
-		if ev == nil || ev.at > e.limit {
-			break
-		}
-		e.sched.pop()
-		if ev.at > e.now {
-			e.now = ev.at
-		}
-		if !e.runEvent(ev) {
-			break
-		}
-		if p.selfKill {
-			// The event killed its own dispatcher: unwind here, outside
-			// runEvent's recover, so the stop signal reaches the spawn
-			// wrapper (which keeps dispatching on the way out — any
-			// handoff the fatal event also requested is still pending
-			// in e.xfer and is completed there).
-			e.disp = nil
-			panic(stopSignal{})
-		}
-		if q := e.xfer; q != nil {
-			e.xfer = nil
-			e.disp = nil
-			if q == p {
-				return // self-wake: the baton never moves
-			}
-			q.resume <- true
-			if !<-p.resume {
-				panic(stopSignal{})
-			}
-			return
-		}
-	}
-	// Bound reached, engine stopped/failed, or an event panicked:
-	// return the baton to the run loop's caller and park.
-	e.disp = nil
-	e.mainCh <- struct{}{}
-	if !<-p.resume {
+	if !p.yield(struct{}{}) {
 		panic(stopSignal{})
 	}
 }
 
-// runEvent executes one event on a process dispatcher, converting a
-// panic into engine-failure state so the run loop's caller — not the
-// baton goroutine — re-raises it (watchdog and scheduling panics must
-// unwind Run, where tests and drivers recover them).
-func (e *Engine) runEvent(ev *event) (ok bool) {
-	defer func() {
-		if r := recover(); r != nil {
-			e.engPanic = r
-		}
-	}()
-	ev.fn()
-	e.recycle(ev)
-	return true
-}
-
-// exitDispatch hands the baton onward when a process body returns:
-// the finished goroutine keeps dispatching (it is as good an engine
-// context as any) until an event wakes a live process or the run
-// bound is reached, then disappears.
-func (e *Engine) exitDispatch() {
-	for {
-		if q := e.xfer; q != nil {
-			e.xfer = nil
-			q.resume <- true
-			return
-		}
-		if e.single || e.stopped || e.failed != nil {
-			break
-		}
-		ev := e.peekNext()
-		if ev == nil || ev.at > e.limit {
-			break
-		}
-		e.sched.pop()
-		if ev.at > e.now {
-			e.now = ev.at
-		}
-		if !e.runEvent(ev) {
-			break
-		}
+// reraiseStop opens every blocking call.  A killed process that reaches
+// one from a deferred function, on its way out, must neither park again
+// (nothing would ever wake it) nor advance the clock: the stop is raised
+// again instead.  fac is the waiter list the caller has already joined,
+// if any.
+func (p *Proc) reraiseStop(fac waiterList) {
+	if !p.dead {
+		return
 	}
-	e.mainCh <- struct{}{}
+	if fac != nil {
+		fac.dropWaiter(p)
+	}
+	panic(stopSignal{})
 }
 
 // armWd schedules the process's expiry event at now+d; disarmWd removes
@@ -856,11 +691,11 @@ func (p *Proc) wdFire() {
 }
 
 // park blocks p on the named facility, arming the engine's watchdog if
-// one is configured.  The watchdog event fires in engine context, so
-// its panic unwinds Run rather than the baton goroutine.  fac is the
-// facility whose waiter list holds p, so Interrupt and Kill can detach
-// it; a pending interrupt is raised as the park ends.
+// one is configured.  fac is the facility whose waiter list holds p, so
+// Interrupt and Kill can detach it; a pending interrupt is raised as the
+// park ends.
 func (p *Proc) park(on string, fac waiterList) {
+	p.reraiseStop(fac)
 	p.waitOn, p.waitStart = on, p.eng.now
 	p.parkFac = fac
 	if limit := p.eng.watchdog; limit > 0 {
@@ -879,6 +714,7 @@ func (p *Proc) park(on string, fac waiterList) {
 // whether p was still parked there (guarding against a wake and an
 // expiry landing on the same timestamp).
 func (p *Proc) parkDeadline(on string, d units.Time, fac waiterList) bool {
+	p.reraiseStop(fac)
 	p.waitOn, p.waitStart = on, p.eng.now
 	p.expired = false
 	p.wdFacility = fac
@@ -906,6 +742,7 @@ func (p *Proc) Now() units.Time { return p.eng.now }
 // yields the baton without advancing the clock (other simultaneous
 // events run first).
 func (p *Proc) Delay(d units.Time) {
+	p.reraiseStop(nil)
 	e := p.eng
 	if d < 0 {
 		d = 0

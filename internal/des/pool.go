@@ -57,8 +57,8 @@ func NewPool(n int) *Pool {
 	p := &Pool{tasks: make(chan poolTask), workers: n}
 	p.wg.Add(n)
 	for i := 0; i < n; i++ {
-		// The second sanctioned raw goroutine of the simulation core
-		// (after the coroutine-baton launch in Spawn): pool workers
+		// The one sanctioned raw goroutine of the simulation core
+		// (processes are runtime coroutines and need none): pool workers
 		// synchronize exclusively through the task and done channels,
 		// and the baton blocks on done before the offloaded state is
 		// visible to any simulation activity.
@@ -108,6 +108,7 @@ func (e *Engine) Pool() *Pool { return e.pool }
 // calls, no scheduling, no communication.  Charge hooks that would
 // advance virtual time from inside fn must be suspended by the caller.
 func (p *Proc) Exec(d units.Time, fn func()) {
+	p.reraiseStop(nil)
 	pool := p.eng.pool
 	if pool == nil {
 		fn()

@@ -164,12 +164,16 @@ func TestWatchdogDisarmedOnWake(t *testing.T) {
 	}
 }
 
+var errDiverged = errors.New("solver diverged")
+
+func divergingSolver() { panic(errDiverged) }
+
 func TestProcPanicRethrownInEngineContext(t *testing.T) {
 	e := NewEngine()
-	boom := errors.New("solver diverged")
+	boom := errDiverged
 	e.Spawn("rank0", func(p *Proc) {
 		p.Delay(units.Microsecond)
-		panic(boom)
+		divergingSolver()
 	})
 	defer e.Close()
 	defer func() {
@@ -184,8 +188,8 @@ func TestProcPanicRethrownInEngineContext(t *testing.T) {
 		if !errors.Is(pp, boom) {
 			t.Fatalf("ProcPanic does not unwrap to the original error")
 		}
-		if len(pp.Stack) == 0 {
-			t.Fatalf("no stack captured")
+		if !strings.Contains(string(pp.Stack), "des.divergingSolver") {
+			t.Fatalf("stack does not name the panic site:\n%s", pp.Stack)
 		}
 	}()
 	e.Run()

@@ -8,16 +8,15 @@ import (
 
 // Nogoroutine forbids raw go statements in simulation-core packages.
 //
-// The des kernel runs processes as coroutines: a baton is handed to at
-// most one goroutine at a time, which is why simulation code may touch
-// shared state without locks.  A raw goroutine escapes that discipline
-// — it races with the holder of the baton and injects host-scheduler
-// nondeterminism into virtual time.  Concurrency in simulation code
-// must go through Engine.Spawn; the two legitimate raw-goroutine sites
-// — the kernel's own baton launch in des.Spawn and the compute-offload
-// worker launch in des.NewPool, whose workers synchronize with the
-// baton through task/done channels — carry the //lint:allow nogoroutine
-// annotation.
+// The des kernel runs processes as runtime coroutines and every event
+// on one dispatcher: exactly one activity executes at a time, which is
+// why simulation code may touch shared state without locks.  A raw
+// goroutine escapes that discipline — it races with the running
+// activity and injects host-scheduler nondeterminism into virtual time.
+// Concurrency in simulation code must go through Engine.Spawn; the one
+// legitimate raw-goroutine site — the compute-offload worker launch in
+// des.NewPool, whose workers synchronize with the dispatcher through
+// task/done channels — carries the //lint:allow nogoroutine annotation.
 var Nogoroutine = &analysis.Analyzer{
 	Name: "nogoroutine",
 	Doc:  "forbid raw go statements in sim-core packages; use Engine.Spawn",
