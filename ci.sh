@@ -14,6 +14,45 @@ cd "$(dirname "$0")"
 tmp_root=$(mktemp -d)
 trap 'rm -rf "$tmp_root"' EXIT
 
+# no_process_left fails if anything started from this checkout is still
+# alive: any process whose executable or working directory lies under it
+# — a child of the gate, a benchmark binary under .bench_build, a *.test
+# binary or a go build left behind by a measurement loop.  Not judged:
+# this script, its ancestors, and the rest of any *enclosing* session an
+# ancestor belongs to (the plumbing of the terminal or harness that
+# launched the gate).  `ci.sh processes` runs only this check; it is the
+# last command before a hand-over.
+no_process_left() {
+    local root=$PWD pid=$$ own skip=" " outer=" " p sid leaked=""
+    own=$(ps -o sid= -p $$ | tr -d ' ')
+    while [ "${pid:-1}" -gt 1 ]; do
+        skip+="$pid "
+        sid=$(ps -o sid= -p "$pid" | tr -d ' ')
+        [ "$sid" = "$own" ] || outer+="$sid "
+        pid=$(ps -o ppid= -p "$pid" | tr -d ' ')
+    done
+    for p in /proc/[0-9]*; do
+        pid=${p#/proc/}
+        case "$skip" in *" $pid "*) continue ;; esac
+        case "$(readlink "$p/exe" 2>/dev/null || true)|$(readlink "$p/cwd" 2>/dev/null || true)" in
+            "$root"/*\|* | *\|"$root" | *\|"$root"/*) ;;
+            *) continue ;;
+        esac
+        sid=$(ps -o sid= -p "$pid" | tr -d ' ')
+        case "$outer" in *" $sid "*) continue ;; esac
+        [ -z "$sid" ] || leaked+="$pid,"
+    done
+    if [ -n "$leaked" ]; then
+        echo "ci.sh: processes from this checkout are still alive:" >&2
+        ps -o pid,etime,args -p "${leaked%,}" >&2 || true
+        return 1
+    fi
+}
+if [ "${1:-}" = "processes" ]; then
+    no_process_left
+    exit
+fi
+
 echo "== toolchain"
 # internal/des runs processes on iter.Pull coroutines (Go 1.23).  Say so
 # here rather than as a type error from deep inside the kernel.
@@ -166,6 +205,19 @@ if [ -z "$crash_digest" ] || [ "$crash_digest" != "$clean_digest" ]; then
     exit 1
 fi
 
+echo "== profile flags (one shared helper behind -cpuprofile / -memprofile)"
+# The drivers answer "where did the host time go" themselves; a flag that
+# silently writes nothing would send the next optimization back to a
+# scratch harness.
+"$bin_dir/hyades" -model gyre -nodes 4 -ppn 1 -steps 2 -warmup 0 \
+    -cpuprofile "$tmp_root/cpu.pprof" -memprofile "$tmp_root/mem.pprof" > /dev/null
+for f in cpu.pprof mem.pprof; do
+    if [ ! -s "$tmp_root/$f" ]; then
+        echo "profile smoke: hyades wrote no $f" >&2
+        exit 1
+    fi
+done
+
 echo "== figure9 long-run smoke (checkpoint plates + digest-stable resume)"
 # The -years mode on a reduced grid: a run with periodic plates, then a
 # -resume from the newest complete plate set re-integrating the tail.
@@ -256,13 +308,5 @@ else
 fi
 
 echo "== no process left running"
-# Every stage above waits for what it starts; a survivor here is a leak
-# that would outlive the gate.
-pgrep -P $$ > "$tmp_root/children" || true
-if [ -s "$tmp_root/children" ]; then
-    echo "ci.sh: child processes still alive:" >&2
-    ps -o pid,etime,args -p "$(paste -sd, "$tmp_root/children")" >&2 || true
-    exit 1
-fi
-
+no_process_left
 echo "CI OK"

@@ -30,6 +30,7 @@ import (
 	"hyades/internal/gcm/grid"
 	"hyades/internal/gcm/tile"
 	"hyades/internal/plates"
+	"hyades/internal/prof"
 	"hyades/internal/report"
 )
 
@@ -45,7 +46,9 @@ func main() {
 	nx := flag.Int("nx", 128, "global grid points in x")
 	ny := flag.Int("ny", 64, "global grid points in y")
 	outDir := flag.String("out", "fig9_out", "output directory")
+	profiles := prof.Flags()
 	flag.Parse()
+	defer profiles.Start()()
 
 	d := tile.Decomp{NXg: *nx, NYg: *ny, Px: 4, Py: 2, PeriodicX: true}
 	cfg := gcm.DefaultCoupledConfig(d)

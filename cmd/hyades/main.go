@@ -23,6 +23,7 @@ import (
 	"hyades/internal/gcm/physics"
 	"hyades/internal/gcm/tile"
 	"hyades/internal/netmodel"
+	"hyades/internal/prof"
 	"hyades/internal/report"
 	"hyades/internal/units"
 )
@@ -48,7 +49,9 @@ func main() {
 	checkpointEvery := flag.Int("checkpoint-every", 0, "save a coordinated checkpoint every N model steps (0 = never; required to survive node crashes)")
 	maxRestarts := flag.Int("max-restarts", 0, "abort after this many node crashes (0 = controller default)")
 	digest := flag.Bool("digest", false, "print a SHA-256 over the final model state (the survival-contract observable)")
+	profiles := prof.Flags()
 	flag.Parse()
+	defer profiles.Start()()
 
 	fcfg := fault.Config{Seed: *faultSeed, DropRate: *dropRate, CorruptRate: *corruptRate}
 	if *linkOutage != "" {
@@ -152,6 +155,10 @@ func main() {
 	t.Addf("global-sum time (all workers)|%v", res.GsumTime)
 	comm := res.ExchangeTime + res.GsumTime
 	t.Addf("communication fraction|%.1f%%", 100*float64(comm)/float64(comm+res.ComputeTime))
+	if c := res.Counters; res.Events > 0 {
+		t.Addf("events / dispatched / process resumes|%d / %d / %d", res.Events, c.Dispatched, c.Resumes)
+		t.Addf("slots reserved / materialised|%d / %d", c.SlotsReserved, c.SlotsMaterialised)
+	}
 	if fcfg.Enabled() {
 		fs := res.Fault
 		t.Addf("fault drops / corruptions / outage drops|%d / %d / %d",

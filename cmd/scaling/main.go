@@ -32,9 +32,11 @@ import (
 	"time"
 
 	"hyades/internal/bench"
+	"hyades/internal/des"
 	"hyades/internal/gcm"
 	"hyades/internal/gcm/tile"
 	"hyades/internal/perfmodel"
+	"hyades/internal/prof"
 	"hyades/internal/report"
 	"hyades/internal/units"
 )
@@ -74,10 +76,12 @@ func main() {
 	steps := flag.Int("steps", 3, "timed steps per point")
 	max := flag.Int("max", 1024, "largest worker count to run")
 	jsonPath := flag.String("json", "", "append rows as JSON benchmark entries to this file")
+	profiles := prof.Flags()
 	flag.Parse()
+	defer profiles.Start()()
 
 	t := report.NewTable("Strong scaling of the ocean isomorph on Arctic (one worker per node)",
-		"grid", "workers", "time/step", "sustained MF/s", "speedup", "efficiency", "model MF/s", "comm %", "events/s (host)")
+		"grid", "workers", "time/step", "sustained MF/s", "speedup", "efficiency", "model MF/s", "comm %", "events/s (host)", "slots (queued)", "resumes")
 	base := map[int]float64{} // serial sustained rate, keyed by grid NXg
 	var rows []jsonRow
 	for _, pt := range points {
@@ -91,6 +95,7 @@ func main() {
 		var commFrac float64
 		var ni float64
 		var eventsPerSec float64
+		var ctr des.Counters
 		if pt.workers == 1 {
 			m, elapsed, err := gcm.RunSerial(cfg, *steps)
 			if err != nil {
@@ -112,6 +117,7 @@ func main() {
 			commFrac = 100 * float64(comm) / float64(comm+res.ComputeTime)
 			ni = res.MeanNi
 			eventsPerSec = float64(res.Events) / wall
+			ctr = res.Counters
 		}
 		if pt.workers == 1 {
 			base[pt.nxg] = sustained
@@ -119,8 +125,9 @@ func main() {
 
 		model := modelPrediction(pt.workers, d, ni)
 		eff := 100 * sustained / (base[pt.nxg] * float64(pt.workers))
-		t.Addf("%dx%d|%d|%v|%.0f|%.1fx|%.0f%%|%.0f|%.0f%%|%.2g",
-			pt.nxg, pt.nyg, pt.workers, perStep, sustained, sustained/base[pt.nxg], eff, model, commFrac, eventsPerSec)
+		t.Addf("%dx%d|%d|%v|%.0f|%.1fx|%.0f%%|%.0f|%.0f%%|%.2g|%d (%d)|%d",
+			pt.nxg, pt.nyg, pt.workers, perStep, sustained, sustained/base[pt.nxg], eff, model, commFrac, eventsPerSec,
+			ctr.SlotsReserved, ctr.SlotsMaterialised, ctr.Resumes)
 		rows = append(rows, jsonRow{
 			Name:       fmt.Sprintf("ScalingOcean/%dx%d/%dworkers", pt.nxg, pt.nyg, pt.workers),
 			Iterations: int64(*steps),
@@ -139,7 +146,7 @@ func main() {
 		"fat tree, 1024 through the 5-level radix-4 maximum; speedup/efficiency are " +
 		"relative to the serial run of the same grid (the 128x64 grid's halo caps " +
 		"its decomposition at 512 tiles, so the 1,024-endpoint point runs 256x128); " +
-		"events/s is host wall-clock event throughput of the whole run"
+		"events/s is host wall-clock event throughput of the whole run; slots: idle-marking events counted (also queued)"
 	fmt.Print(t)
 
 	if *jsonPath != "" {

@@ -91,21 +91,19 @@ func (q *transitQueue) pop() *transit {
 	return t
 }
 
-// link is one directed link with two-priority FIFO queueing.
+// link is one directed link with two-priority FIFO queueing: idle,
+// transmitting with nothing behind the packet (free only reserved), or
+// transmitting with a successor waiting (free queued to run startNext).
 type link struct {
 	fab     *Fabric
 	name    string
-	busy    bool
+	free    des.Slot
 	queueHi transitQueue
 	queueLo transitQueue
 	// sink receives the packet when its head has crossed this link;
 	// exactly one of nextRouter/endpoint is set.
 	deliver func(t *transit)
 	final   bool // link terminates at an endpoint: wait for the tail
-
-	// startNextFn is the method value of startNext, bound once at link
-	// creation so re-arming the link schedules no closure.
-	startNextFn func()
 
 	// flt is the link's fault-injection state (nil = pristine link).
 	flt   *fault.Link
@@ -292,7 +290,7 @@ func replaceDigit(v, stage, q int) int {
 
 func (f *Fabric) newLink(name string) *link {
 	l := &link{fab: f, name: name}
-	l.startNextFn = l.startNext
+	l.free.Init(f.eng, l.startNext)
 	l.stats.Name = name
 	if f.cfg.Faults != nil {
 		l.flt = f.cfg.Faults.Link(name)
@@ -444,10 +442,14 @@ func (l *link) enqueue(t *transit) {
 	} else {
 		l.queueLo.push(t)
 	}
-	if !l.busy {
+	if !l.free.Await() {
 		l.startNext()
 	}
 }
+
+// hold occupies the link for d; the free event at the end is queued
+// outright only if a packet is already waiting for it.
+func (l *link) hold(d units.Time) { l.free.Hold(d, l.queueHi.n+l.queueLo.n > 0) }
 
 // startNext begins transmitting the best queued packet, if any.
 func (l *link) startNext() {
@@ -458,10 +460,8 @@ func (l *link) startNext() {
 	case l.queueLo.n > 0:
 		t = l.queueLo.pop()
 	default:
-		l.busy = false
 		return
 	}
-	l.busy = true
 	f := l.fab
 	l.stats.Transmitted++
 	bw, lat := f.cfg.LinkBandwidth, f.cfg.RouterLatency
@@ -475,7 +475,7 @@ func (l *link) startNext() {
 			f.stats.OutageDropped++
 			f.releasePacket(t.pkt)
 			f.recycle(t)
-			f.eng.Schedule(0, l.startNextFn)
+			l.hold(0)
 			return
 		}
 		if bwScale, latScale := l.flt.Scale(now); bwScale != 1 || latScale != 1 {
@@ -488,7 +488,7 @@ func (l *link) startNext() {
 			// tail never arrives anywhere.
 			l.stats.FaultDropped++
 			f.stats.FaultDropped++
-			f.eng.Schedule(bw.Transfer(t.pkt.WireBytes()), l.startNextFn)
+			l.hold(bw.Transfer(t.pkt.WireBytes()))
 			f.releasePacket(t.pkt)
 			f.recycle(t)
 			return
@@ -510,7 +510,7 @@ func (l *link) startNext() {
 	}
 	t.link = l
 	f.eng.Schedule(handoff, t.deliverFn)
-	f.eng.Schedule(full, l.startNextFn)
+	l.hold(full)
 }
 
 // Levels reports the number of router stages.

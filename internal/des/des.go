@@ -26,12 +26,17 @@
 // through the Go scheduler and no second OS thread woken, and exactly
 // one activity holds the "baton" at a time, so process code may freely
 // touch shared simulation state without locking.
+//
+// Activities run in strict (at, seq) order; seq is drawn by every queued
+// event, inline Delay advance and reserved Slot — a position need not be
+// an event (a Slot queues its event only if something needs it).
 package des
 
 import (
 	"fmt"
 	"iter"
 	"runtime/debug"
+	"slices"
 	"strings"
 
 	"hyades/internal/units"
@@ -61,6 +66,14 @@ type Engine struct {
 	now   units.Time
 	sched scheduler
 	seq   uint64
+	// cur is the seq of the activity holding the baton — the event being
+	// dispatched, or the number an inline Delay advance just consumed —
+	// so (now, cur) is the position a Slot compares its own against.
+	cur uint64
+	// horizon is the latest timestamp of any reserved Slot: where the
+	// clock ends once the queue has drained, as if its event had fired.
+	horizon units.Time
+	ctr     Counters
 	// procs holds the live processes in spawn order.  A slice, not a
 	// map: Blocked and Close iterate it, and map iteration order is
 	// randomized — a determinism hazard the maprange analyzer bans
@@ -113,24 +126,38 @@ func NewEngineWithScheduler(kind SchedulerKind) *Engine {
 // Now returns the current virtual time.
 func (e *Engine) Now() units.Time { return e.now }
 
-// Events returns the total number of activities scheduled since the
-// engine was created.  Two runs of the same simulation with the same
-// inputs must report the same count — a cheap fingerprint for
-// determinism regression tests.
+// Events returns the number of sequence numbers consumed since the
+// engine was created: one per queued event, per inline Delay advance
+// and per reserved Slot — every position in the (at, seq) order, queued
+// or not.  Two runs of the same simulation with the same inputs must
+// report the same count: a cheap fingerprint for determinism tests.
 func (e *Engine) Events() uint64 { return e.seq }
 
-// newEvent takes an event from the freelist (or allocates one) and
-// stamps it with the next sequence number.
+// Counters are exact, always-on tallies beside Events() (plain
+// integers): Dispatched counts event closures run, Resumes switches into
+// a process; reserved less materialised slots were never queued.
+type Counters struct{ Dispatched, Resumes, SlotsReserved, SlotsMaterialised uint64 }
+
+// Counters returns the tallies so far.
+func (e *Engine) Counters() Counters { return e.ctr }
+
+// newEvent stamps an event with the next sequence number.
 func (e *Engine) newEvent(at units.Time, fn func()) *event {
 	e.seq++
+	return e.eventAt(at, e.seq, fn)
+}
+
+// eventAt takes an event from the freelist (or allocates one) for the
+// position (at, seq): a fresh number, or one a Slot reserved earlier.
+func (e *Engine) eventAt(at units.Time, seq uint64, fn func()) *event {
 	if n := len(e.free); n > 0 {
 		ev := e.free[n-1]
 		e.free[n-1] = nil
 		e.free = e.free[:n-1]
-		ev.at, ev.seq, ev.fn = at, e.seq, fn
+		ev.at, ev.seq, ev.fn = at, seq, fn
 		return ev
 	}
-	return &event{at: at, seq: e.seq, fn: fn}
+	return &event{at: at, seq: seq, fn: fn}
 }
 
 // recycle returns a fired or cancelled event to the freelist.  The
@@ -195,6 +222,25 @@ func (e *Engine) ScheduleAt(t units.Time, fn func()) {
 	e.sched.push(e.newEvent(t, fn))
 }
 
+// RunUntil executes events with timestamps <= limit.  Order, Events()
+// and what each activity observes are exact for any limit; the final
+// clock is the later of the last event and last reserved Slot <= limit
+// if no slot lies beyond limit (always so for Run), else it may trail.
+func (e *Engine) RunUntil(limit units.Time) {
+	prev := e.limit
+	e.limit = limit
+	defer func() { e.limit = prev }()
+	for !e.stopped && e.failed == nil {
+		ev := e.peekNext()
+		if ev == nil || ev.at > limit {
+			e.settle(limit)
+			return
+		}
+		e.sched.pop()
+		e.dispatch(ev)
+	}
+}
+
 // Run executes events until the event queue is empty.  Processes blocked
 // on mailboxes or semaphores with no pending wake-up are left blocked;
 // use Blocked to detect them (a non-zero count usually means deadlock in
@@ -203,18 +249,13 @@ func (e *Engine) Run() {
 	e.RunUntil(units.Never)
 }
 
-// RunUntil executes events with timestamps <= limit.
-func (e *Engine) RunUntil(limit units.Time) {
-	prev := e.limit
-	e.limit = limit
-	defer func() { e.limit = prev }()
-	for !e.stopped && e.failed == nil {
-		ev := e.peekNext()
-		if ev == nil || ev.at > limit {
-			return
-		}
-		e.sched.pop()
-		e.dispatch(ev)
+// settle runs when nothing queued <= limit is left: the caller's next
+// move is ordered after every position consumed, and the clock moves
+// over trailing slots — if none lies beyond limit (horizon is one max).
+func (e *Engine) settle(limit units.Time) {
+	e.cur = e.seq
+	if e.horizon <= limit && e.horizon > e.now {
+		e.now = e.horizon
 	}
 }
 
@@ -227,6 +268,8 @@ func (e *Engine) dispatch(ev *event) {
 	if ev.at > e.now {
 		e.now = ev.at
 	}
+	e.cur = ev.seq
+	e.ctr.Dispatched++
 	ev.fn()
 	e.recycle(ev)
 }
@@ -361,22 +404,92 @@ func (t *Timer) Cancel() {
 // Active reports whether the timer is still pending.
 func (t *Timer) Active() bool { return t.ev != nil }
 
+// Slot is the "idle again" event of a serially reusable facility (a
+// link, a DMA pump), always counted but queued only if work arrives
+// during the hold — on an uncontended fabric it almost never does.  Hold
+// with nothing waiting reserves the event's (at, seq) position, taking
+// the sequence number where Schedule would have; Await, asked by whoever
+// brings work, finds the facility idle if the running activity is
+// ordered after that position and otherwise queues the event there.
+// Every event that runs keeps its (at, seq), so order, clock and
+// Events() match an always-queued event (DESIGN.md, "Reserved slots").
+type Slot struct {
+	eng     *Engine
+	release func()
+	at      units.Time
+	seq     uint64
+	state   uint8
+}
+
+// A Slot's facility is idle, held with the release position reserved,
+// or held with the release event queued.  A hold whose position the
+// running activity has reached is over whatever state says (Await).
+const (
+	slotIdle uint8 = iota
+	slotReserved
+	slotQueued
+)
+
+// Init binds the slot of an idle facility.  release runs, the facility
+// idle again, when a hold ends with work waiting; it calls Hold in turn.
+func (s *Slot) Init(e *Engine, release func()) { s.eng, s.release = e, release }
+
+// Hold marks the idle facility held for d.  waiting says work is already
+// queued behind the hold: the release event is then queued outright.
+func (s *Slot) Hold(d units.Time, waiting bool) {
+	e := s.eng
+	e.seq++
+	s.at, s.seq = e.now+max(d, 0), e.seq
+	if waiting {
+		s.state = slotQueued
+		e.sched.push(e.eventAt(s.at, s.seq, s.release))
+		return
+	}
+	s.state = slotReserved
+	e.ctr.SlotsReserved++
+	if s.at > e.horizon {
+		e.horizon = s.at
+	}
+}
+
+// Await reports whether the facility is still held as the running
+// activity sees it, and if so guarantees that release will run when the
+// hold ends.  False means the caller must start its work itself.
+func (s *Slot) Await() bool {
+	if s.state == slotIdle {
+		return false
+	}
+	e := s.eng
+	if e.now > s.at || e.now == s.at && e.cur >= s.seq {
+		s.state = slotIdle
+		return false
+	}
+	if s.state == slotReserved {
+		s.state = slotQueued
+		e.ctr.SlotsMaterialised++
+		e.sched.push(e.eventAt(s.at, s.seq, s.release))
+	}
+	return true
+}
+
 // Step executes a single event — and, when that event wakes a process,
 // the process up to its next block — and reports whether one was
-// available.
+// available.  A reserved Slot is not an event: Step never stops on one.
 func (e *Engine) Step() bool {
 	if e.stopped {
 		return false
 	}
 	ev := e.popNext()
 	if ev == nil {
+		e.settle(units.Never)
 		return false
 	}
 	e.dispatch(ev)
 	return true
 }
 
-// Pending returns the number of queued (uncancelled) events.
+// Pending returns the number of queued (uncancelled) events; a reserved
+// Slot that nothing has needed is not among them.
 func (e *Engine) Pending() int { return e.sched.len() }
 
 // Blocked returns the number of live processes currently waiting on a
@@ -497,9 +610,9 @@ type Proc struct {
 
 	// Exec offload state, created lazily on the first pooled Exec and
 	// reused for every later one: a Proc has at most one outstanding
-	// offloaded phase, so one buffered completion channel and one bound
-	// continuation cover them all without per-call allocation.
-	execDone   chan struct{}
+	// offloaded phase, so one phase object and one bound completion
+	// event cover them all without per-call allocation.
+	exec       phase
 	execContFn func()
 }
 
@@ -551,6 +664,7 @@ func (p *Proc) wake() {
 		return
 	}
 	p.blocked = false
+	p.eng.ctr.Resumes++
 	p.next()
 }
 
@@ -752,11 +866,13 @@ func (p *Proc) Delay(d units.Time) {
 	// expire (and the run loop's limit covers it), yielding the baton
 	// would only bounce it straight back here.  Advance the clock inline
 	// instead.  The sequence number is consumed exactly as if the wake
-	// event had been queued and fired, so clock, event order and event
-	// count are bit-identical to the slow path.
+	// event had been queued and fired (and becomes cur, past any Slot
+	// reserved before), so clock, event order and event count are
+	// bit-identical to the slow path.
 	if !e.stopped && e.failed == nil && at <= e.limit {
 		if nxt := e.peekNext(); nxt == nil || nxt.at > at {
 			e.seq++
+			e.cur = e.seq
 			e.now = at
 			p.maybeInterrupt()
 			return
@@ -780,6 +896,16 @@ func popWaiter(ws []*Proc) (*Proc, []*Proc) {
 	n := copy(ws, ws[1:])
 	ws[n] = nil
 	return w, ws[:n]
+}
+
+// removeWaiter deletes p from a waiter list in place (the vacated tail
+// slot is zeroed), reporting whether it was still parked there.
+func removeWaiter(ws *[]*Proc, p *Proc) bool {
+	i := slices.Index(*ws, p)
+	if i >= 0 {
+		*ws = slices.Delete(*ws, i, i+1)
+	}
+	return i >= 0
 }
 
 // Mailbox is an unbounded FIFO queue connecting activities.  Send may be
@@ -865,19 +991,8 @@ func (m *Mailbox[T]) RecvDeadline(p *Proc, d units.Time) (T, bool) {
 	return m.dequeue(), true
 }
 
-// dropWaiter removes p from the waiter list, reporting whether it was
-// still parked there.
-func (m *Mailbox[T]) dropWaiter(p *Proc) bool {
-	for i, w := range m.waiters {
-		if w == p {
-			n := copy(m.waiters[i:], m.waiters[i+1:])
-			m.waiters[i+n] = nil
-			m.waiters = m.waiters[:i+n]
-			return true
-		}
-	}
-	return false
-}
+// dropWaiter implements waiterList.
+func (m *Mailbox[T]) dropWaiter(p *Proc) bool { return removeWaiter(&m.waiters, p) }
 
 // TryRecv dequeues the oldest item without blocking.
 func (m *Mailbox[T]) TryRecv() (T, bool) {
@@ -917,19 +1032,8 @@ func (s *Semaphore) Acquire(p *Proc) {
 	s.count--
 }
 
-// dropWaiter removes p from the waiter list, reporting whether it was
-// still parked there.
-func (s *Semaphore) dropWaiter(p *Proc) bool {
-	for i, w := range s.waiters {
-		if w == p {
-			n := copy(s.waiters[i:], s.waiters[i+1:])
-			s.waiters[i+n] = nil
-			s.waiters = s.waiters[:i+n]
-			return true
-		}
-	}
-	return false
-}
+// dropWaiter implements waiterList.
+func (s *Semaphore) dropWaiter(p *Proc) bool { return removeWaiter(&s.waiters, p) }
 
 // Release increments the semaphore and wakes one waiter.  Callable from
 // event or process context.
@@ -1009,19 +1113,8 @@ func (s *Signal) WaitDeadline(p *Proc, snapshot uint64, d units.Time) bool {
 	return p.parkDeadline(s.name, d, s)
 }
 
-// dropWaiter removes p from the waiter list, reporting whether it was
-// still parked there.
-func (s *Signal) dropWaiter(p *Proc) bool {
-	for i, w := range s.waiters {
-		if w == p {
-			n := copy(s.waiters[i:], s.waiters[i+1:])
-			s.waiters[i+n] = nil
-			s.waiters = s.waiters[:i+n]
-			return true
-		}
-	}
-	return false
-}
+// dropWaiter implements waiterList.
+func (s *Signal) dropWaiter(p *Proc) bool { return removeWaiter(&s.waiters, p) }
 
 // Resource models a serially-reusable facility (a bus, a link) with
 // busy-until semantics.  Claim returns the time at which a use of

@@ -1,93 +1,164 @@
 // Deterministic offload of compute phases to host worker goroutines.
 //
 // The DES executes one activity at a time, so with the whole cluster
-// modelled under one baton, sixteen simulated ranks' kernel sweeps run
-// serially on one host core — exactly where the paper's dual-PII nodes
-// did their work in parallel.  Pool restores that parallelism without
-// touching the determinism contract:
+// under one baton, sixteen simulated ranks' kernel sweeps run serially
+// on one host core — where the paper's dual-PII nodes worked in
+// parallel.  Pool restores that parallelism inside the determinism
+// contract (DESIGN.md, "Parallel execution model"):
 //
-//   - A compute phase must be *pure* (it reads and writes only its own
-//     rank's model state, never engine or network state) and its
-//     *modeled* duration must be known at submission time.
-//   - Proc.Exec schedules exactly one wake-up event at now+d — the same
-//     virtual footprint as Proc.Delay(d) — and ships the closure to a
-//     pool worker.  The wake-up event performs a real wait for the
-//     closure to finish before handing the baton back, so by the time
-//     any other activity can observe the rank's state, the phase is
-//     complete and a happens-before edge (task channel send, done
-//     channel close, done receive) orders every memory access.
-//   - Virtual event order is therefore a pure function of the schedule:
-//     the digest, event count and clock are bit-identical for any
-//     worker count, including none (Exec falls back to running inline).
-//
-// Real execution overlaps wherever the virtual schedule lets two ranks
-// compute at the same virtual time; the event queue is only metering
-// communication — the paper's division of labor.
+//   - A compute phase must be *pure* (it touches only its own rank's
+//     model state, never engine or network state) and its *modeled*
+//     duration must be known at submission time.
+//   - Proc.Exec schedules exactly one completion event at now+d — the
+//     virtual footprint of Proc.Delay(d) — and leaves the closure in the
+//     pool's pending set: a mutex and an append.  Nobody is woken, so
+//     the dispatcher cannot block in submission.
+//   - The completion event claims the phase: still pending, the
+//     dispatcher runs it there and then; taken by a worker, it waits for
+//     that worker.  Either way the phase is complete — ordered by the
+//     pool mutex and the done channel — before any other activity can
+//     observe the rank's state.
+//   - Workers stay parked until the dispatcher has just run a phase
+//     whose measured host time exceeded recruitAfter while more are
+//     pending.  They take the newest pending phases (completion events
+//     furthest ahead) and park again after a short one, or when none
+//     is left.
+//   - Virtual event order is a pure function of the schedule: digest,
+//     event count and clock are bit-identical for any worker count,
+//     none included.  Host time decides only which thread runs a phase.
 package des
 
 import (
+	"slices"
 	"sync"
+	"time"
 
 	"hyades/internal/units"
 )
+
+// recruitAfter is the host time a phase the dispatcher ran must have
+// taken before parked workers are woken for those still pending, and a
+// phase a worker ran for it to stay awake.  A wake-up and hand-back
+// measured ≈ 5 µs on the CI host (what the old hand-over of every phase
+// added: 5–6 ms over a coupled step's 992); the pending phases are only
+// presumed alike, so the bar is a multiple of that.
+const recruitAfter = 20 * time.Microsecond
 
 // Pool is a bounded set of host worker goroutines executing offloaded
 // compute phases.  Create one with NewPool and attach it to an engine
 // with Engine.SetPool; Close it when the simulation is torn down.
 type Pool struct {
-	tasks     chan poolTask
-	workers   int
-	closeOnce sync.Once
-	wg        sync.WaitGroup
+	workers int
+	wg      sync.WaitGroup
+	mu      sync.Mutex
+	wake    *sync.Cond // parked workers wait here
+	pending []*phase   // submitted and unclaimed, oldest first
+	parked  int
+	closed  bool
 }
 
-type poolTask struct {
+// phase is a Proc's offloaded compute phase (at most one outstanding,
+// so one object serves all its Execs).  done carries the signal of a
+// worker that claimed it; buffered, so the worker never waits.
+type phase struct {
 	fn   func()
 	done chan struct{}
 }
 
-// NewPool starts n worker goroutines (n < 1 is clamped to 1).  The
-// workers never touch simulation state of their own accord: they only
-// run closures handed to them by Proc.Exec, and the baton waits for
-// completion before anything else can observe the results.
+// NewPool starts n worker goroutines (n < 1 is clamped to 1), parked.
+// They run only closures left for them by Proc.Exec, and the baton
+// waits for completion before anything else can observe the results.
 func NewPool(n int) *Pool {
 	if n < 1 {
 		n = 1
 	}
-	p := &Pool{tasks: make(chan poolTask), workers: n}
+	p := &Pool{workers: n}
+	p.wake = sync.NewCond(&p.mu)
 	p.wg.Add(n)
 	for i := 0; i < n; i++ {
-		// The one sanctioned raw goroutine of the simulation core
-		// (processes are runtime coroutines and need none): pool workers
-		// synchronize exclusively through the task and done channels,
-		// and the baton blocks on done before the offloaded state is
-		// visible to any simulation activity.
+		// The one sanctioned raw goroutine of the simulation core: workers
+		// synchronize only through the pool mutex and done channels, and
+		// the baton claims or awaits each phase before its state shows.
 		//lint:allow nogoroutine worker-pool launch; offload discipline documented in the package comment
-		go func() {
-			defer p.wg.Done()
-			for t := range p.tasks {
-				t.fn()
-				t.done <- struct{}{}
-			}
-		}()
+		go p.work()
 	}
 	return p
+}
+
+// work is a worker's life: park until recruited, run pending phases
+// newest first for as long as they keep measuring long, park again.
+func (p *Pool) work() {
+	defer p.wg.Done()
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	stay := false // the last phase run here was worth a worker
+	for !p.closed {
+		n := len(p.pending)
+		if n == 0 || !stay {
+			p.parked++
+			p.wake.Wait()
+			p.parked--
+			stay = true
+			continue
+		}
+		ph := p.pending[n-1]
+		p.pending[n-1] = nil
+		p.pending = p.pending[:n-1]
+		p.mu.Unlock()
+		start := hostNow()
+		ph.fn()
+		stay = hostNow().Sub(start) >= recruitAfter
+		ph.done <- struct{}{}
+		p.mu.Lock()
+	}
 }
 
 // Workers returns the pool size.
 func (p *Pool) Workers() int { return p.workers }
 
-// submit hands fn to a worker; done receives one value on completion.
-func (p *Pool) submit(fn func(), done chan struct{}) {
-	p.tasks <- poolTask{fn: fn, done: done}
+// complete returns once ph has run: on the calling (dispatcher)
+// goroutine if it was still pending, else on the worker that took it.
+// A phase run here also measures what the pending ones may cost.
+func (p *Pool) complete(ph *phase) {
+	p.mu.Lock()
+	i := slices.Index(p.pending, ph)
+	if i < 0 {
+		p.mu.Unlock()
+		<-ph.done
+		return
+	}
+	p.pending = slices.Delete(p.pending, i, i+1)
+	recruitable := p.parked > 0 && len(p.pending) > 0
+	p.mu.Unlock()
+	if !recruitable {
+		ph.fn()
+		return
+	}
+	start := hostNow()
+	ph.fn()
+	if hostNow().Sub(start) < recruitAfter {
+		return
+	}
+	p.mu.Lock()
+	for n := min(p.parked, len(p.pending)); n > 0; n-- {
+		p.wake.Signal()
+	}
+	p.mu.Unlock()
 }
 
-// Close stops the workers after the in-flight tasks finish.  Idempotent.
+// hostNow is the simulation core's only wall-clock read.
+//
+//lint:allow detsource host time steers only which host thread runs a pure phase, never the virtual schedule
+func hostNow() time.Time { return time.Now() }
+
+// Close stops the workers once the phases they are running finish;
+// pending ones stay claimable by their completion events.  Idempotent.
 func (p *Pool) Close() {
-	p.closeOnce.Do(func() {
-		close(p.tasks)
-		p.wg.Wait()
-	})
+	p.mu.Lock()
+	p.closed = true
+	p.mu.Unlock()
+	p.wake.Broadcast()
+	p.wg.Wait()
 }
 
 // SetPool attaches a worker pool to the engine; Proc.Exec offloads to
@@ -99,10 +170,10 @@ func (e *Engine) Pool() *Pool { return e.pool }
 
 // Exec runs fn — a pure compute phase whose modeled cost d is known up
 // front — and suspends the process for d of virtual time.  With a pool
-// attached the closure executes on a host worker while the simulation
-// proceeds; without one it executes inline.  Both paths schedule
-// exactly one event, so the virtual schedule (clock, event count,
-// state digest) is independent of the worker count.
+// attached the closure has run by the time the completion event has
+// fired, on the dispatcher or on a host worker; without one it runs
+// inline.  Both paths schedule exactly one event, so the virtual
+// schedule (clock, event count, digest) is independent of the workers.
 //
 // fn must touch only state owned by this process's rank: no engine
 // calls, no scheduling, no communication.  Charge hooks that would
@@ -115,22 +186,20 @@ func (p *Proc) Exec(d units.Time, fn func()) {
 		p.Delay(d)
 		return
 	}
-	// One completion channel and one bound continuation per Proc,
-	// created on first use and reused: Exec blocks until the phase
-	// completes, so at most one offload is ever in flight per Proc and
-	// the buffered slot can never carry a stale signal.
-	if p.execDone == nil {
-		p.execDone = make(chan struct{}, 1)
+	if p.exec.done == nil {
+		p.exec.done = make(chan struct{}, 1)
 		p.execContFn = func() {
-			<-p.execDone
+			p.eng.pool.complete(&p.exec)
 			p.wake()
 		}
 	}
-	// inExec defers Kill/Interrupt to the completion wake: the worker
-	// may be touching this rank's arrays on another OS thread, so the
-	// <-execDone synchronization must happen before any unwind.
+	p.exec.fn = fn
+	// inExec defers Kill/Interrupt to the completion wake: a worker may
+	// be in this rank's arrays, so complete must return before any unwind.
 	p.inExec = true
-	pool.submit(fn, p.execDone)
+	pool.mu.Lock() // submission: left for whoever claims it first, nobody woken
+	pool.pending = append(pool.pending, &p.exec)
+	pool.mu.Unlock()
 	p.eng.Schedule(d, p.execContFn)
 	p.block()
 	p.inExec = false

@@ -261,6 +261,14 @@ func TestCloseReleasesEveryCoroutine(t *testing.T) {
 	if got := runtime.NumGoroutine(); got < base+9 {
 		t.Fatalf("%d goroutines with nine processes and two workers alive, baseline %d", got, base)
 	}
+	// The compute phase is still unclaimed: no worker was recruited and
+	// its completion event lies beyond the run.
+	pool.mu.Lock()
+	pending := len(pool.pending)
+	pool.mu.Unlock()
+	if pending != 1 {
+		t.Fatalf("%d phases pending at Close, want the one unclaimed", pending)
+	}
 	e.Close()
 	pool.Close()
 	if unwound != 8 {

@@ -245,10 +245,12 @@ func (l *ladderQueue) push(ev *event) {
 	l.insertBottom(ev)
 }
 
-// insertBottom places ev into the sorted region bottom[cursor:].  The
-// engine clamps timestamps to the present, so the insertion point is
-// never before cursor; ev carries the newest seq, so among equal
-// timestamps it sorts last — FIFO preserved.
+// insertBottom places ev into the sorted region bottom[cursor:] by its
+// full (at, seq) key: usually ev carries the newest seq and sorts last
+// among equal timestamps, but a materialised Slot carries an older one.
+// The key always lies after the running activity's (timestamps are
+// clamped to the present; a passed slot is never queued), so the
+// insertion point is never before cursor.
 //
 // The drained prefix bottom[:cursor] is dead weight: in steady state
 // every pop of a wake event triggers a push of the next one into

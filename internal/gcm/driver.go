@@ -6,6 +6,7 @@ import (
 	"hyades/internal/arctic"
 	"hyades/internal/cluster"
 	"hyades/internal/comm"
+	"hyades/internal/des"
 	"hyades/internal/fault"
 	"hyades/internal/gcm/solver"
 	"hyades/internal/netmodel"
@@ -41,6 +42,7 @@ type Result struct {
 	// determinism tests compare them bit for bit across worker counts.
 	Events    uint64
 	FinalTime units.Time
+	Counters  des.Counters // what the engine did about those events
 }
 
 // TotalFlops returns all floating-point work in the timed region.
@@ -180,6 +182,7 @@ func runHyades(nodes, ppn int, opts ParallelOpts, dir *plates.Dir, build buildFn
 	res.Fault = lib.FaultStats()
 	res.Net = cl.Fabric.Stats()
 	res.Events = cl.Eng.Events()
+	res.Counters = cl.Eng.Counters()
 	res.FinalTime = cl.Eng.Now()
 	return res, nil
 }

@@ -16,7 +16,7 @@ import (
 // Concurrency in simulation code must go through Engine.Spawn; the one
 // legitimate raw-goroutine site — the compute-offload worker launch in
 // des.NewPool, whose workers synchronize with the dispatcher through
-// task/done channels — carries the //lint:allow nogoroutine annotation.
+// the pool mutex and done channels — carries //lint:allow nogoroutine.
 var Nogoroutine = &analysis.Analyzer{
 	Name: "nogoroutine",
 	Doc:  "forbid raw go statements in sim-core packages; use Engine.Spawn",

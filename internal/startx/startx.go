@@ -116,18 +116,18 @@ type NIU struct {
 	rxLo *des.Mailbox[Message]
 	rxVI *des.Mailbox[Transfer]
 
-	txQueue  []*dmaJob
-	txActive bool
+	txQueue []*dmaJob
 
-	// pumpTxFn is the bound method value of pumpTx, created once so
-	// re-arming the transmit pump schedules no closure.  freeRx, freeTx
-	// and freeDma are the delivery-job, inject-job and DMA-job
-	// freelists: each job carries its own bound fn, so the steady-state
-	// receive and transmit paths allocate nothing.
-	pumpTxFn func()
-	freeRx   []*rxJob
-	freeTx   []*txJob
-	freeDma  []*dmaJob
+	// txIdle holds the transmit pump between bursts: its release event,
+	// which runs pumpTx, is queued only while a burst is to follow (see
+	// des.Slot).  freeRx, freeTx and freeDma are the delivery-job,
+	// inject-job and DMA-job freelists: each job carries its own bound
+	// fn, so the steady-state receive and transmit paths allocate
+	// nothing.
+	txIdle  des.Slot
+	freeRx  []*rxJob
+	freeTx  []*txJob
+	freeDma []*dmaJob
 
 	// CorruptSeen counts packets that arrived with a failed CRC; the
 	// software layer observes this through Message.Corrupt.
@@ -332,7 +332,7 @@ func New(e *des.Engine, bus *pci.Bus, fab *arctic.Fabric, ep int, cfg Config) *N
 		rxLo: des.NewMailbox[Message](e, fmt.Sprintf("niu%d.rxLo", ep)),
 		rxVI: des.NewMailbox[Transfer](e, fmt.Sprintf("niu%d.rxVI", ep)),
 	}
-	n.pumpTxFn = n.pumpTx
+	n.txIdle.Init(e, n.pumpTx)
 	fab.Attach(ep, n.receive)
 	return n
 }
@@ -426,17 +426,16 @@ func (n *NIU) DMASend(p *des.Proc, dst int, tag int, data []byte, pri arctic.Pri
 	j := n.acquireDma()
 	j.dst, j.tag, j.data, j.pri = dst, tag, data, pri
 	n.txQueue = append(n.txQueue, j)
-	if !n.txActive {
-		n.txActive = true
+	if !n.txIdle.Await() {
 		n.pumpTx()
 	}
 }
 
 // pumpTx moves the next packet quantum of the transmit queue's head job
-// across the PCI bus and into the fabric, then re-arms itself.
+// across the PCI bus and into the fabric, then holds the pump until the
+// burst ends — re-arming itself only if more is queued by then.
 func (n *NIU) pumpTx() {
 	if n.down || len(n.txQueue) == 0 {
-		n.txActive = false
 		return
 	}
 	job := n.txQueue[0]
@@ -469,7 +468,7 @@ func (n *NIU) pumpTx() {
 	n.fab.RouteFor(pkt, n.ep, dst)
 	inject := end - n.eng.Now() + n.cfg.TxLatency
 	n.scheduleInject(inject, pkt)
-	n.eng.ScheduleAt(end, n.pumpTxFn)
+	n.txIdle.Hold(end-n.eng.Now(), len(n.txQueue) > 0)
 }
 
 // VIRecv blocks until a completed bulk transfer is available and returns
@@ -599,8 +598,7 @@ func (n *NIU) RemotePut(p *des.Proc, dst, window, offset int, data []byte, pri a
 		dst: dst, tag: window, data: data, pri: pri,
 		rmem: true, window: window, winOff: offset,
 	})
-	if !n.txActive {
-		n.txActive = true
+	if !n.txIdle.Await() {
 		n.pumpTx()
 	}
 }
