@@ -287,18 +287,6 @@ func BenchmarkExchange(b *testing.B) {
 		b.Fatal(err)
 	}
 	b.ReportMetric(elapsed.Micros()/float64(b.N), "simulated_us")
-	reportEngine(b, cl.Eng.Events(), cl.Eng.Counters())
-}
-
-// reportEngine adds the engine's exact counters, per op, to a row: the
-// sequence numbers consumed, the idle-marking events counted without
-// being queued (and those queued after all) and the process resumes.
-func reportEngine(b *testing.B, events uint64, c des.Counters) {
-	n := float64(b.N)
-	b.ReportMetric(float64(events)/n, "events/op")
-	b.ReportMetric(float64(c.SlotsReserved)/n, "slots/op")
-	b.ReportMetric(float64(c.SlotsMaterialised)/n, "slots_queued/op")
-	b.ReportMetric(float64(c.Resumes)/n, "resumes/op")
 }
 
 // BenchmarkGlobalSum measures one 16-way butterfly global sum.
@@ -329,7 +317,6 @@ func BenchmarkGlobalSum(b *testing.B) {
 		b.Fatal(err)
 	}
 	b.ReportMetric(elapsed.Micros()/float64(b.N), "simulated_us")
-	reportEngine(b, cl.Eng.Events(), cl.Eng.Counters())
 }
 
 // BenchmarkSchedule measures the raw event-scheduler hot loop —
@@ -416,7 +403,6 @@ func benchCoupledSteps(b *testing.B, workers int) {
 		b.Fatal(err)
 	}
 	b.ReportMetric(res.FinalTime.Millis()/float64(b.N), "simulated_ms")
-	reportEngine(b, res.Events, res.Counters)
 	// The provisioning metric for the Fig. 9 science run: model years
 	// integrated per hour of host wall clock, at this benchmark's grid
 	// and time step.

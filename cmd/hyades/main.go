@@ -40,7 +40,7 @@ func main() {
 	py := flag.Int("py", 0, "tiles in y")
 	saveTo := flag.String("checkpoint", "", "write a checkpoint here after a -serial run")
 	restoreFrom := flag.String("restore", "", "restore a -serial run from this checkpoint before stepping")
-	poolWorkers := flag.Int("workers", 0, "host worker pool size for parallel compute phases (0 = GOMAXPROCS, negative = inline)")
+	poolWorkers := flag.Int("workers", 0, "compute-phase pool size (0 = GOMAXPROCS, negative = no pool: phases run inline; same schedule either way)")
 	faultSeed := flag.Uint64("fault-seed", 1, "seed for the deterministic fault plan")
 	dropRate := flag.Float64("drop-rate", 0, "per-packet silent drop probability on every fabric link")
 	corruptRate := flag.Float64("corrupt-rate", 0, "per-packet corruption probability on every fabric link")

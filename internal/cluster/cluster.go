@@ -43,11 +43,12 @@ type Config struct {
 	// des.SetWatchdog).  Zero disables it.
 	Watchdog units.Time
 
-	// Workers sizes the host worker pool that executes the simulated
-	// ranks' offloaded compute phases in parallel (des.Pool).  Zero
-	// means GOMAXPROCS; 1 still attaches a single-worker pool (the
-	// virtual schedule is identical for every value); negative disables
-	// the pool entirely so phases run inline on the baton.
+	// Workers chooses when the ranks' compute phases (Proc.Exec) run on
+	// the host.  Negative: inline at submission, no pool.  Otherwise a
+	// des.Pool of that nominal size is attached (zero means GOMAXPROCS)
+	// and each phase runs at its completion event; the pool has no host
+	// threads (des/pool.go says why), so the size only labels it.  The
+	// virtual schedule is identical for every value.
 	Workers int
 
 	// Scheduler selects the engine's event-queue implementation.  The
@@ -80,7 +81,7 @@ type Cluster struct {
 	Eng    *des.Engine
 	Fabric *arctic.Fabric
 	Nodes  []*node.Node
-	Pool   *des.Pool // host worker pool for offloaded compute (nil if disabled)
+	Pool   *des.Pool // defers compute phases to completion (nil: inline)
 
 	// Crash/restart machinery (armed by Start when the fault plan
 	// crashes nodes).  body is the rank body, re-run by respawned
@@ -292,8 +293,7 @@ func (c *Cluster) Run() (err error) {
 	return nil
 }
 
-// Close releases the engine's process coroutines and the host worker
-// pool.
+// Close releases the engine's process coroutines and the pool.
 func (c *Cluster) Close() {
 	c.Eng.Close()
 	if c.Pool != nil {

@@ -87,9 +87,8 @@ type Engine struct {
 	// communication hot paths.
 	free []*event
 
-	// pool, when set, executes offloaded compute phases (Proc.Exec) on
-	// host worker goroutines while the baton keeps metering virtual
-	// time.  Nil means Exec runs inline.
+	// pool, when set, defers compute phases (Proc.Exec) to their
+	// completion events.  Nil means Exec runs inline.
 	pool *Pool
 
 	// watchdog bounds any single blocking wait; see SetWatchdog.
@@ -599,20 +598,18 @@ type Proc struct {
 	// Asynchronous-termination state.  intr is a pending Interrupt
 	// cause, raised in process context at the next blocking boundary;
 	// parkFac is the facility of the current park (so Interrupt and
-	// Kill can detach a parked process); inExec marks a pool-offloaded
+	// Kill can detach a parked process); inExec marks a pending
 	// compute phase, during which termination is deferred until the
-	// phase's completion wake (preserving the happens-before edge with
-	// the pool worker); killPending records a Kill deferred that way.
+	// phase's completion wake (the phase is charged, so it runs first);
+	// killPending records a Kill deferred that way.
 	intr        error
 	parkFac     waiterList
 	inExec      bool
 	killPending bool
 
-	// Exec offload state, created lazily on the first pooled Exec and
-	// reused for every later one: a Proc has at most one outstanding
-	// offloaded phase, so one phase object and one bound completion
-	// event cover them all without per-call allocation.
-	exec       phase
+	// execFn is the compute phase pending under a pool (at most one per
+	// process); execContFn is its completion event, bound once.
+	execFn     func()
 	execContFn func()
 }
 
@@ -656,9 +653,8 @@ func (p *Proc) wake() {
 		return
 	}
 	if p.killPending {
-		// A Kill arrived while the process was off in a pool-offloaded
-		// compute phase; its completion wake is the first safe point to
-		// unwind (the pool worker has finished with the process's data).
+		// A Kill arrived while the process had a compute phase pending;
+		// its completion wake, the phase having run, is where it unwinds.
 		p.killPending = false
 		p.finishKill()
 		return
@@ -679,9 +675,8 @@ func (p *Proc) Kill() {
 		return
 	}
 	if p.inExec {
-		// Mid-Exec: the pool worker may still be touching the process's
-		// arrays on another OS thread.  Defer the unwind to the phase's
-		// completion wake, which synchronizes with the worker first.
+		// Mid-Exec: the pending phase is charged and must still run.
+		// Defer the unwind to its completion wake.
 		p.killPending = true
 		return
 	}
@@ -705,9 +700,9 @@ func (p *Proc) finishKill() {
 
 // Interrupt arranges for cause to be raised inside the process as an
 // *Interrupt panic at its current (or next) blocking boundary: the end
-// of a park, delay or offloaded compute phase.  A parked process is
+// of a park, delay or pending compute phase.  A parked process is
 // detached from its facility and woken at the current virtual instant;
-// a running or pool-offloaded one surfaces the interrupt when it next
+// a running or mid-Exec one surfaces the interrupt when it next
 // yields.  Interrupting a dead process, or one with an interrupt
 // already pending, is a no-op.  Must be called from engine or another
 // process's context.

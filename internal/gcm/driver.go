@@ -79,10 +79,10 @@ type ParallelOpts struct {
 	// also switches on the NIUs' reliable channel (see cluster.Config).
 	Fault fault.Config
 
-	// Workers sizes the host worker pool running the ranks' offloaded
-	// compute phases: 0 means GOMAXPROCS, 1 a single pool worker,
-	// negative runs everything inline on the DES baton.  Every value
-	// produces the identical virtual schedule (see cluster.Config).
+	// Workers chooses when the ranks' compute phases run on the host:
+	// negative inline at submission, 0 (GOMAXPROCS) or n under a pool
+	// of that nominal size, at completion.  Every value produces the
+	// identical virtual schedule (see cluster.Config).
 	Workers int
 
 	// CheckpointEvery saves a coordinated checkpoint every so many

@@ -13,10 +13,9 @@ import (
 // why simulation code may touch shared state without locks.  A raw
 // goroutine escapes that discipline — it races with the running
 // activity and injects host-scheduler nondeterminism into virtual time.
-// Concurrency in simulation code must go through Engine.Spawn; the one
-// legitimate raw-goroutine site — the compute-offload worker launch in
-// des.NewPool, whose workers synchronize with the dispatcher through
-// the pool mutex and done channels — carries //lint:allow nogoroutine.
+// Concurrency in simulation code must go through Engine.Spawn.  (The
+// one site that used to carry //lint:allow nogoroutine, the worker
+// launch in des.NewPool, went with the workers.)
 var Nogoroutine = &analysis.Analyzer{
 	Name: "nogoroutine",
 	Doc:  "forbid raw go statements in sim-core packages; use Engine.Spawn",
