@@ -600,7 +600,7 @@ type Proc struct {
 	// parkFac is the facility of the current park (so Interrupt and
 	// Kill can detach a parked process); inExec marks a pending
 	// compute phase, during which termination is deferred until the
-	// phase's completion wake (the phase is charged, so it runs first);
+	// phase's completion wake (the phase runs first, as it has inline);
 	// killPending records a Kill deferred that way.
 	intr        error
 	parkFac     waiterList
@@ -675,7 +675,7 @@ func (p *Proc) Kill() {
 		return
 	}
 	if p.inExec {
-		// Mid-Exec: the pending phase is charged and must still run.
+		// Mid-Exec: the pending phase must still run (inline it has).
 		// Defer the unwind to its completion wake.
 		p.killPending = true
 		return

@@ -15,14 +15,13 @@
 //     event count and clock are bit-identical with a pool of any size
 //     and with none (Exec then runs the closure at submission).
 //
-// The pool has no host threads of its own.  Through PR 14 it had
-// workers and handed them every phase over a channel, which cost ≈ 5 µs
-// per phase and lost to running inline on every workload measured, the
+// The pool has no host threads: handing phases to worker threads lost
+// to running them on the dispatcher on every workload measured, the
 // 128x64 coupled step included (DESIGN.md, "Parallel execution model").
-// What stays is the seam: a pending phase runs at another host moment
-// than inline, so the worker-count determinism matrices keep certifying
-// that rank bodies are pure, and whoever measures host threads winning
-// has one place — the claim in complete — to let them take a phase.
+// What the pool keeps is the seam: a pending phase runs at another host
+// moment than inline, so the worker-count determinism matrices go on
+// certifying that rank bodies are pure, and whoever measures threads
+// winning has one place — the claim in complete — to let them in.
 package des
 
 import "hyades/internal/units"
@@ -40,8 +39,7 @@ func NewPool(n int) *Pool { return &Pool{workers: max(n, 1)} }
 // Workers returns the pool size.
 func (p *Pool) Workers() int { return p.workers }
 
-// Close releases the pool.  Pending phases stay claimable by their
-// completion events.  Idempotent.
+// Close releases the pool, which today holds nothing.  Idempotent.
 func (p *Pool) Close() {}
 
 // SetPool attaches a pool to the engine; Proc.Exec then defers its
@@ -72,8 +70,8 @@ func (p *Proc) Exec(d units.Time, fn func()) {
 		p.execContFn = p.complete
 	}
 	p.execFn = fn
-	// inExec defers Kill/Interrupt to the completion wake: the phase
-	// has been charged, so it runs before the process unwinds.
+	// inExec defers Kill/Interrupt to the completion wake: inline the
+	// phase has already run by then, so here it runs before the unwind.
 	p.inExec = true
 	p.eng.Schedule(d, p.execContFn)
 	p.block()

@@ -13,9 +13,7 @@ import (
 // why simulation code may touch shared state without locks.  A raw
 // goroutine escapes that discipline — it races with the running
 // activity and injects host-scheduler nondeterminism into virtual time.
-// Concurrency in simulation code must go through Engine.Spawn.  (The
-// one site that used to carry //lint:allow nogoroutine, the worker
-// launch in des.NewPool, went with the workers.)
+// Concurrency in simulation code must go through Engine.Spawn.
 var Nogoroutine = &analysis.Analyzer{
 	Name: "nogoroutine",
 	Doc:  "forbid raw go statements in sim-core packages; use Engine.Spawn",
