@@ -288,8 +288,12 @@ bench_out="${HYADES_BENCH_JSON:-$tmp_root/bench.json}"
         -benchmem -benchtime 10x .
     go test -run '^$' -bench '^(BenchmarkCheckpointWrite|BenchmarkCheckpointRestore|BenchmarkRecoveryOverhead)$' \
         -benchmem -benchtime 1x .
+    # The DS solver's kernels (ns/cell) at the gated workloads' tile
+    # sizes: the SSOR sweep, the operator with its fused p.q, the dot.
+    go test -run '^$' -bench '^(BenchmarkPrecondition|BenchmarkApply|BenchmarkDot2)$' \
+        -benchmem -benchtime 2000x ./internal/gcm/solver ./internal/gcm/reduce
     printf 'BenchmarkHyadeslintFullTree 1 %d lint_wall_ms\n' "$lint_ms"
-} | go run ./cmd/benchjson "gate run: 100x hot path, 200000x scheduler, 10x coupled step, 1x heavies" > "$bench_out"
+} | go run ./cmd/benchjson "gate run: 100x hot path, 200000x scheduler, 10x coupled step, 1x heavies, 2000x solver kernels" > "$bench_out"
 echo "wrote $bench_out"
 
 echo "== bench compare (soft gate vs newest committed artifact)"

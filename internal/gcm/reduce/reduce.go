@@ -13,6 +13,12 @@
 // The canonical order is storage order: i fastest, then j, then k —
 // exactly the nesting the original hand-written loops used, so routing
 // through these helpers is bit-identical to the code they replaced.
+//
+// One local sum is formed outside this package: the CG loop's p.q is
+// accumulated inside package solver's operator sweep, where the add
+// chain hides under the stencil.  It is a copy of Dot2's loop, not a
+// second order: solver's TestFusedDotMatchesDot2 pins it to Dot2
+// bitwise, so Dot2 remains the definition.
 package reduce
 
 import "hyades/internal/gcm/field"
@@ -51,8 +57,10 @@ func Dot2(a, b *field.F2) float64 {
 	}
 	s := 0.0
 	for j := 0; j < a.NY; j++ {
-		for i := 0; i < a.NX; i++ {
-			s += a.At(i, j) * b.At(i, j)
+		ar := a.Row(j)[a.H : a.H+a.NX]
+		br := b.Row(j)[b.H : b.H+a.NX]
+		for i, x := range ar {
+			s += x * br[i]
 		}
 	}
 	return s

@@ -1,6 +1,7 @@
 package reduce
 
 import (
+	"fmt"
 	"testing"
 
 	"hyades/internal/gcm/field"
@@ -69,5 +70,28 @@ func TestSlice(t *testing.T) {
 	}
 	if Slice(nil) != 0 {
 		t.Error("Slice(nil) != 0")
+	}
+}
+
+var sink float64
+
+// BenchmarkDot2 prices the CG loop's local inner product at the tile
+// sizes of the gated workloads.
+func BenchmarkDot2(b *testing.B) {
+	for _, sh := range [][2]int{{128, 64}, {32, 32}, {32, 16}, {8, 8}} {
+		b.Run(fmt.Sprintf("%dx%d", sh[0], sh[1]), func(b *testing.B) {
+			x := field.NewF2(sh[0], sh[1], 1)
+			y := field.NewF2(sh[0], sh[1], 1)
+			for n := range x.Raw() {
+				x.Raw()[n] = 1 / float64(1+n)
+				y.Raw()[n] = float64(n%7) - 3
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for n := 0; n < b.N; n++ {
+				sink = Dot2(x, y)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*sh[0]*sh[1]), "ns/cell")
+		})
 	}
 }

@@ -71,6 +71,7 @@ type Solver struct {
 	sx, sb      *field.F2
 	sc          *kernel.Counters
 	alpha, beta float64
+	pq          float64 // local p.q, accumulated by fnApplyP's sweep
 	fnInit      func()
 	fnApplyP    func()
 	fnAxpy      func()
@@ -139,7 +140,7 @@ func (sv *Solver) bindPhases() {
 		sv.precondition(sv.r, sv.z, c)
 		sv.p.CopyFrom(sv.z)
 	}
-	sv.fnApplyP = func() { sv.Apply(sv.p, sv.q, sv.sc) }
+	sv.fnApplyP = func() { sv.pq = sv.Apply(sv.p, sv.q, sv.sc) }
 	sv.fnAxpy = func() {
 		g, x, c, alpha := sv.G, sv.sx, sv.sc, sv.alpha
 		hx := x.H
@@ -260,10 +261,14 @@ func (sv *Solver) BuildRHS(s *kernel.State, dt float64, c *kernel.Counters) *fie
 }
 
 // Apply computes q = A(p) on the interior; p's halo must be current.
-// Exposed for verification against manufactured solutions.
-func (sv *Solver) Apply(p, q *field.F2, c *kernel.Counters) {
+// Exposed for verification against manufactured solutions.  It returns
+// the local p.q, accumulated in reduce.Dot2's canonical order (j outer,
+// i inner, one scalar): fused here the add chain hides under the
+// stencil's independent work.  The dot's flops are the caller's charge.
+func (sv *Solver) Apply(p, q *field.F2, c *kernel.Counters) float64 {
 	g := sv.G
 	hp, hq := p.H, q.H
+	pq := 0.0
 	for j := 0; j < g.NY; j++ {
 		tw := sv.tW.Row(j)
 		ts := sv.tS.Row(j)
@@ -279,16 +284,17 @@ func (sv *Solver) Apply(p, q *field.F2, c *kernel.Counters) {
 				ts[i+1]*(pS[i+hp]-pc) +
 				tsN[i+1]*(pN[i+hp]-pc)
 			qr[i+hq] = v
+			pq += pc * v
 		}
 	}
-	c.AddDS(int64(g.NX*g.NY) * 12)
+	c.AddDS(ApplyOps(g))
+	return pq
 }
 
-// dot returns the global inner product of two fields over wet columns.
-func (sv *Solver) dot(a, b *field.F2, c *kernel.Counters) float64 {
-	g := sv.G
-	local := reduce.Dot2(a, b)
-	c.AddDS(int64(g.NX*g.NY) * 2)
+// gsum charges a local inner product over the tile and returns its
+// global sum.
+func (sv *Solver) gsum(local float64, c *kernel.Counters) float64 {
+	c.AddDS(int64(sv.G.NX*sv.G.NY) * 2)
 	return sv.H.EP.GlobalSum(local)
 }
 
@@ -301,7 +307,7 @@ func (sv *Solver) Solve(x, b *field.F2, c *kernel.Counters) int {
 	// r = b - A(x)
 	sv.H.Update2(x, 1)
 	sv.exec(c, ApplyOps(g)+int64(g.NX*g.NY)+sv.precondOps(), sv.fnInit)
-	rz := sv.dot(sv.r, sv.z, c)
+	rz := sv.gsum(reduce.Dot2(sv.r, sv.z), c)
 	rz0 := rz
 	iters := 0
 	for ; iters < sv.MaxIter; iters++ {
@@ -315,13 +321,13 @@ func (sv *Solver) Solve(x, b *field.F2, c *kernel.Counters) int {
 		sv.H.Update2(sv.p, 1)
 		sv.H.Update2(sv.r, 1)
 		sv.exec(c, ApplyOps(g), sv.fnApplyP)
-		pq := sv.dot(sv.p, sv.q, c) // global sum 1
+		pq := sv.gsum(sv.pq, c) // global sum 1; p.q rode the operator sweep
 		if pq == 0 {
 			break
 		}
 		sv.alpha = rz / pq
 		sv.exec(c, int64(g.NX*g.NY)*4+sv.precondOps(), sv.fnAxpy)
-		rzNew := sv.dot(sv.r, sv.z, c) // global sum 2
+		rzNew := sv.gsum(reduce.Dot2(sv.r, sv.z), c) // global sum 2
 		sv.beta = rzNew / rz
 		rz = rzNew
 		sv.exec(c, int64(g.NX*g.NY)*2, sv.fnPUpd)
@@ -360,57 +366,105 @@ func (sv *Solver) precondition(r, z *field.F2, c *kernel.Counters) {
 	// operator D - L - U, with off-tile couplings dropped:
 	// M = (D-L) D^-1 (D-U).  Forward solve, diagonal scale, backward
 	// solve; z stays zero on land (d == 0).
-	for j := 0; j < g.NY; j++ {
-		dr := sv.diag.Row(j)
-		tw := sv.tW.Row(j)
-		ts := sv.tS.Row(j)
-		rr := r.Row(j)
-		zr := z.Row(j)
-		var zS []float64
-		if j > 0 {
-			zS = z.Row(j - 1)
-		}
-		for i := 0; i < g.NX; i++ {
-			d := dr[i+1]
-			if d == 0 {
-				zr[i+hz] = 0
-				continue
-			}
-			v := rr[i+hr]
-			if i > 0 {
-				v += tw[i+1] * zr[i-1+hz]
-			}
-			if j > 0 {
-				v += ts[i+1] * zS[i+hz]
-			}
-			zr[i+hz] = v / d
-		}
-	}
-	for j := g.NY - 1; j >= 0; j-- {
-		dr := sv.diag.Row(j)
-		tw := sv.tW.Row(j)
-		tsN := sv.tS.Row(j + 1)
-		zr := z.Row(j)
-		var zN []float64
-		if j < g.NY-1 {
-			zN = z.Row(j + 1)
-		}
-		for i := g.NX - 1; i >= 0; i-- {
-			d := dr[i+1]
-			if d == 0 {
-				continue
-			}
-			v := 0.0
-			if i < g.NX-1 {
-				v += tw[i+2] * zr[i+1+hz]
-			}
-			if j < g.NY-1 {
-				v += tsN[i+1] * zN[i+hz]
-			}
-			zr[i+hz] += v / d
-		}
-	}
+	sv.sweep(r, z, false)
+	sv.sweep(r, z, true)
 	c.AddDS(int64(g.NX*g.NY) * 10)
+}
+
+// ssorBand is the number of rows a Gauss-Seidel sweep advances together
+// (DESIGN.md, "Latency-bound kernels"): a measured constant, not a knob.
+const ssorBand = 4
+
+// sweep runs one half of the SSOR preconditioner in sweep coordinates
+// (a, b): the cell itself on the forward half, its mirror image
+// (NX-1-a, NY-1-b) on the backward half, so that either way a cell
+// depends on (a-1, b) and (a, b-1).  Rows advance ssorBand at a time,
+// row b+q one column behind row b+q-1: every cell still finds both
+// neighbours finished and does the arithmetic of the row-by-row sweep
+// in the same order, but ssorBand divide chains are in flight instead
+// of one.  Both neighbours were computed one step earlier, so they are
+// carried in p0..p3 rather than reloaded; only the band's first row
+// reads the band below.
+func (sv *Solver) sweep(r, z *field.F2, back bool) {
+	if r.H != z.H {
+		panic("solver: sweep needs r and z of one shape")
+	}
+	nx, ny := sv.G.NX, sv.G.NY
+	// Sweep cell (a, b) is element origin + sg*(b*stride + a) of the
+	// coefficient fields (k) and of r and z (l).  tw and ts are re-based
+	// on the face the sweep couples through, and slices of one shape
+	// are cut to one length so one bounds check serves them all.
+	dd, tw, ts, rd, zd := sv.diag.Raw(), sv.tW.Raw(), sv.tS.Raw(), r.Raw(), z.Raw()
+	os, zs := sv.diag.Stride(), z.Stride()
+	o0, z0, sg := sv.diag.Idx(0, 0), z.Idx(0, 0), 1
+	if back {
+		o0, z0, sg = sv.diag.Idx(nx-1, ny-1), z.Idx(nx-1, ny-1), -1
+		tw, ts = tw[1:], ts[os:]
+	}
+	dd, tw, ts = dd[:len(dd)-os], tw[:len(dd)-os], ts[:len(dd)-os]
+	rd = rd[:len(zd)]
+	do, dz := sg*(os-1), sg*(zs-1)
+	for b := 0; b < ny; b += ssorBand {
+		n := min(ssorBand, ny-b) // rows in this band
+		var p0, p1, p2, p3 float64
+		for t := 0; t < nx+n-1; t++ {
+			// Row q is at column t-q, if that is on the tile; the last
+			// row goes first so that each p is overwritten only after
+			// the row above has read it.
+			k, l := o0+sg*(b*os+t)+3*do, z0+sg*(b*zs+t)+3*dz
+			if a := t - 3; n > 3 && uint(a) < uint(nx) {
+				p3 = gsCell(back, a > 0, true, dd[k], rd[l], zd[l], tw[k], p3, ts[k], p2)
+				zd[l] = p3
+			}
+			k, l = k-do, l-dz
+			if a := t - 2; n > 2 && uint(a) < uint(nx) {
+				p2 = gsCell(back, a > 0, true, dd[k], rd[l], zd[l], tw[k], p2, ts[k], p1)
+				zd[l] = p2
+			}
+			k, l = k-do, l-dz
+			if a := t - 1; n > 1 && uint(a) < uint(nx) {
+				p1 = gsCell(back, a > 0, true, dd[k], rd[l], zd[l], tw[k], p1, ts[k], p0)
+				zd[l] = p1
+			}
+			k, l = k-do, l-dz
+			if t < nx {
+				zS := 0.0
+				if b > 0 {
+					zS = zd[l-sg*zs]
+				}
+				p0 = gsCell(back, t > 0, b > 0, dd[k], rd[l], zd[l], tw[k], p0, ts[k], zS)
+				zd[l] = p0
+			}
+		}
+	}
+}
+
+// gsCell is one Gauss-Seidel cell: z = (r + tW zW + tS zS)/d forward,
+// z += (0 + tE zE + tN zN)/d backward; zero or untouched on land.  The
+// coupling along the row (t1 z1) and across rows (t2 z2) is dropped —
+// not added as zero, which would lose a -0 — where the neighbour is off
+// the tile.
+func gsCell(back, cols, rows bool, d, r, z, t1, z1, t2, z2 float64) float64 {
+	if d == 0 {
+		if back {
+			return z
+		}
+		return 0
+	}
+	v := r
+	if back {
+		v = 0.0
+	}
+	if cols {
+		v += t1 * z1
+	}
+	if rows {
+		v += t2 * z2
+	}
+	if back {
+		return z + v/d
+	}
+	return v / d
 }
 
 // CorrectVelocities subtracts the surface-pressure gradient from the

@@ -14,7 +14,7 @@ import (
 )
 
 // rig builds a serial solver over an nx x ny flat or ramped domain.
-func rig(t *testing.T, nx, ny int, depthFrac func(x, y float64) float64) *Solver {
+func rig(t testing.TB, nx, ny int, depthFrac func(x, y float64) float64) *Solver {
 	t.Helper()
 	cfg := grid.Config{
 		NX: nx, NY: ny, NZ: 3, DX: 1e4, DY: 1.3e4, Lat0: 40,
