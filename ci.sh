@@ -23,7 +23,7 @@ trap 'rm -rf "$tmp_root"' EXIT
 # launched the gate).  `ci.sh processes` runs only this check; it is the
 # last command before a hand-over.
 no_process_left() {
-    local root=$PWD pid=$$ own skip=" " outer=" " p sid leaked=""
+    local root=${1:-$PWD} pid=$$ own skip=" " outer=" " p sid leaked=""
     own=$(ps -o sid= -p $$ | tr -d ' ')
     while [ "${pid:-1}" -gt 1 ]; do
         skip+="$pid "
@@ -43,13 +43,79 @@ no_process_left() {
         [ -z "$sid" ] || leaked+="$pid,"
     done
     if [ -n "$leaked" ]; then
-        echo "ci.sh: processes from this checkout are still alive:" >&2
+        echo "ci.sh: processes from $root are still alive:" >&2
         ps -o pid,etime,args -p "${leaked%,}" >&2 || true
         return 1
     fi
 }
 if [ "${1:-}" = "processes" ]; then
     no_process_left
+    exit
+fi
+
+# ci.sh pairs PARENT_DIR WORKLOAD N [SEED] measures a change the way
+# BENCHMARK.json's driver judges it: N pairs of 30 s untraced runs of
+# one workload, the parent tree (a checkout of the parent commit kept
+# outside this one, under /root/scratch) first on odd pairs and this
+# tree first on even ones.  Every run is a foreground child that is
+# waited for; nothing is backgrounded, and the command ends by checking
+# both trees for leftovers, so a measurement loop cannot outlive the
+# session that started it.  HYADES_PAIRS_LOG names a file that keeps the
+# pairs: a later call continues the alternation where the file ends
+# and summarises all of it (ten pairs take longer than some callers
+# may wait for one command).
+if [ "${1:-}" = "pairs" ]; then
+    if [ $# -lt 4 ]; then
+        echo "usage: ci.sh pairs PARENT_DIR WORKLOAD N [SEED]" >&2
+        exit 2
+    fi
+    parent=$(cd "$2" && pwd) workload=$3 pairs=$4 seed=${5:-1}
+    run_one() { # DIR -> "wall_us_per_op peak_rss_mb setup_s failed"
+        (cd "$1" && bash benchmark/run.sh --workload "$workload" --seed "$seed" --seconds 30 --trace 0) |
+            tail -n 1 |
+            sed -n 's/.*"failed":\([0-9]*\).*"peak_rss_mb":{"value":\([0-9.e+-]*\).*"setup_s":{"value":\([0-9.e+-]*\).*"wall_us_per_op":{"value":\([0-9.e+-]*\).*/\4 \2 \3 \1/p'
+    }
+    log=${HYADES_PAIRS_LOG:-$tmp_root/pairs}
+    touch "$log"
+    kept=$(wc -l < "$log")
+    echo "== $pairs pairs of $workload, seed $seed, after $kept kept: parent $parent, change $PWD"
+    for i in $(seq $((kept + 1)) $((kept + pairs))); do
+        if [ $((i % 2)) -eq 1 ]; then
+            p=$(run_one "$parent")
+            c=$(run_one "$PWD")
+        else
+            c=$(run_one "$PWD")
+            p=$(run_one "$parent")
+        fi
+        if [ -z "$p" ] || [ -z "$c" ]; then
+            echo "ci.sh pairs: pair $i printed no metrics (parent '$p', change '$c')" >&2
+            exit 1
+        fi
+        echo "pair $i  parent: $p  change: $c  (wall_us_per_op peak_rss_mb setup_s failed)"
+        echo "$p $c" >> "$log"
+    done
+    # Quartiles by linear interpolation between order statistics; a win
+    # is a pair in which the change's wall_us_per_op is the lower.
+    for col in "1 wall_us_per_op" "2 peak_rss_mb" "3 setup_s"; do
+        set -- $col
+        for side in 0 4; do
+            awk -v c=$(($1 + side)) '{print $c}' "$log" | sort -g > "$tmp_root/col$side"
+        done
+        awk -v name="$2" -v pf="$tmp_root/col0" -v cf="$tmp_root/col4" '
+            function q(a, n, f,   x, i) { x = (n - 1) * f; i = int(x); return a[i + 1] + (x - i) * (a[(i + 2 > n) ? n : i + 2] - a[i + 1]) }
+            BEGIN {
+                while ((getline v < pf) > 0) p[++np] = v
+                while ((getline v < cf) > 0) ch[++nc] = v
+                printf "%s: parent q1/median/q3 %g/%g/%g (IQR %g)  change %g/%g/%g  ratio of medians %.4f\n", name,
+                    q(p, np, .25), q(p, np, .5), q(p, np, .75), q(p, np, .75) - q(p, np, .25),
+                    q(ch, nc, .25), q(ch, nc, .5), q(ch, nc, .75), q(ch, nc, .5) / q(p, np, .5)
+            }'
+    done
+    awk '{ if ($5 < $1) w++; else if ($5 > $1) l++; fp += $4; fc += $8 }
+        END { printf "wall_us_per_op: change wins %d, loses %d of %d pairs; failed operations parent %d, change %d\n", w, l, NR, fp, fc }' "$log"
+    no_process_left "$parent"
+    no_process_left
+    echo "no process left running in either tree"
     exit
 fi
 
@@ -292,8 +358,12 @@ bench_out="${HYADES_BENCH_JSON:-$tmp_root/bench.json}"
     # sizes: the SSOR sweep, the operator with its fused p.q, the dot.
     go test -run '^$' -bench '^(BenchmarkPrecondition|BenchmarkApply|BenchmarkDot2)$' \
         -benchmem -benchtime 2000x ./internal/gcm/solver ./internal/gcm/reduce
+    # The PS sweeps (ns/cell, ns/col) on the serial ocean and on a
+    # 16-rank atmosphere tile, each spun up by its own model.
+    go test -run '^$' -bench '^Benchmark(ComputeGTracers|ComputeGMomentum|Hydrostatic|Continuity|ConvectiveAdjust)$' \
+        -benchmem -benchtime 200x ./internal/gcm/kernel
     printf 'BenchmarkHyadeslintFullTree 1 %d lint_wall_ms\n' "$lint_ms"
-} | go run ./cmd/benchjson "gate run: 100x hot path, 200000x scheduler, 10x coupled step, 1x heavies, 2000x solver kernels" > "$bench_out"
+} | go run ./cmd/benchjson "gate run: 100x hot path, 200000x scheduler, 10x coupled step, 1x heavies, 2000x solver kernels, 200x PS kernels" > "$bench_out"
 echo "wrote $bench_out"
 
 echo "== bench compare (soft gate vs newest committed artifact)"

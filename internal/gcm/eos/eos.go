@@ -19,6 +19,9 @@ type EOS interface {
 	// Buoyancy returns b given tracer1 (temperature-like) and tracer2
 	// (salinity- or humidity-like) at level k.
 	Buoyancy(t1, t2 float64, k int) float64
+	// BuoyancyRow sets dst[n] = Buoyancy(t1[n], t2[n], k) for a row of
+	// cells at level k: one dynamic call a row for the kernel's sweeps.
+	BuoyancyRow(dst, t1, t2 []float64, k int)
 	// FlopsPerCell reports the arithmetic cost of one evaluation, for
 	// the kernel's operation counting.
 	FlopsPerCell() int
@@ -43,6 +46,14 @@ func (e LinearOcean) Buoyancy(theta, salt float64, k int) float64 {
 	return grid.Gravity * (e.Alpha*(theta-e.T0) - e.Beta*(salt-e.S0))
 }
 
+// BuoyancyRow implements EOS.
+func (e LinearOcean) BuoyancyRow(dst, theta, salt []float64, k int) {
+	theta, salt = theta[:len(dst)], salt[:len(dst)]
+	for n := range dst {
+		dst[n] = e.Buoyancy(theta[n], salt[n], k)
+	}
+}
+
 // FlopsPerCell implements EOS (2 subs, 2 muls, 1 sub, 1 mul).
 func (e LinearOcean) FlopsPerCell() int { return 6 }
 
@@ -62,6 +73,14 @@ func DefaultAtmosphere() IdealAtmosphere {
 // Buoyancy implements EOS.
 func (e IdealAtmosphere) Buoyancy(theta, q float64, k int) float64 {
 	return grid.Gravity * ((theta-e.Theta0)/e.Theta0 + 0.61*(q-e.Q0))
+}
+
+// BuoyancyRow implements EOS.
+func (e IdealAtmosphere) BuoyancyRow(dst, theta, q []float64, k int) {
+	theta, q = theta[:len(dst)], q[:len(dst)]
+	for n := range dst {
+		dst[n] = e.Buoyancy(theta[n], q[n], k)
+	}
 }
 
 // FlopsPerCell implements EOS.

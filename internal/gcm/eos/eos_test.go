@@ -67,3 +67,22 @@ func TestFlopCountsPositive(t *testing.T) {
 		t.Fatal("flop counts must be positive")
 	}
 }
+
+// TestBuoyancyRowMatchesBuoyancy holds the row form to the cell form bit
+// for bit, and to the cells it was given: dst sets the extent.
+func TestBuoyancyRowMatchesBuoyancy(t *testing.T) {
+	for _, e := range []EOS{DefaultOcean(), DefaultAtmosphere()} {
+		t1 := []float64{-2, 0, 9.99, 10, 31.5, 290, 311.25}
+		t2 := []float64{0, 0.004, 0.02, 33.1, 35, 36.7, 40}
+		dst := []float64{-1, -1, -1, -1, -1, -1}
+		e.BuoyancyRow(dst[:5], t1, t2, 3)
+		for n, got := range dst[:5] {
+			if want := e.Buoyancy(t1[n], t2[n], 3); math.Float64bits(got) != math.Float64bits(want) {
+				t.Errorf("%T: row[%d] = %v, cell form %v", e, n, got, want)
+			}
+		}
+		if dst[5] != -1 {
+			t.Errorf("%T: wrote past dst", e)
+		}
+	}
+}

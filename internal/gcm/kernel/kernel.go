@@ -14,8 +14,9 @@
 // tendencies are "overcomputed" into the halo region at a margin wide
 // enough to feed every downstream stage of the step.
 //
-// Every routine counts the floating-point operations it performs; the
-// performance model of §5.2 consumes these counts as Nps.
+// Every routine accounts the floating-point operations of the kernel
+// the paper models (see the *Ops helpers); the performance model of
+// §5.2 consumes these counts as Nps.
 package kernel
 
 import (
@@ -47,10 +48,13 @@ type State struct {
 	cur             int
 	firstStep       bool
 
-	// accRow is per-column accumulator scratch for the flat-row
-	// Hydrostatic and Continuity sweeps (k-outer loop order).  Not
-	// state: never checkpointed.
-	accRow []float64
+	// Scratch of the sweeps, sized once in NewState.  Not state: never
+	// checkpointed, and a sweep reads only what it wrote in the same
+	// call.
+	accRow []float64    // per-column accumulators of one row (Hydrostatic, Continuity)
+	buoy   []float64    // NZ rows of buoyancy (Hydrostatic uses the first, ConvectiveAdjust all)
+	fluxN  [2][]float64 // ComputeGTracers: north-face fluxes of theta and salt, row swept last
+	fluxB  [2]*field.F2 // ComputeGTracers: their bottom-face fluxes, level swept last
 }
 
 // NewState allocates the state for a tile of the given interior size.
@@ -61,9 +65,12 @@ func NewState(nx, ny, nz int) *State {
 		Ps:        field.NewF2(nx, ny, 1),
 		firstStep: true,
 		accRow:    make([]float64, nx+2*Halo),
+		buoy:      make([]float64, nz*(nx+2*Halo)),
 	}
 	for lv := 0; lv < 2; lv++ {
 		s.gu[lv], s.gv[lv], s.gth[lv], s.gs[lv] = f3(), f3(), f3(), f3()
+		s.fluxN[lv] = make([]float64, nx+2*Halo)
+		s.fluxB[lv] = field.NewF2(nx, ny, Halo)
 	}
 	return s
 }
@@ -195,17 +202,23 @@ type Forcing interface {
 	AddTendencies(g *grid.Local, s *State, p *Params, c *Counters)
 }
 
-// The *Ops helpers below are the analytic flop counts of the
-// state-independent sweeps.  Each kernel accounts exactly its helper's
-// value, and the parallel driver evaluates the same helper *before*
-// running the kernel to fix the phase's modeled duration at submission
-// time.  Data-dependent routines (ConvectiveAdjust, Forcing
-// implementations with conditional terms) deliberately have no helper:
-// their cost is only known after execution, so they stay on the baton.
+// The *Ops helpers below are the flop counts of the state-independent
+// sweeps of the *modelled* kernel: the Fortran loop bodies whose work
+// per cell is Nps, an input of the performance model (Fig. 11).  They
+// deliberately do not follow the host arithmetic -- ComputeGTracers
+// charges all twelve face fluxes of a cell although the Go sweep
+// computes six -- because they set virtual time, which is pinned
+// bit for bit: a faster host sweep never changes a count.  Each kernel
+// accounts exactly its helper's value, and the parallel driver evaluates
+// the same helper *before* running the kernel to fix the phase's
+// modeled duration at submission time.  Data-dependent routines
+// (ConvectiveAdjust, Forcing implementations with conditional terms)
+// deliberately have no helper: their cost is only known after
+// execution, so they stay on the baton.
 
 // ComputeGTracersOps returns ComputeGTracers' flop count:
 // ~96 flops per swept cell for the twelve face-flux evaluations plus
-// the volume divisions (hand count of the loop body).
+// the volume divisions (hand count of the modelled loop body).
 func ComputeGTracersOps(g *grid.Local) int64 {
 	m := Halo - 1
 	return int64(g.NZ*(g.NY+2*m)*(g.NX+2*m)) * 96
@@ -223,19 +236,19 @@ func HydrostaticOps(g *grid.Local, p *Params) int64 {
 	return int64(g.NZ*(g.NY+2*m)*(g.NX+2*m)) * int64(4+p.EOS.FlopsPerCell())
 }
 
-// ComputeGMomentumOps returns ComputeGMomentum's flop count.
+// ComputeGMomentumOps returns the modelled ComputeGMomentum's flop count.
 func ComputeGMomentumOps(g *grid.Local) int64 {
 	m := 1
 	return int64(g.NZ*(g.NY+2*m)*(g.NX+2*m+1)) * 110
 }
 
-// StepMomentumOps returns StepMomentum's flop count.
+// StepMomentumOps returns the modelled StepMomentum's flop count.
 func StepMomentumOps(g *grid.Local) int64 {
 	m := 1
 	return int64(g.NZ*(g.NY+2*m)*(g.NX+2*m+1)) * 16
 }
 
-// ContinuityOps returns Continuity's flop count.
+// ContinuityOps returns the modelled Continuity's flop count.
 func ContinuityOps(g *grid.Local) int64 {
 	return int64(g.NZ*g.NY*g.NX) * 12
 }
@@ -249,135 +262,130 @@ func (s *State) abCoeffs(eps float64) (aNow, aPrev float64) {
 	return 1.5 + eps, -(0.5 + eps)
 }
 
+// faceFlux is the flux of a tracer through the face between two cells,
+// lo on the low-index side: the face velocity carries their mean and the
+// diffusivity works down their gradient over the centre distance d,
+// through the open face area fa.
+func faceFlux(fa, vel, diff, lo, hi, d float64) float64 {
+	return fa * (vel*(0.5*(lo+hi)) - diff*((hi-lo)/d))
+}
+
 // ComputeGTracers evaluates advective and diffusive tendencies for
-// theta and salt on the overcomputation margin [-2, n+2).
+// theta and salt on the overcomputation margin [-2, n+2), in flux form
+// (conservative): a cell gains what crosses its west, south and top
+// faces and loses what crosses its east, north and bottom faces,
+// accumulated in that order.
 //
-// The sweep is written flat-row style: every field row the 3x3x3
-// stencil touches is hoisted out of the i-loop as a plain []float64
-// (index i+Halo), and the four side faces are straight-line code.  The
-// arithmetic — each term's expression tree and the accumulation order
-// west, east, south, north, top, bottom — is exactly the seed
-// kernel's, so results are bit-identical (pinned by golden_test.go).
+// A face's flux is computed once.  What leaves a cell to the east,
+// north or below is, operand for operand, what enters its neighbour
+// from the west, south or above, so the cell computes only the three
+// outgoing faces and takes the incoming ones from where the neighbour
+// left them: the zonal pair in locals, the meridional pair in a row
+// buffer, the vertical pair in a plane buffer.  An incoming face is
+// computed here only where no wet neighbour swept it: beside land, on
+// the first row and column of the margin, and on a row whose DYC
+// differs from the row to the south (the two would divide the same
+// gradient by different spacings).  HFacC is never negative, so the
+// cell above computed its bottom face exactly where this one needs a
+// top face.
 func ComputeGTracers(g *grid.Local, s *State, p *Params, c *Counters) {
 	const h = Halo
 	m := Halo - 1 // stencil reaches one further; halo is 3
 	gth, gs := s.gth[s.cur], s.gs[s.cur]
 	nz := g.NZ
 	kh, kv := p.KhTracer, p.KvTracer
+	// Every row is cut to L, the sweep's bound, and a row read one
+	// column to the east has a second view shifted by one (xE[n] is
+	// x[n+1]), so that no index in the cell loop is range-checked.
+	L := g.NX + 2*h - 1
+	fnTh, fnS := s.fluxN[0][:L], s.fluxN[1][:L]
 	for k := 0; k < nz; k++ {
 		dz := g.DZ[k]
-		var dzFUp, dzFDn float64
-		if k > 0 {
-			dzFUp = 0.5 * (g.DZ[k-1] + g.DZ[k])
-		}
-		if k < nz-1 {
-			dzFDn = 0.5 * (g.DZ[k] + g.DZ[k+1])
-		}
+		// The levels above and below, clamped at the surface and the
+		// bottom, where the guards in the cell skip them.
+		kUp, kDn := max(k-1, 0), min(k+1, nz-1)
+		dzFDn := 0.5 * (g.DZ[k] + g.DZ[kDn])
 		for j := -m; j < g.NY+m; j++ {
 			dx, dy := g.DXC(j), g.DYC(j)
 			area := dx * dy
 			dxsS, dxsN := g.DXS(j), g.DXS(j+1)
-			hcr := g.HFacC.Row(j, k)
-			hwr := g.HFacW.Row(j, k)
-			hsr := g.HFacS.Row(j, k)
-			hsrN := g.HFacS.Row(j+1, k)
-			ur := s.U.Row(j, k)
-			vr := s.V.Row(j, k)
-			vrN := s.V.Row(j+1, k)
-			thr := s.Theta.Row(j, k)
-			thrS := s.Theta.Row(j-1, k)
-			thrN := s.Theta.Row(j+1, k)
-			sar := s.Salt.Row(j, k)
-			sarS := s.Salt.Row(j-1, k)
-			sarN := s.Salt.Row(j+1, k)
-			gthr := gth.Row(j, k)
-			gsr := gs.Row(j, k)
-			var hcrUp, thrUp, sarUp, wr []float64
-			if k > 0 {
-				hcrUp = g.HFacC.Row(j, k-1)
-				thrUp = s.Theta.Row(j, k-1)
-				sarUp = s.Salt.Row(j, k-1)
-				wr = s.W.Row(j, k)
-			}
-			var hcrDn, thrDn, sarDn, wrDn []float64
-			if k < nz-1 {
-				hcrDn = g.HFacC.Row(j, k+1)
-				thrDn = s.Theta.Row(j, k+1)
-				sarDn = s.Salt.Row(j, k+1)
-				wrDn = s.W.Row(j, k+1)
-			}
-			for i := -m; i < g.NX+m; i++ {
-				n := i + h
+			sharedS := j > -m && g.DYC(j-1) == dy
+			hcr := g.HFacC.Row(j, k)[:L]
+			hcrS := g.HFacC.Row(j-1, k)[:L]
+			hcrUp := g.HFacC.Row(j, kUp)[:L]
+			hcrDn := g.HFacC.Row(j, kDn)[:L]
+			hwr, hwrE := g.HFacW.Row(j, k)[:L], g.HFacW.Row(j, k)[1:L+1]
+			hsr := g.HFacS.Row(j, k)[:L]
+			hsrN := g.HFacS.Row(j+1, k)[:L]
+			ur, urE := s.U.Row(j, k)[:L], s.U.Row(j, k)[1:L+1]
+			vr := s.V.Row(j, k)[:L]
+			vrN := s.V.Row(j+1, k)[:L]
+			wrDn := s.W.Row(j, kDn)[:L]
+			thr, thrE := s.Theta.Row(j, k)[:L], s.Theta.Row(j, k)[1:L+1]
+			thrS := s.Theta.Row(j-1, k)[:L]
+			thrN := s.Theta.Row(j+1, k)[:L]
+			thrDn := s.Theta.Row(j, kDn)[:L]
+			sar, sarE := s.Salt.Row(j, k)[:L], s.Salt.Row(j, k)[1:L+1]
+			sarS := s.Salt.Row(j-1, k)[:L]
+			sarN := s.Salt.Row(j+1, k)[:L]
+			sarDn := s.Salt.Row(j, kDn)[:L]
+			gthr := gth.Row(j, k)[:L]
+			gsr := gs.Row(j, k)[:L]
+			fbTh, fbS := s.fluxB[0].Row(j)[:L], s.fluxB[1].Row(j)[:L]
+			// fxTh, fxS hold the east-face fluxes of the cell to the
+			// west while that cell is wet.
+			wetW := false
+			var fxTh, fxS float64
+			for n := h - m; n < L; n++ {
 				hc := hcr[n]
 				if hc == 0 {
 					gthr[n] = 0
 					gsr[n] = 0
+					wetW = false
 					continue
 				}
 				vol := area * dz * hc
-				// Horizontal advective + diffusive fluxes on the four
-				// side faces (flux form: conservative).
-				conv := 0.0
-				convS := 0.0
-				{ // west face
-					u := ur[n]
+				th, sa := thr[n], sar[n]
+				if !wetW {
 					fa := dy * dz * hwr[n]
-					thFace := 0.5 * (thr[n-1] + thr[n])
-					sFace := 0.5 * (sar[n-1] + sar[n])
-					dTh := (thr[n] - thr[n-1]) / dx
-					dS := (sar[n] - sar[n-1]) / dx
-					conv += fa * (u*thFace - kh*dTh)
-					convS += fa * (u*sFace - kh*dS)
+					fxTh = faceFlux(fa, ur[n], kh, thr[n-1], th, dx)
+					fxS = faceFlux(fa, ur[n], kh, sar[n-1], sa, dx)
 				}
-				{ // east face
-					u := ur[n+1]
-					fa := dy * dz * hwr[n+1]
-					thFace := 0.5 * (thr[n] + thr[n+1])
-					sFace := 0.5 * (sar[n] + sar[n+1])
-					dTh := (thr[n+1] - thr[n]) / dx
-					dS := (sar[n+1] - sar[n]) / dx
-					conv -= fa * (u*thFace - kh*dTh)
-					convS -= fa * (u*sFace - kh*dS)
+				conv := 0.0 // not fxTh: a closed face's -0 must not start the sum
+				convS := 0.0
+				conv += fxTh
+				convS += fxS
+				fa := dy * dz * hwrE[n]
+				fxTh = faceFlux(fa, urE[n], kh, th, thrE[n], dx)
+				fxS = faceFlux(fa, urE[n], kh, sa, sarE[n], dx)
+				wetW = true
+				conv -= fxTh
+				convS -= fxS
+				fyTh, fyS := fnTh[n], fnS[n]
+				if !sharedS || hcrS[n] == 0 {
+					fa = dxsS * dz * hsr[n]
+					fyTh = faceFlux(fa, vr[n], kh, thrS[n], th, dy)
+					fyS = faceFlux(fa, vr[n], kh, sarS[n], sa, dy)
 				}
-				{ // south face
-					v := vr[n]
-					fa := dxsS * dz * hsr[n]
-					thFace := 0.5 * (thrS[n] + thr[n])
-					sFace := 0.5 * (sarS[n] + sar[n])
-					dTh := (thr[n] - thrS[n]) / dy
-					dS := (sar[n] - sarS[n]) / dy
-					conv += fa * (v*thFace - kh*dTh)
-					convS += fa * (v*sFace - kh*dS)
-				}
-				{ // north face
-					v := vrN[n]
-					fa := dxsN * dz * hsrN[n]
-					thFace := 0.5 * (thr[n] + thrN[n])
-					sFace := 0.5 * (sar[n] + sarN[n])
-					dTh := (thrN[n] - thr[n]) / dy
-					dS := (sarN[n] - sar[n]) / dy
-					conv -= fa * (v*thFace - kh*dTh)
-					convS -= fa * (v*sFace - kh*dS)
-				}
-				// Vertical advection + diffusion across the top and
-				// bottom faces; w lives on top faces, w(k=0) = 0.
+				conv += fyTh
+				convS += fyS
+				fa = dxsN * dz * hsrN[n]
+				fyTh = faceFlux(fa, vrN[n], kh, th, thrN[n], dy)
+				fyS = faceFlux(fa, vrN[n], kh, sa, sarN[n], dy)
+				fnTh[n], fnS[n] = fyTh, fyS
+				conv -= fyTh
+				convS -= fyS
+				// w lives on top faces, w(k=0) = 0; no flux through land.
 				if k > 0 && hcrUp[n] > 0 {
-					w := wr[n]
-					thF := 0.5 * (thrUp[n] + thr[n])
-					sF := 0.5 * (sarUp[n] + sar[n])
-					dTh := (thr[n] - thrUp[n]) / dzFUp
-					dS := (sar[n] - sarUp[n]) / dzFUp
-					conv += area * (w*thF - kv*dTh)
-					convS += area * (w*sF - kv*dS)
+					conv += fbTh[n]
+					convS += fbS[n]
 				}
 				if k < nz-1 && hcrDn[n] > 0 {
-					w := wrDn[n]
-					thF := 0.5 * (thr[n] + thrDn[n])
-					sF := 0.5 * (sar[n] + sarDn[n])
-					dTh := (thrDn[n] - thr[n]) / dzFDn
-					dS := (sarDn[n] - sar[n]) / dzFDn
-					conv -= area * (w*thF - kv*dTh)
-					convS -= area * (w*sF - kv*dS)
+					fzTh := faceFlux(area, wrDn[n], kv, th, thrDn[n], dzFDn)
+					fzS := faceFlux(area, wrDn[n], kv, sa, sarDn[n], dzFDn)
+					fbTh[n], fbS[n] = fzTh, fzS
+					conv -= fzTh
+					convS -= fzS
 				}
 				gthr[n] = conv / vol
 				gsr[n] = convS / vol
@@ -423,11 +431,11 @@ func StepTracers(g *grid.Local, s *State, p *Params, c *Counters) {
 func Hydrostatic(g *grid.Local, s *State, p *Params, c *Counters) {
 	const h = Halo
 	m := Halo - 1
+	first, end := h-m, g.NX+m+h // the swept columns, as row indices
 	acc := s.accRow
+	b := s.buoy[:len(acc)]
 	for j := -m; j < g.NY+m; j++ {
-		for n := range acc {
-			acc[n] = 0
-		}
+		clear(acc)
 		// The downward integral runs k-outer over per-column
 		// accumulators: each column still applies its half-level
 		// increments in ascending-k order, bit-identical to the
@@ -435,18 +443,15 @@ func Hydrostatic(g *grid.Local, s *State, p *Params, c *Counters) {
 		for k := 0; k < g.NZ; k++ {
 			halfDz := 0.5 * g.DZ[k]
 			hcr := g.HFacC.Row(j, k)
-			thr := s.Theta.Row(j, k)
-			sar := s.Salt.Row(j, k)
 			phr := s.Phy.Row(j, k)
-			for i := -m; i < g.NX+m; i++ {
-				n := i + h
+			p.EOS.BuoyancyRow(b[first:end], s.Theta.Row(j, k)[first:end], s.Salt.Row(j, k)[first:end], k)
+			for n := first; n < end; n++ {
 				a := acc[n]
 				if hcr[n] == 0 {
 					phr[n] = a
 					continue
 				}
-				b := p.EOS.Buoyancy(thr[n], sar[n], k)
-				half := halfDz * b
+				half := halfDz * b[n]
 				a -= half // buoyant fluid lowers pressure below it
 				phr[n] = a
 				acc[n] = a - half
@@ -460,67 +465,58 @@ func Hydrostatic(g *grid.Local, s *State, p *Params, c *Counters) {
 // [-1, n+1): advection, Coriolis, lateral and vertical friction and
 // bottom drag.  The pressure gradients are applied in StepMomentum, as
 // in eq. (1) of the paper where grad(p) stands apart from G.
-// Flat-row ComputeGMomentum: the per-cell k-switch of the seed kernel
-// is kept, but every row it can touch is hoisted per (k,j) and the
-// level-dependent spacings are precomputed per k.  Terms and their
-// evaluation order are unchanged, so the output is bit-identical.
+//
+// Every row the stencil touches is hoisted per (k,j) and the vertical
+// spacings per k; the surface and bottom levels difference one-sidedly
+// (the k-switch in the cell).  Faces up to index n+1 are swept.
 func ComputeGMomentum(g *grid.Local, s *State, p *Params, c *Counters) {
 	const h = Halo
 	m := 1
 	gu, gv := s.gu[s.cur], s.gv[s.cur]
 	nz := g.NZ
 	ah, av, botDrag := p.AhMom, p.AvMom, p.BotDrag
+	L := g.NX + 2*h - 1 // rows and their east views are cut as in ComputeGTracers
 	for k := 0; k < nz; k++ {
 		dzK := g.DZ[k]
-		var dzFUp, dzFDn, dzMid float64
-		if k > 0 {
-			dzFUp = 0.5 * (g.DZ[k-1] + g.DZ[k])
-		}
-		if k < nz-1 {
-			dzFDn = 0.5 * (g.DZ[k] + g.DZ[k+1])
-		}
-		if k > 0 && k < nz-1 {
-			dzMid = g.DZ[k] + 0.5*(g.DZ[maxInt(k-1, 0)]+g.DZ[minInt(k+1, nz-1)])
-		}
+		// The levels above and below, clamped at the surface and the
+		// bottom, where the guards in the cell skip them.
+		kUp, kDn := max(k-1, 0), min(k+1, nz-1)
+		dzFUp := 0.5 * (g.DZ[kUp] + g.DZ[k])
+		dzFDn := 0.5 * (g.DZ[k] + g.DZ[kDn])
+		dzMid := g.DZ[k] + 0.5*(g.DZ[kUp]+g.DZ[kDn])
 		for j := -m; j < g.NY+m; j++ {
 			dx, dy := g.DXC(j), g.DYC(j)
 			dx2, dy2 := 2*dx, 2*dy
 			dxdx, dydy := dx*dx, dy*dy
 			f := g.F(j)
-			hw := g.HFacW.Row(j, k)
-			hs := g.HFacS.Row(j, k)
-			hcr := g.HFacC.Row(j, k)
-			ur := s.U.Row(j, k)
-			urS := s.U.Row(j-1, k)
-			urN := s.U.Row(j+1, k)
-			vr := s.V.Row(j, k)
-			vrS := s.V.Row(j-1, k)
-			vrN := s.V.Row(j+1, k)
-			wJ := s.W.Row(j, k)
-			wJS := s.W.Row(j-1, k)
-			gur := gu.Row(j, k)
-			gvr := gv.Row(j, k)
-			var hcrDn, uUp, uDn, vUp, vDn, wJDn, wJSDn []float64
-			if k > 0 {
-				uUp = s.U.Row(j, k-1)
-				vUp = s.V.Row(j, k-1)
-			}
-			if k < nz-1 {
-				hcrDn = g.HFacC.Row(j, k+1)
-				uDn = s.U.Row(j, k+1)
-				vDn = s.V.Row(j, k+1)
-				wJDn = s.W.Row(j, k+1)
-				wJSDn = s.W.Row(j-1, k+1)
-			}
-			for i := -m; i < g.NX+m+1; i++ { // faces up to nx+m
-				n := i + h
+			hw := g.HFacW.Row(j, k)[:L]
+			hs := g.HFacS.Row(j, k)[:L]
+			hcr := g.HFacC.Row(j, k)[:L]
+			hcrDn := g.HFacC.Row(j, kDn)[:L]
+			ur, urE := s.U.Row(j, k)[:L], s.U.Row(j, k)[1:L+1]
+			urS, urSE := s.U.Row(j-1, k)[:L], s.U.Row(j-1, k)[1:L+1]
+			urN := s.U.Row(j+1, k)[:L]
+			uUp := s.U.Row(j, kUp)[:L]
+			uDn := s.U.Row(j, kDn)[:L]
+			vr, vrE := s.V.Row(j, k)[:L], s.V.Row(j, k)[1:L+1]
+			vrS := s.V.Row(j-1, k)[:L]
+			vrN := s.V.Row(j+1, k)[:L]
+			vUp := s.V.Row(j, kUp)[:L]
+			vDn := s.V.Row(j, kDn)[:L]
+			wJ := s.W.Row(j, k)[:L]
+			wJS := s.W.Row(j-1, k)[:L]
+			wJDn := s.W.Row(j, kDn)[:L]
+			wJSDn := s.W.Row(j-1, kDn)[:L]
+			gur := gu.Row(j, k)[:L]
+			gvr := gv.Row(j, k)[:L]
+			for n := h - m; n < L; n++ {
 				// ---- u tendency at the west face (i,j,k) ----
 				if hw[n] == 0 {
 					gur[n] = 0
 				} else {
 					u := ur[n]
 					vBar := 0.25 * (vr[n-1] + vr[n] + vrN[n-1] + vrN[n])
-					dudx := (ur[n+1] - ur[n-1]) / dx2
+					dudx := (urE[n] - ur[n-1]) / dx2
 					dudy := (urN[n] - urS[n]) / dy2
 					adv := u*dudx + vBar*dudy
 					if nz > 1 {
@@ -539,7 +535,7 @@ func ComputeGMomentum(g *grid.Local, s *State, p *Params, c *Counters) {
 						}
 						adv += wBar * dudz
 					}
-					visc := ah * ((ur[n+1]-2*u+ur[n-1])/dxdx +
+					visc := ah * ((urE[n]-2*u+ur[n-1])/dxdx +
 						(urN[n]-2*u+urS[n])/dydy)
 					if nz > 1 {
 						visc += vertLapRow(av, uUp, ur, uDn, n, k, nz, dzFUp, dzFDn, dzK)
@@ -556,8 +552,8 @@ func ComputeGMomentum(g *grid.Local, s *State, p *Params, c *Counters) {
 					continue
 				}
 				v := vr[n]
-				uBar := 0.25 * (urS[n] + urS[n+1] + ur[n] + ur[n+1])
-				dvdx := (vr[n+1] - vr[n-1]) / dx2
+				uBar := 0.25 * (urS[n] + urSE[n] + ur[n] + urE[n])
+				dvdx := (vrE[n] - vr[n-1]) / dx2
 				dvdy := (vrN[n] - vrS[n]) / dy2
 				adv := uBar*dvdx + v*dvdy
 				if nz > 1 {
@@ -576,7 +572,7 @@ func ComputeGMomentum(g *grid.Local, s *State, p *Params, c *Counters) {
 					}
 					adv += wBar * dvdz
 				}
-				visc := ah * ((vr[n+1]-2*v+vr[n-1])/dxdx +
+				visc := ah * ((vrE[n]-2*v+vr[n-1])/dxdx +
 					(vrN[n]-2*v+vrS[n])/dydy)
 				if nz > 1 {
 					visc += vertLapRow(av, vUp, vr, vDn, n, k, nz, dzFUp, dzFDn, dzK)
@@ -593,8 +589,8 @@ func ComputeGMomentum(g *grid.Local, s *State, p *Params, c *Counters) {
 }
 
 // vertLapRow is the vertical friction term with free-slip at the top
-// and bottom boundaries, over hoisted level rows (upR/dnR may be nil
-// at the boundaries, where the matching guard skips them).
+// and bottom boundaries, over hoisted level rows (at a boundary the
+// matching guard skips the clamped upR or dnR).
 func vertLapRow(av float64, upR, curR, dnR []float64, n, k, nz int, dzFUp, dzFDn, dzK float64) float64 {
 	if av == 0 {
 		return 0
@@ -668,41 +664,39 @@ func StepMomentum(g *grid.Local, s *State, p *Params, c *Counters) {
 // rigid lid (w = 0 at k = 0).
 func Continuity(g *grid.Local, s *State, c *Counters) {
 	const h = Halo
-	acc := s.accRow
+	L := g.NX + h // rows and their east views are cut as in ComputeGTracers
+	acc := s.accRow[:L]
 	for j := 0; j < g.NY; j++ {
 		dx, dy := g.DXC(j), g.DYC(j)
 		area := dx * dy
 		dxsS, dxsN := g.DXS(j), g.DXS(j+1)
-		w0 := s.W.Row(j, 0)
-		for i := 0; i < g.NX; i++ {
-			w0[i+h] = 0
-			acc[i] = 0
-		}
+		clear(s.W.Row(j, 0)[h:L]) // rigid lid
+		clear(acc)
 		// k-outer with a per-column accumulator row: each cell still sees
 		// its column's divergences in ascending-k order, so the downward
 		// integral accumulates in the seed order and stays bit-identical.
 		for k := 0; k < g.NZ; k++ {
 			dzk := g.DZ[k]
-			ur := s.U.Row(j, k)
-			hw := g.HFacW.Row(j, k)
-			vr := s.V.Row(j, k)
-			vrN := s.V.Row(j+1, k)
-			hsr := g.HFacS.Row(j, k)
-			hsrN := g.HFacS.Row(j+1, k)
-			var wNext []float64
+			ur, urE := s.U.Row(j, k)[:L], s.U.Row(j, k)[1:L+1]
+			hw, hwE := g.HFacW.Row(j, k)[:L], g.HFacW.Row(j, k)[1:L+1]
+			vr := s.V.Row(j, k)[:L]
+			vrN := s.V.Row(j+1, k)[:L]
+			hsr := g.HFacS.Row(j, k)[:L]
+			hsrN := g.HFacS.Row(j+1, k)[:L]
+			// The last level has no w below it: its balance lands in
+			// the accumulator and is dropped.
+			wNext := acc
 			if k < g.NZ-1 {
 				wNext = s.W.Row(j, k+1)
 			}
-			for i := 0; i < g.NX; i++ {
-				n := i + h
-				div := dy*dzk*(ur[n+1]*hw[n+1]-ur[n]*hw[n]) +
+			wNext = wNext[:L]
+			for n := h; n < L; n++ {
+				div := dy*dzk*(urE[n]*hwE[n]-ur[n]*hw[n]) +
 					dzk*(dxsN*vrN[n]*hsrN[n]-dxsS*vr[n]*hsr[n])
 				// With k increasing downward and w positive in +k, the
 				// cell's mass balance is w(k+1) = w(k) - outflux/area.
-				acc[i] -= div / area
-				if k < g.NZ-1 {
-					wNext[n] = acc[i]
-				}
+				acc[n] -= div / area
+				wNext[n] = acc[n]
 			}
 		}
 	}
@@ -713,72 +707,68 @@ func Continuity(g *grid.Local, s *State, c *Counters) {
 // levels where buoyancy increases downward, sweeping each column until
 // stable.  This stands in for the convection scheme of the paper's
 // intermediate-complexity physics.
+//
+// Buoyancy is evaluated a row at a time for all levels and again only
+// for the levels a mix rewrites.  ops still counts two evaluations for
+// every pair of levels compared: it is the modelled kernel's work and
+// feeds virtual time (see the *Ops helpers).
 func ConvectiveAdjust(g *grid.Local, s *State, p *Params, c *Counters) {
 	if !p.ImplicitConvection {
 		return
 	}
+	const h = Halo
 	m := Halo - 1
+	nz, stride := g.NZ, s.Theta.Stride()
+	first, end := h-m, g.NX+m+h // the swept columns, as row indices
+	th, sa, hf, b := s.Theta.Raw(), s.Salt.Raw(), g.HFacC.Raw(), s.buoy
+	plane := len(th) / nz
+	pairOps := int64(2*p.EOS.FlopsPerCell()) + 1
 	var ops int64
-	unstable := func(i, j, ka, kb int) bool {
-		ops += int64(2*p.EOS.FlopsPerCell()) + 1
-		ba := p.EOS.Buoyancy(s.Theta.At(i, j, ka), s.Salt.At(i, j, ka), ka)
-		bb := p.EOS.Buoyancy(s.Theta.At(i, j, kb), s.Salt.At(i, j, kb), kb)
-		return bb > ba
-	}
-	// mixRegion homogenises the tracer pair over [lo, hi], volume
-	// weighted — the whole region becomes exactly uniform, so a mixed
-	// block is internally stable and the scheme terminates.
-	mixRegion := func(i, j, lo, hi int) {
-		var wSum, tSum, sSum float64
-		for k := lo; k <= hi; k++ {
-			w := g.DZ[k] * g.HFacC.At(i, j, k)
-			wSum += w
-			tSum += w * s.Theta.At(i, j, k)
-			sSum += w * s.Salt.At(i, j, k)
-		}
-		tm, sm := tSum/wSum, sSum/wSum
-		for k := lo; k <= hi; k++ {
-			s.Theta.Set(i, j, k, tm)
-			s.Salt.Set(i, j, k, sm)
-		}
-		ops += int64(hi-lo+1) * 8
-	}
 	for j := -m; j < g.NY+m; j++ {
-		for i := -m; i < g.NX+m; i++ {
-			for k := 0; k < g.NZ-1; {
-				if g.HFacC.At(i, j, k) == 0 || g.HFacC.At(i, j, k+1) == 0 {
-					k++
+		for k := 0; k < nz; k++ {
+			p.EOS.BuoyancyRow(b[k*stride+first:k*stride+end],
+				s.Theta.Row(j, k)[first:end], s.Salt.Row(j, k)[first:end], k)
+		}
+		row := s.Theta.Idx(-h, j, 0)
+		for n := first; n < end; n++ {
+			c0 := row + n // the column's surface cell; level k is k planes on
+			for k := 0; k < nz-1; k++ {
+				if hf[c0+k*plane] == 0 || hf[c0+(k+1)*plane] == 0 {
 					continue
 				}
-				if !unstable(i, j, k, k+1) {
-					k++
+				ops += pairOps
+				if unstable := b[(k+1)*stride+n] > b[k*stride+n]; !unstable {
 					continue
 				}
-				// Grow the mixed region upward until the column above
-				// it is stable (or land), then continue below it.
-				lo, hi := k, k+1
-				mixRegion(i, j, lo, hi)
-				for lo > 0 && g.HFacC.At(i, j, lo-1) > 0 && unstable(i, j, lo-1, lo) {
-					lo--
-					mixRegion(i, j, lo, hi)
+				// Homogenise the pair, volume weighted, then grow the
+				// mixed region upward until the column above it is
+				// stable (or land).  The whole region becomes exactly
+				// uniform, so a mixed block is internally stable and
+				// the scheme terminates; the sweep continues below it.
+				for lo, hi := k, k+1; ; lo-- {
+					var wSum, tSum, sSum float64
+					for l := lo; l <= hi; l++ {
+						w := g.DZ[l] * hf[c0+l*plane]
+						wSum += w
+						tSum += w * th[c0+l*plane]
+						sSum += w * sa[c0+l*plane]
+					}
+					tm, sm := tSum/wSum, sSum/wSum
+					for l := lo; l <= hi; l++ {
+						th[c0+l*plane], sa[c0+l*plane] = tm, sm
+						b[l*stride+n] = p.EOS.Buoyancy(tm, sm, l)
+					}
+					ops += int64(hi-lo+1) * 8
+					if lo == 0 || hf[c0+(lo-1)*plane] == 0 {
+						break
+					}
+					ops += pairOps
+					if unstable := b[lo*stride+n] > b[(lo-1)*stride+n]; !unstable {
+						break
+					}
 				}
-				k = hi
 			}
 		}
 	}
 	c.AddPS(ops)
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

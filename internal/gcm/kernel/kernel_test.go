@@ -2,10 +2,12 @@ package kernel
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
 	"hyades/internal/gcm/eos"
+	"hyades/internal/gcm/field"
 	"hyades/internal/gcm/grid"
 )
 
@@ -291,5 +293,118 @@ func TestCountersHooks(t *testing.T) {
 	c.AddDS(50)
 	if c.PS != 100 || c.DS != 50 || charged != 100 {
 		t.Fatalf("counters: %+v charged=%d", c, charged)
+	}
+}
+
+// landHalo closes the basin: everything outside the tile interior is
+// land, as beyond the walls of a non-periodic domain.
+func landHalo(g *grid.Local) {
+	for k := 0; k < g.NZ; k++ {
+		for j := -g.H; j < g.NY+g.H; j++ {
+			for i := -g.H; i < g.NX+g.H; i++ {
+				if i < 0 || i >= g.NX || j < 0 || j >= g.NY {
+					g.HFacC.Set(i, j, k, 0)
+				}
+			}
+		}
+	}
+	faceMasks(g)
+}
+
+// TestTracerFluxesTelescope pins the flux form itself, with no recorded
+// value involved: what leaves a cell through a face enters the cell on
+// the other side, so in a closed basin the volume-weighted tendencies
+// sum to zero, and two wet cells alone in a basin of land receive
+// exactly opposite contributions from the one face they share.  That
+// holds on the grids package grid builds, beta-plane and sphere, whose
+// DYC is uniform.  Were it not, the two sides of a south face would
+// divide the same step by different spacings: the form would not be
+// conservative, which is why ComputeGTracers shares a meridional flux
+// only between rows of equal DYC.
+func TestTracerFluxesTelescope(t *testing.T) {
+	const nx, ny, nz = 12, 9, 6
+	const ulp = 1.0 / (1 << 52)
+	p := testParams()
+	for kind := 0; kind < 2; kind++ {
+		rng := rand.New(rand.NewSource(int64(40 + kind)))
+		g := oracleGrid(t, rng, nx, ny, nz, kind)
+		landHalo(g)
+		s, _ := oracleState(rng, nx, ny, nz, 12, 35, 0.3)
+		var c Counters
+		ComputeGTracers(g, s, p, &c)
+
+		// A face flux is at most fa*(|vel|*|tracer| + diff*|step|/d).
+		// Every cell rounds six of them into a sum, divides by its
+		// volume, and the test multiplies it back and adds the cells
+		// up: (8 + cells) roundings of at most 6*cells*fluxMax.
+		var velMax, trMax, faMax, dMin float64 = 0, 0, 0, math.Inf(1)
+		for _, f := range []*field.F3{s.U, s.V, s.W} {
+			for _, v := range f.Raw() {
+				velMax = math.Max(velMax, math.Abs(v))
+			}
+		}
+		for _, f := range []*field.F3{s.Theta, s.Salt} {
+			for _, v := range f.Raw() {
+				trMax = math.Max(trMax, math.Abs(v))
+			}
+		}
+		dzMax := g.DZ[nz-1]
+		for j := 0; j <= ny; j++ {
+			faMax = math.Max(faMax, math.Max(g.DXC(j)*g.DYC(j), math.Max(g.DYC(j), g.DXS(j))*dzMax))
+			dMin = math.Min(dMin, math.Min(g.DXC(j), g.DYC(j)))
+		}
+		dMin = math.Min(dMin, g.DZ[0])
+		diff := math.Max(p.KhTracer, p.KvTracer)
+		fluxMax := faMax * (velMax*trMax + diff*2*trMax/dMin)
+
+		var sumTh, sumS float64
+		cells := 0
+		for k := 0; k < nz; k++ {
+			for j := 0; j < ny; j++ {
+				for i := 0; i < nx; i++ {
+					if g.HFacC.At(i, j, k) == 0 {
+						continue
+					}
+					cells++
+					sumTh += s.GTh().At(i, j, k) * g.CellVolume(i, j, k)
+					sumS += s.GS().At(i, j, k) * g.CellVolume(i, j, k)
+				}
+			}
+		}
+		bound := float64(8+cells) * ulp * 6 * float64(cells) * fluxMax
+		t.Logf("grid %d: %d wet cells, sums %g and %g, bound %g", kind, cells, sumTh, sumS, bound)
+		if math.Abs(sumTh) > bound || math.Abs(sumS) > bound {
+			t.Errorf("grid %d: %d wet cells, sum gth*vol = %g, sum gs*vol = %g, bound %g (largest flux %g)",
+				kind, cells, sumTh, sumS, bound, fluxMax)
+		}
+
+		// Two wet cells in a basin of land, side by side along each axis.
+		for trial := 0; trial < 30; trial++ {
+			ia, ja, ka := rng.Intn(nx-1), rng.Intn(ny-1), rng.Intn(nz-1)
+			ib, jb, kb := ia, ja, ka
+			switch trial % 3 {
+			case 0:
+				ib++
+			case 1:
+				jb++
+			default:
+				kb++
+			}
+			g.HFacC.Fill(0)
+			g.HFacC.Set(ia, ja, ka, 1)
+			g.HFacC.Set(ib, jb, kb, 0.2+0.8*rng.Float64())
+			faceMasks(g)
+			ComputeGTracers(g, s, p, &c)
+			for _, gt := range []*field.F3{s.GTh(), s.GS()} {
+				a := gt.At(ia, ja, ka) * g.CellVolume(ia, ja, ka)
+				b := gt.At(ib, jb, kb) * g.CellVolume(ib, jb, kb)
+				// Each side is the same flux divided by a volume and
+				// multiplied back: two roundings apiece.
+				if a == 0 || math.Abs(a+b) > 4*ulp*math.Abs(a) {
+					t.Fatalf("grid %d pair (%d,%d,%d)-(%d,%d,%d): contributions %g and %g are not opposite",
+						kind, ia, ja, ka, ib, jb, kb, a, b)
+				}
+			}
+		}
 	}
 }

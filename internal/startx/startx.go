@@ -609,13 +609,6 @@ func (n *NIU) completeRemotePut(window, offset int, data []byte) {
 	if w == nil {
 		return // unregistered window: the hardware drops the write
 	}
-	copy(w.data[minInt(offset, len(w.data)):], data)
+	copy(w.data[min(offset, len(w.data)):], data)
 	w.version++
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
