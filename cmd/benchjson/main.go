@@ -30,6 +30,7 @@ import (
 	"bufio"
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"runtime"
 	"strconv"
@@ -229,13 +230,17 @@ func parseLine(line string) (result, bool) {
 		return result{}, false
 	}
 	r := result{Name: fields[0], Iterations: iters, Metrics: map[string]float64{}}
-	// The remainder alternates value / unit.
+	// The remainder alternates value / unit.  A NaN or infinite value
+	// (a metric divided by a zero elapsed time) is dropped: JSON cannot
+	// carry it, and one would fail the whole artifact's encode.
 	for i := 2; i+1 < len(fields); i += 2 {
 		v, err := strconv.ParseFloat(fields[i], 64)
 		if err != nil {
 			return result{}, false
 		}
-		r.Metrics[fields[i+1]] = v
+		if !math.IsNaN(v) && !math.IsInf(v, 0) {
+			r.Metrics[fields[i+1]] = v
+		}
 	}
 	return r, true
 }

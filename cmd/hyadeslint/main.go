@@ -6,11 +6,8 @@
 //
 //	go run ./cmd/hyadeslint ./...
 //	go run ./cmd/hyadeslint -json ./internal/comm
-//	go run ./cmd/hyadeslint -sarif ./... > findings.sarif
 //	go run ./cmd/hyadeslint -fix ./...      # apply suggested fixes
 //	go run ./cmd/hyadeslint -fix -n ./...   # dry run: report, touch nothing
-//	go run ./cmd/hyadeslint -baseline lint/baseline.json ./...  # only new findings fail
-//	go run ./cmd/hyadeslint -baseline lint/baseline.json -writebaseline ./...
 //
 // As a vet tool, speaking cmd/go's unit-checking protocol (-V=full,
 // -flags, and a JSON *.cfg unit file):
@@ -38,9 +35,7 @@ import (
 	"strings"
 
 	"hyades/internal/lint"
-	"hyades/internal/lint/allocbudget"
 	"hyades/internal/lint/analysis"
-	"hyades/internal/lint/baseline"
 	"hyades/internal/lint/emit"
 	"hyades/internal/lint/load"
 )
@@ -51,18 +46,31 @@ func main() {
 
 // options are the standalone-mode switches.
 type options struct {
-	jsonOut       bool
-	sarifOut      bool
-	fix           bool
-	dryRun        bool
-	writeBudget   bool
-	baseline      string // committed-findings file; entries there are suppressed
-	writeBaseline bool
-	analyzers     map[string]bool // nil: the full applicable suite
+	jsonOut   bool
+	fix       bool
+	dryRun    bool
+	analyzers map[string]bool // nil: the full applicable suite
+}
+
+// analyzersFor returns the applicable analyzers for the package at
+// path, narrowed to the -analyzers subset when one was given.  Both
+// driver modes select through it, so they agree under any subset.
+func (opt options) analyzersFor(path string) []*analysis.Analyzer {
+	as := lint.AnalyzersFor(path)
+	if opt.analyzers == nil {
+		return as
+	}
+	kept := as[:0:0]
+	for _, a := range as {
+		if opt.analyzers[a.Name] {
+			kept = append(kept, a)
+		}
+	}
+	return kept
 }
 
 func run(args []string) int {
-	var patterns []string
+	var patterns, unknown []string
 	var cfgFile string
 	var opt options
 	for i := 0; i < len(args); i++ {
@@ -88,8 +96,6 @@ func run(args []string) int {
 			return 0
 		case arg == "-json" || arg == "--json":
 			opt.jsonOut = true
-		case arg == "-sarif" || arg == "--sarif":
-			opt.sarifOut = true
 		case arg == "-fix" || arg == "--fix":
 			opt.fix = true
 		case arg == "-n" || arg == "--n":
@@ -99,17 +105,6 @@ func run(args []string) int {
 				fmt.Println(a.Name)
 			}
 			return 0
-		case arg == "-writebudget" || arg == "--writebudget":
-			opt.writeBudget = true
-		case arg == "-writebaseline" || arg == "--writebaseline":
-			opt.writeBaseline = true
-		case strings.HasPrefix(arg, "-baseline") || strings.HasPrefix(arg, "--baseline"):
-			v, ok := value()
-			if !ok || v == "" {
-				fmt.Fprintln(os.Stderr, "hyadeslint: -baseline needs a file path")
-				return 2
-			}
-			opt.baseline = v
 		case strings.HasPrefix(arg, "-analyzers") || strings.HasPrefix(arg, "--analyzers"):
 			v, ok := value()
 			if !ok {
@@ -145,17 +140,18 @@ func run(args []string) int {
 		case strings.HasSuffix(arg, ".cfg"):
 			cfgFile = arg
 		case strings.HasPrefix(arg, "-"):
-			// Tolerate unknown single flags from cmd/go (e.g. -c=N).
+			// Tolerated from cmd/go (e.g. -c=N), refused standalone.
+			unknown = append(unknown, arg)
 		default:
 			patterns = append(patterns, arg)
 		}
 	}
-	if opt.writeBaseline && opt.baseline == "" {
-		fmt.Fprintln(os.Stderr, "hyadeslint: -writebaseline needs -baseline <file> to say where")
-		return 2
-	}
 	if cfgFile != "" {
 		return runVetUnit(cfgFile, opt)
+	}
+	if len(unknown) > 0 {
+		fmt.Fprintf(os.Stderr, "hyadeslint: unknown flag %s (see -help)\n", unknown[0])
+		return 2
 	}
 	if len(patterns) == 0 {
 		usage()
@@ -165,17 +161,13 @@ func run(args []string) int {
 }
 
 func usage() {
-	fmt.Fprintf(os.Stderr, "usage: hyadeslint [-json|-sarif] [-fix [-n]] [-analyzers a,b] [-baseline file [-writebaseline]] [-writebudget] <package patterns>\n")
+	fmt.Fprintf(os.Stderr, "usage: hyadeslint [-json] [-fix [-n]] [-analyzers a,b] <package patterns>\n")
 	fmt.Fprintf(os.Stderr, "   or: go vet -vettool=$(which hyadeslint) <packages>\n\nflags:\n")
 	fmt.Fprintf(os.Stderr, "  -json         emit findings as JSON\n")
-	fmt.Fprintf(os.Stderr, "  -sarif        emit findings as SARIF 2.1.0\n")
 	fmt.Fprintf(os.Stderr, "  -fix          apply suggested fixes in place\n")
 	fmt.Fprintf(os.Stderr, "  -n            with -fix: dry run, modify nothing\n")
 	fmt.Fprintf(os.Stderr, "  -analyzers    run only this comma-separated subset\n")
-	fmt.Fprintf(os.Stderr, "  -list         print the analyzer names and exit\n")
-	fmt.Fprintf(os.Stderr, "  -baseline     suppress findings recorded in this committed file; only new ones fail\n")
-	fmt.Fprintf(os.Stderr, "  -writebaseline  rewrite the -baseline file with the current findings\n")
-	fmt.Fprintf(os.Stderr, "  -writebudget  rewrite lint/allocbudget.json with measured counts\n\nanalyzers:\n")
+	fmt.Fprintf(os.Stderr, "  -list         print the analyzer names and exit\n\nanalyzers:\n")
 	for _, a := range lint.Analyzers {
 		fmt.Fprintf(os.Stderr, "  %-12s %s\n", a.Name, a.Doc)
 	}
@@ -212,7 +204,6 @@ func runStandalone(patterns []string, opt options) int {
 	}
 	status := 0
 	var all []analysis.Diagnostic
-	budget := &allocbudget.Budget{Packages: map[string]int{}}
 	for _, dir := range dirs {
 		path, err := loader.ImportPathFor(dir)
 		if err != nil {
@@ -233,38 +224,7 @@ func runStandalone(patterns []string, opt options) int {
 			status = 2
 			continue
 		}
-		as := lint.AnalyzersFor(path)
-		ratcheted := false
-		for _, a := range as {
-			if a == lint.Hotalloc {
-				ratcheted = true
-			}
-		}
-		if opt.analyzers != nil {
-			kept := as[:0:0]
-			for _, a := range as {
-				if opt.analyzers[a.Name] {
-					kept = append(kept, a)
-				}
-			}
-			as = kept
-		}
-		// The module context (call graph + summaries over the import
-		// closure) is built only when a selected analyzer consults it.
-		var m *lint.Module
-		for _, a := range as {
-			if lint.Interprocedural[a] {
-				m = lint.ModuleFor(pkg)
-				break
-			}
-		}
-		if opt.writeBudget && ratcheted {
-			if m == nil {
-				m = lint.ModuleFor(pkg)
-			}
-			budget.Packages[path] = lint.MeasureAlloc(pkg, m)
-		}
-		diags, err := lint.CheckWith(pkg, as, m)
+		diags, err := lint.CheckWith(pkg, opt.analyzersFor(path))
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "hyadeslint:", err)
 			status = 2
@@ -272,61 +232,18 @@ func runStandalone(patterns []string, opt options) int {
 		}
 		all = append(all, diags...)
 	}
-	if opt.writeBudget && status == 0 {
-		path := filepath.Join(loader.ModuleRoot, "lint", "allocbudget.json")
-		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-			fmt.Fprintln(os.Stderr, "hyadeslint:", err)
-			return 2
-		}
-		if err := budget.Write(path); err != nil {
-			fmt.Fprintln(os.Stderr, "hyadeslint:", err)
-			return 2
-		}
-		fmt.Fprintf(os.Stderr, "hyadeslint: wrote %s (%d packages)\n", path, len(budget.Packages))
-	}
 	findings := emit.Normalize(emit.Findings(loader.Fset, loader.ModuleRoot, all))
-	if opt.writeBaseline {
-		if status != 0 {
-			fmt.Fprintln(os.Stderr, "hyadeslint: not writing baseline: some packages failed to load")
-			return status
-		}
-		b := baseline.New(findings)
-		if err := b.Write(opt.baseline); err != nil {
-			fmt.Fprintln(os.Stderr, "hyadeslint:", err)
-			return 2
-		}
-		fmt.Fprintf(os.Stderr, "hyadeslint: wrote %s (%d entries covering %d findings)\n",
-			opt.baseline, len(b.Entries), len(findings))
-		return 0
-	}
-	if opt.baseline != "" {
-		b, err := baseline.Load(opt.baseline)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "hyadeslint:", err)
-			return 2
-		}
-		var suppressed int
-		findings, suppressed = b.Filter(findings)
-		if suppressed > 0 {
-			fmt.Fprintf(os.Stderr, "hyadeslint: %d baselined finding(s) suppressed (%s)\n", suppressed, opt.baseline)
-		}
-	}
 	if opt.fix {
 		if err := applyFixes(loader.Fset, all, opt.dryRun); err != nil {
 			fmt.Fprintln(os.Stderr, "hyadeslint:", err)
 			status = 2
 		}
 	}
-	var emitErr error
-	switch {
-	case opt.sarifOut:
-		emitErr = emit.SARIF(os.Stdout, findings, lint.Analyzers)
-	case opt.jsonOut:
-		emitErr = emit.JSON(os.Stdout, findings)
-	default:
-		emitErr = emit.Text(os.Stdout, findings)
+	render := emit.Text
+	if opt.jsonOut {
+		render = emit.JSON
 	}
-	if emitErr != nil {
+	if emitErr := render(os.Stdout, findings); emitErr != nil {
 		fmt.Fprintln(os.Stderr, "hyadeslint:", emitErr)
 		return 2
 	}
@@ -489,24 +406,7 @@ func runVetUnit(cfgFile string, opt options) int {
 		fmt.Fprintf(os.Stderr, "hyadeslint: %s: %v\n", cfg.ImportPath, err)
 		return 2
 	}
-	as := lint.AnalyzersFor(pkg.Path)
-	if opt.analyzers != nil {
-		kept := as[:0:0]
-		for _, a := range as {
-			if opt.analyzers[a.Name] {
-				kept = append(kept, a)
-			}
-		}
-		as = kept
-	}
-	var m *lint.Module
-	for _, a := range as {
-		if lint.Interprocedural[a] {
-			m = lint.ModuleFor(pkg)
-			break
-		}
-	}
-	diags, err := lint.CheckWith(pkg, as, m)
+	diags, err := lint.CheckWith(pkg, opt.analyzersFor(pkg.Path))
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "hyadeslint:", err)
 		return 2

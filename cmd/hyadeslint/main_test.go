@@ -82,6 +82,32 @@ func moduleRoot(t *testing.T) string {
 	return root
 }
 
+// vetUnit writes the .cfg file cmd/go would hand a -vettool for the
+// one-file fixture package at the module-relative dir, and returns its
+// path.
+func vetUnit(t *testing.T, dir, file string) string {
+	t.Helper()
+	abs := filepath.Join(moduleRoot(t), filepath.FromSlash(dir))
+	cfg := map[string]interface{}{
+		"ID":         "hyades/" + dir,
+		"Compiler":   "source",
+		"Dir":        abs,
+		"ImportPath": "hyades/" + dir,
+		"GoVersion":  "go1.22",
+		"GoFiles":    []string{filepath.Join(abs, file)},
+		"VetxOutput": filepath.Join(t.TempDir(), "unit.vetx"),
+	}
+	data, err := json.Marshal(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfgPath := filepath.Join(t.TempDir(), "vet.cfg")
+	if err := os.WriteFile(cfgPath, data, 0o666); err != nil {
+		t.Fatal(err)
+	}
+	return cfgPath
+}
+
 // TestScratchStandalone: the seeded rank-conditional GlobalSum is
 // flagged in standalone mode with exit status 1.
 func TestScratchStandalone(t *testing.T) {
@@ -101,65 +127,28 @@ func TestScratchStandalone(t *testing.T) {
 // process: a crafted .cfg file naming the scratch package must produce
 // the same commlock finding and exit status 1.
 func TestScratchVetUnit(t *testing.T) {
-	root := moduleRoot(t)
-	dir := filepath.Join(root, "cmd", "hyadeslint", "testdata", "scratch")
-	cfg := map[string]interface{}{
-		"ID":         "hyades/cmd/hyadeslint/testdata/scratch",
-		"Compiler":   "source",
-		"Dir":        dir,
-		"ImportPath": "hyades/cmd/hyadeslint/testdata/scratch",
-		"GoVersion":  "go1.22",
-		"GoFiles":    []string{filepath.Join(dir, "scratch.go")},
-		"VetxOutput": filepath.Join(t.TempDir(), "scratch.vetx"),
-	}
-	data, err := json.Marshal(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfgPath := filepath.Join(t.TempDir(), "vet.cfg")
-	if err := os.WriteFile(cfgPath, data, 0o666); err != nil {
-		t.Fatal(err)
-	}
+	cfgPath := vetUnit(t, "cmd/hyadeslint/testdata/scratch", "scratch.go")
 	if status := run([]string{cfgPath}); status != 1 {
 		t.Fatalf("vet-unit exit status = %d, want 1", status)
 	}
 }
 
-// TestCrossModeAgreement is the acceptance test for the
-// interprocedural upgrade: the seeded fixture (a wall-clock read two
-// helper frames below an event-path function, and a capturing closure
-// over the package's zero allocation budget) must be flagged with its
-// full call chain, and the standalone driver and the go-vet unit
-// protocol must produce the identical ordered finding list for it.
+// TestCrossModeAgreement: the standalone driver and the go-vet unit
+// protocol must produce the identical ordered finding list for the
+// planted fixture (a wall-clock read and a raw go statement in a
+// package under internal/des).
 func TestCrossModeAgreement(t *testing.T) {
 	root := moduleRoot(t)
 
 	var standaloneStatus int
 	standalone := capture(t, func() {
-		standaloneStatus = run([]string{"./internal/des/testdata/ipa"})
+		standaloneStatus = run([]string{"./internal/des/testdata/planted"})
 	})
 	if standaloneStatus != 1 {
 		t.Fatalf("standalone status = %d, want 1\n%s", standaloneStatus, standalone)
 	}
 
-	dir := filepath.Join(root, "internal", "des", "testdata", "ipa")
-	cfg := map[string]interface{}{
-		"ID":         "hyades/internal/des/testdata/ipa",
-		"Compiler":   "source",
-		"Dir":        dir,
-		"ImportPath": "hyades/internal/des/testdata/ipa",
-		"GoVersion":  "go1.22",
-		"GoFiles":    []string{filepath.Join(dir, "ipa.go")},
-		"VetxOutput": filepath.Join(t.TempDir(), "ipa.vetx"),
-	}
-	data, err := json.Marshal(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfgPath := filepath.Join(t.TempDir(), "vet.cfg")
-	if err := os.WriteFile(cfgPath, data, 0o666); err != nil {
-		t.Fatal(err)
-	}
+	cfgPath := vetUnit(t, "internal/des/testdata/planted", "planted.go")
 	var vetStatus int
 	vet := captureStderr(t, func() {
 		vetStatus = run([]string{cfgPath})
@@ -176,13 +165,11 @@ func TestCrossModeAgreement(t *testing.T) {
 		t.Errorf("modes disagree\nstandalone:\n%s\nvet:\n%s", standalone, vet)
 	}
 
-	// The seeded violations, with their full chains.
 	for _, want := range []string{
-		"wallutil.Stamp (wallutil.go:11) -> wallutil.helperA (wallutil.go:13) -> wallutil.helperB (wallutil.go:15) -> time.Now",
-		"call reaches a wall-clock/randomness source outside the simulation core",
-		"event-path heap allocation in ipa.Pending: capturing closure",
+		"internal/des/testdata/planted/planted.go:17:9: time.Now reads the wall clock",
 		"(detsource)",
-		"(hotalloc)",
+		"internal/des/testdata/planted/planted.go:22:2: raw go statement",
+		"(nogoroutine)",
 	} {
 		if !strings.Contains(standalone, want) {
 			t.Errorf("missing %q in findings:\n%s", want, standalone)
@@ -225,6 +212,28 @@ func TestExitCodes(t *testing.T) {
 	}
 	if !strings.Contains(out, "commlock") {
 		t.Errorf("bad package aborted the run; missing scratch finding:\n%s", out)
+	}
+
+	// The flag set is exactly what usage() lists: a retired or
+	// misspelled flag is a usage error, never silently ignored.
+	for _, flag := range []string{"-sarif", "-baseline=lint/baseline.json", "-writebaseline", "-writebudget"} {
+		msg := captureStderr(t, func() {
+			status = run([]string{flag, "./internal/units"})
+		})
+		if status != 2 || !strings.Contains(msg, "unknown flag "+flag) {
+			t.Errorf("%s: status %d, stderr %q; want 2 and an unknown-flag error", flag, status, msg)
+		}
+	}
+	usageText := captureStderr(t, func() { status = run([]string{"-help"}) })
+	for _, flag := range []string{"-json", "-fix", "-n", "-analyzers", "-list"} {
+		if !strings.Contains(usageText, "  "+flag+" ") {
+			t.Errorf("usage does not list %s:\n%s", flag, usageText)
+		}
+	}
+	for _, gone := range []string{"-sarif", "-baseline", "-writebaseline", "-writebudget"} {
+		if strings.Contains(usageText, gone) {
+			t.Errorf("usage still lists retired flag %s:\n%s", gone, usageText)
+		}
 	}
 }
 
@@ -314,10 +323,10 @@ func TestAnalyzerSubset(t *testing.T) {
 	if !strings.Contains(msg, `unknown analyzer "nosuch"`) || !strings.Contains(msg, "valid names:") {
 		t.Errorf("error does not name the problem:\n%s", msg)
 	}
-	valid := []string{"detsource", "nogoroutine", "unitlit", "schedpast", "maprange",
-		"commlock", "dimcheck", "redorder", "hotalloc"}
+	valid := []string{"detsource", "nogoroutine", "unitlit", "maprange",
+		"commlock", "dimcheck", "redorder"}
 	if !strings.Contains(msg, "valid names: "+strings.Join(valid, ", ")+"\n") {
-		t.Errorf("valid-name list is not the nine analyzers %v:\n%s", valid, msg)
+		t.Errorf("valid-name list is not the seven analyzers %v:\n%s", valid, msg)
 	}
 
 	// Standalone: a subset that excludes the scratch fixture's rule
@@ -335,28 +344,11 @@ func TestAnalyzerSubset(t *testing.T) {
 		t.Errorf("subset with commlock: status %d\n%s", status, out)
 	}
 
-	// Vet-unit mode must honor the same subset: the ipa fixture trips
-	// detsource and hotalloc; selecting only detsource drops hotalloc
-	// and stays byte-identical with standalone.
+	// Vet-unit mode must honor the same subset: the planted fixture
+	// trips detsource and nogoroutine; selecting only detsource drops
+	// nogoroutine and stays byte-identical with standalone.
 	root := moduleRoot(t)
-	dir := filepath.Join(root, "internal", "des", "testdata", "ipa")
-	cfg := map[string]interface{}{
-		"ID":         "hyades/internal/des/testdata/ipa",
-		"Compiler":   "source",
-		"Dir":        dir,
-		"ImportPath": "hyades/internal/des/testdata/ipa",
-		"GoVersion":  "go1.22",
-		"GoFiles":    []string{filepath.Join(dir, "ipa.go")},
-		"VetxOutput": filepath.Join(t.TempDir(), "ipa.vetx"),
-	}
-	data, err := json.Marshal(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfgPath := filepath.Join(t.TempDir(), "vet.cfg")
-	if err := os.WriteFile(cfgPath, data, 0o666); err != nil {
-		t.Fatal(err)
-	}
+	cfgPath := vetUnit(t, "internal/des/testdata/planted", "planted.go")
 	var vetStatus int
 	vet := captureStderr(t, func() {
 		vetStatus = run([]string{"-analyzers=detsource", cfgPath})
@@ -365,7 +357,7 @@ func TestAnalyzerSubset(t *testing.T) {
 		t.Fatalf("vet-unit subset status = %d, want 1\n%s", vetStatus, vet)
 	}
 	standalone := capture(t, func() {
-		status = run([]string{"-analyzers=detsource", "./internal/des/testdata/ipa"})
+		status = run([]string{"-analyzers=detsource", "./internal/des/testdata/planted"})
 	})
 	if status != 1 {
 		t.Fatalf("standalone subset status = %d, want 1\n%s", status, standalone)
@@ -377,107 +369,7 @@ func TestAnalyzerSubset(t *testing.T) {
 	if !strings.Contains(vet, "detsource") {
 		t.Errorf("selected analyzer missing from vet-unit output:\n%s", vet)
 	}
-	if strings.Contains(vet, "hotalloc") {
+	if strings.Contains(vet, "nogoroutine") {
 		t.Errorf("vet-unit mode ignored the -analyzers subset:\n%s", vet)
-	}
-}
-
-// TestBaseline: -writebaseline records the scratch findings, after
-// which -baseline suppresses exactly them — the run is clean, new
-// findings elsewhere still fail, and the flag pair is validated.
-func TestBaseline(t *testing.T) {
-	base := filepath.Join(t.TempDir(), "baseline.json")
-
-	// Regenerate: records the current findings and exits 0.
-	var status int
-	out := capture(t, func() {
-		status = run([]string{"-baseline", base, "-writebaseline", "./cmd/hyadeslint/testdata/scratch"})
-	})
-	if status != 0 || out != "" {
-		t.Fatalf("writebaseline: status %d output %q, want 0 and empty", status, out)
-	}
-	data, err := os.ReadFile(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(data), "commlock") {
-		t.Fatalf("baseline missing the scratch finding:\n%s", data)
-	}
-
-	// Filtered run: the recorded finding is suppressed, status clean.
-	var note string
-	note = captureStderr(t, func() {
-		out = capture(t, func() {
-			status = run([]string{"-baseline", base, "./cmd/hyadeslint/testdata/scratch"})
-		})
-	})
-	if status != 0 || out != "" {
-		t.Errorf("baselined run: status %d output %q, want 0 and empty", status, out)
-	}
-	if !strings.Contains(note, "baselined finding(s) suppressed") {
-		t.Errorf("missing suppression note on stderr:\n%s", note)
-	}
-
-	// A finding the baseline does not cover still fails the run.
-	out = capture(t, func() {
-		status = run([]string{"-baseline", base, "./internal/des/testdata/ipa", "./cmd/hyadeslint/testdata/scratch"})
-	})
-	if status != 1 {
-		t.Errorf("new findings under baseline: status = %d, want 1", status)
-	}
-	if !strings.Contains(out, "detsource") || strings.Contains(out, "commlock") {
-		t.Errorf("baseline filtered the wrong findings:\n%s", out)
-	}
-
-	// Regeneration is byte-stable.
-	capture(t, func() {
-		status = run([]string{"-baseline", base, "-writebaseline", "./cmd/hyadeslint/testdata/scratch"})
-	})
-	again, err := os.ReadFile(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(data) != string(again) {
-		t.Errorf("baseline regeneration not byte-stable:\n%s\nvs\n%s", data, again)
-	}
-
-	// -writebaseline without -baseline is a usage error.
-	if status = run([]string{"-writebaseline", "./cmd/hyadeslint/testdata/scratch"}); status != 2 {
-		t.Errorf("-writebaseline without -baseline: status = %d, want 2", status)
-	}
-}
-
-// TestSARIFOutput: -sarif emits a SARIF 2.1.0 document carrying the
-// scratch finding.
-func TestSARIFOutput(t *testing.T) {
-	var status int
-	out := capture(t, func() {
-		status = run([]string{"-sarif", "./cmd/hyadeslint/testdata/scratch"})
-	})
-	if status != 1 {
-		t.Fatalf("sarif run status = %d, want 1", status)
-	}
-	var doc struct {
-		Version string `json:"version"`
-		Runs    []struct {
-			Results []struct {
-				RuleID string `json:"ruleId"`
-			} `json:"results"`
-		} `json:"runs"`
-	}
-	if err := json.Unmarshal([]byte(out), &doc); err != nil {
-		t.Fatalf("invalid SARIF JSON: %v\n%s", err, out)
-	}
-	if doc.Version != "2.1.0" || len(doc.Runs) != 1 {
-		t.Fatalf("unexpected SARIF shape:\n%s", out)
-	}
-	found := false
-	for _, r := range doc.Runs[0].Results {
-		if r.RuleID == "commlock" {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("no commlock result in SARIF:\n%s", out)
 	}
 }

@@ -261,19 +261,18 @@ func (c *Cluster) restartNode(nodeID int) {
 // error if processes remain blocked (a deadlock in the modelled
 // program).
 func (c *Cluster) Run() (err error) {
-	// The kernel surfaces watchdog trips and in-process panics by
-	// panicking from engine context; turn both into errors so callers
-	// get a diagnosis (with the waiter map) instead of a crash.
+	// The kernel surfaces watchdog trips, in-process panics and events
+	// scheduled into the past by panicking from engine context; turn
+	// them into errors so callers get a diagnosis (with the waiter map)
+	// instead of a crash.
 	defer func() {
 		if err != nil {
 			return
 		}
 		switch r := recover().(type) {
 		case nil:
-		case *des.WatchdogError:
-			err = fmt.Errorf("cluster: %w", r)
-		case *des.ProcPanic:
-			err = fmt.Errorf("cluster: %w", r)
+		case *des.WatchdogError, *des.ProcPanic, *des.PastError:
+			err = fmt.Errorf("cluster: %w", r.(error))
 		default:
 			panic(r)
 		}

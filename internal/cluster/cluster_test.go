@@ -134,6 +134,40 @@ func TestWatchdogTurnsHangIntoDiagnosis(t *testing.T) {
 	}
 }
 
+// TestScheduleIntoThePastIsAnError: a negative delay ends the run in a
+// typed error, never a silent clamp or a crash — from an event as the
+// *des.PastError itself, from a rank wrapped in a *des.ProcPanic that
+// names it.
+func TestScheduleIntoThePastIsAnError(t *testing.T) {
+	for _, fromRank := range []bool{false, true} {
+		cl, err := New(DefaultConfig(2, 1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cl.Start(func(w *Worker) {
+			if w.Rank != 1 {
+				return
+			}
+			w.Proc.Delay(units.Microsecond)
+			if fromRank {
+				w.Proc.Delay(-units.Nanosecond)
+				return
+			}
+			cl.Eng.Schedule(units.Microsecond, func() { cl.Eng.Schedule(-units.Nanosecond, func() {}) })
+		})
+		err = cl.Run()
+		cl.Close()
+		var pe *des.PastError
+		if !errors.As(err, &pe) || pe.Delay != -units.Nanosecond {
+			t.Fatalf("fromRank=%v: err = %v, want a *des.PastError of -1ns", fromRank, err)
+		}
+		var pp *des.ProcPanic
+		if named := errors.As(err, &pp) && pp.Proc == "rank1"; named != fromRank {
+			t.Errorf("fromRank=%v: err = %v; a rank's failure must name it, an event's must not", fromRank, err)
+		}
+	}
+}
+
 func TestInvalidConfigs(t *testing.T) {
 	if _, err := New(DefaultConfig(0, 1)); err == nil {
 		t.Fatal("0 nodes accepted")

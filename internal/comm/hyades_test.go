@@ -1,13 +1,16 @@
 package comm
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
 	"hyades/internal/cluster"
+	"hyades/internal/des"
 	"hyades/internal/units"
 )
 
@@ -418,6 +421,46 @@ func TestBarrierSynchronizes(t *testing.T) {
 	})
 	if minAfter < maxBefore {
 		t.Fatalf("a worker left the barrier at %v before the last arrived at %v", minAfter, maxBefore)
+	}
+}
+
+// sumVia hides a collective behind a helper call, out of sight of the
+// commlock analyzer, which reads one function body at a time.
+func sumVia(ep Endpoint, x float64) float64 { return ep.GlobalSum(x) }
+
+// TestHiddenCollectiveMismatchEndsInError: rank 0 of 4 enters a global
+// sum through a helper and the other ranks never join it.  The run must
+// end — in the watchdog's typed diagnosis when one is armed, in the
+// cluster's deadlock report when not — and name the stranded rank,
+// never hang.
+func TestHiddenCollectiveMismatchEndsInError(t *testing.T) {
+	for _, wd := range []units.Time{0, 500 * units.Microsecond} {
+		cfg := cluster.DefaultConfig(4, 1)
+		cfg.Watchdog = wd
+		cl, err := cluster.New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h, err := NewHyades(cl, DefaultHyadesConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		cl.Start(func(w *cluster.Worker) {
+			if ep := h.Bind(w); ep.Rank() == 0 {
+				sumVia(ep, 1)
+			}
+		})
+		err = cl.Run()
+		cl.Close()
+		var trip *des.WatchdogError
+		switch {
+		case err == nil:
+			t.Fatalf("watchdog %v: a one-rank GlobalSum returned without error", wd)
+		case wd > 0 && (!errors.As(err, &trip) || !strings.Contains(trip.Culprit, "rank 0 ")):
+			t.Errorf("watchdog %v: err = %v, want a *des.WatchdogError naming rank 0", wd, err)
+		case wd == 0 && !strings.Contains(err.Error(), "deadlock, 1 processes still blocked:\n  rank0 waits on"):
+			t.Errorf("no watchdog: err = %v, want a deadlock report naming rank0", err)
+		}
 	}
 }
 

@@ -207,22 +207,48 @@ func (e *Engine) peekNext() *event {
 	}
 }
 
-// Schedule runs fn at now+d.  A non-positive d means "as soon as
-// possible", i.e. at the current time but after already-queued
-// simultaneous events.
+// Schedule runs fn at now+d.  A zero d means "as soon as possible",
+// i.e. at the current time but after already-queued simultaneous
+// events; a negative d panics with a *PastError.
 func (e *Engine) Schedule(d units.Time, fn func()) {
 	if d < 0 {
-		d = 0
+		e.past("Schedule", d)
 	}
 	e.sched.push(e.newEvent(e.now+d, fn))
 }
 
-// ScheduleAt runs fn at absolute time t (clamped to the present).
+// ScheduleAt runs fn at absolute time t; a t before now panics with a
+// *PastError.
 func (e *Engine) ScheduleAt(t units.Time, fn func()) {
 	if t < e.now {
-		t = e.now
+		e.past("ScheduleAt", t-e.now)
 	}
 	e.sched.push(e.newEvent(t, fn))
+}
+
+// PastError is the panic payload of a schedule into the virtual past: a
+// negative delay to Schedule, After, Delay or a deadline wait, or a
+// ScheduleAt before now.  Clamped to now instead, the event would run
+// ahead of causes that precede it.  Raised by a process it reaches
+// Run's caller as the Value of a *ProcPanic; raised by an event it
+// unwinds through Run's caller as it is.
+type PastError struct {
+	Call  string     // the scheduling call
+	Delay units.Time // the negative delay asked for
+	Now   units.Time // the virtual time of the call
+}
+
+// Error implements error.
+func (p *PastError) Error() string {
+	return fmt.Sprintf("des: %s with delay %v at %v schedules into the past", p.Call, p.Delay, p.Now)
+}
+
+// past is the cold path of every negative-delay check, kept out of line
+// so a check costs its caller one compare.
+//
+//go:noinline
+func (e *Engine) past(call string, d units.Time) {
+	panic(&PastError{Call: call, Delay: d, Now: e.now})
 }
 
 // RunUntil executes events with timestamps <= limit.  Order, Events()
@@ -381,12 +407,13 @@ type Timer struct {
 	ev  *event
 }
 
-// After schedules fn at now+d and returns a handle that can cancel it.
-// Unlike Schedule, a cancelled After is removed from the event queue
-// outright: it neither runs nor drags the virtual clock to its expiry.
+// After schedules fn at now+d and returns a handle that can cancel it;
+// like Schedule, a negative d panics with a *PastError.  Unlike
+// Schedule, a cancelled After is removed from the event queue outright:
+// it neither runs nor drags the virtual clock to its expiry.
 func (e *Engine) After(d units.Time, fn func()) *Timer {
 	if d < 0 {
-		d = 0
+		e.past("After", d)
 	}
 	t := &Timer{eng: e}
 	ev := e.newEvent(e.now+d, nil)
@@ -805,10 +832,11 @@ func (p *Proc) inPhase(call string) {
 
 // armWd schedules the process's expiry event at now+d; disarmWd removes
 // and recycles it if it has not fired.  The event's fn is the bound
-// wdFireFn, so arming a park costs no allocation in steady state.
+// wdFireFn, so arming a park costs no allocation in steady state.  A
+// negative d (a deadline wait's bound) panics with a *PastError.
 func (p *Proc) armWd(d units.Time) {
 	if d < 0 {
-		d = 0
+		p.eng.past("a deadline wait", d)
 	}
 	ev := p.eng.newEvent(p.eng.now+d, p.wdFireFn)
 	p.wdEv = ev
@@ -892,14 +920,15 @@ func (p *Proc) Name() string { return p.name }
 // Now returns the current virtual time.
 func (p *Proc) Now() units.Time { return p.eng.now }
 
-// Delay suspends the process for d of virtual time.  A non-positive d
-// yields the baton without advancing the clock (other simultaneous
-// events run first).
+// Delay suspends the process for d of virtual time.  A zero d yields
+// the baton without advancing the clock (other simultaneous events run
+// first); a negative d panics with a *PastError, which reaches Run's
+// caller wrapped in a *ProcPanic naming the process.
 func (p *Proc) Delay(d units.Time) {
 	p.mayBlock(nil)
 	e := p.eng
 	if d < 0 {
-		d = 0
+		e.past("Delay", d)
 	}
 	at := e.now + d
 	// Fast path: when nothing else is scheduled before this delay would

@@ -3,6 +3,7 @@ package des
 import (
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -42,27 +43,89 @@ func TestSimultaneousEventsFIFO(t *testing.T) {
 	}
 }
 
-func TestNegativeDelayClampsToNow(t *testing.T) {
-	e := NewEngine()
-	fired := units.Time(-1)
-	e.Schedule(units.Microsecond, func() {
-		e.Schedule(-5*units.Microsecond, func() { fired = e.Now() })
-	})
+// runPast runs the engine and returns the *PastError it panicked
+// with, and the process name when a *ProcPanic carried it.
+func runPast(t *testing.T, e *Engine) (pe *PastError, proc string) {
+	t.Helper()
+	defer func() {
+		r := recover()
+		if pp, ok := r.(*ProcPanic); ok {
+			proc, r = pp.Proc, pp.Value
+		}
+		var ok bool
+		if pe, ok = r.(*PastError); !ok {
+			t.Fatalf("panic = %v (%T), want a *PastError", r, r)
+		}
+	}()
 	e.Run()
-	if fired != units.Microsecond {
-		t.Fatalf("event fired at %v, want 1us", fired)
+	return nil, ""
+}
+
+// TestNegativeDelayPanics: a negative delay is a loud, typed failure at
+// every entry point — raised as is from an event, wrapped in a
+// *ProcPanic naming the process from a process — and never a silent
+// clamp to now.
+func TestNegativeDelayPanics(t *testing.T) {
+	const d = -5 * units.Microsecond
+	events := map[string]func(e *Engine){
+		"Schedule": func(e *Engine) { e.Schedule(d, func() {}) },
+		"After":    func(e *Engine) { e.After(d, func() {}) },
+	}
+	for call, fn := range events {
+		e := NewEngine()
+		fired := false
+		e.Schedule(units.Microsecond, func() { fn(e) })
+		e.Schedule(2*units.Microsecond, func() { fired = true })
+		pe, proc := runPast(t, e)
+		if pe.Call != call || pe.Delay != d || pe.Now != units.Microsecond || proc != "" {
+			t.Errorf("%s: got %+v from %q, want Delay %v at 1us from an event", call, pe, proc, d)
+		}
+		if fired {
+			t.Errorf("%s: the run went on past the failure", call)
+		}
+	}
+	procs := map[string]func(p *Proc){
+		"Delay":           func(p *Proc) { p.Delay(d) },
+		"a deadline wait": func(p *Proc) { s := NewSignal(p.Engine(), "sig"); s.WaitDeadline(p, s.Seq(), d) },
+	}
+	for call, fn := range procs {
+		e := NewEngine()
+		e.Spawn("rank3", func(p *Proc) { p.Delay(units.Microsecond); fn(p) })
+		pe, proc := runPast(t, e)
+		if pe.Call != call || pe.Delay != d || proc != "rank3" {
+			t.Errorf("%s: got %+v from %q, want Delay %v from rank3", call, pe, proc, d)
+		}
+		if !strings.Contains(pe.Error(), "into the past") {
+			t.Errorf("%s: error %q does not say what went wrong", call, pe)
+		}
+	}
+}
+
+// TestZeroDelayIsAsSoonAsPossible: zero stays legal — the event runs at
+// the current time, after simultaneous events already queued.
+func TestZeroDelayIsAsSoonAsPossible(t *testing.T) {
+	e := NewEngine()
+	var got []int
+	e.Schedule(units.Microsecond, func() {
+		e.Schedule(0, func() { got = append(got, 2) })
+		e.After(0, func() { got = append(got, 3) })
+	})
+	e.Schedule(units.Microsecond, func() { got = append(got, 1) })
+	e.Spawn("p", func(p *Proc) { p.Delay(units.Microsecond); p.Delay(0); got = append(got, 4) })
+	e.Run()
+	if len(got) != 4 || got[0] != 1 || got[1] != 2 || got[2] != 3 || got[3] != 4 || e.Now() != units.Microsecond {
+		t.Fatalf("order %v at %v, want [1 2 3 4] at 1us", got, e.Now())
 	}
 }
 
 func TestScheduleAtPast(t *testing.T) {
 	e := NewEngine()
-	var at units.Time
 	e.Schedule(2*units.Microsecond, func() {
-		e.ScheduleAt(units.Microsecond, func() { at = e.Now() })
+		e.ScheduleAt(units.Microsecond, func() { t.Error("past ScheduleAt ran") })
 	})
-	e.Run()
-	if at != 2*units.Microsecond {
-		t.Fatalf("past ScheduleAt fired at %v, want clamped to 2us", at)
+	pe, _ := runPast(t, e)
+	if pe.Call != "ScheduleAt" || pe.Delay != -units.Microsecond || pe.Now != 2*units.Microsecond {
+		t.Fatalf("got %+v, want ScheduleAt 1us into the past at 2us", pe)
 	}
 }
 

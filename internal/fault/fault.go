@@ -289,22 +289,39 @@ func ParseOutage(s string) (Outage, error) {
 		return o, nil
 	}
 	from, until, hasUntil := strings.Cut(window, "-")
-	fromUS, err := strconv.ParseFloat(from, 64)
-	if err != nil {
+	var err error
+	if o.From, err = parseInstant(from); err != nil {
 		return Outage{}, fmt.Errorf("fault: bad outage window start in %q: %v", s, err)
 	}
-	o.From = units.Micros(fromUS)
 	if hasUntil {
-		untilUS, err := strconv.ParseFloat(until, 64)
-		if err != nil {
+		if o.Until, err = parseInstant(until); err != nil {
 			return Outage{}, fmt.Errorf("fault: bad outage window end in %q: %v", s, err)
 		}
-		if untilUS <= fromUS {
+		if o.Until <= o.From {
 			return Outage{}, fmt.Errorf("fault: empty outage window in %q", s)
 		}
-		o.Until = units.Micros(untilUS)
 	}
 	return o, nil
+}
+
+// maxInstantUS is the latest instant a window may name, in
+// microseconds: the last whole microsecond a units.Time holds.
+const maxInstantUS = float64(units.Never / units.Microsecond)
+
+// parseInstant parses a window instant given in microseconds.  It must
+// be finite and in [0, maxInstantUS]: past that the conversion to
+// picoseconds wraps, and a window would become a permanent outage or an
+// empty one.  The window checks compare the converted Times, so a
+// window narrower than a picosecond is empty, not permanent.
+func parseInstant(s string) (units.Time, error) {
+	us, err := strconv.ParseFloat(s, 64)
+	if err != nil {
+		return 0, err
+	}
+	if !(us >= 0 && us <= maxInstantUS) { // false for NaN too
+		return 0, fmt.Errorf("%s is outside [0, %.0f] microseconds", s, maxInstantUS)
+	}
+	return units.Micros(us), nil
 }
 
 // ParseOutages parses a comma-separated list of outage specs.  Link

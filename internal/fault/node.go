@@ -139,23 +139,17 @@ func ParseNodeOutage(s string) (NodeOutage, error) {
 		return o, nil
 	}
 	from, until, hasUntil := strings.Cut(window, "-")
-	fromUS, err := strconv.ParseFloat(from, 64)
-	if err != nil {
+	var err error
+	if o.From, err = parseInstant(from); err != nil {
 		return NodeOutage{}, fmt.Errorf("fault: bad node-outage crash instant in %q: %v", s, err)
 	}
-	if fromUS < 0 {
-		return NodeOutage{}, fmt.Errorf("fault: negative node-outage crash instant in %q", s)
-	}
-	o.From = units.Micros(fromUS)
 	if hasUntil {
-		untilUS, err := strconv.ParseFloat(until, 64)
-		if err != nil {
+		if o.Until, err = parseInstant(until); err != nil {
 			return NodeOutage{}, fmt.Errorf("fault: bad node-outage restart instant in %q: %v", s, err)
 		}
-		if untilUS <= fromUS {
+		if o.Until <= o.From {
 			return NodeOutage{}, fmt.Errorf("fault: node outage %q restarts at or before its crash (reversed or empty window)", s)
 		}
-		o.Until = units.Micros(untilUS)
 	}
 	return o, nil
 }

@@ -56,13 +56,6 @@ type Pass struct {
 	Pkg       *types.Package
 	TypesInfo *types.Info
 
-	// Module carries whole-module context (call graph and effect
-	// summaries) for interprocedural analyzers; nil for purely
-	// intraprocedural runs.  Typed as interface{} so this package stays
-	// free of upward dependencies; the lint package defines the
-	// concrete type and accessors.
-	Module interface{}
-
 	// Report records a finding.  Installed by the driver.
 	Report func(Diagnostic)
 }
@@ -135,28 +128,10 @@ func allowlist(fset *token.FileSet, files []*ast.File) map[allowKey]bool {
 	return allow
 }
 
-// AllowMatcher returns a predicate reporting whether a finding from
-// the named analyzer at pos is waived by a //lint:allow annotation in
-// files.  Analyzers that aggregate sites (the alloc-budget ratchet)
-// use it to exclude waived sites from their counts.
-func AllowMatcher(fset *token.FileSet, files []*ast.File) func(pos token.Pos, analyzer string) bool {
-	allow := allowlist(fset, files)
-	return func(pos token.Pos, analyzer string) bool {
-		p := fset.Position(pos)
-		return allow[allowKey{p.Filename, p.Line, analyzer}]
-	}
-}
-
 // RunPass applies one analyzer to one package, filters findings through
 // the //lint:allow allowlist, and returns the surviving diagnostics in
 // deterministic (file, line, column, message) order.
 func RunPass(a *Analyzer, fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info) ([]Diagnostic, error) {
-	return RunPassMod(a, fset, files, pkg, info, nil)
-}
-
-// RunPassMod is RunPass with whole-module context attached for the
-// interprocedural analyzers.
-func RunPassMod(a *Analyzer, fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info, module interface{}) ([]Diagnostic, error) {
 	allow := allowlist(fset, files)
 	var diags []Diagnostic
 	pass := &Pass{
@@ -165,7 +140,6 @@ func RunPassMod(a *Analyzer, fset *token.FileSet, files []*ast.File, pkg *types.
 		Files:     files,
 		Pkg:       pkg,
 		TypesInfo: info,
-		Module:    module,
 		Report: func(d Diagnostic) {
 			d.Analyzer = a.Name
 			p := fset.Position(d.Pos)

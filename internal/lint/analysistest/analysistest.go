@@ -25,7 +25,6 @@ import (
 	"sync"
 	"testing"
 
-	"hyades/internal/lint"
 	"hyades/internal/lint/analysis"
 	"hyades/internal/lint/load"
 )
@@ -71,7 +70,7 @@ func Run(t *testing.T, testdata string, a *analysis.Analyzer, pkgpaths ...string
 			t.Errorf("%s: %v", pkgpath, err)
 			continue
 		}
-		diags, err := analysis.RunPassMod(a, pkg.Fset, pkg.Files, pkg.Types, pkg.Info, lint.ModuleFor(pkg))
+		diags, err := analysis.RunPass(a, pkg.Fset, pkg.Files, pkg.Types, pkg.Info)
 		if err != nil {
 			t.Errorf("%s: %v", pkgpath, err)
 			continue

@@ -201,18 +201,14 @@ func checkCommUnit(pass *analysis.Pass, iface *types.Interface, taint *rankTaint
 
 	facts := dataflow.Forward(g, guardProblem{rankDep: rankDep})
 
-	// Collect every collective call site with the guards it runs under:
-	// direct Endpoint collectives, plus (with module context) call
-	// sites whose callees reach a collective — a helper hiding a
-	// GlobalSum must be matched across arms exactly like the GlobalSum
-	// itself.
+	// Collect every Endpoint collective call site with the guards it
+	// runs under.  A collective behind a helper call is not seen here:
+	// the ranks it strands park until the engine watchdog names them.
 	type site struct {
 		call   *ast.CallExpr
 		method string
-		chain  string // non-empty for interprocedurally detected sites
 		guards guardSet
 	}
-	mod := moduleOf(pass)
 	var sites []site
 	for _, blk := range g.Blocks {
 		fact, ok := facts[blk]
@@ -231,10 +227,6 @@ func checkCommUnit(pass *analysis.Pass, iface *types.Interface, taint *rankTaint
 				}
 				if method, ok := collectiveCall(pass, iface, call); ok {
 					sites = append(sites, site{call: call, method: method, guards: gs})
-				} else if mod != nil {
-					for _, r := range interprocCollectives(pass, mod, call) {
-						sites = append(sites, site{call: call, method: r.method, chain: r.chain, guards: gs})
-					}
 				}
 				return true
 			})
@@ -306,18 +298,14 @@ func checkCommUnit(pass *analysis.Pass, iface *types.Interface, taint *rankTaint
 		})
 		gd := bad[0]
 		line := pass.Fset.Position(gd.branch.Pos()).Line
-		via := ""
-		if s.chain != "" {
-			via = "; reached via " + s.chain
-		}
 		if isLoopNode(gd.branch) {
 			pass.Reportf(s.call.Pos(),
-				"collective %s runs inside a loop whose trip count is rank-dependent (loop at line %d); ranks make different numbers of collective calls and deadlock%s",
-				s.method, line, via)
+				"collective %s runs inside a loop whose trip count is rank-dependent (loop at line %d); ranks make different numbers of collective calls and deadlock",
+				s.method, line)
 		} else {
 			pass.Reportf(s.call.Pos(),
-				"collective %s is not matched on every arm of the rank-dependent condition at line %d; ranks on the other arm never join it and the collective deadlocks%s",
-				s.method, line, via)
+				"collective %s is not matched on every arm of the rank-dependent condition at line %d; ranks on the other arm never join it and the collective deadlocks",
+				s.method, line)
 		}
 	}
 }

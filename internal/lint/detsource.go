@@ -78,8 +78,5 @@ func runDetsource(pass *analysis.Pass) (interface{}, error) {
 		}
 		return true
 	})
-	if m := moduleOf(pass); m != nil {
-		runDetsourceInterproc(pass, m)
-	}
 	return nil, nil
 }

@@ -1,12 +1,10 @@
-// Package emit renders hyadeslint diagnostics as text, JSON or SARIF.
+// Package emit renders hyadeslint diagnostics as text or JSON.
 //
-// Every output format is byte-stable: findings are normalized — sorted
-// by (file, offset, analyzer, message) and deduplicated by (file,
-// offset, analyzer) — before rendering, paths are module-relative with
-// forward slashes, and the JSON encoders use struct types only, so two
-// runs over the same tree produce identical bytes.  CI archives the
-// SARIF form as an artifact and diffs it against a golden file in
-// tests.
+// Both formats are byte-stable: findings are normalized — sorted by
+// (file, offset, analyzer, message), exact repeats dropped — before
+// rendering, paths are module-relative with forward slashes, and the
+// JSON encoder uses struct types only, so two runs over the same tree
+// produce identical bytes.
 package emit
 
 import (
@@ -55,9 +53,9 @@ func Findings(fset *token.FileSet, root string, diags []analysis.Diagnostic) []F
 }
 
 // Normalize sorts by (file, offset, analyzer, message) and drops
-// exact duplicates.  The message is part of the identity: an
-// interprocedural rule legitimately reports several distinct effects
-// at one call site, and both driver modes must keep all of them.
+// exact duplicates.  The message is part of the identity: one analyzer
+// may report two different problems at one position, and both driver
+// modes must keep both.
 func Normalize(fs []Finding) []Finding {
 	sort.SliceStable(fs, func(i, j int) bool {
 		a, b := fs[i], fs[j]
@@ -109,103 +107,4 @@ func JSON(w io.Writer, fs []Finding) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "\t")
 	return enc.Encode(jsonReport{Version: 1, Findings: fs})
-}
-
-// Minimal SARIF 2.1.0 document structure (static analysis results
-// interchange format) — the slice of the schema CI dashboards consume.
-type sarifLog struct {
-	Schema  string     `json:"$schema"`
-	Version string     `json:"version"`
-	Runs    []sarifRun `json:"runs"`
-}
-
-type sarifRun struct {
-	Tool    sarifTool     `json:"tool"`
-	Results []sarifResult `json:"results"`
-}
-
-type sarifTool struct {
-	Driver sarifDriver `json:"driver"`
-}
-
-type sarifDriver struct {
-	Name           string      `json:"name"`
-	InformationURI string      `json:"informationUri"`
-	Rules          []sarifRule `json:"rules"`
-}
-
-type sarifRule struct {
-	ID               string       `json:"id"`
-	ShortDescription sarifMessage `json:"shortDescription"`
-}
-
-type sarifMessage struct {
-	Text string `json:"text"`
-}
-
-type sarifResult struct {
-	RuleID    string          `json:"ruleId"`
-	Level     string          `json:"level"`
-	Message   sarifMessage    `json:"message"`
-	Locations []sarifLocation `json:"locations"`
-}
-
-type sarifLocation struct {
-	PhysicalLocation sarifPhysical `json:"physicalLocation"`
-}
-
-type sarifPhysical struct {
-	ArtifactLocation sarifArtifact `json:"artifactLocation"`
-	Region           sarifRegion   `json:"region"`
-}
-
-type sarifArtifact struct {
-	URI string `json:"uri"`
-}
-
-type sarifRegion struct {
-	StartLine   int `json:"startLine"`
-	StartColumn int `json:"startColumn"`
-}
-
-// SARIF writes a SARIF 2.1.0 document.  The rule table covers every
-// analyzer in the suite (sorted by name), not just those with
-// findings, so the document shape is independent of what was found.
-func SARIF(w io.Writer, fs []Finding, analyzers []*analysis.Analyzer) error {
-	rules := make([]sarifRule, 0, len(analyzers))
-	for _, a := range analyzers {
-		rules = append(rules, sarifRule{
-			ID:               a.Name,
-			ShortDescription: sarifMessage{Text: a.Doc},
-		})
-	}
-	sort.Slice(rules, func(i, j int) bool { return rules[i].ID < rules[j].ID })
-	results := make([]sarifResult, 0, len(fs))
-	for _, f := range fs {
-		results = append(results, sarifResult{
-			RuleID:  f.Analyzer,
-			Level:   "error",
-			Message: sarifMessage{Text: f.Message},
-			Locations: []sarifLocation{{
-				PhysicalLocation: sarifPhysical{
-					ArtifactLocation: sarifArtifact{URI: f.File},
-					Region:           sarifRegion{StartLine: f.Line, StartColumn: f.Col},
-				},
-			}},
-		})
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "\t")
-	return enc.Encode(sarifLog{
-		Schema:  "https://json.schemastore.org/sarif-2.1.0.json",
-		Version: "2.1.0",
-		Runs: []sarifRun{{
-			Tool: sarifTool{Driver: sarifDriver{
-				Name:           "hyadeslint",
-				InformationURI: "https://example.invalid/hyades/internal/lint",
-				Rules:          rules,
-			}},
-			Results: results,
-		}},
-	})
 }

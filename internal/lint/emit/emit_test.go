@@ -6,8 +6,6 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-
-	"hyades/internal/lint/analysis"
 )
 
 var update = flag.Bool("update", false, "rewrite the golden files under testdata/")
@@ -15,8 +13,8 @@ var update = flag.Bool("update", false, "rewrite the golden files under testdata
 // sample is a fixed findings list exercising ordering (files out of
 // order, two analyzers at one position) and deduplication (an exact
 // (file, offset, analyzer, message) repeat that must be dropped;
-// same-position same-analyzer findings with distinct messages — the
-// interprocedural multi-effect case — must both survive).
+// same-position same-analyzer findings with distinct messages must
+// both survive).
 func sample() []Finding {
 	return Normalize([]Finding{
 		{File: "internal/gcm/gcm.go", Line: 88, Col: 3, Analyzer: "redorder",
@@ -28,15 +26,6 @@ func sample() []Finding {
 		{File: "internal/comm/coupled.go", Line: 41, Col: 10, Analyzer: "commlock",
 			Message: "collective Barrier is not matched on every arm of the rank-dependent condition at line 39", offset: 905},
 	})
-}
-
-// ruleTable is a miniature analyzer suite for the SARIF rule list.
-func ruleTable() []*analysis.Analyzer {
-	return []*analysis.Analyzer{
-		{Name: "redorder", Doc: "flag manual accumulations that feed a global sum"},
-		{Name: "commlock", Doc: "flag collectives guarded by rank-dependent control flow"},
-		{Name: "dimcheck", Doc: "flag arithmetic mixing incompatible unit dimensions"},
-	}
 }
 
 func checkGolden(t *testing.T, name string, got []byte) {
@@ -72,9 +61,9 @@ func TestNormalizeOrderAndDedup(t *testing.T) {
 	}
 }
 
-// TestNormalizeKeepsDistinctMessages: an interprocedural rule may
-// report several distinct effects at one position; dedup must only
-// drop exact repeats.
+// TestNormalizeKeepsDistinctMessages: one analyzer may report several
+// distinct problems at one position; dedup must only drop exact
+// repeats.
 func TestNormalizeKeepsDistinctMessages(t *testing.T) {
 	fs := Normalize([]Finding{
 		{File: "a.go", Line: 3, Col: 1, Analyzer: "commlock",
@@ -110,28 +99,5 @@ func TestJSONEmpty(t *testing.T) {
 	}
 	if !bytes.Contains(buf.Bytes(), []byte(`"findings": []`)) {
 		t.Errorf("empty report must carry an empty array, not null:\n%s", buf.String())
-	}
-}
-
-func TestSARIFGolden(t *testing.T) {
-	var buf bytes.Buffer
-	if err := SARIF(&buf, sample(), ruleTable()); err != nil {
-		t.Fatal(err)
-	}
-	checkGolden(t, "findings.sarif.golden", buf.Bytes())
-}
-
-// TestSARIFStableAcrossRuns: two renders of the same inputs are
-// byte-identical — the property CI relies on when diffing artifacts.
-func TestSARIFStableAcrossRuns(t *testing.T) {
-	var a, b bytes.Buffer
-	if err := SARIF(&a, sample(), ruleTable()); err != nil {
-		t.Fatal(err)
-	}
-	if err := SARIF(&b, sample(), ruleTable()); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a.Bytes(), b.Bytes()) {
-		t.Error("SARIF output not byte-stable across runs")
 	}
 }

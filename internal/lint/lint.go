@@ -9,22 +9,19 @@
 //	detsource   — no wall clock, no unseeded global randomness
 //	nogoroutine — no raw goroutines past the coroutine baton
 //	unitlit     — no unitless literals converted to units.Time/Bandwidth
-//	schedpast   — no provably-negative or unclamped-delta schedule delays
 //	maprange    — no map iteration in the event path
 //	commlock    — no collectives unmatched across rank-dependent branches
 //	dimcheck    — no arithmetic mixing units.Time/Bandwidth/Size dimensions
 //	redorder    — no manual float accumulations feeding GlobalSum
-//	hotalloc    — no event-path allocation sites beyond the committed budget
 //
-// detsource, schedpast, commlock and hotalloc are interprocedural: they
-// run over the CHA call graph and effect summaries of the package's
-// import closure (internal/lint/callgraph and internal/lint/summary), so
-// an effect hidden behind helper calls is found and reported with its
-// full call chain.
-//
-// What an Exec phase may touch is not certified here: every phase runs
-// on the dispatcher, and des panics, naming the process, if one blocks
-// or schedules (DESIGN.md, "What the linter certifies").
+// Every rule reads one function body at a time.  What would need a call
+// graph is checked where the runtime or a test can see it (DESIGN.md,
+// "What the linter certifies"): a schedule into the past panics in des;
+// a test holds the sim core's module imports inside simCorePackages, so
+// every clock read the core can reach sits where detsource looks;
+// TestSteadyStateAllocs pins the hot path at zero allocations; and a
+// collective hidden behind a helper strands its peers until the engine
+// watchdog names them.
 //
 // Each rule can be locally waived with the annotation
 //
@@ -47,25 +44,17 @@ var Analyzers = []*analysis.Analyzer{
 	Detsource,
 	Nogoroutine,
 	Unitlit,
-	Schedpast,
 	Maprange,
 	Commlock,
 	Dimcheck,
 	Redorder,
-	Hotalloc,
-}
-
-// Interprocedural marks the analyzers that consult pass.Module; a
-// driver running none of them can skip building the module context.
-var Interprocedural = map[*analysis.Analyzer]bool{
-	Detsource: true,
-	Schedpast: true,
-	Commlock:  true,
-	Hotalloc:  true,
 }
 
 // simCorePackages hold simulation state or run inside the coroutine
-// discipline; detsource and nogoroutine apply here.
+// discipline; detsource and nogoroutine apply here.  The list is closed
+// under module imports (TestSimCoreImportClosure): a sim-core package
+// may import only another, so no helper outside detsource's scope can
+// hide a clock read below the core.
 var simCorePackages = []string{
 	"hyades/internal/des",
 	"hyades/internal/fault",
@@ -78,6 +67,8 @@ var simCorePackages = []string{
 	"hyades/internal/netmodel",
 	"hyades/internal/mpistart",
 	"hyades/internal/gcm",
+	"hyades/internal/plates",
+	"hyades/internal/units",
 }
 
 // eventPathPackages are the hot event-dispatch packages where map
@@ -112,32 +103,17 @@ var redorderPackages = []string{
 	"hyades/internal/gcm",
 }
 
-// hotallocPackages are the event-path packages under the allocation
-// ratchet — the code the ROADMAP's zero-alloc scaling target runs
-// through on every simulated message.
-var hotallocPackages = []string{
-	"hyades/internal/des",
-	"hyades/internal/arctic",
-	"hyades/internal/startx",
-	"hyades/internal/comm",
-	// The GCM kernels joined the ratchet when the flat-row rewrite
-	// took their coupled step to zero steady-state allocations: every
-	// sweep, the solver and the physics package now run out of
-	// buffers bound at construction, and the budget keeps them there.
-	"hyades/internal/gcm",
-}
-
 // AnalyzersFor returns the analyzers that apply to the package with the
-// given import path.  unitlit, schedpast and commlock guard call sites
-// anywhere in the module; dimcheck everywhere except package units
-// (whose accessor implementations are the sanctioned raw conversions);
-// the other rules are scoped to the simulation core.
+// given import path.  unitlit and commlock guard call sites anywhere in
+// the module; dimcheck everywhere except package units (whose accessor
+// implementations are the sanctioned raw conversions); the other rules
+// are scoped to the simulation core.
 func AnalyzersFor(importPath string) []*analysis.Analyzer {
 	var as []*analysis.Analyzer
 	if underAny(importPath, simCorePackages) {
 		as = append(as, Detsource, Nogoroutine)
 	}
-	as = append(as, Unitlit, Schedpast)
+	as = append(as, Unitlit)
 	if underAny(importPath, eventPathPackages) {
 		as = append(as, Maprange)
 	}
@@ -148,29 +124,20 @@ func AnalyzersFor(importPath string) []*analysis.Analyzer {
 	if underAny(importPath, redorderPackages) {
 		as = append(as, Redorder)
 	}
-	if underAny(importPath, hotallocPackages) {
-		as = append(as, Hotalloc)
-	}
 	return as
 }
 
 // Check runs every applicable analyzer over pkg and returns the merged,
-// position-sorted findings, building interprocedural context from the
-// package's import closure.
+// position-sorted findings.
 func Check(pkg *load.Package) ([]analysis.Diagnostic, error) {
-	return CheckWith(pkg, AnalyzersFor(pkg.Path), ModuleFor(pkg))
+	return CheckWith(pkg, AnalyzersFor(pkg.Path))
 }
 
-// CheckWith runs the given analyzers over pkg with explicit module
-// context (nil runs the interprocedural rules intraprocedurally).
-func CheckWith(pkg *load.Package, as []*analysis.Analyzer, m *Module) ([]analysis.Diagnostic, error) {
+// CheckWith runs the given analyzers over pkg.
+func CheckWith(pkg *load.Package, as []*analysis.Analyzer) ([]analysis.Diagnostic, error) {
 	var all []analysis.Diagnostic
 	for _, a := range as {
-		var mod interface{}
-		if m != nil {
-			mod = m
-		}
-		diags, err := analysis.RunPassMod(a, pkg.Fset, pkg.Files, pkg.Types, pkg.Info, mod)
+		diags, err := analysis.RunPass(a, pkg.Fset, pkg.Files, pkg.Types, pkg.Info)
 		if err != nil {
 			return nil, err
 		}

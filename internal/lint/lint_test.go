@@ -24,10 +24,6 @@ func TestUnitlit(t *testing.T) {
 	analysistest.Run(t, "testdata", lint.Unitlit, "unitlit")
 }
 
-func TestSchedpast(t *testing.T) {
-	analysistest.Run(t, "testdata", lint.Schedpast, "schedpast")
-}
-
 func TestMaprange(t *testing.T) {
 	analysistest.Run(t, "testdata", lint.Maprange, "maprange")
 }
@@ -44,28 +40,9 @@ func TestRedorder(t *testing.T) {
 	analysistest.Run(t, "testdata", lint.Redorder, "redorder")
 }
 
-func TestHotalloc(t *testing.T) {
-	analysistest.Run(t, "testdata", lint.Hotalloc, "hotalloc", "hotallocclean")
-}
-
-// Interprocedural fixtures: the PR 1-2 rules upgraded with call-graph
-// context.  Each imports a helper fixture package so the flagged chain
-// genuinely crosses a package boundary.
-func TestDetsourceInterprocedural(t *testing.T) {
-	analysistest.Run(t, "testdata", lint.Detsource, "detsourceipa")
-}
-
-func TestSchedpastInterprocedural(t *testing.T) {
-	analysistest.Run(t, "testdata", lint.Schedpast, "schedipa")
-}
-
-func TestCommlockInterprocedural(t *testing.T) {
-	analysistest.Run(t, "testdata", lint.Commlock, "commipa")
-}
-
 // TestAnalyzersForScope pins the scope table: determinism rules guard
-// the sim core, unit/schedule rules guard the whole module, and the
-// event-path rule guards only the dispatch-hot packages.
+// the sim core, unit and collective rules guard the whole module, and
+// the event-path rule guards only the dispatch-hot packages.
 func TestAnalyzersForScope(t *testing.T) {
 	names := func(path string) map[string]bool {
 		m := map[string]bool{}
@@ -75,7 +52,7 @@ func TestAnalyzersForScope(t *testing.T) {
 		return m
 	}
 	des := names("hyades/internal/des")
-	for _, want := range []string{"detsource", "nogoroutine", "unitlit", "schedpast", "maprange"} {
+	for _, want := range []string{"detsource", "nogoroutine", "unitlit", "maprange"} {
 		if !des[want] {
 			t.Errorf("des: missing analyzer %s", want)
 		}
@@ -107,8 +84,15 @@ func TestAnalyzersForScope(t *testing.T) {
 	if rep["detsource"] || rep["nogoroutine"] || rep["maprange"] {
 		t.Errorf("report is outside the sim core, got %v", rep)
 	}
-	if !rep["unitlit"] || !rep["schedpast"] {
-		t.Errorf("unitlit/schedpast apply module-wide, got %v", rep)
+	if !rep["unitlit"] {
+		t.Errorf("unitlit applies module-wide, got %v", rep)
+	}
+	// The sim core's import closure joined the core: detsource sees
+	// every package the core can call into.
+	for _, pkg := range []string{"hyades/internal/plates", "hyades/internal/units"} {
+		if m := names(pkg); !m["detsource"] || !m["nogoroutine"] {
+			t.Errorf("%s is imported by the sim core and must get its rules, got %v", pkg, m)
+		}
 	}
 	// Communication-discipline rules: commlock and dimcheck run
 	// module-wide (dimcheck excepting the units package itself, which
@@ -130,19 +114,6 @@ func TestAnalyzersForScope(t *testing.T) {
 	}
 	if des["redorder"] || rep["redorder"] {
 		t.Errorf("redorder is scoped to the gcm subtree, got des=%v rep=%v", des, rep)
-	}
-	// hotalloc ratchets only the event-path packages.
-	if !des["hotalloc"] {
-		t.Errorf("des must be under the allocation ratchet, got %v", des)
-	}
-	// The flat-row rewrite brought the GCM kernels to zero steady-state
-	// allocations; the ratchet now covers the gcm subtree to keep them
-	// there.
-	if !gcm["hotalloc"] {
-		t.Errorf("gcm subpackages must be under the allocation ratchet, got %v", gcm)
-	}
-	if rep["hotalloc"] {
-		t.Errorf("report is not an event-path package, must not be ratcheted, got %v", rep)
 	}
 }
 

@@ -41,65 +41,6 @@ type Package struct {
 	Types     *types.Package
 	Info      *types.Info
 	Errors    []error // type-checking errors, if any
-
-	loader *Loader // back-reference for Closure
-}
-
-// Loader returns the loader that produced p (nil for hand-built
-// packages).  Interprocedural context caches key on it: two loaders
-// are two type-checking universes whose objects must never mix.
-func (p *Package) Loader() *Loader { return p.loader }
-
-// ModuleRoot returns the owning module's root directory, or "".
-func (p *Package) ModuleRoot() string {
-	if p.loader == nil {
-		return ""
-	}
-	return p.loader.ModuleRoot
-}
-
-// Closure returns the package together with every module-internal
-// package in its transitive import graph, sorted by import path.  Only
-// packages already type-checked through the owning loader appear —
-// which is all of them, since type-checking a package loads its module
-// imports first.  This is the deterministic per-package universe the
-// interprocedural analyzers build their call graph over: derived from
-// the import graph alone, it is identical whether the package was
-// reached by a standalone directory walk or a go-vet unit, which is
-// what keeps the two driver modes' findings in agreement.
-func (p *Package) Closure() []*Package {
-	if p.loader == nil {
-		return []*Package{p}
-	}
-	seen := map[string]*Package{p.Path: p}
-	var visit func(t *types.Package)
-	visit = func(t *types.Package) {
-		if t == nil {
-			return
-		}
-		for _, imp := range t.Imports() {
-			if _, ok := seen[imp.Path()]; ok {
-				continue
-			}
-			dep, ok := p.loader.pkgs[imp.Path()]
-			if !ok {
-				continue // stdlib or unloaded
-			}
-			seen[imp.Path()] = dep
-			visit(imp)
-		}
-	}
-	visit(p.Types)
-	paths := make([]string, 0, len(seen))
-	for path := range seen {
-		paths = append(paths, path)
-	}
-	sort.Strings(paths)
-	out := make([]*Package, len(paths))
-	for i, path := range paths {
-		out[i] = seen[path]
-	}
-	return out
 }
 
 // A Loader loads packages of one module, caching every package (module
@@ -196,7 +137,7 @@ func (l *Loader) LoadDir(dir, importPath string) (*Package, error) {
 	if err != nil {
 		return nil, fmt.Errorf("load %s: %v", importPath, err)
 	}
-	pkg := &Package{Path: importPath, Dir: dir, Fset: l.Fset, loader: l}
+	pkg := &Package{Path: importPath, Dir: dir, Fset: l.Fset}
 	for _, name := range names {
 		fname := filepath.Join(dir, name)
 		f, err := parser.ParseFile(l.Fset, fname, nil, parser.ParseComments)
@@ -206,28 +147,12 @@ func (l *Loader) LoadDir(dir, importPath string) (*Package, error) {
 		pkg.Files = append(pkg.Files, f)
 		pkg.Filenames = append(pkg.Filenames, fname)
 	}
-	pkg.Info = &types.Info{
-		Types:      map[ast.Expr]types.TypeAndValue{},
-		Defs:       map[*ast.Ident]types.Object{},
-		Uses:       map[*ast.Ident]types.Object{},
-		Selections: map[*ast.SelectorExpr]*types.Selection{},
-		Scopes:     map[ast.Node]*types.Scope{},
-	}
-	conf := types.Config{
-		Importer:  l,
-		GoVersion: l.GoVersion,
-		Error:     func(err error) { pkg.Errors = append(pkg.Errors, err) },
-	}
 	// Cache before checking: import cycles would otherwise recurse
 	// forever.  (The go toolchain rejects true cycles before we ever
 	// run, so a re-entrant Load during Check cannot happen for code
 	// that builds; this is belt and braces.)
 	l.pkgs[importPath] = pkg
-	tpkg, err := conf.Check(importPath, l.Fset, pkg.Files, pkg.Info)
-	pkg.Types = tpkg
-	if err != nil && len(pkg.Errors) == 0 {
-		pkg.Errors = append(pkg.Errors, err)
-	}
+	l.check(pkg)
 	return pkg, nil
 }
 
@@ -236,13 +161,21 @@ func (l *Loader) LoadDir(dir, importPath string) (*Package, error) {
 // pkg.Fset must be l.Fset.  On success pkg.Types and pkg.Info are
 // populated and the package is cached for import resolution.
 func (l *Loader) CheckFiles(pkg *Package) error {
-	pkg.loader = l
+	l.check(pkg)
+	if len(pkg.Errors) > 0 {
+		return pkg.Errors[0]
+	}
+	l.pkgs[pkg.Path] = pkg
+	return nil
+}
+
+// check type-checks pkg's parsed files, filling Info and Types and
+// recording every type error in Errors.
+func (l *Loader) check(pkg *Package) {
 	pkg.Info = &types.Info{
-		Types:      map[ast.Expr]types.TypeAndValue{},
-		Defs:       map[*ast.Ident]types.Object{},
-		Uses:       map[*ast.Ident]types.Object{},
-		Selections: map[*ast.SelectorExpr]*types.Selection{},
-		Scopes:     map[ast.Node]*types.Scope{},
+		Types: map[ast.Expr]types.TypeAndValue{},
+		Defs:  map[*ast.Ident]types.Object{},
+		Uses:  map[*ast.Ident]types.Object{},
 	}
 	conf := types.Config{
 		Importer:  l,
@@ -251,14 +184,9 @@ func (l *Loader) CheckFiles(pkg *Package) error {
 	}
 	tpkg, err := conf.Check(pkg.Path, l.Fset, pkg.Files, pkg.Info)
 	pkg.Types = tpkg
-	if len(pkg.Errors) > 0 {
-		return pkg.Errors[0]
+	if err != nil && len(pkg.Errors) == 0 {
+		pkg.Errors = append(pkg.Errors, err)
 	}
-	if err != nil {
-		return err
-	}
-	l.pkgs[pkg.Path] = pkg
-	return nil
 }
 
 // goFilesIn lists the buildable non-test Go files of dir, honouring

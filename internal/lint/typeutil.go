@@ -14,7 +14,6 @@ import (
 // logic.
 const (
 	unitsPkgPath = "hyades/internal/units"
-	desPkgPath   = "hyades/internal/des"
 	commPkgPath  = "hyades/internal/comm"
 )
 
