@@ -339,8 +339,9 @@ bench_out="${HYADES_BENCH_JSON:-$tmp_root/bench.json}"
         -benchmem -benchtime 200000x .
     # The process switch itself: into a parked peer through a mailbox,
     # and out of a process and back into the same one through a Delay
-    # that has to block.
-    go test -run '^$' -bench '^(BenchmarkProcHandoff|BenchmarkProcSelfWake)$' \
+    # that has to block; and a chain of blocking delays through Delay
+    # against the same chain as one step function (Proc.Await).
+    go test -run '^$' -bench '^(BenchmarkProcHandoff|BenchmarkProcSelfWake|BenchmarkStepChain)$' \
         -benchmem -benchtime 200000x ./internal/des
     # The coupled step runs at a fixed 10x for the same reason as the
     # 100x hot path: at 1x its allocs/op is all cluster construction

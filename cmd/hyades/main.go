@@ -156,7 +156,7 @@ func main() {
 	comm := res.ExchangeTime + res.GsumTime
 	t.Addf("communication fraction|%.1f%%", 100*float64(comm)/float64(comm+res.ComputeTime))
 	if c := res.Counters; res.Events > 0 {
-		t.Addf("events / dispatched / process resumes|%d / %d / %d", res.Events, c.Dispatched, c.Resumes)
+		t.Addf("events / dispatched / process resumes / continued|%d / %d / %d / %d", res.Events, c.Dispatched, c.Resumes, c.Continued)
 		t.Addf("slots reserved / materialised|%d / %d", c.SlotsReserved, c.SlotsMaterialised)
 	}
 	if fcfg.Enabled() {

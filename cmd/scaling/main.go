@@ -81,7 +81,7 @@ func main() {
 	defer profiles.Start()()
 
 	t := report.NewTable("Strong scaling of the ocean isomorph on Arctic (one worker per node)",
-		"grid", "workers", "time/step", "sustained MF/s", "speedup", "efficiency", "model MF/s", "comm %", "events/s (host)", "slots (queued)", "resumes")
+		"grid", "workers", "time/step", "sustained MF/s", "speedup", "efficiency", "model MF/s", "comm %", "events/s (host)", "slots (queued)", "resumes (continued)")
 	base := map[int]float64{} // serial sustained rate, keyed by grid NXg
 	var rows []jsonRow
 	for _, pt := range points {
@@ -125,9 +125,9 @@ func main() {
 
 		model := modelPrediction(pt.workers, d, ni)
 		eff := 100 * sustained / (base[pt.nxg] * float64(pt.workers))
-		t.Addf("%dx%d|%d|%v|%.0f|%.1fx|%.0f%%|%.0f|%.0f%%|%.2g|%d (%d)|%d",
+		t.Addf("%dx%d|%d|%v|%.0f|%.1fx|%.0f%%|%.0f|%.0f%%|%.2g|%d (%d)|%d (%d)",
 			pt.nxg, pt.nyg, pt.workers, perStep, sustained, sustained/base[pt.nxg], eff, model, commFrac, eventsPerSec,
-			ctr.SlotsReserved, ctr.SlotsMaterialised, ctr.Resumes)
+			ctr.SlotsReserved, ctr.SlotsMaterialised, ctr.Resumes, ctr.Continued)
 		rows = append(rows, jsonRow{
 			Name:       fmt.Sprintf("ScalingOcean/%dx%d/%dworkers", pt.nxg, pt.nyg, pt.workers),
 			Iterations: int64(*steps),
@@ -146,7 +146,7 @@ func main() {
 		"fat tree, 1024 through the 5-level radix-4 maximum; speedup/efficiency are " +
 		"relative to the serial run of the same grid (the 128x64 grid's halo caps " +
 		"its decomposition at 512 tiles, so the 1,024-endpoint point runs 256x128); " +
-		"events/s is host wall-clock event throughput of the whole run; slots: idle-marking events counted (also queued)"
+		"events/s is host wall-clock event throughput of the whole run; slots: idle-marking events counted (also queued); continued: wakes a step function took without a switch"
 	fmt.Print(t)
 
 	if *jsonPath != "" {

@@ -229,7 +229,8 @@ func (p *Packet) Encode() ([]uint32, error) {
 	return words, nil
 }
 
-// Decode reconstructs a packet from wire words, verifying the CRC.
+// Decode reconstructs a packet from wire words, verifying the CRC and,
+// as Encode does, the header's field ranges.
 func Decode(words []uint32) (*Packet, error) {
 	if len(words) < HeaderWords+MinPayloadWords+crcWords {
 		return nil, fmt.Errorf("arctic: short packet (%d words)", len(words))
@@ -243,6 +244,9 @@ func Decode(words []uint32) (*Packet, error) {
 	size := int(h1 >> 1 & 0x1f)
 	if size < MinPayloadWords || size > MaxPayloadWords || HeaderWords+size+crcWords != len(words) {
 		return nil, fmt.Errorf("%w: size field %d for %d words", ErrPayloadSize, size, len(words))
+	}
+	if h1>>18&0x7 > maxUpSteps {
+		return nil, ErrFieldRange
 	}
 	p := &Packet{
 		Pri:       Priority(h0 >> 31),

@@ -1,0 +1,196 @@
+package comm
+
+import (
+	"encoding/json"
+	"errors"
+	"flag"
+	"fmt"
+	"os"
+	"path/filepath"
+	"testing"
+
+	"hyades/internal/cluster"
+	"hyades/internal/des"
+	"hyades/internal/units"
+)
+
+var updateBoundaries = flag.Bool("update", false, "rewrite testdata/interrupt_boundaries.json from the current tree")
+
+// boundaryRow is one run of consecutive interrupt instants, From to To
+// in boundaryStride steps, that ended the same way: the call rank 1 was
+// in when the interrupt was raised (empty if it never was), the virtual
+// time of the raise — Parked when it is the interrupt instant itself,
+// rank 1 having been parked, At otherwise — and Events() at the raise,
+// and what stopped the run: the culprit of the watchdog that ended a
+// stranded partner, or "" when the run drained.
+type boundaryRow struct {
+	From, To units.Time
+	Call     string
+	Parked   bool       `json:",omitempty"`
+	At       units.Time `json:",omitempty"`
+	Events   uint64
+	Culprit  string
+}
+
+// boundaryStride is the sweep's step: finer than any charged cost, so
+// every blocking boundary of both primitives is hit.
+const boundaryStride = 10 * units.Nanosecond
+
+// boundaryMachines are the swept machines: the ppn-1 exchange and
+// butterfly at two sizes and the mix-mode slave path under a watchdog,
+// and without one, where a stranded partner ends in the deadlock report.
+var boundaryMachines = []struct {
+	nodes, ppn int
+	watchdog   units.Time
+}{{2, 1, boundaryWatchdog}, {4, 1, boundaryWatchdog}, {2, 2, boundaryWatchdog}, {2, 1, 0}, {2, 2, 0}}
+
+const boundaryWatchdog = 100 * units.Microsecond
+
+// boundaryRun runs the boundary workload with rank 1 interrupted at t
+// (t < 0: never) under the given watchdog and returns the outcome, plus rank 1's entry into its
+// second Exchange and exit from its second GlobalSum.
+func boundaryRun(t *testing.T, nodes, ppn int, watchdog, at units.Time) (row boundaryRow, from, to units.Time) {
+	t.Helper()
+	cfg := cluster.DefaultConfig(nodes, ppn)
+	cfg.Watchdog = watchdog
+	cl, err := cluster.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	h, err := NewHyades(cl, DefaultHyadesConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if at >= 0 {
+		cl.Eng.ScheduleAt(at, func() { cl.Worker(1).Proc.Interrupt(errors.New("swept interrupt")) })
+	}
+	cl.Start(func(w *cluster.Worker) {
+		ep := h.Bind(w)
+		peer := ep.Rank() ^ ppn // the same CPU on the neighbouring node
+		buf, layout := make([]byte, 1024), Contiguous(1024, true)
+		call := ""
+		defer func() {
+			if r := recover(); r != nil {
+				if _, ok := r.(*des.Interrupt); !ok || ep.Rank() != 1 {
+					panic(r)
+				}
+				row.Call, row.At, row.Events = call, ep.Now(), cl.Eng.Events()
+			}
+		}()
+		for i := 0; i < 3; i++ {
+			if i == 1 && ep.Rank() == 1 {
+				from = ep.Now()
+			}
+			call = "Exchange"
+			ep.Exchange(peer, buf, layout)
+			call = "GlobalSum"
+			ep.GlobalSum(1)
+			if i == 1 && ep.Rank() == 1 {
+				to = ep.Now()
+			}
+		}
+	})
+	var trip *des.WatchdogError
+	switch err := cl.Run(); {
+	case errors.As(err, &trip):
+		row.Culprit = trip.Culprit
+	case err != nil:
+		row.Culprit = err.Error()
+	}
+	return row, from, to
+}
+
+// TestInterruptAtEveryBoundary sweeps an interrupt of rank 1 across one
+// Exchange and one GlobalSum and pins, for every instant, where it was
+// raised and how the stranded partner ended.  The fixture was recorded
+// before Exchange and GlobalSum ran as step functions, so it checks
+// that every boundary the process form raised at still raises, at the
+// same virtual time and event count.  -short checks every seventh
+// instant.
+func TestInterruptAtEveryBoundary(t *testing.T) {
+	path := filepath.Join("testdata", "interrupt_boundaries.json")
+	got := map[string][]boundaryRow{}
+	var want map[string][]boundaryRow
+	if !*updateBoundaries {
+		blob, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := json.Unmarshal(blob, &want); err != nil {
+			t.Fatal(err)
+		}
+	}
+	every := units.Time(1)
+	if testing.Short() && !*updateBoundaries {
+		every = 7
+	}
+	for _, m := range boundaryMachines {
+		name := fmt.Sprintf("%dx%d", m.nodes, m.ppn)
+		if m.watchdog == 0 {
+			name += "/nowatchdog"
+		}
+		_, from, to := boundaryRun(t, m.nodes, m.ppn, m.watchdog, -1)
+		if to <= from {
+			t.Fatalf("%s: no swept window (%v..%v)", name, from, to)
+		}
+		var rows []boundaryRow
+		for at := from; at <= to; at += every * boundaryStride {
+			row, _, _ := boundaryRun(t, m.nodes, m.ppn, m.watchdog, at)
+			row.From, row.To = at, at
+			if row.Call != "" && row.At == at {
+				row.Parked, row.At = true, 0
+			}
+			if k := len(rows) - 1; k >= 0 && sameOutcome(rows[k], row) && rows[k].To+every*boundaryStride == at {
+				rows[k].To = at
+				continue
+			}
+			rows = append(rows, row)
+		}
+		got[name] = rows
+		if *updateBoundaries {
+			continue
+		}
+		mismatches := 0
+		for _, row := range rows {
+			for at := row.From; at <= row.To; at += every * boundaryStride {
+				w, ok := rowAt(want[name], at)
+				if !ok || !sameOutcome(w, row) {
+					if mismatches++; mismatches <= 5 {
+						t.Errorf("%s: interrupt at %v: got %+v, recorded %+v (found %v)", name, at, row, w, ok)
+					}
+				}
+			}
+		}
+		if n := len(want[name]); n == 0 || want[name][0].From != from || to-want[name][n-1].To >= boundaryStride {
+			t.Errorf("%s: swept window %v..%v, recorded %+v", name, from, to, want[name])
+		}
+		t.Logf("%s: %d instants in %v..%v, %d distinct outcomes", name, int((to-from)/boundaryStride)+1, from, to, len(rows))
+	}
+	if *updateBoundaries {
+		blob, err := json.MarshalIndent(got, "", " ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, append(blob, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+func sameOutcome(a, b boundaryRow) bool {
+	return a.Call == b.Call && a.Parked == b.Parked && a.At == b.At && a.Events == b.Events && a.Culprit == b.Culprit
+}
+
+// rowAt finds the recorded row covering instant at.
+func rowAt(rows []boundaryRow, at units.Time) (boundaryRow, bool) {
+	for _, r := range rows {
+		if r.From <= at && at <= r.To {
+			return r, true
+		}
+	}
+	return boundaryRow{}, false
+}

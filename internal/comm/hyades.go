@@ -238,7 +238,9 @@ func (h *Hyades) resetNodeComm() {
 
 // Bind creates the endpoint for a started worker.
 func (h *Hyades) Bind(w *cluster.Worker) *HyadesEndpoint {
-	return &HyadesEndpoint{h: h, w: w, nc: h.nodes[w.Node.ID]}
+	ep := &HyadesEndpoint{h: h, w: w, nc: h.nodes[w.Node.ID]}
+	ep.prog.fn = ep.step
+	return ep
 }
 
 // HyadesEndpoint implements Endpoint over the StarT-X mechanisms.
@@ -247,6 +249,7 @@ type HyadesEndpoint struct {
 	w     *cluster.Worker
 	nc    *nodeComm
 	stats Stats
+	prog  program // the primitive in flight as a step function
 }
 
 var _ Endpoint = (*HyadesEndpoint)(nil)
@@ -306,110 +309,19 @@ func (nc *nodeComm) viMB(e *des.Engine, k matchKey) *des.Mailbox[startx.Transfer
 	return mb
 }
 
-// pioSend transmits a small control/reduction message.
-func (ep *HyadesEndpoint) pioSend(dstRank, class, seq int, words []uint32) {
-	tag := encodeTag(class, ep.w.CPU, ep.cpuOf(dstRank), seq)
-	ep.w.Node.NIU.PIOSend(ep.w.Proc, ep.nodeOf(dstRank), tag, words, arctic.Low)
+// keyOf is the match key of the message class/seq from srcRank to this
+// endpoint's CPU.
+func (ep *HyadesEndpoint) keyOf(class, srcRank, seq int) matchKey {
+	return matchKey{class: class, srcNode: ep.nodeOf(srcRank), srcCPU: ep.cpuOf(srcRank), dstCPU: ep.w.CPU, seq: seq}
 }
 
-// pioWait returns the next message matching (class, srcRank, seq).
-func (ep *HyadesEndpoint) pioWait(class, srcRank, seq int) startx.Message {
-	return ep.pioWaitKey(matchKey{
-		class:   class,
-		srcNode: ep.nodeOf(srcRank),
-		srcCPU:  ep.cpuOf(srcRank),
-		dstCPU:  ep.w.CPU,
-		seq:     seq,
-	})
-}
-
-// pioWaitKey blocks until a message matching key is available.  The two
-// SMP processors cooperate through the node's match-boxes: whoever
-// polls the hardware queue deposits messages that are not its own and
-// signals the other CPU.  A successful hardware poll charges the usual
-// mmap reads; between arrivals the loop parks on the node's delivery
-// signal rather than modelling every idle status read.
+// pioWaitKey blocks until a message matching key is available: a
+// program of one wait.
 func (ep *HyadesEndpoint) pioWaitKey(key matchKey) startx.Message {
-	eng := ep.h.cl.Eng
-	box := ep.nc.pioMB(eng, key)
-	for {
-		if m, ok := box.TryRecv(); ok {
-			return m
-		}
-		snapshot := ep.nc.pioSig.Seq()
-		ep.nc.pioLock.Acquire(ep.w.Proc)
-		if m, ok := box.TryRecv(); ok {
-			ep.nc.pioLock.Release()
-			return m
-		}
-		m, ok := ep.w.Node.NIU.TryPIORecv(ep.w.Proc, arctic.Low)
-		ep.nc.pioLock.Release()
-		if !ok {
-			// Park with the engine watchdog as an explicit deadline so a
-			// tripped wait names the rank and the exact match key it
-			// starved on, not just the shared delivery signal.
-			if wd := eng.WatchdogLimit(); wd > 0 {
-				if !ep.nc.pioSig.WaitDeadline(ep.w.Proc, snapshot, wd) {
-					panic(&des.WatchdogError{
-						Limit: wd,
-						Culprit: fmt.Sprintf("rank %d pioWait(class=%d srcNode=%d srcCPU=%d seq=%d)",
-							ep.w.Rank, key.class, key.srcNode, key.srcCPU, key.seq),
-						Waiters: eng.Waiters(),
-					})
-				}
-			} else {
-				ep.nc.pioSig.Wait(ep.w.Proc, snapshot)
-			}
-			continue
-		}
-		got := keyOfTag(m.Tag, m.Src)
-		if got == key {
-			return m
-		}
-		ep.nc.pioMB(eng, got).Send(m)
-		ep.nc.pioSig.Broadcast()
-	}
-}
-
-// viWait returns the next bulk transfer from srcRank.  Unlike control
-// messages, a transfer we wait for is always already committed by the
-// REQ/ACK handshake, so blocking on the hardware queue while holding
-// the pull lock cannot deadlock.
-func (ep *HyadesEndpoint) viWait(srcRank int) startx.Transfer {
-	eng := ep.h.cl.Eng
-	key := matchKey{class: clsExchData, srcNode: ep.nodeOf(srcRank), srcCPU: ep.cpuOf(srcRank), dstCPU: ep.w.CPU}
-	box := ep.nc.viMB(eng, key)
-	for {
-		if t, ok := box.TryRecv(); ok {
-			return t
-		}
-		ep.nc.viLock.Acquire(ep.w.Proc)
-		if t, ok := box.TryRecv(); ok {
-			ep.nc.viLock.Release()
-			return t
-		}
-		var t startx.Transfer
-		if wd := eng.WatchdogLimit(); wd > 0 {
-			var ok bool
-			if t, ok = ep.w.Node.NIU.VIRecvDeadline(ep.w.Proc, wd); !ok {
-				panic(&des.WatchdogError{
-					Limit: wd,
-					Culprit: fmt.Sprintf("rank %d viWait(srcRank=%d) on node %d",
-						ep.w.Rank, srcRank, ep.w.Node.ID),
-					Waiters: eng.Waiters(),
-				})
-			}
-		} else {
-			t = ep.w.Node.NIU.VIRecv(ep.w.Proc)
-		}
-		ep.nc.viLock.Release()
-		got := keyOfTag(t.Tag, t.Src)
-		got.class = clsExchData
-		if got == key {
-			return t
-		}
-		ep.nc.viMB(eng, got).Send(t)
-	}
+	ep.begin()
+	ep.add(op{kind: opWait, key: key})
+	ep.run()
+	return ep.prog.msg
 }
 
 // chargeCopy models packing or unpacking a halo slab between the model
@@ -424,6 +336,20 @@ func (ep *HyadesEndpoint) viWait(srcRank int) startx.Transfer {
 // this is what makes the measured texchxyz (Fig. 11) an order of
 // magnitude more expensive than the raw wire time.
 func (ep *HyadesEndpoint) chargeCopy(layout Block) {
+	if d := ep.copyCost(layout); d > 0 {
+		ep.w.Proc.Delay(d)
+	}
+}
+
+// copyOp adds chargeCopy to the program.
+func (ep *HyadesEndpoint) copyOp(layout Block) {
+	if d := ep.copyCost(layout); d > 0 {
+		ep.add(op{kind: opDelay, d: d})
+	}
+}
+
+// copyCost is the processor time chargeCopy charges.
+func (ep *HyadesEndpoint) copyCost(layout Block) units.Time {
 	cfg := ep.h.cfg
 	nodeCfg := ep.w.Node.Cfg
 	var d units.Time
@@ -441,41 +367,36 @@ func (ep *HyadesEndpoint) chargeCopy(layout Block) {
 		d += cfg.SlaveStageBandwidth.Transfer(layout.Bytes())
 		d += 2 * nodeCfg.SemaphoreCost
 	}
-	if d > 0 {
-		ep.w.Proc.Delay(d)
-	}
+	return d
 }
 
-// transferSend drives one direction of an exchange: negotiate with the
-// receiver, then stream the packed slab through the VI-mode DMA engine
-// (§4.1).
-func (ep *HyadesEndpoint) transferSend(peer int, data []byte, layout Block) {
-	ep.chargeCopy(layout) // pack into the VI region
-	req := ep.h.getWords()
-	req[0], req[1] = uint32(len(data)), uint32(ep.w.Rank)
-	ep.pioSend(peer, clsExchReq, 0, req)
-	ack := ep.pioWait(clsExchAck, peer, 0)
-	ep.h.putWords(ack.Words)
-	ep.w.Proc.Delay(ep.h.cfg.SetupCost)
-	tag := encodeTag(clsExchData, ep.w.CPU, ep.cpuOf(peer), 0)
-	ep.w.Node.NIU.DMASend(ep.w.Proc, ep.nodeOf(peer), tag, data, arctic.Low)
+// sendOps adds one direction of an exchange to the program: negotiate
+// with the receiver, then stream the packed slab through the VI-mode DMA
+// engine (§4.1).
+func (ep *HyadesEndpoint) sendOps(peer int, data []byte, layout Block) {
+	node, cpu := ep.nodeOf(peer), ep.cpuOf(peer)
+	ep.copyOp(layout) // pack into the VI region
+	ep.add(op{kind: opSend, node: node, tag: encodeTag(clsExchReq, ep.w.CPU, cpu, 0),
+		w: [2]uint32{uint32(len(data)), uint32(ep.w.Rank)}})
+	ep.add(op{kind: opHandshake, key: ep.keyOf(clsExchAck, peer, 0)})
+	ep.add(op{kind: opDelay, d: ep.h.cfg.SetupCost})
+	ep.add(op{kind: opDMA, node: node, tag: encodeTag(clsExchData, ep.w.CPU, cpu, 0), data: data})
 }
 
-// transferRecv accepts one direction of an exchange.
-func (ep *HyadesEndpoint) transferRecv(peer int, layout Block) []byte {
-	req := ep.pioWait(clsExchReq, peer, 0)
-	ep.h.putWords(req.Words)
-	ack := ep.h.getWords()
-	ack[0], ack[1] = uint32(ep.w.Rank), 0
-	ep.pioSend(peer, clsExchAck, 0, ack)
-	t := ep.viWait(peer)
-	ep.chargeCopy(layout) // unpack from the VI region
-	return t.Data
+// recvOps adds the accepting direction of an exchange to the program;
+// the slab lands in prog.xfer.
+func (ep *HyadesEndpoint) recvOps(peer int, layout Block) {
+	ep.add(op{kind: opHandshake, key: ep.keyOf(clsExchReq, peer, 0)})
+	ep.add(op{kind: opSend, node: ep.nodeOf(peer), tag: encodeTag(clsExchAck, ep.w.CPU, ep.cpuOf(peer), 0),
+		w: [2]uint32{uint32(ep.w.Rank), 0}})
+	ep.add(op{kind: opVIWait, key: ep.keyOf(clsExchData, peer, 0), src: peer})
+	ep.copyOp(layout) // unpack from the VI region
 }
 
 // Exchange implements Endpoint.  The two directions run sequentially
 // because a single VI transfer saturates the PCI bus (§4.1); the
-// lower-ranked side sends first.
+// lower-ranked side sends first.  Between nodes the whole exchange is
+// one program, so the process switches in once, when it is done.
 func (ep *HyadesEndpoint) Exchange(peer int, send []byte, layout Block) []byte {
 	t0 := ep.Now()
 	var recv []byte
@@ -487,12 +408,17 @@ func (ep *HyadesEndpoint) Exchange(peer int, send []byte, layout Block) []byte {
 		recv = append([]byte(nil), send...)
 	case ep.nodeOf(peer) == ep.w.Node.ID:
 		recv = ep.intraNodeExchange(peer, send, layout)
-	case ep.w.Rank < peer:
-		ep.transferSend(peer, send, layout)
-		recv = ep.transferRecv(peer, layout)
 	default:
-		recv = ep.transferRecv(peer, layout)
-		ep.transferSend(peer, send, layout)
+		ep.begin()
+		if ep.w.Rank < peer {
+			ep.sendOps(peer, send, layout)
+			ep.recvOps(peer, layout)
+		} else {
+			ep.recvOps(peer, layout)
+			ep.sendOps(peer, send, layout)
+		}
+		ep.run()
+		recv = ep.prog.xfer.Data
 	}
 	ep.stats.Exchanges++
 	ep.stats.BytesSent += int64(len(send))
@@ -572,8 +498,8 @@ func (ep *HyadesEndpoint) allReduce(x float64) float64 {
 
 // masterGsum runs the inter-node reduction among the CPU-0 processors.
 // For a power-of-two node count it is the concurrent butterfly of
-// Fig. 8 (N log N messages over log N rounds); otherwise it falls back
-// to a binomial reduce-and-broadcast tree.
+// Fig. 8 (N log N messages over log N rounds), run as one program;
+// otherwise it falls back to a binomial reduce-and-broadcast tree.
 func (ep *HyadesEndpoint) masterGsum(x float64) float64 {
 	nNodes := ep.h.cl.Cfg.Nodes
 	if nNodes == 1 {
@@ -581,18 +507,16 @@ func (ep *HyadesEndpoint) masterGsum(x float64) float64 {
 	}
 	me := ep.w.Node.ID
 	if nNodes&(nNodes-1) == 0 {
-		sum := x
-		rounds := 0
-		for 1<<rounds < nNodes {
-			rounds++
-		}
-		for r := 0; r < rounds; r++ {
+		ep.begin()
+		for r := 0; 1<<r < nNodes; r++ {
 			partner := me ^ 1<<r
-			ep.gsumSendTo(partner, r, sum)
-			sum += ep.gsumRecvFrom(partner, r)
-			ep.w.Proc.Delay(ep.h.cfg.GsumRoundCPU)
+			ep.add(op{kind: opSendSum, node: partner, tag: encodeTag(clsGsum, 0, 0, r)})
+			ep.add(op{kind: opAdd, key: matchKey{class: clsGsum, srcNode: partner, seq: r}})
+			ep.add(op{kind: opDelay, d: ep.h.cfg.GsumRoundCPU})
 		}
-		return sum
+		ep.prog.sum = x
+		ep.run()
+		return ep.prog.sum
 	}
 	// Binomial tree: reduce towards node 0, then broadcast back.
 	sum := x

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"hyades/internal/arctic"
 	"hyades/internal/cluster"
 	"hyades/internal/des"
 	"hyades/internal/units"
@@ -227,14 +228,18 @@ func measureTransfer(t *testing.T, n, reps int) units.Time {
 			start = ep.Now()
 			data := make([]byte, n)
 			for i := 0; i < reps; i++ {
-				ep.transferSend(1, data, Contiguous(n, true))
-				ep.pioWait(clsExchAck, 1, 1) // completion echo
+				ep.begin()
+				ep.sendOps(1, data, Contiguous(n, true))
+				ep.run()
+				ep.pioWaitKey(ep.keyOf(clsExchAck, 1, 1)) // completion echo
 			}
 			end = ep.Now()
 		} else {
 			for i := 0; i < reps; i++ {
-				ep.transferRecv(0, Contiguous(n, true))
-				ep.pioSend(0, clsExchAck, 1, []uint32{0, 0}) // echo
+				ep.begin()
+				ep.recvOps(0, Contiguous(n, true))
+				ep.run()
+				echo(ep)
 			}
 		}
 	})
@@ -271,6 +276,11 @@ func TestFig7BandwidthCurve(t *testing.T) {
 	}
 }
 
+// echo sends rank 0 the 8-byte completion echo of measureTransfer.
+func echo(ep *HyadesEndpoint) {
+	ep.w.Node.NIU.PIOSend(ep.w.Proc, 0, encodeTag(clsExchAck, ep.w.CPU, 0, 1), []uint32{0, 0}, arctic.Low)
+}
+
 // measureEcho times the bare 8-byte ping/pong used as the completion
 // echo in measureTransfer.
 func measureEcho(t *testing.T) units.Time {
@@ -282,12 +292,12 @@ func measureEcho(t *testing.T) units.Time {
 		if ep.Rank() == 0 {
 			start = ep.Now()
 			for i := 0; i < reps; i++ {
-				ep.pioWait(clsExchAck, 1, 1)
+				ep.pioWaitKey(ep.keyOf(clsExchAck, 1, 1))
 			}
 			end = ep.Now()
 		} else {
 			for i := 0; i < reps; i++ {
-				ep.pioSend(0, clsExchAck, 1, []uint32{0, 0})
+				echo(ep)
 			}
 		}
 	})

@@ -1,0 +1,317 @@
+package comm
+
+import (
+	"fmt"
+	"math"
+
+	"hyades/internal/arctic"
+	"hyades/internal/des"
+	"hyades/internal/startx"
+	"hyades/internal/units"
+)
+
+// opKind names one step of a primitive's program.
+type opKind uint8
+
+const (
+	opDelay     opKind = iota // stall the processor for d
+	opSend                    // PIO-send the payload w to node under tag
+	opSendSum                 // PIO-send the running sum to node under tag
+	opWait                    // take the PIO message matching key into msg
+	opHandshake               // take the REQ or ACK matching key and drop it
+	opAdd                     // take the partial sum matching key and add it
+	opDMA                     // start the VI transfer of data to node under tag
+	opVIWait                  // take the VI transfer matching key, from rank src, into xfer
+)
+
+// op is one step of a program; the fields its kind does not use are zero.
+type op struct {
+	kind opKind
+	d    units.Time
+	node int
+	tag  int
+	w    [2]uint32
+	key  matchKey
+	src  int
+	data []byte
+}
+
+// program is an endpoint's primitive in flight: its ops, the op at pc
+// and where that op resumes, and the scratch state of the op.  It lives
+// in the endpoint and its step function is bound once, so running a
+// primitive allocates nothing.
+type program struct {
+	fn      func() bool // the endpoint's step method
+	ops     []op
+	pc      int
+	sub     uint8 // where the op at pc resumes; 0 starts it
+	expired bool  // a PIO or VI wait outlived the watchdog: the process raises it
+
+	sum      float64                      // the butterfly's running sum
+	words    []uint32                     // the payload of the PIO send in progress
+	msg      startx.Message               // the matched PIO message, or the polled one
+	polled   bool                         // the hardware poll found a message
+	box      *des.Mailbox[startx.Message] // the PIO wait's match box
+	snap     uint64                       // the delivery signal's generation before the poll
+	xfer     startx.Transfer              // the matched VI transfer
+	vbox     *des.Mailbox[startx.Transfer]
+	timed    bool       // the VI receive waits under the watchdog
+	deadline units.Time // ... until this instant
+}
+
+// begin starts a new program; add appends an op to it.
+func (ep *HyadesEndpoint) begin()   { ep.prog.ops = ep.prog.ops[:0] }
+func (ep *HyadesEndpoint) add(o op) { ep.prog.ops = append(ep.prog.ops, o) }
+
+// run executes the program as one stretch of the process (des.Proc.Await)
+// and raises, in process context, the watchdog of a wait that starved.
+func (ep *HyadesEndpoint) run() {
+	pr := &ep.prog
+	pr.pc, pr.sub, pr.expired = 0, 0, false
+	ep.w.Proc.Await(pr.fn)
+	if pr.expired {
+		panic(ep.starved(&pr.ops[pr.pc]))
+	}
+}
+
+// starved is the watchdog error of the wait o, naming the rank and what
+// it waited for.
+func (ep *HyadesEndpoint) starved(o *op) *des.WatchdogError {
+	eng := ep.h.cl.Eng
+	culprit := fmt.Sprintf("rank %d viWait(srcRank=%d) on node %d", ep.w.Rank, o.src, ep.w.Node.ID)
+	if k := o.key; o.kind != opVIWait {
+		culprit = fmt.Sprintf("rank %d pioWait(class=%d srcNode=%d srcCPU=%d seq=%d)",
+			ep.w.Rank, k.class, k.srcNode, k.srcCPU, k.seq)
+	}
+	return &des.WatchdogError{Limit: eng.WatchdogLimit(), Culprit: culprit, Waiters: eng.Waiters()}
+}
+
+// step is the program's step function: it runs ops until one blocks
+// (false) or the program ends or a wait starves (true).
+func (ep *HyadesEndpoint) step() bool {
+	pr := &ep.prog
+	for pr.pc < len(pr.ops) {
+		if !ep.exec(&pr.ops[pr.pc]) {
+			return false
+		}
+		if pr.expired {
+			return true
+		}
+		pr.pc++
+		pr.sub = 0
+	}
+	return true
+}
+
+// exec advances op o, reporting false when it has begun a block.  A
+// send is its charge half, the stall, then its completion half.
+func (ep *HyadesEndpoint) exec(o *op) bool {
+	pr, p, niu := &ep.prog, ep.w.Proc, ep.w.Node.NIU
+	switch o.kind {
+	case opDelay:
+		if pr.sub == 0 {
+			pr.sub = 1
+			return p.StepDelay(o.d)
+		}
+	case opSend, opSendSum:
+		if pr.sub == 0 {
+			w := ep.h.getWords()
+			w[0], w[1] = o.w[0], o.w[1]
+			if o.kind == opSendSum {
+				bits := math.Float64bits(pr.sum)
+				w[0], w[1] = uint32(bits>>32), uint32(bits)
+			}
+			pr.words, pr.sub = w, 1
+			if !p.StepDelay(niu.ChargePIOSend(o.tag, w)) {
+				return false
+			}
+		}
+		niu.CompletePIOSend(o.node, o.tag, pr.words, arctic.Low)
+	case opDMA:
+		if pr.sub == 0 {
+			pr.sub = 1
+			if !p.StepDelay(niu.ChargeDMASend(o.tag, o.data)) {
+				return false
+			}
+		}
+		niu.CompleteDMASend(o.node, o.tag, o.data, arctic.Low)
+	case opVIWait:
+		return ep.viWait(o.key)
+	default:
+		if !ep.pioWait(o.key) {
+			return false
+		}
+		if pr.expired || o.kind == opWait {
+			return true
+		}
+		if o.kind == opAdd {
+			pr.sum += math.Float64frombits(uint64(pr.msg.Words[0])<<32 | uint64(pr.msg.Words[1]))
+		}
+		ep.h.putWords(pr.msg.Words)
+	}
+	return true
+}
+
+// Where a PIO wait resumes (program.sub).
+const (
+	pioStart    uint8 = iota
+	pioMatch          // look in the match box
+	pioPull           // take the pull lock, poll the hardware queue
+	pioLockWoke       // woken for the pull lock
+	pioPolled         // the poll's reads are paid
+	pioSigWoke        // woken by the delivery signal
+	pioSigTimed       // woken by the delivery signal or its deadline
+)
+
+// pioWait takes the next PIO message matching key into msg.  The two
+// SMP processors cooperate through the node's match boxes: whoever polls
+// the hardware queue deposits messages that are not its own and signals
+// the other CPU.  A successful poll charges the usual mmap reads;
+// between arrivals the wait parks on the node's delivery signal rather
+// than modelling every idle status read, with the engine watchdog as an
+// explicit deadline, so a starved wait names the rank and the exact
+// match key it starved on, not just the shared signal.
+func (ep *HyadesEndpoint) pioWait(key matchKey) bool {
+	pr, p, nc, eng := &ep.prog, ep.w.Proc, ep.nc, ep.h.cl.Eng
+	for {
+		switch pr.sub {
+		case pioStart:
+			pr.box, pr.sub = nc.pioMB(eng, key), pioMatch
+		case pioMatch:
+			if m, ok := pr.box.TryRecv(); ok {
+				pr.msg = m
+				return true
+			}
+			pr.snap, pr.sub = nc.pioSig.Seq(), pioPull
+		case pioPull:
+			if !nc.pioLock.AcquireStep(p) {
+				pr.sub = pioLockWoke
+				return false
+			}
+			if m, ok := pr.box.TryRecv(); ok {
+				nc.pioLock.Release()
+				pr.msg = m
+				return true
+			}
+			m, ok, d := ep.w.Node.NIU.PollPIO(arctic.Low)
+			pr.msg, pr.polled, pr.sub = m, ok, pioPolled
+			if !p.StepDelay(d) {
+				return false
+			}
+		case pioLockWoke:
+			p.ParkEnd()
+			pr.sub = pioPull
+		case pioPolled:
+			nc.pioLock.Release()
+			if !pr.polled {
+				if wd := eng.WatchdogLimit(); wd > 0 {
+					pr.sub = pioSigTimed
+					if !nc.pioSig.WaitDeadlineStep(p, pr.snap, wd) {
+						return false
+					}
+				} else {
+					pr.sub = pioSigWoke
+					if !nc.pioSig.WaitStep(p, pr.snap) {
+						return false
+					}
+				}
+				pr.sub = pioMatch
+				continue
+			}
+			if got := keyOfTag(pr.msg.Tag, pr.msg.Src); got != key {
+				nc.pioMB(eng, got).Send(pr.msg)
+				nc.pioSig.Broadcast()
+				pr.sub = pioMatch
+				continue
+			}
+			return true
+		case pioSigWoke:
+			p.ParkEnd()
+			pr.sub = pioMatch
+		case pioSigTimed:
+			if !p.ParkDeadlineEnd() {
+				pr.expired = true
+				return true
+			}
+			pr.sub = pioMatch
+		}
+	}
+}
+
+// Where a VI wait resumes (program.sub).
+const (
+	viStart    uint8 = iota
+	viMatch          // look in the match box
+	viPull           // take the pull lock
+	viLockWoke       // woken for the pull lock
+	viRecv           // take the next transfer from the hardware queue
+	viRecvWoke       // woken for it, or by its deadline
+)
+
+// viWait takes the next bulk transfer matching key into xfer.  Unlike a
+// control message, a transfer waited for is always already committed by
+// the REQ/ACK handshake, so blocking on the hardware queue while holding
+// the pull lock cannot deadlock.
+func (ep *HyadesEndpoint) viWait(key matchKey) bool {
+	pr, p, nc, eng, niu := &ep.prog, ep.w.Proc, ep.nc, ep.h.cl.Eng, ep.w.Node.NIU
+	for {
+		switch pr.sub {
+		case viStart:
+			pr.vbox, pr.sub = nc.viMB(eng, key), viMatch
+		case viMatch:
+			if t, ok := pr.vbox.TryRecv(); ok {
+				pr.xfer = t
+				return true
+			}
+			pr.sub = viPull
+		case viPull:
+			if !nc.viLock.AcquireStep(p) {
+				pr.sub = viLockWoke
+				return false
+			}
+			if t, ok := pr.vbox.TryRecv(); ok {
+				nc.viLock.Release()
+				pr.xfer = t
+				return true
+			}
+			wd := eng.WatchdogLimit()
+			pr.timed, pr.deadline, pr.sub = wd > 0, eng.Now()+wd, viRecv
+		case viLockWoke:
+			p.ParkEnd()
+			pr.sub = viPull
+		case viRecv:
+			var t startx.Transfer
+			var ok bool
+			if pr.timed {
+				var done bool
+				if t, ok, done = niu.VIRecvDeadlineStep(p, pr.deadline); done && !ok {
+					pr.expired = true
+					return true
+				}
+			} else {
+				t, ok = niu.VIRecvStep(p)
+			}
+			if !ok {
+				pr.sub = viRecvWoke
+				return false
+			}
+			nc.viLock.Release()
+			got := keyOfTag(t.Tag, t.Src)
+			got.class = clsExchData
+			if got == key {
+				pr.xfer = t
+				return true
+			}
+			nc.viMB(eng, got).Send(t)
+			pr.sub = viMatch
+		case viRecvWoke:
+			if !pr.timed {
+				p.ParkEnd()
+			} else if !p.ParkDeadlineEnd() {
+				pr.expired = true
+				return true
+			}
+			pr.sub = viRecv
+		}
+	}
+}

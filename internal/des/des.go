@@ -27,6 +27,18 @@
 // one activity holds the "baton" at a time, so process code may freely
 // touch shared simulation state without locking.
 //
+// A process that knows what it will do between blocks can hand that
+// work to the dispatcher instead: Proc.Await takes a step function, and
+// the wakes of its blocks run the step on the dispatcher rather than
+// switching into the process, until the step reports done.  A step is
+// written with the step forms of the blocking calls — StepDelay,
+// Semaphore.AcquireStep, Signal.WaitStep and WaitDeadlineStep,
+// Mailbox.RecvStep and RecvDeadlineStep, which begin a park that
+// ParkEnd or ParkDeadlineEnd ends — and performs exactly the engine
+// operations the process would have, in the same order, so the
+// schedule cannot tell the two apart.  The blocking calls themselves
+// are loops over their step forms.
+//
 // Activities run in strict (at, seq) order; seq is drawn by every queued
 // event, inline Delay advance and reserved Slot — a position need not be
 // an event (a Slot queues its event only if something needs it).
@@ -138,8 +150,10 @@ func (e *Engine) Events() uint64 { return e.seq }
 
 // Counters are exact, always-on tallies beside Events() (plain
 // integers): Dispatched counts event closures run, Resumes switches into
-// a process; reserved less materialised slots were never queued.
-type Counters struct{ Dispatched, Resumes, SlotsReserved, SlotsMaterialised uint64 }
+// a process, Continued wakes that ran a step function (Proc.Await)
+// without one — so Resumes + Continued counts every wake a process
+// took; reserved less materialised slots were never queued.
+type Counters struct{ Dispatched, Resumes, Continued, SlotsReserved, SlotsMaterialised uint64 }
 
 // Counters returns the tallies so far.
 func (e *Engine) Counters() Counters { return e.ctr }
@@ -227,8 +241,8 @@ func (e *Engine) ScheduleAt(t units.Time, fn func()) {
 }
 
 // PastError is the panic payload of a schedule into the virtual past: a
-// negative delay to Schedule, After, Delay or a deadline wait, or a
-// ScheduleAt before now.  Clamped to now instead, the event would run
+// negative delay to Schedule, After, Delay, Slot.Hold or a deadline
+// wait, or a ScheduleAt before now.  Clamped to now instead, the event would run
 // ahead of causes that precede it.  Raised by a process it reaches
 // Run's caller as the Value of a *ProcPanic; raised by an event it
 // unwinds through Run's caller as it is.
@@ -471,11 +485,15 @@ const (
 func (s *Slot) Init(e *Engine, release func()) { s.eng, s.release = e, release }
 
 // Hold marks the idle facility held for d.  waiting says work is already
-// queued behind the hold: the release event is then queued outright.
+// queued behind the hold: the release event is then queued outright.  A
+// negative d panics with a *PastError.
 func (s *Slot) Hold(d units.Time, waiting bool) {
 	e := s.eng
+	if d < 0 {
+		e.past("Slot.Hold", d)
+	}
 	e.seq++
-	s.at, s.seq = e.now+max(d, 0), e.seq
+	s.at, s.seq = e.now+d, e.seq
 	if waiting {
 		s.state = slotQueued
 		e.sched.push(e.eventAt(s.at, s.seq, s.release))
@@ -648,6 +666,10 @@ type Proc struct {
 	// process); execContFn is its completion event, bound once.
 	execFn     func()
 	execContFn func()
+
+	// step is the step function of a pending Await, run by wake in
+	// place of a switch into the process.
+	step func() bool
 }
 
 // Spawn creates a process running fn and schedules its first activation
@@ -687,8 +709,10 @@ func (e *Engine) Spawn(name string, fn func(p *Proc)) *Proc {
 
 // wake resumes p on the dispatcher and returns when p next blocks or
 // finishes.  Every caller invokes wake as the last effect of its event,
-// so the process observes exactly the state the event left.  Must only
-// be called from engine context (inside an event).
+// so the process observes exactly the state the event left.  A process
+// waiting in Await runs its step here instead, and is switched into only
+// once the step is done or an interrupt is pending.  Must only be called
+// from engine context (inside an event).
 func (p *Proc) wake() {
 	if p.dead {
 		return
@@ -699,6 +723,13 @@ func (p *Proc) wake() {
 		p.killPending = false
 		p.finishKill()
 		return
+	}
+	if p.step != nil {
+		if p.intr == nil && !p.step() {
+			p.eng.ctr.Continued++
+			return
+		}
+		p.step = nil
 	}
 	p.blocked = false
 	p.eng.ctr.Resumes++
@@ -734,6 +765,7 @@ func (p *Proc) finishKill() {
 	}
 	p.disarmWd()
 	p.wdFacility = nil
+	p.step = nil
 	p.dead = true
 	p.eng.dropProc(p)
 	p.stop()
@@ -872,43 +904,83 @@ func (p *Proc) wdFire() {
 	}
 }
 
-// park blocks p on the named facility, arming the engine's watchdog if
-// one is configured.  fac is the facility whose waiter list holds p, so
-// Interrupt and Kill can detach it; a pending interrupt is raised as the
-// park ends.
-func (p *Proc) park(on string, fac waiterList) {
+// beginPark parks p on the named facility, arming the engine's watchdog
+// if one is configured; the step forms call it once they have joined
+// fac's waiter list, which Interrupt and Kill detach p from.
+func (p *Proc) beginPark(on string, fac waiterList) {
 	p.mayBlock(fac)
 	p.waitOn, p.waitStart = on, p.eng.now
 	p.parkFac = fac
 	if limit := p.eng.watchdog; limit > 0 {
 		p.armWd(limit)
 	}
-	p.block()
-	p.disarmWd()
-	p.parkFac = nil
-	p.waitOn = ""
-	p.maybeInterrupt()
 }
 
-// parkDeadline blocks p on the named facility for at most d; it returns
-// true if p was woken normally and false if the deadline elapsed.  fac
-// detaches p from the facility's waiter list on expiry, reporting
-// whether p was still parked there (guarding against a wake and an
-// expiry landing on the same timestamp).
-func (p *Proc) parkDeadline(on string, d units.Time, fac waiterList) bool {
+// beginParkDeadline parks p on the named facility for at most d.  On
+// expiry fac detaches p from its waiter list, reporting whether p was
+// still parked there (guarding against a wake and an expiry landing on
+// the same timestamp).
+func (p *Proc) beginParkDeadline(on string, d units.Time, fac waiterList) {
 	p.mayBlock(fac)
 	p.waitOn, p.waitStart = on, p.eng.now
 	p.expired = false
 	p.wdFacility = fac
 	p.parkFac = fac
 	p.armWd(d)
-	p.block()
+}
+
+// ParkEnd ends the park a step form began, once its wake has come.
+func (p *Proc) ParkEnd() {
 	p.disarmWd()
 	p.wdFacility = nil
 	p.parkFac = nil
 	p.waitOn = ""
-	p.maybeInterrupt()
+}
+
+// ParkDeadlineEnd ends a deadline park and reports whether the process
+// was woken (true) or the deadline elapsed (false).
+func (p *Proc) ParkDeadlineEnd() bool {
+	p.ParkEnd()
 	return !p.expired
+}
+
+// park blocks until the wake of a park a step form began, ends it and
+// raises a pending interrupt.
+func (p *Proc) park() {
+	p.block()
+	p.ParkEnd()
+	p.maybeInterrupt()
+}
+
+// parkDeadline is park for a deadline park, reporting ParkDeadlineEnd.
+func (p *Proc) parkDeadline() bool {
+	p.block()
+	woken := p.ParkDeadlineEnd()
+	p.maybeInterrupt()
+	return woken
+}
+
+// Await runs step to completion as a stretch of this process: step
+// performs the process's engine operations through the step forms of
+// the blocking calls and reports true when it is done, false when it
+// has begun a block (a StepDelay that did not advance inline, a park).
+// The first call runs here; every later one runs on the dispatcher, in
+// the wake of the block the previous call began, with no switch into
+// the process.  So step must leave each block exactly as the process
+// would — ParkEnd after a park, nothing after a StepDelay — before its
+// next operation.  A wake with an interrupt pending does not run step:
+// it switches in, and Await ends the park and raises the interrupt, as
+// the blocking call of the process form would have.
+func (p *Proc) Await(step func() bool) {
+	if step() {
+		return
+	}
+	p.step = step
+	p.block()
+	if p.intr != nil {
+		p.ParkEnd()
+		p.maybeInterrupt()
+	}
 }
 
 // Engine returns the kernel this process runs on.
@@ -925,6 +997,16 @@ func (p *Proc) Now() units.Time { return p.eng.now }
 // first); a negative d panics with a *PastError, which reaches Run's
 // caller wrapped in a *ProcPanic naming the process.
 func (p *Proc) Delay(d units.Time) {
+	if !p.StepDelay(d) {
+		p.block()
+	}
+	p.maybeInterrupt()
+}
+
+// StepDelay is the step form of Delay: it reports true when the clock
+// advanced inline and false when the wake is scheduled, to be waited
+// for.
+func (p *Proc) StepDelay(d units.Time) bool {
 	p.mayBlock(nil)
 	e := p.eng
 	if d < 0 {
@@ -943,13 +1025,11 @@ func (p *Proc) Delay(d units.Time) {
 			e.seq++
 			e.cur = e.seq
 			e.now = at
-			p.maybeInterrupt()
-			return
+			return true
 		}
 	}
 	e.Schedule(d, p.wakeFn)
-	p.block()
-	p.maybeInterrupt()
+	return false
 }
 
 // String implements fmt.Stringer.
@@ -1032,11 +1112,24 @@ func (m *Mailbox[T]) Send(v T) {
 // Recv dequeues the oldest item, blocking the calling process until one
 // is available.  The park is subject to the engine watchdog.
 func (m *Mailbox[T]) Recv(p *Proc) T {
-	for m.n == 0 {
-		m.waiters = append(m.waiters, p)
-		p.park(m.name, m)
+	for {
+		if v, ok := m.RecvStep(p); ok {
+			return v
+		}
+		p.park()
 	}
-	return m.dequeue()
+}
+
+// RecvStep is the step form of Recv: the item and true, or false with p
+// parked until a Send (then ParkEnd and call again).
+func (m *Mailbox[T]) RecvStep(p *Proc) (T, bool) {
+	if m.n == 0 {
+		m.waiters = append(m.waiters, p)
+		p.beginPark(m.name, m)
+		var zero T
+		return zero, false
+	}
+	return m.dequeue(), true
 }
 
 // RecvDeadline dequeues the oldest item, blocking for at most d of
@@ -1046,18 +1139,28 @@ func (m *Mailbox[T]) Recv(p *Proc) T {
 // bound, so the engine watchdog does not apply to them.
 func (m *Mailbox[T]) RecvDeadline(p *Proc, d units.Time) (T, bool) {
 	deadline := m.eng.now + d
-	for m.n == 0 {
-		if m.eng.now >= deadline {
-			var zero T
-			return zero, false
-		}
-		m.waiters = append(m.waiters, p)
-		if !p.parkDeadline(m.name, deadline-m.eng.now, m) {
-			var zero T
-			return zero, false
+	for {
+		v, ok, done := m.RecvDeadlineStep(p, deadline)
+		if done || !p.parkDeadline() {
+			return v, ok
 		}
 	}
-	return m.dequeue(), true
+}
+
+// RecvDeadlineStep is the step form of RecvDeadline against the absolute
+// deadline: done with ok and the item, done without once the deadline
+// has passed, or not done with p parked (then call again if
+// ParkDeadlineEnd reports a wake, else the deadline elapsed).
+func (m *Mailbox[T]) RecvDeadlineStep(p *Proc, deadline units.Time) (v T, ok, done bool) {
+	if m.n > 0 {
+		return m.dequeue(), true, true
+	}
+	if m.eng.now >= deadline {
+		return v, false, true
+	}
+	m.waiters = append(m.waiters, p)
+	p.beginParkDeadline(m.name, deadline-m.eng.now, m)
+	return v, false, false
 }
 
 // dropWaiter implements waiterList.
@@ -1094,11 +1197,21 @@ func NewSemaphore(e *Engine, name string, initial int) *Semaphore {
 // Acquire decrements the semaphore, blocking while the count is zero.
 // The park is subject to the engine watchdog.
 func (s *Semaphore) Acquire(p *Proc) {
-	for s.count == 0 {
+	for !s.AcquireStep(p) {
+		p.park()
+	}
+}
+
+// AcquireStep is the step form of Acquire: true once decremented, false
+// with p parked until a Release (then ParkEnd and call again).
+func (s *Semaphore) AcquireStep(p *Proc) bool {
+	if s.count == 0 {
 		s.waiters = append(s.waiters, p)
-		p.park(s.name, s)
+		p.beginPark(s.name, s)
+		return false
 	}
 	s.count--
+	return true
 }
 
 // dropWaiter implements waiterList.
@@ -1163,11 +1276,20 @@ func (s *Signal) Broadcast() {
 // snapshot.  If it already has, Wait returns immediately.  The park is
 // subject to the engine watchdog.
 func (s *Signal) Wait(p *Proc, snapshot uint64) {
+	if !s.WaitStep(p, snapshot) {
+		p.park()
+	}
+}
+
+// WaitStep is the step form of Wait: true if the generation has
+// advanced, false with p parked until it does (then ParkEnd).
+func (s *Signal) WaitStep(p *Proc, snapshot uint64) bool {
 	if s.seq != snapshot {
-		return
+		return true
 	}
 	s.waiters = append(s.waiters, p)
-	p.park(s.name, s)
+	p.beginPark(s.name, s)
+	return false
 }
 
 // WaitDeadline is Wait with a virtual-time bound: it returns true if
@@ -1175,11 +1297,19 @@ func (s *Signal) Wait(p *Proc, snapshot uint64) {
 // elapsed first.  Deadline waits manage their own bound, so the engine
 // watchdog does not apply to them.
 func (s *Signal) WaitDeadline(p *Proc, snapshot uint64, d units.Time) bool {
+	return s.WaitDeadlineStep(p, snapshot, d) || p.parkDeadline()
+}
+
+// WaitDeadlineStep is the step form of WaitDeadline: true if the
+// generation has advanced, false with p parked for at most d (then
+// ParkDeadlineEnd reports whether it advanced in time).
+func (s *Signal) WaitDeadlineStep(p *Proc, snapshot uint64, d units.Time) bool {
 	if s.seq != snapshot {
 		return true
 	}
 	s.waiters = append(s.waiters, p)
-	return p.parkDeadline(s.name, d, s)
+	p.beginParkDeadline(s.name, d, s)
+	return false
 }
 
 // dropWaiter implements waiterList.

@@ -70,6 +70,11 @@ func TestNegativeDelayPanics(t *testing.T) {
 	events := map[string]func(e *Engine){
 		"Schedule": func(e *Engine) { e.Schedule(d, func() {}) },
 		"After":    func(e *Engine) { e.After(d, func() {}) },
+		"Slot.Hold": func(e *Engine) {
+			var s Slot
+			s.Init(e, func() {})
+			s.Hold(d, false)
+		},
 	}
 	for call, fn := range events {
 		e := NewEngine()

@@ -55,30 +55,30 @@ func NewBus(e *des.Engine, cfg Config) *Bus {
 // Config returns the bus parameters.
 func (b *Bus) Config() Config { return b.cfg }
 
+// ChargeReads counts n back-to-back uncached 8-byte register reads and
+// returns the processor stall they cost.  A step function takes the
+// stall itself (des.Proc.StepDelay); process code calls MMapReadN.
+func (b *Bus) ChargeReads(n int) units.Time {
+	b.Reads += int64(n)
+	return units.Time(n) * b.cfg.MMapReadLatency
+}
+
+// ChargeWrites counts n back-to-back 8-byte register writes and returns
+// the processor stall they cost.
+func (b *Bus) ChargeWrites(n int) units.Time {
+	b.Writes += int64(n)
+	return units.Time(n) * b.cfg.MMapWriteLatency
+}
+
 // MMapRead stalls the calling processor for one uncached 8-byte register
 // read and returns.
-func (b *Bus) MMapRead(p *des.Proc) {
-	b.Reads++
-	p.Delay(b.cfg.MMapReadLatency)
-}
+func (b *Bus) MMapRead(p *des.Proc) { p.Delay(b.ChargeReads(1)) }
 
 // MMapReadN performs n back-to-back register reads.
-func (b *Bus) MMapReadN(p *des.Proc, n int) {
-	b.Reads += int64(n)
-	p.Delay(units.Time(n) * b.cfg.MMapReadLatency)
-}
-
-// MMapWrite stalls the calling processor for one 8-byte register write.
-func (b *Bus) MMapWrite(p *des.Proc) {
-	b.Writes++
-	p.Delay(b.cfg.MMapWriteLatency)
-}
+func (b *Bus) MMapReadN(p *des.Proc, n int) { p.Delay(b.ChargeReads(n)) }
 
 // MMapWriteN performs n back-to-back register writes.
-func (b *Bus) MMapWriteN(p *des.Proc, n int) {
-	b.Writes += int64(n)
-	p.Delay(units.Time(n) * b.cfg.MMapWriteLatency)
-}
+func (b *Bus) MMapWriteN(p *des.Proc, n int) { p.Delay(b.ChargeWrites(n)) }
 
 // DMA reserves the bus for a device transfer of n bytes that becomes
 // ready at the given time, returning when the burst starts and ends.

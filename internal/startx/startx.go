@@ -364,14 +364,30 @@ func (n *NIU) PIORecvCost(payloadWords int) units.Time {
 // for the mmap-write overhead.  The payload must be 2..22 words.
 // Ownership of words transfers to the NIU (the register writes consume
 // it); callers must pass a buffer they will not mutate afterwards.
+//
+// PIOSend, TryPIORecv and DMASend each come in two halves for step
+// functions: a charge half that does the mmap accesses through the bus
+// and returns the processor stall, and a completion half that does
+// what follows the stall.  The process forms are the two halves around
+// a Delay.
 func (n *NIU) PIOSend(p *des.Proc, dst int, tag int, words []uint32, pri arctic.Priority) {
+	p.Delay(n.ChargePIOSend(tag, words))
+	n.CompletePIOSend(dst, tag, words, pri)
+}
+
+// ChargePIOSend checks a PIO send and charges its register writes.
+func (n *NIU) ChargePIOSend(tag int, words []uint32) units.Time {
 	if len(words) < arctic.MinPayloadWords || len(words) > arctic.MaxPayloadWords {
 		panic(fmt.Sprintf("startx: PIO payload %d words", len(words)))
 	}
 	if tag < 0 || tag > MaxTag {
 		panic(fmt.Sprintf("startx: tag %d out of range", tag))
 	}
-	n.bus.MMapWriteN(p, pioAccesses(len(words)))
+	return n.bus.ChargeWrites(pioAccesses(len(words)))
+}
+
+// CompletePIOSend hands the written message to the transmit pipeline.
+func (n *NIU) CompletePIOSend(dst int, tag int, words []uint32, pri arctic.Priority) {
 	pkt := n.fab.AcquirePacket()
 	pkt.Pri = pri
 	pkt.Tag = uint16(tag)
@@ -397,17 +413,23 @@ func (n *NIU) PIORecv(p *des.Proc, pri arctic.Priority) Message {
 // TryPIORecv polls the receive queue without blocking.  A successful
 // poll charges the read overhead; an empty poll charges one status read.
 func (n *NIU) TryPIORecv(p *des.Proc, pri arctic.Priority) (Message, bool) {
+	m, ok, d := n.PollPIO(pri)
+	p.Delay(d)
+	return m, ok
+}
+
+// PollPIO is the charge half of TryPIORecv: the message, if any, and the
+// reads the poll costs.  Nothing follows the stall.
+func (n *NIU) PollPIO(pri arctic.Priority) (Message, bool, units.Time) {
 	mb := n.rxLo
 	if pri == arctic.High {
 		mb = n.rxHi
 	}
 	m, ok := mb.TryRecv()
 	if !ok {
-		n.bus.MMapRead(p)
-		return Message{}, false
+		return Message{}, false, n.bus.ChargeReads(1)
 	}
-	n.bus.MMapReadN(p, pioAccesses(len(m.Words)))
-	return m, true
+	return m, true, n.bus.ChargeReads(pioAccesses(len(m.Words)))
 }
 
 // DMASend queues a VI-mode bulk transfer of data to dst.  The caller is
@@ -416,13 +438,24 @@ func (n *NIU) TryPIORecv(p *des.Proc, pri arctic.Priority) (Message, bool) {
 // rate, one 96-byte burst (8-byte header + up to 88 payload bytes) per
 // packet.
 func (n *NIU) DMASend(p *des.Proc, dst int, tag int, data []byte, pri arctic.Priority) {
+	p.Delay(n.ChargeDMASend(tag, data))
+	n.CompleteDMASend(dst, tag, data, pri)
+}
+
+// ChargeDMASend checks a VI transfer and charges its descriptor and
+// doorbell writes.
+func (n *NIU) ChargeDMASend(tag int, data []byte) units.Time {
 	if tag < 0 || tag > MaxTag {
 		panic(fmt.Sprintf("startx: tag %d out of range", tag))
 	}
 	if len(data) == 0 {
 		panic("startx: empty DMA transfer")
 	}
-	n.bus.MMapWriteN(p, 2)
+	return n.bus.ChargeWrites(2)
+}
+
+// CompleteDMASend queues the invoked transfer and starts the pump.
+func (n *NIU) CompleteDMASend(dst int, tag int, data []byte, pri arctic.Priority) {
 	j := n.acquireDma()
 	j.dst, j.tag, j.data, j.pri = dst, tag, data, pri
 	n.txQueue = append(n.txQueue, j)
@@ -482,6 +515,15 @@ func (n *NIU) VIRecv(p *des.Proc) Transfer {
 // the deadline elapsed with no completed transfer.
 func (n *NIU) VIRecvDeadline(p *des.Proc, d units.Time) (Transfer, bool) {
 	return n.rxVI.RecvDeadline(p, d)
+}
+
+// VIRecvStep is the step form of VIRecv (des.Mailbox.RecvStep).
+func (n *NIU) VIRecvStep(p *des.Proc) (Transfer, bool) { return n.rxVI.RecvStep(p) }
+
+// VIRecvDeadlineStep is the step form of VIRecvDeadline, against an
+// absolute deadline (des.Mailbox.RecvDeadlineStep).
+func (n *NIU) VIRecvDeadlineStep(p *des.Proc, deadline units.Time) (Transfer, bool, bool) {
+	return n.rxVI.RecvDeadlineStep(p, deadline)
 }
 
 // VIPending reports the number of completed transfers awaiting pickup.
