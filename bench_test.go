@@ -184,10 +184,12 @@ func BenchmarkAblationPreconditioner(b *testing.B) {
 	run := func(pre solver.Precond) (ni float64) {
 		cfg := gcm.CoarseOceanConfig(tile.Decomp{NXg: 128, NYg: 64, Px: 1, Py: 1, PeriodicX: true})
 		cfg.FpsMFlops, cfg.FdsMFlops = 0, 0
-		m, _, err := gcm.RunSerialWithPrecond(cfg, 4, pre)
+		m, err := gcm.New(cfg, &comm.Serial{})
 		if err != nil {
 			b.Fatal(err)
 		}
+		m.Solver.Pre = pre
+		m.Run(4)
 		return m.Solver.MeanIters()
 	}
 	for i := 0; i < b.N; i++ {

@@ -176,13 +176,19 @@ fi
 
 echo "== line budget (DESIGN.md, \"Line budget\")"
 # Every row of the budget table is a directory (recursive when it ends
-# in /...) and a ceiling on its non-test Go lines.  Growing past a
-# ceiling is a decision: raise the row in the same change and say why.
-awk -F'|' '/line-budget:begin/ {on=1; next} /line-budget:end/ {on=0} on && $2 ~ /`/ {gsub(/[` ]/, "", $2); gsub(/ /, "", $4); print $2, $4}' DESIGN.md |
-while read -r dir budget; do
+# in /...), its non-test Go lines now and a ceiling on them.  Growing
+# past a ceiling is a decision: raise the row in the same change and say
+# why.  The "lines now" column must match the count, so it cannot go
+# stale.
+awk -F'|' '/line-budget:begin/ {on=1; next} /line-budget:end/ {on=0} on && $2 ~ /`/ {gsub(/[` ]/, "", $2); gsub(/ /, "", $3); gsub(/ /, "", $4); print $2, $3, $4}' DESIGN.md |
+while read -r dir now budget; do
     depth=(-maxdepth 1)
     case "$dir" in */...) dir=${dir%/...}; depth=() ;; esac
     lines=$(find "$dir" "${depth[@]}" -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' -print0 | xargs -0 cat | wc -l)
+    if [ "$lines" -ne "$now" ]; then
+        echo "line budget table is stale: $dir has $lines non-test Go lines, DESIGN.md says $now" >&2
+        exit 1
+    fi
     if [ "$lines" -gt "$budget" ]; then
         echo "line budget exceeded: $dir has $lines non-test Go lines, budget $budget (DESIGN.md)" >&2
         exit 1

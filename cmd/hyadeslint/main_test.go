@@ -1,7 +1,6 @@
 package main
 
 import (
-	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -42,7 +41,7 @@ func capture(t *testing.T, fn func()) string {
 }
 
 // captureStderr runs fn with os.Stderr redirected and returns what it
-// wrote (vet mode reports findings on stderr, matching vet).
+// wrote (usage and operational errors).
 func captureStderr(t *testing.T, fn func()) string {
 	t.Helper()
 	r, w, err := os.Pipe()
@@ -82,34 +81,8 @@ func moduleRoot(t *testing.T) string {
 	return root
 }
 
-// vetUnit writes the .cfg file cmd/go would hand a -vettool for the
-// one-file fixture package at the module-relative dir, and returns its
-// path.
-func vetUnit(t *testing.T, dir, file string) string {
-	t.Helper()
-	abs := filepath.Join(moduleRoot(t), filepath.FromSlash(dir))
-	cfg := map[string]interface{}{
-		"ID":         "hyades/" + dir,
-		"Compiler":   "source",
-		"Dir":        abs,
-		"ImportPath": "hyades/" + dir,
-		"GoVersion":  "go1.22",
-		"GoFiles":    []string{filepath.Join(abs, file)},
-		"VetxOutput": filepath.Join(t.TempDir(), "unit.vetx"),
-	}
-	data, err := json.Marshal(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfgPath := filepath.Join(t.TempDir(), "vet.cfg")
-	if err := os.WriteFile(cfgPath, data, 0o666); err != nil {
-		t.Fatal(err)
-	}
-	return cfgPath
-}
-
-// TestScratchStandalone: the seeded rank-conditional GlobalSum is
-// flagged in standalone mode with exit status 1.
+// TestScratchStandalone: the planted unitless duration is flagged with
+// exit status 1.
 func TestScratchStandalone(t *testing.T) {
 	var status int
 	out := capture(t, func() {
@@ -118,62 +91,8 @@ func TestScratchStandalone(t *testing.T) {
 	if status != 1 {
 		t.Fatalf("exit status = %d, want 1\noutput:\n%s", status, out)
 	}
-	if !strings.Contains(out, "commlock") || !strings.Contains(out, "GlobalSum") {
-		t.Errorf("missing commlock finding in output:\n%s", out)
-	}
-}
-
-// TestScratchVetUnit drives the cmd/go unit-checking protocol in
-// process: a crafted .cfg file naming the scratch package must produce
-// the same commlock finding and exit status 1.
-func TestScratchVetUnit(t *testing.T) {
-	cfgPath := vetUnit(t, "cmd/hyadeslint/testdata/scratch", "scratch.go")
-	if status := run([]string{cfgPath}); status != 1 {
-		t.Fatalf("vet-unit exit status = %d, want 1", status)
-	}
-}
-
-// TestCrossModeAgreement: the standalone driver and the go-vet unit
-// protocol must produce the identical ordered finding list for the
-// planted fixture (a wall-clock read and a raw go statement in a
-// package under internal/des).
-func TestCrossModeAgreement(t *testing.T) {
-	root := moduleRoot(t)
-
-	var standaloneStatus int
-	standalone := capture(t, func() {
-		standaloneStatus = run([]string{"./internal/des/testdata/planted"})
-	})
-	if standaloneStatus != 1 {
-		t.Fatalf("standalone status = %d, want 1\n%s", standaloneStatus, standalone)
-	}
-
-	cfgPath := vetUnit(t, "internal/des/testdata/planted", "planted.go")
-	var vetStatus int
-	vet := captureStderr(t, func() {
-		vetStatus = run([]string{cfgPath})
-	})
-	if vetStatus != 1 {
-		t.Fatalf("vet-unit status = %d, want 1\n%s", vetStatus, vet)
-	}
-
-	// Vet mode keeps absolute paths (cmd/go rewrites them); relativize
-	// to the module root, after which the two outputs must be
-	// byte-identical — same findings, same order, same dedup.
-	vet = strings.ReplaceAll(vet, root+string(filepath.Separator), "")
-	if standalone != vet {
-		t.Errorf("modes disagree\nstandalone:\n%s\nvet:\n%s", standalone, vet)
-	}
-
-	for _, want := range []string{
-		"internal/des/testdata/planted/planted.go:17:9: time.Now reads the wall clock",
-		"(detsource)",
-		"internal/des/testdata/planted/planted.go:22:2: raw go statement",
-		"(nogoroutine)",
-	} {
-		if !strings.Contains(standalone, want) {
-			t.Errorf("missing %q in findings:\n%s", want, standalone)
-		}
+	if !strings.Contains(out, "scratch.go:11:15:") || !strings.Contains(out, "(unitlit)") {
+		t.Errorf("missing unitlit finding in output:\n%s", out)
 	}
 }
 
@@ -210,13 +129,14 @@ func TestExitCodes(t *testing.T) {
 	if status != 2 {
 		t.Errorf("parse error: status = %d, want 2", status)
 	}
-	if !strings.Contains(out, "commlock") {
+	if !strings.Contains(out, "(unitlit)") {
 		t.Errorf("bad package aborted the run; missing scratch finding:\n%s", out)
 	}
 
 	// The flag set is exactly what usage() lists: a retired or
 	// misspelled flag is a usage error, never silently ignored.
-	for _, flag := range []string{"-sarif", "-baseline=lint/baseline.json", "-writebaseline", "-writebudget"} {
+	retired := []string{"-sarif", "-baseline", "-writebaseline", "-writebudget", "-json", "-list", "-analyzers", "-V=full", "-flags"}
+	for _, flag := range retired {
 		msg := captureStderr(t, func() {
 			status = run([]string{flag, "./internal/units"})
 		})
@@ -225,12 +145,12 @@ func TestExitCodes(t *testing.T) {
 		}
 	}
 	usageText := captureStderr(t, func() { status = run([]string{"-help"}) })
-	for _, flag := range []string{"-json", "-fix", "-n", "-analyzers", "-list"} {
+	for _, flag := range []string{"-fix", "-n"} {
 		if !strings.Contains(usageText, "  "+flag+" ") {
 			t.Errorf("usage does not list %s:\n%s", flag, usageText)
 		}
 	}
-	for _, gone := range []string{"-sarif", "-baseline", "-writebaseline", "-writebudget"} {
+	for _, gone := range retired {
 		if strings.Contains(usageText, gone) {
 			t.Errorf("usage still lists retired flag %s:\n%s", gone, usageText)
 		}
@@ -305,71 +225,5 @@ func TestFixDryRun(t *testing.T) {
 	}
 	if string(before) != string(after) {
 		t.Errorf("dry run modified the file:\n%s", after)
-	}
-}
-
-// TestAnalyzerSubset: -analyzers narrows both driver modes to the
-// same subset, and an unknown name is a usage error that names the
-// valid set instead of leaving the user to guess.
-func TestAnalyzerSubset(t *testing.T) {
-	// Unknown name: exit 2 with the full valid-name list on stderr.
-	var status int
-	msg := captureStderr(t, func() {
-		status = run([]string{"-analyzers", "nosuch", "./internal/units"})
-	})
-	if status != 2 {
-		t.Fatalf("unknown analyzer: status = %d, want 2\n%s", status, msg)
-	}
-	if !strings.Contains(msg, `unknown analyzer "nosuch"`) || !strings.Contains(msg, "valid names:") {
-		t.Errorf("error does not name the problem:\n%s", msg)
-	}
-	valid := []string{"detsource", "nogoroutine", "unitlit", "maprange",
-		"commlock", "dimcheck", "redorder"}
-	if !strings.Contains(msg, "valid names: "+strings.Join(valid, ", ")+"\n") {
-		t.Errorf("valid-name list is not the seven analyzers %v:\n%s", valid, msg)
-	}
-
-	// Standalone: a subset that excludes the scratch fixture's rule
-	// turns the run clean; selecting the rule keeps the finding.
-	out := capture(t, func() {
-		status = run([]string{"-analyzers", "detsource", "./cmd/hyadeslint/testdata/scratch"})
-	})
-	if status != 0 || out != "" {
-		t.Errorf("subset without commlock: status %d output %q, want 0 and empty", status, out)
-	}
-	out = capture(t, func() {
-		status = run([]string{"-analyzers=commlock", "./cmd/hyadeslint/testdata/scratch"})
-	})
-	if status != 1 || !strings.Contains(out, "commlock") {
-		t.Errorf("subset with commlock: status %d\n%s", status, out)
-	}
-
-	// Vet-unit mode must honor the same subset: the planted fixture
-	// trips detsource and nogoroutine; selecting only detsource drops
-	// nogoroutine and stays byte-identical with standalone.
-	root := moduleRoot(t)
-	cfgPath := vetUnit(t, "internal/des/testdata/planted", "planted.go")
-	var vetStatus int
-	vet := captureStderr(t, func() {
-		vetStatus = run([]string{"-analyzers=detsource", cfgPath})
-	})
-	if vetStatus != 1 {
-		t.Fatalf("vet-unit subset status = %d, want 1\n%s", vetStatus, vet)
-	}
-	standalone := capture(t, func() {
-		status = run([]string{"-analyzers=detsource", "./internal/des/testdata/planted"})
-	})
-	if status != 1 {
-		t.Fatalf("standalone subset status = %d, want 1\n%s", status, standalone)
-	}
-	vet = strings.ReplaceAll(vet, root+string(filepath.Separator), "")
-	if standalone != vet {
-		t.Errorf("modes disagree under -analyzers\nstandalone:\n%s\nvet:\n%s", standalone, vet)
-	}
-	if !strings.Contains(vet, "detsource") {
-		t.Errorf("selected analyzer missing from vet-unit output:\n%s", vet)
-	}
-	if strings.Contains(vet, "nogoroutine") {
-		t.Errorf("vet-unit mode ignored the -analyzers subset:\n%s", vet)
 	}
 }

@@ -1,17 +1,11 @@
-// Package scratch is a deliberately broken fixture: main_test.go (and
-// the acceptance checklist) verify that hyadeslint flags the
-// rank-conditional global sum below in both standalone and
-// `go vet -vettool` modes.  It lives under testdata, so `./...`
+// Package scratch is a deliberately broken fixture: main_test.go checks
+// that hyadeslint flags the unitless duration below (unitlit applies
+// module-wide) with exit status 1.  It lives under testdata, so `./...`
 // patterns and the repository lint-clean gate never include it — it is
 // only reachable by naming the directory explicitly.
 package scratch
 
-import "hyades/internal/comm"
+import "hyades/internal/units"
 
-// PartialSum deadlocks: only rank 0 enters the butterfly.
-func PartialSum(ep comm.Endpoint, x float64) float64 {
-	if ep.Rank() == 0 {
-		return ep.GlobalSum(x)
-	}
-	return x
-}
+// Grain was meant as 500 ns; units.Time(500) is 500 picoseconds.
+const Grain = units.Time(500)

@@ -36,6 +36,7 @@
 package comm
 
 import (
+	"hyades/internal/des"
 	"hyades/internal/units"
 )
 
@@ -143,8 +144,12 @@ func (s *Serial) GlobalSum(x float64) float64 {
 // Barrier implements Endpoint.
 func (s *Serial) Barrier() {}
 
-// Busy implements Endpoint by advancing the serial clock.
+// Busy implements Endpoint by advancing the serial clock.  A negative d
+// panics with a *des.PastError, as on the simulated endpoints.
 func (s *Serial) Busy(d units.Time) {
+	if d < 0 {
+		panic(&des.PastError{Call: "Busy", Delay: d, Now: s.Clock})
+	}
 	s.Clock += d
 	s.S.ComputeTime += d
 }

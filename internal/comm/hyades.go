@@ -3,6 +3,7 @@ package comm
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"hyades/internal/arctic"
 	"hyades/internal/cluster"
@@ -127,6 +128,13 @@ type Hyades struct {
 	// duplicates are dropped by sequence number before any payload read,
 	// and the clone re-Seals so its CRC is self-consistent.
 	words [][]uint32
+
+	// The collective-order register (enterCollective): each rank's
+	// GlobalSum/Barrier count, and the index and kind the first rank to
+	// enter the collective in flight gave it.
+	calls    []int
+	collIdx  int
+	collKind string
 }
 
 // getWords pops a 2-word payload buffer from the pool.
@@ -154,7 +162,7 @@ func NewHyades(cl *cluster.Cluster, cfg HyadesConfig) (*Hyades, error) {
 	if cl.Cfg.ProcsPerNode > 2 {
 		return nil, fmt.Errorf("comm: mix-mode supports at most 2 processors per SMP, got %d", cl.Cfg.ProcsPerNode)
 	}
-	h := &Hyades{cl: cl, cfg: cfg}
+	h := &Hyades{cl: cl, cfg: cfg, calls: make([]int, cl.Processors()), collIdx: -1}
 	for _, nd := range cl.Nodes {
 		nc := &nodeComm{
 			pioLock: des.NewSemaphore(cl.Eng, fmt.Sprintf("node%d.piolock", nd.ID), 1),
@@ -210,10 +218,13 @@ func (h *Hyades) Recovery(attach bool) *Recovery {
 
 // resetNodeComm rebuilds the per-node matching state at a recovery
 // release: pull locks possibly left held by an unwound rank, match
-// boxes and staging mailboxes possibly holding pre-crash deliveries.
-// The delivery signal survives — each NIU's OnPIODeliver closure holds
-// it, and a spurious wake of a signal waiter is harmless by design.
+// boxes and staging mailboxes possibly holding pre-crash deliveries,
+// and the collective-order register.  The delivery signal survives —
+// each NIU's OnPIODeliver closure holds it, and a spurious wake of a
+// signal waiter is harmless by design.
 func (h *Hyades) resetNodeComm() {
+	clear(h.calls)
+	h.collIdx, h.collKind = -1, ""
 	for i, nd := range h.cl.Nodes {
 		nc := h.nodes[i]
 		nc.pioLock = des.NewSemaphore(h.cl.Eng, fmt.Sprintf("node%d.piolock", nd.ID), 1)
@@ -221,16 +232,8 @@ func (h *Hyades) resetNodeComm() {
 		nc.pioBox = make(map[matchKey]*des.Mailbox[startx.Message])
 		nc.viBox = make(map[matchKey]*des.Mailbox[startx.Transfer])
 		nc.shm = make(map[[2]int]*des.Mailbox[[]byte])
-		for {
-			if _, ok := nc.partial.TryRecv(); !ok {
-				break
-			}
-		}
-		for _, rb := range nc.results {
-			for {
-				if _, ok := rb.TryRecv(); !ok {
-					break
-				}
+		for _, mb := range append([]*des.Mailbox[float64]{nc.partial}, nc.results...) {
+			for _, ok := mb.TryRecv(); ok; _, ok = mb.TryRecv() {
 			}
 		}
 	}
@@ -266,21 +269,20 @@ func (ep *HyadesEndpoint) Now() units.Time { return ep.w.Proc.Now() }
 // Stats implements Endpoint.
 func (ep *HyadesEndpoint) Stats() *Stats { return &ep.stats }
 
-// Busy implements Endpoint.
+// Busy implements Endpoint.  Busy(0) consumes no sequence number; a
+// negative d panics with a *des.PastError.
 func (ep *HyadesEndpoint) Busy(d units.Time) {
-	if d <= 0 {
+	if d == 0 {
 		return
 	}
 	ep.w.Proc.Delay(d)
 	ep.stats.ComputeTime += d
 }
 
-// Exec implements Endpoint: the phase runs on the cluster's worker
-// pool (if one is attached) while the baton meters the modeled time.
+// Exec implements Endpoint: the phase runs inline, or at its completion
+// event when the engine has a pool attached (des.Proc.Exec); either way
+// it costs d of virtual time.  A negative d panics with a *des.PastError.
 func (ep *HyadesEndpoint) Exec(d units.Time, fn func()) {
-	if d < 0 {
-		d = 0
-	}
 	ep.w.Proc.Exec(d, fn)
 	ep.stats.ComputeTime += d
 }
@@ -456,6 +458,7 @@ func (ep *HyadesEndpoint) shmChan(k [2]int) *des.Mailbox[[]byte] {
 // and the result is re-distributed locally — adding about 1 us, as the
 // paper measures.
 func (ep *HyadesEndpoint) GlobalSum(x float64) float64 {
+	ep.enterCollective("GlobalSum")
 	t0 := ep.Now()
 	v := ep.allReduce(x)
 	ep.stats.GlobalSums++
@@ -465,9 +468,36 @@ func (ep *HyadesEndpoint) GlobalSum(x float64) float64 {
 
 // Barrier implements Endpoint as a degenerate reduction.
 func (ep *HyadesEndpoint) Barrier() {
+	ep.enterCollective("Barrier")
 	t0 := ep.Now()
 	ep.allReduce(0)
 	ep.stats.BarrierTime += ep.Now() - t0
+}
+
+// CollectiveMismatchError is the panic of a rank whose k-th collective
+// is not the kind another rank entered as its k-th.  GlobalSum and
+// Barrier run one reduction, so the swap would return wrong sums.
+type CollectiveMismatchError struct {
+	Rank, Index int    // the rank that entered second; k, from 0
+	Got, Want   string // its kind; the kind the first rank entered
+}
+
+func (e *CollectiveMismatchError) Error() string {
+	return fmt.Sprintf("comm: rank %d entered collective #%d as %s, another rank as %s", e.Rank, e.Index, e.Got, e.Want)
+}
+
+// enterCollective checks the rank's next collective against the
+// register.  One register suffices: no rank leaves collective k before
+// every rank has entered it (the butterfly, the binomial tree and the
+// SMP half each need every contribution), so it holds k-1 or k here.
+func (ep *HyadesEndpoint) enterCollective(kind string) {
+	h, r := ep.h, ep.w.Rank
+	if k := h.calls[r]; h.collIdx != k {
+		h.collIdx, h.collKind = k, kind
+	} else if h.collKind != kind {
+		panic(&CollectiveMismatchError{Rank: r, Index: k, Got: kind, Want: h.collKind})
+	}
+	h.calls[r]++
 }
 
 func (ep *HyadesEndpoint) allReduce(x float64) float64 {
@@ -537,34 +567,17 @@ func (ep *HyadesEndpoint) masterGsum(x float64) float64 {
 	for highest < nNodes {
 		highest <<= 1
 	}
+	start := highest
 	if me != 0 {
-		low := lowestSetBit(me)
-		sum = ep.gsumRecvFrom(me&^low, 16+log2(low))
+		start = me & -me
+		sum = ep.gsumRecvFrom(me&^start, 16+bits.TrailingZeros(uint(start)))
 	}
-	for mask := lowestSetBitOrTop(me, highest) >> 1; mask >= 1; mask >>= 1 {
+	for mask := start >> 1; mask >= 1; mask >>= 1 {
 		if me|mask < nNodes && me&mask == 0 {
-			ep.gsumSendTo(me|mask, 16+log2(mask), sum)
+			ep.gsumSendTo(me|mask, 16+bits.TrailingZeros(uint(mask)), sum)
 		}
 	}
 	return sum
-}
-
-func lowestSetBit(v int) int { return v & -v }
-
-func lowestSetBitOrTop(v, top int) int {
-	if v == 0 {
-		return top
-	}
-	return v & -v
-}
-
-func log2(v int) int {
-	n := 0
-	for v > 1 {
-		v >>= 1
-		n++
-	}
-	return n
 }
 
 // gsumSendTo ships a float64 partial to another node's master as an

@@ -5,7 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"strings"
+	"regexp"
 	"testing"
 	"testing/quick"
 
@@ -434,43 +434,119 @@ func TestBarrierSynchronizes(t *testing.T) {
 	}
 }
 
-// sumVia hides a collective behind a helper call, out of sight of the
-// commlock analyzer, which reads one function body at a time.
-func sumVia(ep Endpoint, x float64) float64 { return ep.GlobalSum(x) }
-
-// TestHiddenCollectiveMismatchEndsInError: rank 0 of 4 enters a global
-// sum through a helper and the other ranks never join it.  The run must
-// end — in the watchdog's typed diagnosis when one is armed, in the
-// cluster's deadlock report when not — and name the stranded rank,
-// never hang.
+// TestHiddenCollectiveMismatchEndsInError: ranks that disagree on their
+// sequence of collectives — the shapes a static check would have to
+// find — end the run in a typed error naming a rank, never a hang or a
+// silent wrong sum.  A skipped collective strands the ranks waiting in
+// it: the watchdog's diagnosis names one when armed, the cluster's
+// deadlock report lists them when not.  A GlobalSum that meets a Barrier
+// (both are one reduction) panics with a *CollectiveMismatchError in the
+// rank that entered second.
 func TestHiddenCollectiveMismatchEndsInError(t *testing.T) {
-	for _, wd := range []units.Time{0, 500 * units.Microsecond} {
-		cfg := cluster.DefaultConfig(4, 1)
-		cfg.Watchdog = wd
-		cl, err := cluster.New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		h, err := NewHyades(cl, DefaultHyadesConfig())
-		if err != nil {
-			t.Fatal(err)
-		}
-		cl.Start(func(w *cluster.Worker) {
-			if ep := h.Bind(w); ep.Rank() == 0 {
-				sumVia(ep, 1)
+	shapes := []struct {
+		name string
+		body func(ep Endpoint)
+		swap bool
+	}{
+		{"if", func(ep Endpoint) {
+			if ep.Rank() == 0 {
+				ep.GlobalSum(1)
 			}
-		})
-		err = cl.Run()
-		cl.Close()
-		var trip *des.WatchdogError
-		switch {
-		case err == nil:
-			t.Fatalf("watchdog %v: a one-rank GlobalSum returned without error", wd)
-		case wd > 0 && (!errors.As(err, &trip) || !strings.Contains(trip.Culprit, "rank 0 ")):
-			t.Errorf("watchdog %v: err = %v, want a *des.WatchdogError naming rank 0", wd, err)
-		case wd == 0 && !strings.Contains(err.Error(), "deadlock, 1 processes still blocked:\n  rank0 waits on"):
-			t.Errorf("no watchdog: err = %v, want a deadlock report naming rank0", err)
+		}, false},
+		{"early-return", func(ep Endpoint) {
+			if ep.Rank() != 0 {
+				return
+			}
+			ep.Barrier()
+		}, false},
+		{"loop-trip", func(ep Endpoint) {
+			for i := 0; i < ep.Rank(); i++ {
+				ep.Barrier()
+			}
+		}, false},
+		{"swap", func(ep Endpoint) {
+			if ep.Rank() == 0 {
+				ep.GlobalSum(1)
+				ep.Barrier()
+			} else {
+				ep.Barrier()
+				ep.GlobalSum(2)
+			}
+		}, true},
+	}
+	namesRank := regexp.MustCompile(`rank ?[0-9]`)
+	deadlock := regexp.MustCompile(`deadlock, [0-9]+ processes still blocked:\n  rank[0-9]+ waits on`)
+	for _, shape := range [][2]int{{4, 1}, {2, 2}} {
+		for _, sh := range shapes {
+			for _, wd := range []units.Time{0, 500 * units.Microsecond} {
+				t.Run(fmt.Sprintf("%dx%d/%s/watchdog=%v", shape[0], shape[1], sh.name, wd), func(t *testing.T) {
+					cfg := cluster.DefaultConfig(shape[0], shape[1])
+					cfg.Watchdog = wd
+					cl, err := cluster.New(cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					defer cl.Close()
+					h, err := NewHyades(cl, DefaultHyadesConfig())
+					if err != nil {
+						t.Fatal(err)
+					}
+					cl.Start(func(w *cluster.Worker) { sh.body(h.Bind(w)) })
+					err = cl.Run()
+					var mis *CollectiveMismatchError
+					var pp *des.ProcPanic
+					var trip *des.WatchdogError
+					switch {
+					case err == nil:
+						t.Fatal("the run returned without error")
+					case sh.swap:
+						if !errors.As(err, &mis) || !errors.As(err, &pp) || pp.Proc != fmt.Sprintf("rank%d", mis.Rank) ||
+							mis.Index != 0 || mis.Got == mis.Want {
+							t.Errorf("err = %v, want a *CollectiveMismatchError at index 0 in the *des.ProcPanic of its rank", err)
+						}
+					case wd > 0:
+						if !errors.As(err, &trip) || !namesRank.MatchString(trip.Culprit) {
+							t.Errorf("err = %v, want a *des.WatchdogError naming a rank", err)
+						}
+					default:
+						if !deadlock.MatchString(err.Error()) {
+							t.Errorf("err = %v, want a deadlock report naming a rank", err)
+						}
+					}
+				})
+			}
 		}
+	}
+}
+
+// TestCollectiveRegisterResetsAtRelease: a crash can unwind ranks at
+// different collective counts — here rank 0 inside collective 0.  The
+// release must realign them: otherwise rank 0, entering the next sum
+// last, leaves the register at its own index 1, and the first other rank
+// to reach the barrier (its index 1) reads the agreed program as a
+// GlobalSum/Barrier swap.
+func TestCollectiveRegisterResetsAtRelease(t *testing.T) {
+	cl, err := cluster.New(cluster.DefaultConfig(4, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	h, err := NewHyades(cl, DefaultHyadesConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.calls[0] = 1
+	h.resetNodeComm()
+	cl.Start(func(w *cluster.Worker) {
+		ep := h.Bind(w)
+		if ep.Rank() == 0 {
+			ep.Busy(10 * units.Microsecond)
+		}
+		ep.GlobalSum(1)
+		ep.Barrier()
+	})
+	if err := cl.Run(); err != nil {
+		t.Fatal(err)
 	}
 }
 

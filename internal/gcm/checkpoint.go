@@ -58,17 +58,17 @@ func (m *Model) stage(r io.Reader) (staged, error) {
 		return staged{}, fmt.Errorf("gcm: checkpoint header: %w", err)
 	}
 	if h[0] != checkpointMagic {
-		return staged{}, fmt.Errorf("gcm: not a checkpoint stream")
+		return staged{}, fmt.Errorf("gcm: checkpoint header: magic %#x, not a checkpoint stream", h[0])
 	}
 	if h[1] != checkpointVersion {
-		return staged{}, fmt.Errorf("gcm: checkpoint version %d, want %d", h[1], checkpointVersion)
+		return staged{}, fmt.Errorf("gcm: checkpoint header: version %d, want %d", h[1], checkpointVersion)
 	}
 	if int(h[2]) != m.Cfg.Grid.NX || int(h[3]) != m.Cfg.Grid.NY || int(h[4]) != m.Cfg.Grid.NZ {
-		return staged{}, fmt.Errorf("gcm: checkpoint grid %dx%dx%d does not match model %dx%dx%d",
+		return staged{}, fmt.Errorf("gcm: checkpoint header: grid %dx%dx%d does not match model %dx%dx%d",
 			h[2], h[3], h[4], m.Cfg.Grid.NX, m.Cfg.Grid.NY, m.Cfg.Grid.NZ)
 	}
 	if int(h[5]) != m.EP.Rank() {
-		return staged{}, fmt.Errorf("gcm: checkpoint for rank %d restored on rank %d", h[5], m.EP.Rank())
+		return staged{}, fmt.Errorf("gcm: checkpoint header: rank %d restored on rank %d", h[5], m.EP.Rank())
 	}
 	if h[6] > math.MaxInt32 || h[7] > 1 {
 		return staged{}, fmt.Errorf("gcm: checkpoint header: step count %d, AB cursor %d", h[6], h[7])

@@ -82,7 +82,7 @@ func (c *Coupled) Restore(r io.Reader) error {
 		secs = c.oceanSections()
 	case flags&coupledFlagHasField != 0:
 		if c.phys == nil {
-			return fmt.Errorf("gcm: coupled checkpoint has SST but worker has no physics")
+			return fmt.Errorf("gcm: coupled checkpoint flags: SST section on a worker without physics")
 		}
 		if sst = c.phys.SST; sst == nil {
 			sst = field.NewF2(c.M.G.NX, c.M.G.NY, 2)

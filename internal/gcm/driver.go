@@ -8,7 +8,6 @@ import (
 	"hyades/internal/comm"
 	"hyades/internal/des"
 	"hyades/internal/fault"
-	"hyades/internal/gcm/solver"
 	"hyades/internal/netmodel"
 	"hyades/internal/plates"
 	"hyades/internal/units"
@@ -204,12 +203,6 @@ func RunParallelNet(prm netmodel.Params, cfg Config, warmup, steps int) (*Result
 // RunSerial executes cfg on the serial endpoint (single tile) and
 // returns the model plus the charged single-processor time.
 func RunSerial(cfg Config, steps int) (*Model, units.Time, error) {
-	return RunSerialWithPrecond(cfg, steps, solver.PrecondSSOR)
-}
-
-// RunSerialWithPrecond is RunSerial with an explicit solver
-// preconditioner — used by the preconditioner ablation benchmark.
-func RunSerialWithPrecond(cfg Config, steps int, pre solver.Precond) (*Model, units.Time, error) {
 	if cfg.Decomp.Tiles() != 1 {
 		return nil, 0, fmt.Errorf("gcm: serial run needs a 1x1 decomposition")
 	}
@@ -218,7 +211,6 @@ func RunSerialWithPrecond(cfg Config, steps int, pre solver.Precond) (*Model, un
 	if err != nil {
 		return nil, 0, err
 	}
-	m.Solver.Pre = pre
 	start := ep.Now()
 	m.Run(steps)
 	return m, ep.Now() - start, nil

@@ -154,7 +154,6 @@ func New(cfg Config, ep comm.Endpoint) (*Model, error) {
 	// A constructor error (rank-dependent through the tile origin)
 	// aborts the whole run before any rank exchanges; ranks that reach
 	// this line all reach it.
-	//lint:allow commlock constructor errors abort the run, ranks cannot diverge here
 	m.exchangeState() // bring halos current before the first step
 	return m, nil
 }

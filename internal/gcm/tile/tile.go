@@ -199,7 +199,6 @@ func (h *Halo) axis(f exchanger, width int, cached, xAxis bool) {
 		// Exchange pairs point-to-point by topology: a tile that wraps
 		// onto itself has no peer waiting, so skipping it cannot strand
 		// another rank.
-		//lint:allow commlock self-neighbour wrap has no remote partner
 		got := h.EP.Exchange(peer, f.PackSlabInto(edge, h.grab(rows*rowBytes)), layout)
 		f.UnpackSlab(halo, got)
 		h.keep(got)

@@ -1,14 +1,12 @@
-// Package emit renders hyadeslint diagnostics as text or JSON.
+// Package emit renders hyadeslint diagnostics as text, one line each.
 //
-// Both formats are byte-stable: findings are normalized — sorted by
+// The output is byte-stable: findings are normalized — sorted by
 // (file, offset, analyzer, message), exact repeats dropped — before
-// rendering, paths are module-relative with forward slashes, and the
-// JSON encoder uses struct types only, so two runs over the same tree
-// produce identical bytes.
+// rendering, and paths are module-relative with forward slashes, so two
+// runs over the same tree produce identical bytes.
 package emit
 
 import (
-	"encoding/json"
 	"fmt"
 	"go/token"
 	"io"
@@ -21,11 +19,11 @@ import (
 
 // A Finding is one rendered diagnostic.
 type Finding struct {
-	File     string `json:"file"` // module-relative, forward slashes
-	Line     int    `json:"line"`
-	Col      int    `json:"col"`
-	Analyzer string `json:"analyzer"`
-	Message  string `json:"message"`
+	File     string // module-relative, forward slashes
+	Line     int
+	Col      int
+	Analyzer string
+	Message  string
 
 	offset int // byte offset in file; sorting and dedup key
 }
@@ -54,8 +52,7 @@ func Findings(fset *token.FileSet, root string, diags []analysis.Diagnostic) []F
 
 // Normalize sorts by (file, offset, analyzer, message) and drops
 // exact duplicates.  The message is part of the identity: one analyzer
-// may report two different problems at one position, and both driver
-// modes must keep both.
+// may report two different problems at one position, and both are kept.
 func Normalize(fs []Finding) []Finding {
 	sort.SliceStable(fs, func(i, j int) bool {
 		a, b := fs[i], fs[j]
@@ -91,20 +88,4 @@ func Text(w io.Writer, fs []Finding) error {
 		}
 	}
 	return nil
-}
-
-// jsonReport is the -json schema.
-type jsonReport struct {
-	Version  int       `json:"version"`
-	Findings []Finding `json:"findings"`
-}
-
-// JSON writes a versioned findings document.
-func JSON(w io.Writer, fs []Finding) error {
-	if fs == nil {
-		fs = []Finding{}
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "\t")
-	return enc.Encode(jsonReport{Version: 1, Findings: fs})
 }

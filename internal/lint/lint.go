@@ -10,7 +10,6 @@
 //	nogoroutine — no raw goroutines past the coroutine baton
 //	unitlit     — no unitless literals converted to units.Time/Bandwidth
 //	maprange    — no map iteration in the event path
-//	commlock    — no collectives unmatched across rank-dependent branches
 //	dimcheck    — no arithmetic mixing units.Time/Bandwidth/Size dimensions
 //	redorder    — no manual float accumulations feeding GlobalSum
 //
@@ -19,9 +18,11 @@
 // "What the linter certifies"): a schedule into the past panics in des;
 // a test holds the sim core's module imports inside simCorePackages, so
 // every clock read the core can reach sits where detsource looks;
-// TestSteadyStateAllocs pins the hot path at zero allocations; and a
-// collective hidden behind a helper strands its peers until the engine
-// watchdog names them.
+// TestSteadyStateAllocs pins the hot path at zero allocations; and the
+// collective order is checked by package comm as the ranks run: a rank
+// that skips a collective strands its peers until the watchdog or the
+// deadlock report names them, and a GlobalSum that meets a Barrier
+// panics with a *comm.CollectiveMismatchError.
 //
 // Each rule can be locally waived with the annotation
 //
@@ -45,7 +46,6 @@ var Analyzers = []*analysis.Analyzer{
 	Nogoroutine,
 	Unitlit,
 	Maprange,
-	Commlock,
 	Dimcheck,
 	Redorder,
 }
@@ -104,8 +104,8 @@ var redorderPackages = []string{
 }
 
 // AnalyzersFor returns the analyzers that apply to the package with the
-// given import path.  unitlit and commlock guard call sites anywhere in
-// the module; dimcheck everywhere except package units (whose accessor
+// given import path.  unitlit guards call sites anywhere in the module,
+// dimcheck everywhere except package units (whose accessor
 // implementations are the sanctioned raw conversions); the other rules
 // are scoped to the simulation core.
 func AnalyzersFor(importPath string) []*analysis.Analyzer {
@@ -117,7 +117,6 @@ func AnalyzersFor(importPath string) []*analysis.Analyzer {
 	if underAny(importPath, eventPathPackages) {
 		as = append(as, Maprange)
 	}
-	as = append(as, Commlock)
 	if importPath != unitsPkgPath {
 		as = append(as, Dimcheck)
 	}
@@ -130,13 +129,8 @@ func AnalyzersFor(importPath string) []*analysis.Analyzer {
 // Check runs every applicable analyzer over pkg and returns the merged,
 // position-sorted findings.
 func Check(pkg *load.Package) ([]analysis.Diagnostic, error) {
-	return CheckWith(pkg, AnalyzersFor(pkg.Path))
-}
-
-// CheckWith runs the given analyzers over pkg.
-func CheckWith(pkg *load.Package, as []*analysis.Analyzer) ([]analysis.Diagnostic, error) {
 	var all []analysis.Diagnostic
-	for _, a := range as {
+	for _, a := range AnalyzersFor(pkg.Path) {
 		diags, err := analysis.RunPass(a, pkg.Fset, pkg.Files, pkg.Types, pkg.Info)
 		if err != nil {
 			return nil, err

@@ -28,10 +28,6 @@ func TestMaprange(t *testing.T) {
 	analysistest.Run(t, "testdata", lint.Maprange, "maprange")
 }
 
-func TestCommlock(t *testing.T) {
-	analysistest.Run(t, "testdata", lint.Commlock, "commlock")
-}
-
 func TestDimcheck(t *testing.T) {
 	analysistest.Run(t, "testdata", lint.Dimcheck, "dimcheck")
 }
@@ -41,7 +37,7 @@ func TestRedorder(t *testing.T) {
 }
 
 // TestAnalyzersForScope pins the scope table: determinism rules guard
-// the sim core, unit and collective rules guard the whole module, and
+// the sim core, unit rules guard the whole module, and
 // the event-path rule guards only the dispatch-hot packages.
 func TestAnalyzersForScope(t *testing.T) {
 	names := func(path string) map[string]bool {
@@ -94,14 +90,10 @@ func TestAnalyzersForScope(t *testing.T) {
 			t.Errorf("%s is imported by the sim core and must get its rules, got %v", pkg, m)
 		}
 	}
-	// Communication-discipline rules: commlock and dimcheck run
-	// module-wide (dimcheck excepting the units package itself, which
-	// legitimately crosses its own dimensions), redorder only where the
-	// physics reductions live.
+	// dimcheck runs module-wide (excepting the units package itself,
+	// which legitimately crosses its own dimensions), redorder only where
+	// the physics reductions live.
 	for _, m := range []map[string]bool{des, gcm, rep} {
-		if !m["commlock"] {
-			t.Errorf("commlock must apply module-wide, got %v", m)
-		}
 		if !m["dimcheck"] {
 			t.Errorf("dimcheck must apply module-wide, got %v", m)
 		}

@@ -156,19 +156,6 @@ func (l *Loader) LoadDir(dir, importPath string) (*Package, error) {
 	return pkg, nil
 }
 
-// CheckFiles type-checks a package whose files were parsed externally
-// (the vet-unit path, where cmd/go names the exact compilation unit).
-// pkg.Fset must be l.Fset.  On success pkg.Types and pkg.Info are
-// populated and the package is cached for import resolution.
-func (l *Loader) CheckFiles(pkg *Package) error {
-	l.check(pkg)
-	if len(pkg.Errors) > 0 {
-		return pkg.Errors[0]
-	}
-	l.pkgs[pkg.Path] = pkg
-	return nil
-}
-
 // check type-checks pkg's parsed files, filling Info and Types and
 // recording every type error in Errors.
 func (l *Loader) check(pkg *Package) {

@@ -97,18 +97,10 @@ func unparen(e ast.Expr) ast.Expr {
 	}
 }
 
-// collectiveNames are the Endpoint methods every rank must call in
-// lockstep.
-var collectiveNames = map[string]bool{
-	"GlobalSum": true,
-	"Barrier":   true,
-	"Exchange":  true,
-}
-
 // endpointIface locates the comm.Endpoint interface visible to the
 // package under analysis — declared in the package itself or anywhere
 // in its import graph.  Returns nil when comm is unreachable, in which
-// case the communication analyzers have nothing to check.
+// case redorder has nothing to check.
 func endpointIface(pass *analysis.Pass) *types.Interface {
 	lookup := func(p *types.Package) *types.Interface {
 		if p == nil || !pkgPathIs(p, commPkgPath) {
@@ -162,17 +154,4 @@ func endpointMethodCall(pass *analysis.Pass, iface *types.Interface, call *ast.C
 		return false
 	}
 	return implementsEndpoint(tv.Type, iface)
-}
-
-// collectiveCall returns the collective's method name when call is a
-// GlobalSum/Barrier/Exchange invocation on an Endpoint value.
-func collectiveCall(pass *analysis.Pass, iface *types.Interface, call *ast.CallExpr) (string, bool) {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok || !collectiveNames[sel.Sel.Name] {
-		return "", false
-	}
-	if !endpointMethodCall(pass, iface, call, sel.Sel.Name) {
-		return "", false
-	}
-	return sel.Sel.Name, true
 }

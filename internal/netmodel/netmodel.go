@@ -182,9 +182,10 @@ func (ep *Endpoint) Now() units.Time { return ep.proc.Now() }
 // Stats implements comm.Endpoint.
 func (ep *Endpoint) Stats() *comm.Stats { return &ep.stats }
 
-// Busy implements comm.Endpoint.
+// Busy implements comm.Endpoint.  Busy(0) consumes no sequence number;
+// a negative d panics with a *des.PastError.
 func (ep *Endpoint) Busy(d units.Time) {
-	if d <= 0 {
+	if d == 0 {
 		return
 	}
 	ep.proc.Delay(d)
@@ -193,11 +194,8 @@ func (ep *Endpoint) Busy(d units.Time) {
 
 // Exec implements comm.Endpoint.  The commodity-interconnect clusters
 // attach no worker pool, so the phase runs inline with the same
-// virtual footprint as Busy.
+// virtual footprint as Busy; a negative d panics with a *des.PastError.
 func (ep *Endpoint) Exec(d units.Time, fn func()) {
-	if d < 0 {
-		d = 0
-	}
 	ep.proc.Exec(d, fn)
 	ep.stats.ComputeTime += d
 }
