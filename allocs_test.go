@@ -12,8 +12,9 @@ import (
 )
 
 // TestSteadyStateAllocs pins the hot path's steady state at zero heap
-// allocations per operation: a pairwise 1-KiB exchange, a 16-way global
-// sum and a step of the 16-rank coupled model.  One simulated machine
+// allocations per operation: a pairwise 1-KiB exchange between nodes and
+// within one SMP, a 16-way global sum on 16 nodes and on 8 SMPs of two,
+// and a step of the 16-rank coupled model.  One simulated machine
 // runs each operation on every rank; rank 0 reads the process's
 // allocation count after a short run of operations and again after a
 // long one, so construction, warm-up and every first-use allocation lie
@@ -37,19 +38,16 @@ func TestSteadyStateAllocs(t *testing.T) {
 	coupled.Atmos.Grid.NX, coupled.Atmos.Grid.NY = 32, 16
 	coupled.CoupleEvery = 5
 	for _, c := range []struct {
-		name               string
-		nodes, short, long int
-		ceiling            float64 // allocations per operation
-		op                 func(t *testing.T, ep comm.Endpoint) func()
+		name                    string
+		nodes, ppn, short, long int
+		ceiling                 float64 // allocations per operation
+		op                      func(t *testing.T, ep comm.Endpoint) func()
 	}{
-		{"Exchange", 2, 100, 1000, 0.05, func(t *testing.T, ep comm.Endpoint) func() {
-			buf, layout := make([]byte, 1024), comm.Contiguous(1024, true)
-			return func() { ep.Exchange(1-ep.Rank(), buf, layout) }
-		}},
-		{"GlobalSum", 16, 100, 1000, 0.05, func(t *testing.T, ep comm.Endpoint) func() {
-			return func() { ep.GlobalSum(1) }
-		}},
-		{"CoupledStep", 16, 10, 50, 1, func(t *testing.T, ep comm.Endpoint) func() {
+		{"Exchange", 2, 1, 100, 1000, 0.05, exchangeOp},
+		{"ExchangeIntraNode", 1, 2, 100, 1000, 0.05, exchangeOp},
+		{"GlobalSum", 16, 1, 100, 1000, 0.05, globalSumOp},
+		{"GlobalSumMixMode", 8, 2, 100, 1000, 0.05, globalSumOp},
+		{"CoupledStep", 16, 1, 10, 50, 1, func(t *testing.T, ep comm.Endpoint) func() {
 			cfg := coupled
 			if ep.Rank() < d.Tiles() {
 				ph := physics.New(physics.Default()) // per-tile SST
@@ -64,7 +62,7 @@ func TestSteadyStateAllocs(t *testing.T) {
 		}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			extra := steadyAllocs(t, c.nodes, c.short, c.long, c.op)
+			extra := steadyAllocs(t, c.nodes, c.ppn, c.short, c.long, c.op)
 			perOp := float64(extra) / float64(c.long-c.short)
 			t.Logf("%d allocations over %d operations after the first %d: %.3f per op", extra, c.long-c.short, c.short, perOp)
 			if perOp > c.ceiling {
@@ -75,11 +73,22 @@ func TestSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// steadyAllocs runs op long times on every rank of one nodes×1 Hyades
+// exchangeOp is a 1-KiB exchange with the neighbouring rank.
+func exchangeOp(t *testing.T, ep comm.Endpoint) func() {
+	buf, layout := make([]byte, 1024), comm.Contiguous(1024, true)
+	return func() { ep.Exchange(ep.Rank()^1, buf, layout) }
+}
+
+// globalSumOp is a global sum over every rank.
+func globalSumOp(t *testing.T, ep comm.Endpoint) func() {
+	return func() { ep.GlobalSum(1) }
+}
+
+// steadyAllocs runs op long times on every rank of one nodes×ppn Hyades
 // machine and returns the allocations counted between rank 0's short-th
 // and long-th operation.
-func steadyAllocs(t *testing.T, nodes, short, long int, op func(t *testing.T, ep comm.Endpoint) func()) int64 {
-	cl, err := cluster.New(cluster.DefaultConfig(nodes, 1))
+func steadyAllocs(t *testing.T, nodes, ppn, short, long int, op func(t *testing.T, ep comm.Endpoint) func()) int64 {
+	cl, err := cluster.New(cluster.DefaultConfig(nodes, ppn))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -258,9 +258,15 @@ func BenchmarkAblationMPIvsCustom(b *testing.B) {
 // simulated_us metric reports the virtual time per operation.
 
 // BenchmarkExchange measures one pairwise 1-KiB VI-mode exchange.
-func BenchmarkExchange(b *testing.B) {
+func BenchmarkExchange(b *testing.B) { benchExchange(b, 2, 1) }
+
+// BenchmarkExchangeIntraNode measures one 1-KiB exchange between the two
+// processors of an SMP, through shared memory.
+func BenchmarkExchangeIntraNode(b *testing.B) { benchExchange(b, 1, 2) }
+
+func benchExchange(b *testing.B, nodes, ppn int) {
 	b.ReportAllocs()
-	cl, err := cluster.New(cluster.DefaultConfig(2, 1))
+	cl, err := cluster.New(cluster.DefaultConfig(nodes, ppn))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -292,9 +298,16 @@ func BenchmarkExchange(b *testing.B) {
 }
 
 // BenchmarkGlobalSum measures one 16-way butterfly global sum.
-func BenchmarkGlobalSum(b *testing.B) {
+func BenchmarkGlobalSum(b *testing.B) { benchGlobalSum(b, 16, 1) }
+
+// BenchmarkGlobalSumMixMode measures one 16-way global sum on eight SMPs
+// of two: the shared-memory gather, the butterfly among the masters and
+// the scatter.
+func BenchmarkGlobalSumMixMode(b *testing.B) { benchGlobalSum(b, 8, 2) }
+
+func benchGlobalSum(b *testing.B, nodes, ppn int) {
 	b.ReportAllocs()
-	cl, err := cluster.New(cluster.DefaultConfig(16, 1))
+	cl, err := cluster.New(cluster.DefaultConfig(nodes, ppn))
 	if err != nil {
 		b.Fatal(err)
 	}

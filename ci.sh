@@ -334,7 +334,7 @@ bench_out="${HYADES_BENCH_JSON:-$tmp_root/bench.json}"
     # The hot-path microbenchmarks run long enough to amortize one-time
     # setup (cluster construction, freelist warm-up): at 1x their
     # allocs/op is all setup and the zero-alloc event path is invisible.
-    go test -run '^$' -bench '^(BenchmarkExchange|BenchmarkGlobalSum)$' \
+    go test -run '^$' -bench '^(BenchmarkExchange|BenchmarkExchangeIntraNode|BenchmarkGlobalSum|BenchmarkGlobalSumMixMode)$' \
         -benchmem -benchtime 100x .
     # Scheduler throughput: ladder vs heap at three backlog depths.
     # Iterations are bounded so the 1e7-pending prefill dominates once,

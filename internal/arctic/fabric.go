@@ -22,9 +22,6 @@ type Config struct {
 	LinkBandwidth units.Bandwidth
 	// RouterLatency is the per-stage forwarding latency (paper: <0.15 us).
 	RouterLatency units.Time
-	// RandomUpSeed seeds the adaptive up-route generator used for
-	// packets with the RandomUp flag set.
-	RandomUpSeed int64
 	// Faults, when non-nil, injects deterministic link faults: drops,
 	// corruption, degradation windows and outages (package fault).
 	Faults *fault.Plan
@@ -144,7 +141,7 @@ type Fabric struct {
 	eject   []*link     // leaf router -> endpoint
 	links   []*link     // every link in creation order, for LinkStats
 	rx      []func(*Packet)
-	rng     *rand.Rand
+	rng     *rand.Rand // the up-route generator of RandomUp packets, fixed seed
 	stats   Stats
 	free    []*transit // recycled transit objects
 	freePkt []*Packet  // recycled pooled packets (see AcquirePacket)
@@ -227,7 +224,7 @@ func New(e *des.Engine, cfg Config) (*Fabric, error) {
 		cfg:    cfg,
 		levels: levels,
 		rx:     make([]func(*Packet), cfg.Endpoints),
-		rng:    rand.New(rand.NewSource(cfg.RandomUpSeed ^ 0x41524354)), // "ARCT"
+		rng:    rand.New(rand.NewSource(0x41524354)), // "ARCT"
 	}
 	routersPerStage := capacity / Radix
 	f.routers = make([][]*router, levels)

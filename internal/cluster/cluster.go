@@ -60,15 +60,13 @@ type Config struct {
 // DefaultConfig returns the published Hyades machine with the given SMP
 // count and processors per SMP.
 func DefaultConfig(nodes, procsPerNode int) Config {
-	nodeCfg := node.DefaultConfig()
-	nodeCfg.Processors = procsPerNode
 	return Config{
 		Nodes:        nodes,
 		ProcsPerNode: procsPerNode,
 		Arctic:       arctic.DefaultConfig(nodes),
 		PCI:          pci.DefaultConfig(),
 		NIU:          startx.DefaultConfig(),
-		Node:         nodeCfg,
+		Node:         node.DefaultConfig(),
 		// An hour of virtual time is ~20x the longest production run the
 		// paper analyses; any single wait that long is a protocol bug.
 		Watchdog: units.Hour,

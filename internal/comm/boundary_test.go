@@ -17,10 +17,10 @@ import (
 var updateBoundaries = flag.Bool("update", false, "rewrite testdata/interrupt_boundaries.json from the current tree")
 
 // boundaryRow is one run of consecutive interrupt instants, From to To
-// in boundaryStride steps, that ended the same way: the call rank 1 was
-// in when the interrupt was raised (empty if it never was), the virtual
-// time of the raise — Parked when it is the interrupt instant itself,
-// rank 1 having been parked, At otherwise — and Events() at the raise,
+// in boundaryStride steps, that ended the same way: the call the swept
+// rank was in when the interrupt was raised (empty if it never was), the
+// virtual time of the raise — Parked when it is the interrupt instant
+// itself, the rank having been parked, At otherwise — and Events() at the raise,
 // and what stopped the run: the culprit of the watchdog that ended a
 // stranded partner, or "" when the run drained.
 type boundaryRow struct {
@@ -36,20 +36,28 @@ type boundaryRow struct {
 // every blocking boundary of both primitives is hit.
 const boundaryStride = 10 * units.Nanosecond
 
-// boundaryMachines are the swept machines: the ppn-1 exchange and
-// butterfly at two sizes and the mix-mode slave path under a watchdog,
-// and without one, where a stranded partner ends in the deadlock report.
+// boundaryMachines are the swept machines and the rank swept on each:
+// the ppn-1 exchange and butterfly at two sizes and the mix-mode slave
+// path under a watchdog, and without one, where a stranded partner ends
+// in the deadlock report; then the mix-mode master (gather, butterfly,
+// scatter), the binomial tree's root and a leaf whose exchange is the
+// periodic self-wrap, and the intra-node exchange of one SMP.
 var boundaryMachines = []struct {
-	nodes, ppn int
-	watchdog   units.Time
-}{{2, 1, boundaryWatchdog}, {4, 1, boundaryWatchdog}, {2, 2, boundaryWatchdog}, {2, 1, 0}, {2, 2, 0}}
+	nodes, ppn, rank int
+	watchdog         units.Time
+}{
+	{2, 1, 1, boundaryWatchdog}, {4, 1, 1, boundaryWatchdog}, {2, 2, 1, boundaryWatchdog}, {2, 1, 1, 0}, {2, 2, 1, 0},
+	{2, 2, 0, boundaryWatchdog}, {3, 1, 0, boundaryWatchdog}, {3, 1, 2, boundaryWatchdog}, {1, 2, 1, boundaryWatchdog},
+}
 
 const boundaryWatchdog = 100 * units.Microsecond
 
-// boundaryRun runs the boundary workload with rank 1 interrupted at t
-// (t < 0: never) under the given watchdog and returns the outcome, plus rank 1's entry into its
-// second Exchange and exit from its second GlobalSum.
-func boundaryRun(t *testing.T, nodes, ppn int, watchdog, at units.Time) (row boundaryRow, from, to units.Time) {
+// boundaryRun runs the boundary workload with rank interrupted at t
+// (t < 0: never) under the given watchdog and returns the outcome, plus
+// the rank's entry into its second Exchange and exit from its second
+// GlobalSum.  Each rank exchanges with the same CPU on the neighbouring
+// node, else with the other CPU of its own, else with itself.
+func boundaryRun(t *testing.T, nodes, ppn, rank int, watchdog, at units.Time) (row boundaryRow, from, to units.Time) {
 	t.Helper()
 	cfg := cluster.DefaultConfig(nodes, ppn)
 	cfg.Watchdog = watchdog
@@ -63,30 +71,36 @@ func boundaryRun(t *testing.T, nodes, ppn int, watchdog, at units.Time) (row bou
 		t.Fatal(err)
 	}
 	if at >= 0 {
-		cl.Eng.ScheduleAt(at, func() { cl.Worker(1).Proc.Interrupt(errors.New("swept interrupt")) })
+		cl.Eng.ScheduleAt(at, func() { cl.Worker(rank).Proc.Interrupt(errors.New("swept interrupt")) })
 	}
 	cl.Start(func(w *cluster.Worker) {
 		ep := h.Bind(w)
-		peer := ep.Rank() ^ ppn // the same CPU on the neighbouring node
+		peer := ep.Rank() ^ ppn
+		if peer >= ep.N() {
+			peer = ep.Rank() ^ 1
+		}
+		if peer >= ep.N() {
+			peer = ep.Rank()
+		}
 		buf, layout := make([]byte, 1024), Contiguous(1024, true)
 		call := ""
 		defer func() {
 			if r := recover(); r != nil {
-				if _, ok := r.(*des.Interrupt); !ok || ep.Rank() != 1 {
+				if _, ok := r.(*des.Interrupt); !ok || ep.Rank() != rank {
 					panic(r)
 				}
 				row.Call, row.At, row.Events = call, ep.Now(), cl.Eng.Events()
 			}
 		}()
 		for i := 0; i < 3; i++ {
-			if i == 1 && ep.Rank() == 1 {
+			if i == 1 && ep.Rank() == rank {
 				from = ep.Now()
 			}
 			call = "Exchange"
 			ep.Exchange(peer, buf, layout)
 			call = "GlobalSum"
 			ep.GlobalSum(1)
-			if i == 1 && ep.Rank() == 1 {
+			if i == 1 && ep.Rank() == rank {
 				to = ep.Now()
 			}
 		}
@@ -101,13 +115,13 @@ func boundaryRun(t *testing.T, nodes, ppn int, watchdog, at units.Time) (row bou
 	return row, from, to
 }
 
-// TestInterruptAtEveryBoundary sweeps an interrupt of rank 1 across one
-// Exchange and one GlobalSum and pins, for every instant, where it was
-// raised and how the stranded partner ended.  The fixture was recorded
-// before Exchange and GlobalSum ran as step functions, so it checks
-// that every boundary the process form raised at still raises, at the
-// same virtual time and event count.  -short checks every seventh
-// instant.
+// TestInterruptAtEveryBoundary sweeps an interrupt of one rank across
+// one Exchange and one GlobalSum and pins, for every instant, where it
+// was raised and how the stranded partner ended.  Every row of the
+// fixture was recorded while the primitive it sweeps was process code,
+// so it checks that every boundary the process form raised at still
+// raises, at the same virtual time and event count.  -short checks
+// every seventh instant.
 func TestInterruptAtEveryBoundary(t *testing.T) {
 	path := filepath.Join("testdata", "interrupt_boundaries.json")
 	got := map[string][]boundaryRow{}
@@ -127,16 +141,19 @@ func TestInterruptAtEveryBoundary(t *testing.T) {
 	}
 	for _, m := range boundaryMachines {
 		name := fmt.Sprintf("%dx%d", m.nodes, m.ppn)
+		if m.rank != 1 {
+			name += fmt.Sprintf("/rank%d", m.rank)
+		}
 		if m.watchdog == 0 {
 			name += "/nowatchdog"
 		}
-		_, from, to := boundaryRun(t, m.nodes, m.ppn, m.watchdog, -1)
+		_, from, to := boundaryRun(t, m.nodes, m.ppn, m.rank, m.watchdog, -1)
 		if to <= from {
 			t.Fatalf("%s: no swept window (%v..%v)", name, from, to)
 		}
 		var rows []boundaryRow
 		for at := from; at <= to; at += every * boundaryStride {
-			row, _, _ := boundaryRun(t, m.nodes, m.ppn, m.watchdog, at)
+			row, _, _ := boundaryRun(t, m.nodes, m.ppn, m.rank, m.watchdog, at)
 			row.From, row.To = at, at
 			if row.Call != "" && row.At == at {
 				row.Parked, row.At = true, 0

@@ -13,12 +13,12 @@
 // Myrinet so that the same GCM code reproduces the Pfpp comparisons of
 // Fig. 12.
 //
-// The inter-node Exchange and the power-of-two GlobalSum are fixed
-// sequences of register accesses, DMA kicks and waits, so each runs as
-// one step function (des.Proc.Await, step.go): a short program of ops
-// whose blocks are resumed on the dispatcher, with one switch into the
-// process when the primitive is done.  Four rules keep that exact —
-// the schedule cannot tell it from the process code it replaced:
+// Every primitive is a fixed sequence of register accesses, DMA kicks,
+// shared-memory hand-offs and waits, so each runs as one step function
+// (des.Proc.Await, step.go): a short program of ops whose blocks are
+// resumed on the dispatcher, with one switch into the process when the
+// primitive is done.  Four rules keep that exact — the schedule cannot
+// tell it from the process code it replaced:
 //
 //   - Every sequence number is consumed at the same point as before:
 //     an op does the process form's engine operations in its order (a
@@ -29,10 +29,6 @@
 //   - The *des.WatchdogError of a starved PIO or VI wait is raised in
 //     process context, after the switch-in, with the same Culprit.
 //   - A dead process's pending wake stays a no-op.
-//
-// The binomial-tree fallback of GlobalSum (its waits are programs of
-// one op), the intra-node and self exchanges and the SMP half of the
-// mix-mode global sum stay process code.
 package comm
 
 import (

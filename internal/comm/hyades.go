@@ -2,10 +2,7 @@ package comm
 
 import (
 	"fmt"
-	"math"
-	"math/bits"
 
-	"hyades/internal/arctic"
 	"hyades/internal/cluster"
 	"hyades/internal/des"
 	"hyades/internal/startx"
@@ -317,17 +314,8 @@ func (ep *HyadesEndpoint) keyOf(class, srcRank, seq int) matchKey {
 	return matchKey{class: class, srcNode: ep.nodeOf(srcRank), srcCPU: ep.cpuOf(srcRank), dstCPU: ep.w.CPU, seq: seq}
 }
 
-// pioWaitKey blocks until a message matching key is available: a
-// program of one wait.
-func (ep *HyadesEndpoint) pioWaitKey(key matchKey) startx.Message {
-	ep.begin()
-	ep.add(op{kind: opWait, key: key})
-	ep.run()
-	return ep.prog.msg
-}
-
-// chargeCopy models packing or unpacking a halo slab between the model
-// arrays and the VI region (or shared memory).
+// copyOp adds the processor time of packing or unpacking a halo slab
+// between the model arrays and the VI region (or shared memory).
 //
 // Contiguous slabs (Rows == 1) are free: the §4.1 protocol initiates
 // DMA on each chunk right after copying it, fully overlapping the copy
@@ -337,21 +325,7 @@ func (ep *HyadesEndpoint) pioWaitKey(key matchKey) startx.Message {
 // engine can stream them, so their pack cost is on the critical path;
 // this is what makes the measured texchxyz (Fig. 11) an order of
 // magnitude more expensive than the raw wire time.
-func (ep *HyadesEndpoint) chargeCopy(layout Block) {
-	if d := ep.copyCost(layout); d > 0 {
-		ep.w.Proc.Delay(d)
-	}
-}
-
-// copyOp adds chargeCopy to the program.
 func (ep *HyadesEndpoint) copyOp(layout Block) {
-	if d := ep.copyCost(layout); d > 0 {
-		ep.add(op{kind: opDelay, d: d})
-	}
-}
-
-// copyCost is the processor time chargeCopy charges.
-func (ep *HyadesEndpoint) copyCost(layout Block) units.Time {
 	cfg := ep.h.cfg
 	nodeCfg := ep.w.Node.Cfg
 	var d units.Time
@@ -369,8 +343,13 @@ func (ep *HyadesEndpoint) copyCost(layout Block) units.Time {
 		d += cfg.SlaveStageBandwidth.Transfer(layout.Bytes())
 		d += 2 * nodeCfg.SemaphoreCost
 	}
-	return d
+	if d > 0 {
+		ep.add(op{kind: opDelay, d: d})
+	}
 }
+
+// semOp adds one shared-memory semaphore operation to the program.
+func (ep *HyadesEndpoint) semOp() { ep.add(op{kind: opDelay, d: ep.w.Node.Cfg.SemaphoreCost}) }
 
 // sendOps adds one direction of an exchange to the program: negotiate
 // with the receiver, then stream the packed slab through the VI-mode DMA
@@ -395,32 +374,31 @@ func (ep *HyadesEndpoint) recvOps(peer int, layout Block) {
 	ep.copyOp(layout) // unpack from the VI region
 }
 
-// Exchange implements Endpoint.  The two directions run sequentially
-// because a single VI transfer saturates the PCI bus (§4.1); the
-// lower-ranked side sends first.  Between nodes the whole exchange is
-// one program, so the process switches in once, when it is done.
+// Exchange implements Endpoint as one program, so the process switches
+// in once, when it is done.  Between nodes the two directions run
+// sequentially because a single VI transfer saturates the PCI bus
+// (§4.1); the lower-ranked side sends first.
 func (ep *HyadesEndpoint) Exchange(peer int, send []byte, layout Block) []byte {
 	t0 := ep.Now()
-	var recv []byte
+	ep.begin()
 	switch {
 	case peer == ep.w.Rank:
 		// Periodic wrap onto the same worker: a pair of local copies.
-		ep.chargeCopy(layout)
-		ep.chargeCopy(layout)
-		recv = append([]byte(nil), send...)
+		ep.copyOp(layout)
+		ep.copyOp(layout)
 	case ep.nodeOf(peer) == ep.w.Node.ID:
-		recv = ep.intraNodeExchange(peer, send, layout)
+		ep.shmOps(peer, send, layout)
+	case ep.w.Rank < peer:
+		ep.sendOps(peer, send, layout)
+		ep.recvOps(peer, layout)
 	default:
-		ep.begin()
-		if ep.w.Rank < peer {
-			ep.sendOps(peer, send, layout)
-			ep.recvOps(peer, layout)
-		} else {
-			ep.recvOps(peer, layout)
-			ep.sendOps(peer, send, layout)
-		}
-		ep.run()
-		recv = ep.prog.xfer.Data
+		ep.recvOps(peer, layout)
+		ep.sendOps(peer, send, layout)
+	}
+	ep.run()
+	recv := ep.prog.xfer.Data
+	if peer == ep.w.Rank {
+		recv = append([]byte(nil), send...)
 	}
 	ep.stats.Exchanges++
 	ep.stats.BytesSent += int64(len(send))
@@ -428,19 +406,17 @@ func (ep *HyadesEndpoint) Exchange(peer int, send []byte, layout Block) []byte {
 	return recv
 }
 
-// intraNodeExchange swaps slabs between the SMP's two processors
-// through shared memory.
-func (ep *HyadesEndpoint) intraNodeExchange(peer int, send []byte, layout Block) []byte {
+// shmOps adds the exchange between the SMP's two processors to the
+// program: the slabs swap through shared staging buffers, and the one
+// from the peer lands in prog.xfer.
+func (ep *HyadesEndpoint) shmOps(peer int, send []byte, layout Block) {
 	me, other := ep.w.CPU, ep.cpuOf(peer)
-	out := ep.shmChan([2]int{me, other})
-	in := ep.shmChan([2]int{other, me})
-	ep.chargeCopy(layout) // copy into the shared staging buffer
-	ep.w.Node.SemOp(ep.w.Proc)
-	out.Send(send)
-	data := in.Recv(ep.w.Proc)
-	ep.w.Node.SemOp(ep.w.Proc)
-	ep.chargeCopy(layout) // copy out
-	return data
+	ep.copyOp(layout) // copy into the shared staging buffer
+	ep.semOp()
+	ep.add(op{kind: opShmSend, slabs: ep.shmChan([2]int{me, other}), data: send})
+	ep.add(op{kind: opShmRecv, slabs: ep.shmChan([2]int{other, me})})
+	ep.semOp()
+	ep.copyOp(layout) // copy out
 }
 
 func (ep *HyadesEndpoint) shmChan(k [2]int) *des.Mailbox[[]byte] {
@@ -500,104 +476,65 @@ func (ep *HyadesEndpoint) enterCollective(kind string) {
 	h.calls[r]++
 }
 
+// allReduce runs a reduction as one program.  A slave hands its partial
+// to the SMP's master through shared memory and waits for the total; a
+// master gathers its slaves' partials, runs the inter-node reduction
+// among the masters and hands the total back.
 func (ep *HyadesEndpoint) allReduce(x float64) float64 {
-	ppn := ep.h.cl.Cfg.ProcsPerNode
-	if ppn == 1 {
-		return ep.masterGsum(x)
-	}
-	nd := ep.w.Node
+	ep.begin()
 	if ep.w.CPU != 0 {
-		nd.SemOp(ep.w.Proc)
-		ep.nc.partial.Send(x)
-		v := ep.nc.results[ep.w.CPU].Recv(ep.w.Proc)
-		nd.SemOp(ep.w.Proc)
-		return v
+		ep.semOp()
+		ep.add(op{kind: opShmPut, sums: ep.nc.partial})
+		ep.add(op{kind: opShmSet, sums: ep.nc.results[ep.w.CPU]})
+		ep.semOp()
+	} else {
+		ppn := ep.h.cl.Cfg.ProcsPerNode
+		for i := 1; i < ppn; i++ {
+			ep.semOp()
+			ep.add(op{kind: opShmAdd, sums: ep.nc.partial})
+		}
+		ep.masterOps()
+		for i := 1; i < ppn; i++ {
+			ep.semOp()
+			ep.add(op{kind: opShmPut, sums: ep.nc.results[i]})
+		}
 	}
-	sum := x
-	for i := 1; i < ppn; i++ {
-		nd.SemOp(ep.w.Proc)
-		sum += ep.nc.partial.Recv(ep.w.Proc)
-	}
-	total := ep.masterGsum(sum)
-	for i := 1; i < ppn; i++ {
-		nd.SemOp(ep.w.Proc)
-		ep.nc.results[i].Send(total)
-	}
-	return total
+	ep.prog.sum = x
+	ep.run()
+	return ep.prog.sum
 }
 
-// masterGsum runs the inter-node reduction among the CPU-0 processors.
-// For a power-of-two node count it is the concurrent butterfly of
-// Fig. 8 (N log N messages over log N rounds), run as one program;
-// otherwise it falls back to a binomial reduce-and-broadcast tree.
-func (ep *HyadesEndpoint) masterGsum(x float64) float64 {
-	nNodes := ep.h.cl.Cfg.Nodes
-	if nNodes == 1 {
-		return x
-	}
-	me := ep.w.Node.ID
+// masterOps adds the inter-node reduction among the CPU-0 processors to
+// the program.  For a power-of-two node count it is the concurrent
+// butterfly of Fig. 8 (N log N messages over log N rounds); otherwise it
+// is the binomial reduce-and-broadcast tree, whose broadcast rounds are
+// numbered from 16.  Each partial travels as an 8-byte-payload PIO
+// message — the case whose LogP costs Fig. 2 reports.
+func (ep *HyadesEndpoint) masterOps() {
+	nNodes, me := ep.h.cl.Cfg.Nodes, ep.w.Node.ID
 	if nNodes&(nNodes-1) == 0 {
-		ep.begin()
 		for r := 0; 1<<r < nNodes; r++ {
 			partner := me ^ 1<<r
 			ep.add(op{kind: opSendSum, node: partner, tag: encodeTag(clsGsum, 0, 0, r)})
 			ep.add(op{kind: opAdd, key: matchKey{class: clsGsum, srcNode: partner, seq: r}})
 			ep.add(op{kind: opDelay, d: ep.h.cfg.GsumRoundCPU})
 		}
-		ep.prog.sum = x
-		ep.run()
-		return ep.prog.sum
+		return
 	}
-	// Binomial tree: reduce towards node 0, then broadcast back.
-	sum := x
-	seq := 0
-	for mask := 1; mask < nNodes; mask <<= 1 {
-		if me&mask != 0 {
-			ep.gsumSendTo(me&^mask, seq, sum)
-			break
+	for s := range (BinomialTree{Me: me, N: nNodes}).Steps {
+		seq := s.Round
+		if s.Kind == RecvResult || s.Kind == SendDown {
+			seq += 16
 		}
-		if me|mask < nNodes {
-			sum += ep.gsumRecvFrom(me|mask, seq)
-			ep.w.Proc.Delay(ep.h.cfg.GsumRoundCPU)
-		}
-		seq++
-	}
-	// Broadcast: retrace the tree.
-	highest := 1
-	for highest < nNodes {
-		highest <<= 1
-	}
-	start := highest
-	if me != 0 {
-		start = me & -me
-		sum = ep.gsumRecvFrom(me&^start, 16+bits.TrailingZeros(uint(start)))
-	}
-	for mask := start >> 1; mask >= 1; mask >>= 1 {
-		if me|mask < nNodes && me&mask == 0 {
-			ep.gsumSendTo(me|mask, 16+bits.TrailingZeros(uint(mask)), sum)
+		key := matchKey{class: clsGsum, srcNode: s.Peer, seq: seq}
+		switch s.Kind {
+		case SendUp, SendDown:
+			ep.add(op{kind: opSendSum, node: s.Peer, tag: encodeTag(clsGsum, 0, 0, seq)})
+		case RecvAdd:
+			ep.add(op{kind: opAdd, key: key})
+			ep.add(op{kind: opDelay, d: ep.h.cfg.GsumRoundCPU})
+		case RecvResult:
+			ep.add(op{kind: opSet, key: key})
 		}
 	}
-	return sum
-}
-
-// gsumSendTo ships a float64 partial to another node's master as an
-// 8-byte-payload PIO message — the case whose LogP costs Fig. 2 reports.
-func (ep *HyadesEndpoint) gsumSendTo(nodeID, seq int, v float64) {
-	bits := math.Float64bits(v)
-	tag := encodeTag(clsGsum, 0, 0, seq)
-	w := ep.h.getWords()
-	w[0], w[1] = uint32(bits>>32), uint32(bits)
-	ep.w.Node.NIU.PIOSend(ep.w.Proc, nodeID, tag, w, arctic.Low)
-}
-
-func (ep *HyadesEndpoint) gsumRecvFrom(nodeID, seq int) float64 {
-	m := ep.pioWaitNode(clsGsum, nodeID, seq)
-	v := math.Float64frombits(uint64(m.Words[0])<<32 | uint64(m.Words[1]))
-	ep.h.putWords(m.Words)
-	return v
-}
-
-// pioWaitNode matches on the sending node with CPU 0 (masters only).
-func (ep *HyadesEndpoint) pioWaitNode(class, srcNode, seq int) startx.Message {
-	return ep.pioWaitKey(matchKey{class: class, srcNode: srcNode, srcCPU: 0, dstCPU: 0, seq: seq})
 }

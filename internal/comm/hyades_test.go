@@ -231,7 +231,7 @@ func measureTransfer(t *testing.T, n, reps int) units.Time {
 				ep.begin()
 				ep.sendOps(1, data, Contiguous(n, true))
 				ep.run()
-				ep.pioWaitKey(ep.keyOf(clsExchAck, 1, 1)) // completion echo
+				waitEcho(ep)
 			}
 			end = ep.Now()
 		} else {
@@ -281,6 +281,14 @@ func echo(ep *HyadesEndpoint) {
 	ep.w.Node.NIU.PIOSend(ep.w.Proc, 0, encodeTag(clsExchAck, ep.w.CPU, 0, 1), []uint32{0, 0}, arctic.Low)
 }
 
+// waitEcho takes rank 1's completion echo at rank 0: a program of one
+// PIO wait.
+func waitEcho(ep *HyadesEndpoint) {
+	ep.begin()
+	ep.add(op{kind: opHandshake, key: ep.keyOf(clsExchAck, 1, 1)})
+	ep.run()
+}
+
 // measureEcho times the bare 8-byte ping/pong used as the completion
 // echo in measureTransfer.
 func measureEcho(t *testing.T) units.Time {
@@ -292,7 +300,7 @@ func measureEcho(t *testing.T) units.Time {
 		if ep.Rank() == 0 {
 			start = ep.Now()
 			for i := 0; i < reps; i++ {
-				ep.pioWaitKey(ep.keyOf(clsExchAck, 1, 1))
+				waitEcho(ep)
 			}
 			end = ep.Now()
 		} else {

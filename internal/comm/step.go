@@ -17,23 +17,30 @@ const (
 	opDelay     opKind = iota // stall the processor for d
 	opSend                    // PIO-send the payload w to node under tag
 	opSendSum                 // PIO-send the running sum to node under tag
-	opWait                    // take the PIO message matching key into msg
 	opHandshake               // take the REQ or ACK matching key and drop it
 	opAdd                     // take the partial sum matching key and add it
+	opSet                     // take the total matching key and make it the sum
 	opDMA                     // start the VI transfer of data to node under tag
 	opVIWait                  // take the VI transfer matching key, from rank src, into xfer
+	opShmPut                  // put the running sum into the shared mailbox sums
+	opShmAdd                  // take a value from sums and add it
+	opShmSet                  // take a value from sums and make it the sum
+	opShmSend                 // put the slab data into the shared mailbox slabs
+	opShmRecv                 // take a slab from slabs into xfer
 )
 
 // op is one step of a program; the fields its kind does not use are zero.
 type op struct {
-	kind opKind
-	d    units.Time
-	node int
-	tag  int
-	w    [2]uint32
-	key  matchKey
-	src  int
-	data []byte
+	kind  opKind
+	d     units.Time
+	node  int
+	tag   int
+	w     [2]uint32
+	key   matchKey
+	src   int
+	data  []byte
+	sums  *des.Mailbox[float64]
+	slabs *des.Mailbox[[]byte]
 }
 
 // program is an endpoint's primitive in flight: its ops, the op at pc
@@ -47,13 +54,13 @@ type program struct {
 	sub     uint8 // where the op at pc resumes; 0 starts it
 	expired bool  // a PIO or VI wait outlived the watchdog: the process raises it
 
-	sum      float64                      // the butterfly's running sum
+	sum      float64                      // the global sum's running sum
 	words    []uint32                     // the payload of the PIO send in progress
 	msg      startx.Message               // the matched PIO message, or the polled one
 	polled   bool                         // the hardware poll found a message
 	box      *des.Mailbox[startx.Message] // the PIO wait's match box
 	snap     uint64                       // the delivery signal's generation before the poll
-	xfer     startx.Transfer              // the matched VI transfer
+	xfer     startx.Transfer              // the matched VI transfer, or the slab from shared memory
 	vbox     *des.Mailbox[startx.Transfer]
 	timed    bool       // the VI receive waits under the watchdog
 	deadline units.Time // ... until this instant
@@ -137,19 +144,54 @@ func (ep *HyadesEndpoint) exec(o *op) bool {
 		niu.CompleteDMASend(o.node, o.tag, o.data, arctic.Low)
 	case opVIWait:
 		return ep.viWait(o.key)
+	case opShmPut:
+		o.sums.Send(pr.sum)
+	case opShmSend:
+		o.slabs.Send(o.data)
+	case opShmAdd, opShmSet:
+		v, ok := recvStep(p, o.sums, &pr.sub)
+		if !ok {
+			return false
+		}
+		if o.kind == opShmAdd {
+			pr.sum += v
+		} else {
+			pr.sum = v
+		}
+	case opShmRecv:
+		v, ok := recvStep(p, o.slabs, &pr.sub)
+		if !ok {
+			return false
+		}
+		pr.xfer = startx.Transfer{Data: v}
 	default:
 		if !ep.pioWait(o.key) {
 			return false
 		}
-		if pr.expired || o.kind == opWait {
+		if pr.expired {
 			return true
 		}
-		if o.kind == opAdd {
-			pr.sum += math.Float64frombits(uint64(pr.msg.Words[0])<<32 | uint64(pr.msg.Words[1]))
+		if o.kind != opHandshake {
+			v := math.Float64frombits(uint64(pr.msg.Words[0])<<32 | uint64(pr.msg.Words[1]))
+			if o.kind == opAdd {
+				pr.sum += v
+			} else {
+				pr.sum = v
+			}
 		}
 		ep.h.putWords(pr.msg.Words)
 	}
 	return true
+}
+
+// recvStep is Mailbox.Recv as a resumable op: the item, or false with p
+// parked until a Send, after which the op calls it again.
+func recvStep[T any](p *des.Proc, mb *des.Mailbox[T], sub *uint8) (T, bool) {
+	if *sub != 0 {
+		p.ParkEnd()
+	}
+	*sub = 1
+	return mb.RecvStep(p)
 }
 
 // Where a PIO wait resumes (program.sub).

@@ -239,35 +239,20 @@ func (o *offsetEndpoint) gsumExchange(peer int, v float64, layout comm.Block) []
 }
 
 // GlobalSum reduces over the component's worker group only, using a
-// binomial tree of pairwise exchanges (8-byte payloads).
+// binomial tree of pairwise exchanges (8-byte payloads).  Both sides of
+// a tree edge call Exchange: the sender's payload is its sum, and the
+// receiver's is its own partial on the way up and 0 on the way down.
 func (o *offsetEndpoint) GlobalSum(x float64) float64 {
-	me := o.Rank()
 	layout := comm.Block{Rows: 1, RowBytes: 8, Cached: true}
 	sum := x
-	// Reduce to group rank 0.
-	for mask := 1; mask < o.n; mask <<= 1 {
-		if me&mask != 0 {
-			o.gsumExchange(me&^mask, sum, layout)
-			break
-		}
-		if me|mask < o.n {
-			sum += decF64(o.gsumExchange(me|mask, sum, layout))
-		}
-	}
-	// Broadcast back down the same tree.
-	highest := 1
-	for highest < o.n {
-		highest <<= 1
-	}
-	start := highest
-	if me != 0 {
-		low := me & -me
-		sum = decF64(o.gsumExchange(me&^low, 0, layout))
-		start = low
-	}
-	for mask := start >> 1; mask >= 1; mask >>= 1 {
-		if me|mask < o.n && me&mask == 0 {
-			o.gsumExchange(me|mask, sum, layout)
+	for s := range (comm.BinomialTree{Me: o.Rank(), N: o.n}).Steps {
+		switch s.Kind {
+		case comm.SendUp, comm.SendDown:
+			o.gsumExchange(s.Peer, sum, layout)
+		case comm.RecvAdd:
+			sum += decF64(o.gsumExchange(s.Peer, sum, layout))
+		case comm.RecvResult:
+			sum = decF64(o.gsumExchange(s.Peer, 0, layout))
 		}
 	}
 	return sum

@@ -23,6 +23,7 @@ import (
 
 	"hyades/internal/arctic"
 	"hyades/internal/cluster"
+	"hyades/internal/comm"
 	"hyades/internal/startx"
 	"hyades/internal/units"
 )
@@ -141,23 +142,17 @@ func (c *Comm) Sendrecv(peer, tag int, send []byte) []byte {
 	return data
 }
 
-// Bcast distributes root's buffer to every rank over a binomial tree
-// and returns each rank's copy.
+// Bcast distributes root's buffer to every rank over the broadcast half
+// of a binomial tree rotated to root, and returns each rank's copy.
 func (c *Comm) Bcast(root, tag int, data []byte) []byte {
 	me := (c.Rank() - root + c.size) % c.size
-	highest := 1
-	for highest < c.size {
-		highest <<= 1
-	}
-	if me != 0 {
-		low := me & -me
-		parent := (me - low + root) % c.size
-		data = c.Recv(parent, tag)
-		highest = low
-	}
-	for mask := highest >> 1; mask >= 1; mask >>= 1 {
-		if me&mask == 0 && me|mask < c.size {
-			c.Send(((me|mask)+root)%c.size, tag, data)
+	for s := range (comm.BinomialTree{Me: me, N: c.size}).Steps {
+		peer := (s.Peer + root) % c.size
+		switch s.Kind {
+		case comm.RecvResult:
+			data = c.Recv(peer, tag)
+		case comm.SendDown:
+			c.Send(peer, tag, data)
 		}
 	}
 	return data
@@ -166,32 +161,19 @@ func (c *Comm) Bcast(root, tag int, data []byte) []byte {
 // Allreduce sums one float64 across all ranks with the portable
 // reduce-then-broadcast algorithm (2 log2 N sequential message
 // latencies on the critical path, against the custom butterfly's
-// log2 N).
+// log2 N); the broadcast half uses tag+1.
 func (c *Comm) Allreduce(x float64, tag int) float64 {
-	me, n := c.Rank(), c.size
 	sum := x
-	for mask := 1; mask < n; mask <<= 1 {
-		if me&mask != 0 {
-			c.Send(me&^mask, tag, encodeFloat(sum))
-			break
-		}
-		if me|mask < n {
-			sum += decodeFloat(c.Recv(me|mask, tag))
-		}
-	}
-	highest := 1
-	for highest < n {
-		highest <<= 1
-	}
-	start := highest
-	if me != 0 {
-		low := me & -me
-		sum = decodeFloat(c.Recv(me&^low, tag+1))
-		start = low
-	}
-	for mask := start >> 1; mask >= 1; mask >>= 1 {
-		if me|mask < n && me&mask == 0 {
-			c.Send(me|mask, tag+1, encodeFloat(sum))
+	for s := range (comm.BinomialTree{Me: c.Rank(), N: c.size}).Steps {
+		switch s.Kind {
+		case comm.SendUp:
+			c.Send(s.Peer, tag, encodeFloat(sum))
+		case comm.RecvAdd:
+			sum += decodeFloat(c.Recv(s.Peer, tag))
+		case comm.RecvResult:
+			sum = decodeFloat(c.Recv(s.Peer, tag+1))
+		case comm.SendDown:
+			c.Send(s.Peer, tag+1, encodeFloat(sum))
 		}
 	}
 	return sum

@@ -22,6 +22,7 @@
 package netmodel
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 
@@ -316,50 +317,18 @@ func (ep *Endpoint) Barrier() {
 }
 
 func (ep *Endpoint) allReduce(x float64) float64 {
-	n := ep.c.N
-	if n == 1 {
-		return x
-	}
-	me := ep.rank
 	sum := x
-	enc := func(v float64) []byte {
-		bits := math.Float64bits(v)
-		var b [8]byte
-		for i := range b {
-			b[i] = byte(bits >> (8 * i))
-		}
-		return b[:]
-	}
-	dec := func(b []byte) float64 {
-		var bits uint64
-		for i := 0; i < 8; i++ {
-			bits |= uint64(b[i]) << (8 * i)
-		}
-		return math.Float64frombits(bits)
-	}
-	for mask := 1; mask < n; mask <<= 1 {
-		if me&mask != 0 {
-			ep.sendMsg(me&^mask, enc(sum))
-			break
-		}
-		if me|mask < n {
-			sum += dec(ep.recvMsg(me | mask))
-		}
-	}
-	highest := 1
-	for highest < n {
-		highest <<= 1
-	}
-	start := highest
-	if me != 0 {
-		low := me & -me
-		sum = dec(ep.recvMsg(me &^ low))
-		start = low
-	}
-	for mask := start >> 1; mask >= 1; mask >>= 1 {
-		if me|mask < n && me&mask == 0 {
-			ep.sendMsg(me|mask, enc(sum))
+	for s := range (comm.BinomialTree{Me: ep.rank, N: ep.c.N}).Steps {
+		switch s.Kind {
+		case comm.SendUp, comm.SendDown:
+			ep.sendMsg(s.Peer, binary.LittleEndian.AppendUint64(nil, math.Float64bits(sum)))
+		case comm.RecvAdd:
+			sum += decF64(ep.recvMsg(s.Peer))
+		case comm.RecvResult:
+			sum = decF64(ep.recvMsg(s.Peer))
 		}
 	}
 	return sum
 }
+
+func decF64(b []byte) float64 { return math.Float64frombits(binary.LittleEndian.Uint64(b)) }

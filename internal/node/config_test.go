@@ -1,0 +1,31 @@
+package node_test
+
+import (
+	"testing"
+
+	"hyades/internal/cluster"
+	"hyades/internal/node"
+)
+
+// TestDefaultConfigIsTwoWay checks that the production machine is built
+// from two-way SMPs carrying the calibrated node parameters.  The
+// processor count per SMP lives in cluster.Config, so the check goes
+// through the cluster that assembles the nodes.
+func TestDefaultConfigIsTwoWay(t *testing.T) {
+	cfg := cluster.DefaultConfig(16, 2)
+	cfg.Workers = -1
+	c, err := cluster.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.Processors() != 32 || len(c.Nodes) != 16 {
+		t.Fatalf("16 two-way SMPs gave %d processors on %d nodes", c.Processors(), len(c.Nodes))
+	}
+	nd := c.Nodes[0].Cfg
+	if nd != node.DefaultConfig() {
+		t.Fatalf("cluster nodes carry %+v, want the calibrated defaults", nd)
+	}
+	if nd.MemcpyBandwidth <= nd.UncachedCopyBandwidth {
+		t.Fatal("cached copies should beat uncached copies")
+	}
+}

@@ -10,8 +10,6 @@
 package node
 
 import (
-	"fmt"
-
 	"hyades/internal/des"
 	"hyades/internal/pci"
 	"hyades/internal/startx"
@@ -24,8 +22,6 @@ import (
 // values; the semaphore cost reproduces the ~1 us mix-mode global-sum
 // penalty and the ~30% slave-exchange bandwidth loss.
 type Config struct {
-	Processors int // CPUs per SMP (Hyades: 2)
-
 	// MemcpyBandwidth is the rate of a well-behaved cached block copy.
 	MemcpyBandwidth units.Bandwidth
 	// UncachedCopyBandwidth is the rate of a copy whose working set
@@ -38,7 +34,6 @@ type Config struct {
 // DefaultConfig returns the calibrated Hyades node parameters.
 func DefaultConfig() Config {
 	return Config{
-		Processors:            2,
 		MemcpyBandwidth:       300 * units.MBps,
 		UncachedCopyBandwidth: 150 * units.MBps,
 		SemaphoreCost:         300 * units.Nanosecond,
@@ -48,60 +43,15 @@ func DefaultConfig() Config {
 // Node is one SMP.
 type Node struct {
 	ID  int
-	Eng *des.Engine
 	Cfg Config
 	Bus *pci.Bus
 	NIU *startx.NIU
-
-	// NIULock serializes NIU use between the processors of the SMP;
-	// the communication master holds it during remote primitives.
-	NIULock *des.Semaphore
-
-	// Shared is scratch shared memory for intra-SMP rendezvous, keyed
-	// by a small protocol-defined integer.
-	Shared map[int]*des.Mailbox[[]byte]
-
-	// Sums is the shared-memory slot used by the mix-mode local
-	// reduction of §4.2.
-	Sums *des.Mailbox[float64]
 }
 
 // New creates a node with its bus; the NIU is attached by the cluster.
 func New(e *des.Engine, id int, cfg Config, busCfg pci.Config) *Node {
-	return &Node{
-		ID:      id,
-		Eng:     e,
-		Cfg:     cfg,
-		Bus:     pci.NewBus(e, busCfg),
-		NIULock: des.NewSemaphore(e, fmt.Sprintf("node%d.niulock", id), 1),
-		Shared:  make(map[int]*des.Mailbox[[]byte]),
-		Sums:    des.NewMailbox[float64](e, "sums"),
-	}
+	return &Node{ID: id, Cfg: cfg, Bus: pci.NewBus(e, busCfg)}
 }
 
 // AttachNIU installs the node's network interface.
 func (n *Node) AttachNIU(niu *startx.NIU) { n.NIU = niu }
-
-// Memcpy charges the calling processor for a cached block copy.
-func (n *Node) Memcpy(p *des.Proc, bytes int) {
-	p.Delay(n.Cfg.MemcpyBandwidth.Transfer(bytes))
-}
-
-// UncachedCopy charges the calling processor for a cache-missing copy.
-func (n *Node) UncachedCopy(p *des.Proc, bytes int) {
-	p.Delay(n.Cfg.UncachedCopyBandwidth.Transfer(bytes))
-}
-
-// SemOp charges one shared-memory semaphore operation.
-func (n *Node) SemOp(p *des.Proc) { p.Delay(n.Cfg.SemaphoreCost) }
-
-// SharedChannel returns (creating on demand) the intra-SMP rendezvous
-// channel for a protocol key.
-func (n *Node) SharedChannel(key int) *des.Mailbox[[]byte] {
-	mb, ok := n.Shared[key]
-	if !ok {
-		mb = des.NewMailbox[[]byte](n.Eng, "shm")
-		n.Shared[key] = mb
-	}
-	return mb
-}

@@ -3,70 +3,19 @@ package node
 import (
 	"testing"
 
-	"hyades/internal/des"
-	"hyades/internal/pci"
 	"hyades/internal/units"
 )
 
+// TestCostCharging pins the calibrated charges package comm makes
+// against a node's parameters: a cached copy, a cache-missing copy and
+// one semaphore operation.
 func TestCostCharging(t *testing.T) {
-	eng := des.NewEngine()
-	n := New(eng, 0, DefaultConfig(), pci.DefaultConfig())
-	var after units.Time
-	eng.Spawn("p", func(p *des.Proc) {
-		n.Memcpy(p, 3_000_000)       // 3 MB at 300 MB/s = 10 ms
-		n.UncachedCopy(p, 1_500_000) // 1.5 MB at 150 MB/s = 10 ms
-		n.SemOp(p)
-		after = p.Now()
-	})
-	eng.Run()
-	want := 20*units.Millisecond + 300*units.Nanosecond
-	if after != want {
-		t.Fatalf("charged %v, want %v", after, want)
-	}
-}
-
-func TestSharedChannelIdentity(t *testing.T) {
-	eng := des.NewEngine()
-	n := New(eng, 0, DefaultConfig(), pci.DefaultConfig())
-	a := n.SharedChannel(7)
-	b := n.SharedChannel(7)
-	c := n.SharedChannel(8)
-	if a != b {
-		t.Fatal("same key returned different channels")
-	}
-	if a == c {
-		t.Fatal("different keys share a channel")
-	}
-}
-
-func TestDefaultConfigIsTwoWay(t *testing.T) {
 	cfg := DefaultConfig()
-	if cfg.Processors != 2 {
-		t.Fatalf("Hyades SMPs are two-way, got %d", cfg.Processors)
-	}
-	if cfg.MemcpyBandwidth <= cfg.UncachedCopyBandwidth {
-		t.Fatal("cached copies should beat uncached copies")
-	}
-}
-
-func TestNIULockMutualExclusion(t *testing.T) {
-	eng := des.NewEngine()
-	n := New(eng, 0, DefaultConfig(), pci.DefaultConfig())
-	inside, max := 0, 0
-	for i := 0; i < 3; i++ {
-		eng.Spawn("cpu", func(p *des.Proc) {
-			n.NIULock.Acquire(p)
-			inside++
-			if inside > max {
-				max = inside
-			}
-			p.Delay(units.Microsecond)
-			inside--
-			n.NIULock.Release()
-		})
-	}
-	eng.Run()
-	if max != 1 {
-		t.Fatalf("NIU lock admitted %d holders", max)
+	got := cfg.MemcpyBandwidth.Transfer(3_000_000) + // 3 MB at 300 MB/s = 10 ms
+		cfg.UncachedCopyBandwidth.Transfer(1_500_000) + // 1.5 MB at 150 MB/s = 10 ms
+		cfg.SemaphoreCost
+	want := 20*units.Millisecond + 300*units.Nanosecond
+	if got != want {
+		t.Fatalf("charged %v, want %v", got, want)
 	}
 }

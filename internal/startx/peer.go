@@ -24,10 +24,11 @@ import (
 	"hyades/internal/units"
 )
 
-// Dead-peer detection defaults; overridable through Config.  The lease
-// spans several heartbeats so one dropped heartbeat never kills a live
-// peer, and it sits below the go-back-N retry horizon so recovery is
-// driven by the lease, not by an exhausted retransmit budget.
+// Dead-peer detection: a heartbeat every DefaultHeartbeat, and a peer
+// is dead once nothing has been heard from it for DefaultPeerLease.  The
+// lease spans several heartbeats so one dropped heartbeat never kills a
+// live peer, and it sits below the go-back-N retry horizon so recovery
+// is driven by the lease, not by an exhausted retransmit budget.
 const (
 	DefaultHeartbeat = 100 * units.Microsecond
 	DefaultPeerLease = 400 * units.Microsecond
@@ -43,18 +44,12 @@ var hbPayload = make([]uint32, arctic.MinPayloadWords)
 // silent but its timer chain survives, so a restart resumes heartbeats
 // without re-arming).
 func (n *NIU) StartPeerMonitor() {
-	if n.cfg.Heartbeat <= 0 {
-		n.cfg.Heartbeat = DefaultHeartbeat
-	}
-	if n.cfg.PeerLease <= 0 {
-		n.cfg.PeerLease = DefaultPeerLease
-	}
 	eps := n.fab.Config().Endpoints
 	n.lastHeard = make([]units.Time, eps)
 	n.peerDead = make([]bool, eps)
 	n.refreshLeases()
-	n.hbTimer = n.eng.After(n.cfg.Heartbeat, n.hbTick)
-	n.lsTimer = n.eng.After(n.cfg.PeerLease, n.lsTick)
+	n.hbTimer = n.eng.After(DefaultHeartbeat, n.hbTick)
+	n.lsTimer = n.eng.After(DefaultPeerLease, n.lsTick)
 }
 
 // StopPeerMonitor cancels the heartbeat and lease timers so the event
@@ -72,7 +67,7 @@ func (n *NIU) StopPeerMonitor() {
 
 // hbTick broadcasts one heartbeat to every peer and re-arms itself.
 func (n *NIU) hbTick() {
-	n.hbTimer = n.eng.After(n.cfg.Heartbeat, n.hbTick)
+	n.hbTimer = n.eng.After(DefaultHeartbeat, n.hbTick)
 	if n.down {
 		return
 	}
@@ -95,7 +90,7 @@ func (n *NIU) hbTick() {
 // lsTick checks every peer's lease and re-arms itself on the heartbeat
 // period (so detection lags the lease by at most one period).
 func (n *NIU) lsTick() {
-	n.lsTimer = n.eng.After(n.cfg.Heartbeat, n.lsTick)
+	n.lsTimer = n.eng.After(DefaultHeartbeat, n.lsTick)
 	if n.down {
 		return
 	}
@@ -103,7 +98,7 @@ func (n *NIU) lsTick() {
 		if p == n.ep || n.peerDead[p] {
 			continue
 		}
-		if n.eng.Now()-n.lastHeard[p] > n.cfg.PeerLease {
+		if n.eng.Now()-n.lastHeard[p] > DefaultPeerLease {
 			n.peerDead[p] = true
 			if n.OnPeerDead != nil {
 				n.OnPeerDead(p)

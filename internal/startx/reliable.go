@@ -17,7 +17,7 @@
 //     will be refilled by retransmission).
 //   - The sender holds unacknowledged packets, retransmits all of them
 //     when a virtual-time timeout expires, doubles the timeout on every
-//     consecutive expiry (capped), and after a configurable budget of
+//     consecutive expiry (capped), and after a fixed budget of
 //     fruitless retries declares the peer unreachable — loudly, via
 //     OnUnreachable / Engine.Fail, never by hanging.
 //
@@ -34,7 +34,10 @@ import (
 	"hyades/internal/units"
 )
 
-// Reliability defaults; overridable through Config.
+// The reliable channel's parameters: the initial retransmit timeout,
+// the cap on its exponential backoff, the consecutive fruitless timeouts
+// tolerated before the peer is declared unreachable, and the go-back-N
+// window (unacknowledged packets per stream).
 const (
 	DefaultRelTimeout     = 500 * units.Microsecond
 	DefaultRelBackoffCap  = 4 * units.Millisecond
@@ -125,7 +128,7 @@ func (n *NIU) inject(pkt *arctic.Packet) {
 	st := n.relTx(pkt.Dst, pkt.Pri)
 	pkt.Rel = &arctic.RelHeader{Seq: st.nextSeq, Chan: pkt.Pri}
 	st.nextSeq++
-	if st.dead || len(st.unacked) >= n.cfg.RelWindow {
+	if st.dead || len(st.unacked) >= DefaultRelWindow {
 		st.backlog = append(st.backlog, pkt)
 		return
 	}
@@ -146,9 +149,9 @@ func (st *relStream) sendData(pkt *arctic.Packet) {
 
 // rto returns the current retransmit timeout with exponential backoff.
 func (st *relStream) rto() units.Time {
-	d := st.niu.cfg.RelTimeout << st.retries
-	if cap := st.niu.cfg.RelBackoffCap; d > cap || d <= 0 {
-		d = cap
+	d := DefaultRelTimeout << st.retries
+	if d > DefaultRelBackoffCap || d <= 0 {
+		d = DefaultRelBackoffCap
 	}
 	return d
 }
@@ -167,7 +170,7 @@ func (st *relStream) onTimeout() {
 	}
 	n.Rel.Timeouts++
 	st.retries++
-	if st.retries > n.cfg.RelRetryBudget {
+	if st.retries > DefaultRelRetryBudget {
 		st.dead = true
 		head := st.unacked[0]
 		info := UnreachableInfo{
@@ -209,7 +212,7 @@ func (st *relStream) onAck(ackSeq uint64) {
 		st.timer.Cancel()
 	}
 	// Window space freed: promote backlogged packets.
-	for !st.dead && len(st.backlog) > 0 && len(st.unacked) < st.niu.cfg.RelWindow {
+	for !st.dead && len(st.backlog) > 0 && len(st.unacked) < DefaultRelWindow {
 		pkt := st.backlog[0]
 		st.backlog = st.backlog[1:]
 		st.sendData(pkt)

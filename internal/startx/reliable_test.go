@@ -134,8 +134,8 @@ func TestPermanentOutageDeclaresUnreachable(t *testing.T) {
 	if info.Peer != 1 || info.Local != 0 || info.Seq != 0 || info.Tag != 0x2a {
 		t.Fatalf("diagnostics = %+v", info)
 	}
-	if info.Retries != nius[0].cfg.RelRetryBudget {
-		t.Fatalf("Retries = %d, want the %d budget", info.Retries, nius[0].cfg.RelRetryBudget)
+	if info.Retries != DefaultRelRetryBudget {
+		t.Fatalf("Retries = %d, want the %d budget", info.Retries, DefaultRelRetryBudget)
 	}
 	if eng.Err() == nil {
 		t.Fatalf("engine did not record the failure")

@@ -59,25 +59,6 @@ type Config struct {
 	// reliable.go).  Off by default: a fault-free fabric delivers every
 	// packet, and the paper's software layer assumes exactly that.
 	Reliable bool
-	// RelTimeout is the initial retransmit timeout (0 = default).
-	RelTimeout units.Time
-	// RelBackoffCap bounds the exponentially backed-off timeout.
-	RelBackoffCap units.Time
-	// RelRetryBudget is the number of consecutive fruitless timeouts
-	// tolerated before the peer is declared unreachable.
-	RelRetryBudget int
-	// RelWindow is the go-back-N window: the maximum number of
-	// unacknowledged packets per (destination, priority) stream.
-	RelWindow int
-
-	// Heartbeat and PeerLease configure NIU-level dead-peer detection
-	// (see peer.go).  With Heartbeat > 0 a started monitor broadcasts a
-	// small high-priority heartbeat packet every Heartbeat of virtual
-	// time, and declares a peer dead once nothing — heartbeat or data —
-	// has been heard from it for PeerLease.  Zero leaves detection off;
-	// the cluster layer fills in defaults when node faults are enabled.
-	Heartbeat units.Time
-	PeerLease units.Time
 }
 
 // DefaultConfig returns the calibrated StarT-X pipeline latencies.
@@ -312,20 +293,6 @@ func (j *rxJob) run() {
 
 // New attaches a NIU for endpoint ep to fabric fab and bus.
 func New(e *des.Engine, bus *pci.Bus, fab *arctic.Fabric, ep int, cfg Config) *NIU {
-	if cfg.Reliable {
-		if cfg.RelTimeout <= 0 {
-			cfg.RelTimeout = DefaultRelTimeout
-		}
-		if cfg.RelBackoffCap <= 0 {
-			cfg.RelBackoffCap = DefaultRelBackoffCap
-		}
-		if cfg.RelRetryBudget <= 0 {
-			cfg.RelRetryBudget = DefaultRelRetryBudget
-		}
-		if cfg.RelWindow <= 0 {
-			cfg.RelWindow = DefaultRelWindow
-		}
-	}
 	n := &NIU{
 		eng: e, bus: bus, fab: fab, ep: ep, cfg: cfg,
 		rxHi: des.NewMailbox[Message](e, fmt.Sprintf("niu%d.rxHi", ep)),
