@@ -2,15 +2,16 @@
 # ci.sh — the repository's verification gate.
 #
 # Runs formatting, the standard vet suite, the project's own
-# determinism analyzers (hyadeslint), a full build, and the tests under
-# the race detector.  Everything is offline and stdlib-only.
+# determinism analyzers (internal/lint's repository test), a full
+# build, and the tests under the race detector.  Everything is offline
+# and stdlib-only.
 set -euo pipefail
 cd "$(dirname "$0")"
 
-# Everything the gate writes — the lint binary, the smoke drivers, the
-# figure9 plates, the bench artifact unless the environment names a
-# destination — lives under one directory that is removed however the
-# script ends.
+# Everything the gate writes — the lint test binary, the smoke
+# drivers, the figure9 plates, the bench artifact unless the environment
+# names a destination — lives under one directory that is removed
+# however the script ends.
 tmp_root=$(mktemp -d)
 trap 'rm -rf "$tmp_root"' EXIT
 
@@ -139,38 +140,31 @@ fi
 echo "== go vet"
 go vet ./...
 
-echo "== hyadeslint (determinism + communication contract)"
-# The findings gate: any finding fails.  Every analyzer reads one
-# function body at a time, so the run is mostly type-checking; it is
+echo "== lint (internal/lint TestRepositoryIsClean)"
+# The findings gate: the repository test runs every analyzer over every
+# package of the module, and any finding fails it.  Every analyzer reads
+# one function body at a time, so the run is mostly type-checking; it is
 # still on a wall-clock budget, so a pathological slowdown fails CI
-# loudly instead of slowing every later stage quietly.  The binary is
-# prebuilt so the budget measures analysis, not compilation; the
+# loudly instead of slowing every later stage quietly.  The test binary
+# is prebuilt so the budget measures analysis, not compilation; the
 # measured time is archived in the bench artifact below.
-hyadeslint="$tmp_root/hyadeslint"
-go build -o "$hyadeslint" ./cmd/hyadeslint
+lint_test="$tmp_root/lint.test"
+go test -c -o "$lint_test" ./internal/lint
 lint_budget_s="${HYADESLINT_BUDGET_S:-30}"
 lint_start=$(date +%s%N)
-"$hyadeslint" ./...
+if ! lint_out=$(cd internal/lint && "$lint_test" -test.run '^TestRepositoryIsClean$' -test.v 2>&1); then
+    echo "$lint_out" >&2
+    exit 1
+fi
 lint_ms=$(( ($(date +%s%N) - lint_start) / 1000000 ))
-echo "hyadeslint full tree: ${lint_ms} ms (budget ${lint_budget_s} s)"
+if ! grep -q '^--- PASS: TestRepositoryIsClean' <<< "$lint_out"; then
+    echo "lint: TestRepositoryIsClean did not run:" >&2
+    echo "$lint_out" >&2
+    exit 1
+fi
+echo "lint full tree: ${lint_ms} ms (budget ${lint_budget_s} s)"
 if [ "$lint_ms" -gt $(( lint_budget_s * 1000 )) ]; then
-    echo "hyadeslint wall-clock budget exceeded: ${lint_ms} ms > ${lint_budget_s} s" >&2
-    exit 1
-fi
-
-echo "== hyadeslint -fix fixed point"
-# A clean tree must be a fixed point of the autofixer (no "would
-# rewrite" lines on stderr).  Exit status 1 (findings) is judged by
-# the gate above, not here; 2+ is a load error.
-fixstatus=0
-fixlog=$("$hyadeslint" -fix -n ./... 2>&1 >/dev/null) || fixstatus=$?
-if [ "$fixstatus" -ge 2 ]; then
-    echo "$fixlog" >&2
-    exit 1
-fi
-if [ -n "$fixlog" ]; then
-    echo "hyadeslint -fix would modify a clean tree:" >&2
-    echo "$fixlog" >&2
+    echo "lint wall-clock budget exceeded: ${lint_ms} ms > ${lint_budget_s} s" >&2
     exit 1
 fi
 
@@ -323,7 +317,7 @@ echo "== bench (hot-path benchmarks, artifact)"
 # artifact records allocs/op and the simulated-time metrics plus the
 # core count of the machine that produced them, giving future changes
 # a perf trajectory to compare against.
-# The hyadeslint wall-clock measurement rides along as a synthetic
+# The lint stage's wall-clock measurement rides along as a synthetic
 # benchmark line, so the lint suite's cost has a committed trajectory
 # too.
 # The artifact lands in a scratch file unless HYADES_BENCH_JSON names

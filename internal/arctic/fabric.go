@@ -2,7 +2,6 @@ package arctic
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 
 	"hyades/internal/des"
@@ -23,7 +22,7 @@ type Config struct {
 	// RouterLatency is the per-stage forwarding latency (paper: <0.15 us).
 	RouterLatency units.Time
 	// Faults, when non-nil, injects deterministic link faults: drops,
-	// corruption, degradation windows and outages (package fault).
+	// corruption and outages (package fault).
 	Faults *fault.Plan
 }
 
@@ -474,10 +473,6 @@ func (l *link) startNext() {
 			f.recycle(t)
 			l.hold(0)
 			return
-		}
-		if bwScale, latScale := l.flt.Scale(now); bwScale != 1 || latScale != 1 {
-			bw = units.Bandwidth(float64(bw) * bwScale)
-			lat = units.Time(math.Round(float64(lat) * latScale))
 		}
 		switch l.flt.Transmit(now) {
 		case fault.Drop:

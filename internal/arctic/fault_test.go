@@ -179,25 +179,6 @@ func TestOutageWindowEndsAndTrafficResumes(t *testing.T) {
 	}
 }
 
-func TestDegradationSlowsDelivery(t *testing.T) {
-	mk := func(fc fault.Config) units.Time {
-		eng, fab, got := faultFabric(t, 16, fc)
-		fab.Inject(0, mkPacket(fab, 0, 13, 4, 1))
-		eng.Run()
-		if len(*got) != 1 {
-			t.Fatalf("degraded link lost the packet")
-		}
-		return eng.Now()
-	}
-	healthy := mk(fault.Config{})
-	degraded := mk(fault.Config{Degradations: []fault.Degradation{
-		{Link: "*", From: 0, BandwidthScale: 0.5, LatencyScale: 2},
-	}})
-	if degraded <= healthy {
-		t.Fatalf("degraded delivery (%v) not slower than healthy (%v)", degraded, healthy)
-	}
-}
-
 func TestFaultFreePlanChangesNothing(t *testing.T) {
 	// A present-but-empty fault plan must leave the timing and event
 	// count of a run bit-identical to one with no plan at all.

@@ -11,13 +11,11 @@
 // topology or reordering link construction does not perturb the faults
 // seen by the others.
 //
-// Four composable fault models are supported:
+// Three composable link fault models are supported:
 //
 //   - per-link packet drop (the packet occupies the wire, then vanishes)
 //   - per-link packet corruption (the CRC check at the next router
 //     stage fires and the stage discards the packet)
-//   - transient link degradation (bandwidth/latency scaling over a
-//     virtual-time window)
 //   - whole-link outage (nothing gets through during the window)
 //
 // The package is part of the simulation event path: the determinism
@@ -75,38 +73,13 @@ func (o Outage) active(t units.Time) bool {
 	return o.Until <= 0 || t < o.Until
 }
 
-// Degradation scales a link's bandwidth and latency over a virtual-time
-// window, modelling a flaky cable or a congested retimer rather than a
-// hard failure.  Scales of 1 (or 0, meaning "unset") leave the
-// respective figure alone.
-type Degradation struct {
-	Link           string
-	From           units.Time
-	Until          units.Time // <= 0 = forever
-	BandwidthScale float64    // multiplies the link rate (0 < s <= 1 slows it)
-	LatencyScale   float64    // multiplies the hop latency (s >= 1 slows it)
-}
-
-func (d Degradation) active(t units.Time) bool {
-	if t < d.From {
-		return false
-	}
-	return d.Until <= 0 || t < d.Until
-}
-
 // Config selects the faults to inject.  The zero value injects nothing.
 type Config struct {
-	Seed         uint64  // stream seed; runs with equal seeds see equal faults
-	DropRate     float64 // per-packet, per-link silent-drop probability
-	CorruptRate  float64 // per-packet, per-link corruption probability
-	Outages      []Outage
-	Degradations []Degradation
-
-	// NodeOutages crash whole nodes (see node.go); RestartJitter, when
-	// positive, stretches each finite window's restart instant by a
-	// per-node seeded draw uniform in [0, RestartJitter).
-	NodeOutages   []NodeOutage
-	RestartJitter units.Time
+	Seed        uint64  // stream seed; runs with equal seeds see equal faults
+	DropRate    float64 // per-packet, per-link silent-drop probability
+	CorruptRate float64 // per-packet, per-link corruption probability
+	Outages     []Outage
+	NodeOutages []NodeOutage // whole-node crashes (see node.go)
 }
 
 // Enabled reports whether the config injects any fault at all.  The
@@ -115,7 +88,7 @@ type Config struct {
 // are identical to a build without this package.
 func (c Config) Enabled() bool {
 	return c.DropRate > 0 || c.CorruptRate > 0 || len(c.Outages) > 0 ||
-		len(c.Degradations) > 0 || len(c.NodeOutages) > 0
+		len(c.NodeOutages) > 0
 }
 
 // NodesEnabled reports whether the config crashes whole nodes; the
@@ -124,7 +97,7 @@ func (c Config) Enabled() bool {
 func (c Config) NodesEnabled() bool { return len(c.NodeOutages) > 0 }
 
 // Plan is a compiled Config: per-link PRNG streams plus the static
-// outage/degradation windows.  Build one with NewPlan and share it
+// outage windows.  Build one with NewPlan and share it
 // across the fabric; it is not safe for concurrent use outside the DES
 // baton discipline.
 type Plan struct {
@@ -159,11 +132,6 @@ func (p *Plan) Link(name string) *Link {
 	for _, o := range p.cfg.Outages {
 		if matchLink(o.Link, name) {
 			l.outages = append(l.outages, o)
-		}
-	}
-	for _, d := range p.cfg.Degradations {
-		if matchLink(d.Link, name) {
-			l.degradations = append(l.degradations, d)
 		}
 	}
 	p.links = append(p.links, l)
@@ -214,11 +182,10 @@ const (
 
 // Link is the per-link fault state.
 type Link struct {
-	name         string
-	rng          *PRNG
-	plan         *Plan
-	outages      []Outage
-	degradations []Degradation
+	name    string
+	rng     *PRNG
+	plan    *Plan
+	outages []Outage
 }
 
 // Name returns the link's name.
@@ -251,25 +218,6 @@ func (l *Link) Transmit(t units.Time) Verdict {
 		return Corrupt
 	}
 	return Deliver
-}
-
-// Scale returns the bandwidth and latency multipliers in effect at t
-// (1, 1 when the link is healthy).  Overlapping degradation windows
-// compose multiplicatively.
-func (l *Link) Scale(t units.Time) (bandwidth, latency float64) {
-	bandwidth, latency = 1, 1
-	for _, d := range l.degradations {
-		if !d.active(t) {
-			continue
-		}
-		if d.BandwidthScale > 0 {
-			bandwidth *= d.BandwidthScale
-		}
-		if d.LatencyScale > 0 {
-			latency *= d.LatencyScale
-		}
-	}
-	return bandwidth, latency
 }
 
 // ParseOutage parses the -link-outage flag grammar:

@@ -148,23 +148,6 @@ func TestOutageWindows(t *testing.T) {
 	}
 }
 
-func TestDegradationScaling(t *testing.T) {
-	p := NewPlan(Config{Degradations: []Degradation{
-		{Link: "z", From: 0, Until: 10 * units.Microsecond, BandwidthScale: 0.5},
-		{Link: "z", From: 5 * units.Microsecond, Until: 15 * units.Microsecond, LatencyScale: 3},
-	}})
-	l := p.Link("z")
-	if bw, lat := l.Scale(2 * units.Microsecond); bw != 0.5 || lat != 1 {
-		t.Fatalf("Scale(2us) = %v,%v", bw, lat)
-	}
-	if bw, lat := l.Scale(7 * units.Microsecond); bw != 0.5 || lat != 3 {
-		t.Fatalf("overlapping windows: Scale(7us) = %v,%v", bw, lat)
-	}
-	if bw, lat := l.Scale(20 * units.Microsecond); bw != 1 || lat != 1 {
-		t.Fatalf("Scale(20us) = %v,%v, want 1,1", bw, lat)
-	}
-}
-
 func TestEnabled(t *testing.T) {
 	if (Config{}).Enabled() {
 		t.Fatalf("zero config reports enabled")
@@ -176,7 +159,6 @@ func TestEnabled(t *testing.T) {
 		{DropRate: 1e-3},
 		{CorruptRate: 1e-3},
 		{Outages: []Outage{{Link: "x"}}},
-		{Degradations: []Degradation{{Link: "x", LatencyScale: 2}}},
 	} {
 		if !c.Enabled() {
 			t.Fatalf("config %+v reports disabled", c)

@@ -3,10 +3,8 @@
 // A NodeOutage takes an entire simulated node down — every rank proc on
 // it dies at the crash instant and the NIU goes deaf — and, when the
 // window is finite, schedules its restart.  Node plans follow the same
-// discipline as link faults: windows live in virtual time, restart
-// jitter comes from a per-node splitmix64 stream derived from the plan
-// seed and the node's name, and a compiled plan is a pure function of
-// the Config.  Two runs with equal configs crash at equal instants.
+// discipline as link faults: windows live in virtual time and a
+// compiled plan is a pure function of the Config.  Two runs with equal configs crash at equal instants.
 
 package fault
 
@@ -30,8 +28,7 @@ type NodeOutage struct {
 }
 
 // NodeWindow is one compiled crash window of a node: crash at From,
-// restart at Until (with any configured jitter already folded in), or
-// never if Until <= 0.
+// restart at Until, or never if Until <= 0.
 type NodeWindow struct {
 	From  units.Time
 	Until units.Time
@@ -76,7 +73,6 @@ func (p *Plan) Node(id int) *NodeFault {
 		}
 	}
 	nf := &NodeFault{node: id}
-	name := nodeName(id)
 	for _, o := range p.cfg.NodeOutages {
 		if matchNode(o.Node, id) {
 			nf.windows = append(nf.windows, NodeWindow{From: o.From, Until: o.Until})
@@ -85,24 +81,9 @@ func (p *Plan) Node(id int) *NodeFault {
 	sort.Slice(nf.windows, func(i, j int) bool {
 		return nf.windows[i].From < nf.windows[j].From
 	})
-	// Restart jitter: one draw per window, in window order, from the
-	// node's own stream — the same per-entity discipline as links, so
-	// adding a node outage elsewhere never perturbs this node's plan.
-	if j := p.cfg.RestartJitter; j > 0 {
-		rng := NewPRNG(streamSeed(p.cfg.Seed, name))
-		for i := range nf.windows {
-			draw := units.Time(rng.Float64() * float64(j))
-			if nf.windows[i].Until > 0 {
-				nf.windows[i].Until += draw
-			}
-		}
-	}
 	p.nodes = append(p.nodes, nf)
 	return nf
 }
-
-// nodeName is the per-entity stream name for a node's jitter draws.
-func nodeName(id int) string { return "node(" + strconv.Itoa(id) + ")" }
 
 // matchNode reports whether pattern selects node id.  A pattern is "*"
 // for every node, a trailing-* prefix over the decimal index, or an

@@ -1,7 +1,5 @@
-// Package analysistest runs a hyadeslint analyzer over fixture packages
-// and checks its diagnostics against // want annotations, mirroring the
-// golang.org/x/tools/go/analysis/analysistest contract on top of the
-// stdlib-only driver.
+// Package analysistest runs one analyzer of package lint over fixture
+// packages and checks its diagnostics against // want annotations.
 //
 // Fixtures live under <testdata>/src/<pkgpath>/.  A line that should be
 // flagged carries a trailing annotation:
@@ -25,17 +23,28 @@ import (
 	"sync"
 	"testing"
 
-	"hyades/internal/lint/analysis"
+	"hyades/internal/lint"
 	"hyades/internal/lint/load"
 )
 
-// The loader is shared across Run calls so the standard library is
-// type-checked once per test binary, not once per analyzer.
+// The loader is shared by every test of the binary, fixtures and module
+// alike, so the standard library is type-checked once.
 var (
 	loaderOnce sync.Once
 	loader     *load.Loader
 	loaderErr  error
 )
+
+// Loader returns the test binary's one loader, for the module holding
+// the working directory.
+func Loader(t *testing.T) *load.Loader {
+	t.Helper()
+	loaderOnce.Do(func() { loader, loaderErr = load.NewLoader(".") })
+	if loaderErr != nil {
+		t.Fatalf("analysistest: %v", loaderErr)
+	}
+	return loader
+}
 
 // want is one expectation: a diagnostic matching rx on (file, line).
 type want struct {
@@ -48,12 +57,9 @@ type want struct {
 
 // Run loads each fixture package under testdata/src and applies a,
 // failing t on any mismatch between diagnostics and // want comments.
-func Run(t *testing.T, testdata string, a *analysis.Analyzer, pkgpaths ...string) {
+func Run(t *testing.T, testdata string, a *lint.Analyzer, pkgpaths ...string) {
 	t.Helper()
-	loaderOnce.Do(func() { loader, loaderErr = load.NewLoader(".") })
-	if loaderErr != nil {
-		t.Fatalf("analysistest: %v", loaderErr)
-	}
+	loader := Loader(t)
 	for _, pkgpath := range pkgpaths {
 		dir := filepath.Join(testdata, "src", filepath.FromSlash(pkgpath))
 		pkg, err := loader.LoadDir(dir, pkgpath)
@@ -70,13 +76,8 @@ func Run(t *testing.T, testdata string, a *analysis.Analyzer, pkgpaths ...string
 			t.Errorf("%s: %v", pkgpath, err)
 			continue
 		}
-		diags, err := analysis.RunPass(a, pkg.Fset, pkg.Files, pkg.Types, pkg.Info)
-		if err != nil {
-			t.Errorf("%s: %v", pkgpath, err)
-			continue
-		}
-		for _, d := range diags {
-			pos := d.Position(pkg.Fset)
+		for _, d := range lint.Run(a, pkg) {
+			pos := pkg.Fset.Position(d.Pos)
 			if !claim(wants, pos.Filename, pos.Line, d.Message) {
 				t.Errorf("%s:%d: unexpected diagnostic: %s", pos.Filename, pos.Line, d.Message)
 			}

@@ -1,10 +1,6 @@
 package lint
 
-import (
-	"go/ast"
-
-	"hyades/internal/lint/analysis"
-)
+import "go/ast"
 
 // Detsource forbids wall-clock reads and unseeded global randomness in
 // simulation packages.  A call to time.Now (or any process-global
@@ -20,9 +16,8 @@ import (
 // and never touches math/rand, so the rule's ban on the global source
 // covers fault plans too — a plan drawing from rand.Float64 is flagged
 // like any other sim-core code.
-var Detsource = &analysis.Analyzer{
+var Detsource = &Analyzer{
 	Name: "detsource",
-	Doc:  "forbid time.Now/time.Since and unseeded math/rand in simulation packages",
 	Run:  runDetsource,
 }
 
@@ -48,7 +43,7 @@ var seededRandFuncs = map[string]bool{
 	"NewChaCha8": true, // math/rand/v2
 }
 
-func runDetsource(pass *analysis.Pass) (interface{}, error) {
+func runDetsource(pass *Pass) {
 	inspectAll(pass, func(n ast.Node) bool {
 		sel, ok := n.(*ast.SelectorExpr)
 		if !ok {
@@ -78,5 +73,4 @@ func runDetsource(pass *analysis.Pass) (interface{}, error) {
 		}
 		return true
 	})
-	return nil, nil
 }

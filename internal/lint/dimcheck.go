@@ -4,8 +4,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-
-	"hyades/internal/lint/analysis"
 )
 
 // Dimcheck flags dimension-crossing arithmetic on the units types.
@@ -33,9 +31,8 @@ import (
 // The accessor family — Time.Seconds/Micros/Millis/Minutes,
 // Bandwidth.Transfer/MBperSec, units.Rate — is the sanctioned bridge
 // between dimensions.
-var Dimcheck = &analysis.Analyzer{
+var Dimcheck = &Analyzer{
 	Name: "dimcheck",
-	Doc:  "flag conversions and arithmetic that mix units.Time/Bandwidth/Size dimensions",
 	Run:  runDimcheck,
 }
 
@@ -52,7 +49,7 @@ func unitTypeName(t types.Type) string {
 	return ""
 }
 
-func runDimcheck(pass *analysis.Pass) (interface{}, error) {
+func runDimcheck(pass *Pass) {
 	inspectAll(pass, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.CallExpr:
@@ -75,7 +72,6 @@ func runDimcheck(pass *analysis.Pass) (interface{}, error) {
 		}
 		return true
 	})
-	return nil, nil
 }
 
 // dimensionedOp reports whether op combines two values in a way where
@@ -91,7 +87,7 @@ func dimensionedOp(op token.Token) bool {
 
 // crossUnitConversion matches U1(x) where U1 and x's type are two
 // different units types.
-func crossUnitConversion(pass *analysis.Pass, call *ast.CallExpr) (dst, src string, ok bool) {
+func crossUnitConversion(pass *Pass, call *ast.CallExpr) (dst, src string, ok bool) {
 	if len(call.Args) != 1 {
 		return "", "", false
 	}
@@ -117,7 +113,7 @@ func crossUnitConversion(pass *analysis.Pass, call *ast.CallExpr) (dst, src stri
 // rawUnitConv matches a conversion of a units-typed value to a plain
 // numeric type — float64(t), int64(bw), ... — and returns which units
 // type was stripped, or "".
-func rawUnitConv(pass *analysis.Pass, e ast.Expr) string {
+func rawUnitConv(pass *Pass, e ast.Expr) string {
 	call, ok := unparen(e).(*ast.CallExpr)
 	if !ok || len(call.Args) != 1 {
 		return ""

@@ -1,5 +1,7 @@
 // Package lint is hyadeslint: project-specific static analyzers that
-// machine-check the invariants the simulation's claims rest on.
+// machine-check the invariants the simulation's claims rest on.  The
+// repository test TestRepositoryIsClean runs them over every package of
+// the module and fails on any finding: go test ./internal/lint.
 //
 // The des package promises that a simulation run is a deterministic
 // function of its inputs — every timing figure in the paper regenerates
@@ -28,27 +30,24 @@
 //
 //	//lint:allow <rule> <reason>
 //
-// on, or immediately above, the offending line.  The waiver is the only
-// escape hatch, and it is grep-able — reviewers can audit every
-// exception to the determinism contract in one search.
+// on, or immediately above, the offending line.  A waiver names one
+// rule: another rule's finding on the same line still stands.  The
+// waiver is the only escape hatch, and it is grep-able — reviewers can
+// audit every exception to the determinism contract in one search.
 package lint
 
 import (
+	"cmp"
+	"fmt"
+	"go/ast"
+	"go/token"
+	"go/types"
+	"regexp"
+	"slices"
 	"strings"
 
-	"hyades/internal/lint/analysis"
 	"hyades/internal/lint/load"
 )
-
-// Analyzers is the full suite in reporting order.
-var Analyzers = []*analysis.Analyzer{
-	Detsource,
-	Nogoroutine,
-	Unitlit,
-	Maprange,
-	Dimcheck,
-	Redorder,
-}
 
 // simCorePackages hold simulation state or run inside the coroutine
 // discipline; detsource and nogoroutine apply here.  The list is closed
@@ -108,8 +107,8 @@ var redorderPackages = []string{
 // dimcheck everywhere except package units (whose accessor
 // implementations are the sanctioned raw conversions); the other rules
 // are scoped to the simulation core.
-func AnalyzersFor(importPath string) []*analysis.Analyzer {
-	var as []*analysis.Analyzer
+func AnalyzersFor(importPath string) []*Analyzer {
+	var as []*Analyzer
 	if underAny(importPath, simCorePackages) {
 		as = append(as, Detsource, Nogoroutine)
 	}
@@ -126,17 +125,74 @@ func AnalyzersFor(importPath string) []*analysis.Analyzer {
 	return as
 }
 
-// Check runs every applicable analyzer over pkg and returns the merged,
-// position-sorted findings.
-func Check(pkg *load.Package) ([]analysis.Diagnostic, error) {
-	var all []analysis.Diagnostic
-	for _, a := range AnalyzersFor(pkg.Path) {
-		diags, err := analysis.RunPass(a, pkg.Fset, pkg.Files, pkg.Types, pkg.Info)
-		if err != nil {
-			return nil, err
-		}
-		all = append(all, diags...)
+// An Analyzer is one rule.  Run reads the pass's files one function
+// body at a time and reports each finding through Pass.Reportf.
+type Analyzer struct {
+	Name string // names the rule in findings and in //lint:allow
+	Run  func(*Pass)
+}
+
+// A Pass hands one analyzer the syntax and types of one package.
+type Pass struct {
+	Files     []*ast.File
+	Pkg       *types.Package
+	TypesInfo *types.Info
+	report    func(token.Pos, string)
+}
+
+// Reportf records a finding at pos.
+func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
+	p.report(pos, fmt.Sprintf(format, args...))
+}
+
+// A Diagnostic is one finding of one analyzer.
+type Diagnostic struct {
+	Pos      token.Pos
+	Message  string
+	Analyzer string
+}
+
+// allowRE matches the waiver and captures the one rule it names.
+var allowRE = regexp.MustCompile(`^//\s*lint:allow\s+([A-Za-z_][A-Za-z0-9_]*)`)
+
+// Run applies a to pkg and returns the findings that no //lint:allow
+// naming a, on the same line or the line above, waives.
+func Run(a *Analyzer, pkg *load.Package) []Diagnostic {
+	type line struct {
+		file string
+		n    int
 	}
-	analysis.Sort(pkg.Fset, all)
-	return all, nil
+	waived := map[line]bool{}
+	for _, f := range pkg.Files {
+		for _, cg := range f.Comments {
+			for _, c := range cg.List {
+				if m := allowRE.FindStringSubmatch(c.Text); m != nil && m[1] == a.Name {
+					p := pkg.Fset.Position(c.Pos())
+					waived[line{p.Filename, p.Line}] = true
+					waived[line{p.Filename, p.Line + 1}] = true
+				}
+			}
+		}
+	}
+	var diags []Diagnostic
+	a.Run(&Pass{Files: pkg.Files, Pkg: pkg.Types, TypesInfo: pkg.Info, report: func(pos token.Pos, msg string) {
+		if p := pkg.Fset.Position(pos); !waived[line{p.Filename, p.Line}] {
+			diags = append(diags, Diagnostic{Pos: pos, Message: msg, Analyzer: a.Name})
+		}
+	}})
+	return diags
+}
+
+// Check runs every analyzer that applies to pkg and returns the findings
+// in (file, line, column, message) order: the loader parses a package's
+// files in name order into one FileSet, so position order is file order.
+func Check(pkg *load.Package) []Diagnostic {
+	var all []Diagnostic
+	for _, a := range AnalyzersFor(pkg.Path) {
+		all = append(all, Run(a, pkg)...)
+	}
+	slices.SortFunc(all, func(x, y Diagnostic) int {
+		return cmp.Or(cmp.Compare(x.Pos, y.Pos), strings.Compare(x.Message, y.Message))
+	})
+	return all
 }

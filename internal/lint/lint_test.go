@@ -1,11 +1,12 @@
 package lint_test
 
 import (
+	"slices"
+	"strings"
 	"testing"
 
 	"hyades/internal/lint"
 	"hyades/internal/lint/analysistest"
-	"hyades/internal/lint/load"
 )
 
 // Each analyzer has a flagged fixture (every finding asserted by a
@@ -110,42 +111,67 @@ func TestAnalyzersForScope(t *testing.T) {
 }
 
 // TestRepositoryIsClean runs the full suite over every package of the
-// module and requires zero findings — the machine-checked form of the
-// determinism contract.  Skipped under -short: ci.sh runs the same
-// check via cmd/hyadeslint.
+// module and requires zero findings: the machine-checked form of the
+// determinism contract, and the one way to run the linter.  Skipped
+// under -short; ci.sh runs it in its lint stage.
 func TestRepositoryIsClean(t *testing.T) {
 	if testing.Short() {
-		t.Skip("hyadeslint self-check covered by ci.sh in short mode")
+		t.Skip("type-checks the whole module; ci.sh runs it in its lint stage")
 	}
-	loader, err := load.NewLoader(".")
+	pkgs, err := analysistest.Loader(t).Module()
 	if err != nil {
 		t.Fatal(err)
 	}
-	dirs, err := loader.Patterns([]string{"./..."})
-	if err != nil {
-		t.Fatal(err)
+	if len(pkgs) < 20 {
+		t.Fatalf("found only %d packages in the module", len(pkgs))
 	}
-	if len(dirs) < 20 {
-		t.Fatalf("pattern expansion found only %d packages: %v", len(dirs), dirs)
-	}
-	for _, dir := range dirs {
-		path, err := loader.ImportPathFor(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pkg, err := loader.LoadDir(dir, path)
-		if err != nil {
-			t.Fatalf("%s: %v", path, err)
-		}
+	for _, pkg := range pkgs {
 		if len(pkg.Errors) > 0 {
-			t.Fatalf("%s: type errors: %v", path, pkg.Errors[0])
+			t.Fatalf("%s: type errors: %v", pkg.Path, pkg.Errors[0])
 		}
-		diags, err := lint.Check(pkg)
-		if err != nil {
-			t.Fatalf("%s: %v", path, err)
+		for _, d := range lint.Check(pkg) {
+			t.Errorf("%s: %s (%s)", pkg.Fset.Position(d.Pos), d.Message, d.Analyzer)
 		}
-		for _, d := range diags {
-			t.Errorf("%s: %s (%s)", d.Position(pkg.Fset), d.Message, d.Analyzer)
+	}
+}
+
+// TestSimCoreImportClosure holds the sim core closed under module
+// imports: a package detsource checks may import the standard library
+// and other such packages, nothing else from the module.  detsource
+// reads one function body at a time, so this is what keeps a wall-clock
+// read out of reach of the core: every module function the core can
+// call lives in a package detsource checks directly.  Test files are
+// exempt, as they are from the rule.
+func TestSimCoreImportClosure(t *testing.T) {
+	loader := analysistest.Loader(t)
+	pkgs, err := loader.Module()
+	if err != nil {
+		t.Fatal(err)
+	}
+	simCore := func(path string) bool {
+		return slices.Contains(lint.AnalyzersFor(path), lint.Detsource)
+	}
+	covered := map[string]bool{}
+	for _, pkg := range pkgs {
+		if !simCore(pkg.Path) {
+			continue
+		}
+		for _, p := range lint.SimCorePackages {
+			if pkg.Path == p || strings.HasPrefix(pkg.Path, p+"/") {
+				covered[p] = true
+			}
+		}
+		for _, imp := range pkg.Types.Imports() {
+			path := imp.Path()
+			inModule := path == loader.ModulePath || strings.HasPrefix(path, loader.ModulePath+"/")
+			if inModule && !simCore(path) {
+				t.Errorf("sim-core package %s imports %s, outside simCorePackages: detsource would not see a clock read there; add it to the list or drop the import", pkg.Path, path)
+			}
+		}
+	}
+	for _, p := range lint.SimCorePackages {
+		if !covered[p] {
+			t.Errorf("simCorePackages names %s, which holds no package", p)
 		}
 	}
 }

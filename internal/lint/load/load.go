@@ -1,8 +1,6 @@
-// Package load parses and type-checks packages of this module for the
-// hyadeslint analyzers, using only the standard library.
-//
-// The usual driver substrate (golang.org/x/tools/go/packages) is not
-// available offline, so the loader resolves imports itself:
+// Package load parses and type-checks the packages of this module for
+// the analyzers of package lint, using only the standard library, so it
+// resolves imports itself:
 //
 //   - imports inside this module ("hyades/...") are located by path
 //     arithmetic against the module root and type-checked from source,
@@ -34,7 +32,6 @@ import (
 // A Package is one parsed, type-checked package.
 type Package struct {
 	Path      string // import path
-	Dir       string // absolute directory
 	Fset      *token.FileSet
 	Files     []*ast.File
 	Filenames []string
@@ -60,9 +57,9 @@ var (
 	goVerRE  = regexp.MustCompile(`(?m)^go\s+(\d+(?:\.\d+)*)`)
 )
 
-// FindModuleRoot walks up from dir to the nearest directory containing
+// findModuleRoot walks up from dir to the nearest directory containing
 // go.mod.
-func FindModuleRoot(dir string) (string, error) {
+func findModuleRoot(dir string) (string, error) {
 	dir, err := filepath.Abs(dir)
 	if err != nil {
 		return "", err
@@ -81,7 +78,7 @@ func FindModuleRoot(dir string) (string, error) {
 
 // NewLoader creates a loader for the module rooted at (or above) dir.
 func NewLoader(dir string) (*Loader, error) {
-	root, err := FindModuleRoot(dir)
+	root, err := findModuleRoot(dir)
 	if err != nil {
 		return nil, err
 	}
@@ -137,7 +134,7 @@ func (l *Loader) LoadDir(dir, importPath string) (*Package, error) {
 	if err != nil {
 		return nil, fmt.Errorf("load %s: %v", importPath, err)
 	}
-	pkg := &Package{Path: importPath, Dir: dir, Fset: l.Fset}
+	pkg := &Package{Path: importPath, Fset: l.Fset}
 	for _, name := range names {
 		fname := filepath.Join(dir, name)
 		f, err := parser.ParseFile(l.Fset, fname, nil, parser.ParseComments)
@@ -189,80 +186,38 @@ func goFilesIn(dir string) ([]string, error) {
 	return names, nil
 }
 
-// Patterns expands package patterns into module directories.  It
-// understands "./..."-style recursive patterns and plain (relative or
-// module-rooted) directory paths, mirroring the subset of the go tool's
-// syntax the repository's scripts use.  Directories named testdata or
-// vendor, and hidden or underscore-prefixed directories, are skipped.
-func (l *Loader) Patterns(patterns []string) ([]string, error) {
-	var dirs []string
-	seen := map[string]bool{}
-	add := func(d string) {
-		if !seen[d] {
-			seen[d] = true
-			dirs = append(dirs, d)
+// Module loads every package of the module, in path order: each
+// directory under the root that holds buildable non-test Go files,
+// skipping testdata and vendor directories and hidden or
+// underscore-prefixed ones, as the go tool's "./..." does.
+func (l *Loader) Module() ([]*Package, error) {
+	var pkgs []*Package
+	err := filepath.WalkDir(l.ModuleRoot, func(dir string, d os.DirEntry, err error) error {
+		if err != nil || !d.IsDir() {
+			return err
 		}
-	}
-	for _, pat := range patterns {
-		recursive := false
-		if strings.HasSuffix(pat, "/...") {
-			recursive = true
-			pat = strings.TrimSuffix(pat, "/...")
-		} else if pat == "..." {
-			recursive = true
-			pat = "."
+		base := d.Name()
+		if dir != l.ModuleRoot && (base == "testdata" || base == "vendor" ||
+			strings.HasPrefix(base, ".") || strings.HasPrefix(base, "_")) {
+			return filepath.SkipDir
 		}
-		if pat == "" {
-			pat = "."
-		}
-		// Resolve a module-path-prefixed pattern to a directory.
-		if pat == l.ModulePath || strings.HasPrefix(pat, l.ModulePath+"/") {
-			pat = "./" + strings.TrimPrefix(strings.TrimPrefix(pat, l.ModulePath), "/")
-		}
-		dir := pat
-		if !filepath.IsAbs(dir) {
-			dir = filepath.Join(l.ModuleRoot, filepath.FromSlash(pat))
-		}
-		if !recursive {
-			add(dir)
-			continue
-		}
-		err := filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
-			if err != nil {
-				return err
-			}
-			if !d.IsDir() {
-				return nil
-			}
-			base := filepath.Base(path)
-			if path != dir && (base == "testdata" || base == "vendor" ||
-				strings.HasPrefix(base, ".") || strings.HasPrefix(base, "_")) {
-				return filepath.SkipDir
-			}
-			if names, err := goFilesIn(path); err == nil && len(names) > 0 {
-				add(path)
-			}
+		if names, err := goFilesIn(dir); err != nil || len(names) == 0 {
 			return nil
-		})
-		if err != nil {
-			return nil, err
 		}
-	}
-	return dirs, nil
-}
-
-// ImportPathFor maps a module directory back to its import path.
-func (l *Loader) ImportPathFor(dir string) (string, error) {
-	abs, err := filepath.Abs(dir)
-	if err != nil {
-		return "", err
-	}
-	rel, err := filepath.Rel(l.ModuleRoot, abs)
-	if err != nil || strings.HasPrefix(rel, "..") {
-		return "", fmt.Errorf("load: %s is outside module %s", dir, l.ModulePath)
-	}
-	if rel == "." {
-		return l.ModulePath, nil
-	}
-	return l.ModulePath + "/" + filepath.ToSlash(rel), nil
+		rel, err := filepath.Rel(l.ModuleRoot, dir)
+		if err != nil {
+			return err
+		}
+		path := l.ModulePath
+		if rel != "." {
+			path += "/" + filepath.ToSlash(rel)
+		}
+		pkg, err := l.LoadDir(dir, path)
+		if err != nil {
+			return err
+		}
+		pkgs = append(pkgs, pkg)
+		return nil
+	})
+	return pkgs, err
 }

@@ -3,8 +3,6 @@ package lint
 import (
 	"go/ast"
 	"go/types"
-
-	"hyades/internal/lint/analysis"
 )
 
 // Maprange flags range statements over maps in the event-path packages
@@ -19,13 +17,12 @@ import (
 // instead.  If the loop body is provably order-insensitive (a pure
 // count, a set membership test), waive the finding with
 // //lint:allow maprange and say why.
-var Maprange = &analysis.Analyzer{
+var Maprange = &Analyzer{
 	Name: "maprange",
-	Doc:  "flag range over a map in event-path packages (randomized order breaks determinism)",
 	Run:  runMaprange,
 }
 
-func runMaprange(pass *analysis.Pass) (interface{}, error) {
+func runMaprange(pass *Pass) {
 	inspectAll(pass, func(n ast.Node) bool {
 		rng, ok := n.(*ast.RangeStmt)
 		if !ok {
@@ -41,5 +38,4 @@ func runMaprange(pass *analysis.Pass) (interface{}, error) {
 		}
 		return true
 	})
-	return nil, nil
 }

@@ -1,10 +1,6 @@
 package lint
 
-import (
-	"go/ast"
-
-	"hyades/internal/lint/analysis"
-)
+import "go/ast"
 
 // Nogoroutine forbids raw go statements in simulation-core packages.
 //
@@ -14,13 +10,12 @@ import (
 // goroutine escapes that discipline — it races with the running
 // activity and injects host-scheduler nondeterminism into virtual time.
 // Concurrency in simulation code must go through Engine.Spawn.
-var Nogoroutine = &analysis.Analyzer{
+var Nogoroutine = &Analyzer{
 	Name: "nogoroutine",
-	Doc:  "forbid raw go statements in sim-core packages; use Engine.Spawn",
 	Run:  runNogoroutine,
 }
 
-func runNogoroutine(pass *analysis.Pass) (interface{}, error) {
+func runNogoroutine(pass *Pass) {
 	inspectAll(pass, func(n ast.Node) bool {
 		if g, ok := n.(*ast.GoStmt); ok {
 			pass.Reportf(g.Pos(),
@@ -28,5 +23,4 @@ func runNogoroutine(pass *analysis.Pass) (interface{}, error) {
 		}
 		return true
 	})
-	return nil, nil
 }

@@ -4,8 +4,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-
-	"hyades/internal/lint/analysis"
 )
 
 // Redorder flags manual floating-point accumulation loops in functions
@@ -28,16 +26,15 @@ import (
 //
 // Functions named GlobalSum are exempt — they implement the collective,
 // and the pairwise butterfly accumulation is theirs to own.
-var Redorder = &analysis.Analyzer{
+var Redorder = &Analyzer{
 	Name: "redorder",
-	Doc:  "flag manual float accumulations feeding GlobalSum; use internal/gcm/reduce",
 	Run:  runRedorder,
 }
 
-func runRedorder(pass *analysis.Pass) (interface{}, error) {
+func runRedorder(pass *Pass) {
 	iface := endpointIface(pass)
 	if iface == nil {
-		return nil, nil
+		return
 	}
 	for _, f := range pass.Files {
 		for _, decl := range f.Decls {
@@ -57,12 +54,11 @@ func runRedorder(pass *analysis.Pass) (interface{}, error) {
 			})
 		}
 	}
-	return nil, nil
 }
 
 // checkRedorderUnit inspects one function body (nested literals are
 // separate units: a closure is its own reduction scope).
-func checkRedorderUnit(pass *analysis.Pass, iface *types.Interface, body *ast.BlockStmt) {
+func checkRedorderUnit(pass *Pass, iface *types.Interface, body *ast.BlockStmt) {
 	if !callsGlobalSum(pass, iface, body) {
 		return
 	}
@@ -100,7 +96,7 @@ func checkRedorderUnit(pass *analysis.Pass, iface *types.Interface, body *ast.Bl
 
 // checkAccum reports assign when it is a float accumulation inside a
 // loop onto a variable declared outside the outermost enclosing loop.
-func checkAccum(pass *analysis.Pass, assign *ast.AssignStmt, loops []ast.Node) {
+func checkAccum(pass *Pass, assign *ast.AssignStmt, loops []ast.Node) {
 	if len(loops) == 0 {
 		return
 	}
@@ -135,7 +131,7 @@ func checkAccum(pass *analysis.Pass, assign *ast.AssignStmt, loops []ast.Node) {
 
 // callsGlobalSum reports whether body (excluding nested function
 // literals) invokes GlobalSum on an Endpoint.
-func callsGlobalSum(pass *analysis.Pass, iface *types.Interface, body *ast.BlockStmt) bool {
+func callsGlobalSum(pass *Pass, iface *types.Interface, body *ast.BlockStmt) bool {
 	found := false
 	ast.Inspect(body, func(n ast.Node) bool {
 		if found {

@@ -30,3 +30,9 @@ func badRef() func() time.Time {
 func badFaultPlan(dropRate float64) bool {
 	return rand.Float64() < dropRate // want `rand\.Float64 draws from the process-global source`
 }
+
+// badWaiver waives another analyzer: a //lint:allow names one rule and
+// leaves every other rule's finding on its line standing.
+func badWaiver() time.Time {
+	return time.Now() //lint:allow dimcheck waives dimcheck only // want `time\.Now reads the wall clock`
+}

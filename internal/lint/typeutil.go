@@ -3,8 +3,6 @@ package lint
 import (
 	"go/ast"
 	"go/types"
-
-	"hyades/internal/lint/analysis"
 )
 
 // Import paths the analyzers key on.  The fixture trees under
@@ -80,7 +78,7 @@ func isUnitsType(t types.Type, name string) bool {
 }
 
 // inspectAll walks every file in the pass with fn.
-func inspectAll(pass *analysis.Pass, fn func(ast.Node) bool) {
+func inspectAll(pass *Pass, fn func(ast.Node) bool) {
 	for _, f := range pass.Files {
 		ast.Inspect(f, fn)
 	}
@@ -101,7 +99,7 @@ func unparen(e ast.Expr) ast.Expr {
 // package under analysis — declared in the package itself or anywhere
 // in its import graph.  Returns nil when comm is unreachable, in which
 // case redorder has nothing to check.
-func endpointIface(pass *analysis.Pass) *types.Interface {
+func endpointIface(pass *Pass) *types.Interface {
 	lookup := func(p *types.Package) *types.Interface {
 		if p == nil || !pkgPathIs(p, commPkgPath) {
 			return nil
@@ -144,7 +142,7 @@ func implementsEndpoint(t types.Type, iface *types.Interface) bool {
 // endpointMethodCall reports whether call invokes the named method on a
 // value whose type implements the Endpoint interface, e.g.
 // ep.GlobalSum(x) or h.EP.Exchange(...).
-func endpointMethodCall(pass *analysis.Pass, iface *types.Interface, call *ast.CallExpr, name string) bool {
+func endpointMethodCall(pass *Pass, iface *types.Interface, call *ast.CallExpr, name string) bool {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok || sel.Sel.Name != name {
 		return false

@@ -1,11 +1,8 @@
 package lint
 
 import (
-	"fmt"
 	"go/ast"
 	"go/constant"
-
-	"hyades/internal/lint/analysis"
 )
 
 // Unitlit flags constants converted directly to units.Time or
@@ -23,9 +20,8 @@ import (
 // Conversions of zero are exempt (zero is zero in every unit), as are
 // conversions of non-constant expressions: units.Time(n) where n is a
 // runtime count is the sanctioned way to scale a duration (d / units.Time(reps)).
-var Unitlit = &analysis.Analyzer{
+var Unitlit = &Analyzer{
 	Name: "unitlit",
-	Doc:  "flag untyped constants converted directly to units.Time/units.Bandwidth",
 	Run:  runUnitlit,
 }
 
@@ -36,7 +32,7 @@ var unitSuggestion = map[string]string{
 	"Bandwidth": "e.g. 150 * units.MBps",
 }
 
-func runUnitlit(pass *analysis.Pass) (interface{}, error) {
+func runUnitlit(pass *Pass) {
 	inspectAll(pass, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
 		if !ok || len(call.Args) != 1 {
@@ -72,72 +68,17 @@ func runUnitlit(pass *analysis.Pass) (interface{}, error) {
 		if isZeroConst(argTV.Value) {
 			return true
 		}
-		d := analysis.Diagnostic{
-			Pos: call.Pos(),
-			Message: fmt.Sprintf(
-				"constant %s converted directly to units.%s fixes the unit to the base grain; multiply by a named unit instead (%s)",
-				argTV.Value.ExactString(), unitName, unitSuggestion[unitName]),
-		}
-		if fix, ok := unitlitFix(call, unitName); ok {
-			d.SuggestedFixes = []analysis.SuggestedFix{fix}
-		}
-		pass.Report(d)
+		pass.Reportf(call.Pos(),
+			"constant %s converted directly to units.%s fixes the unit to the base grain; multiply by a named unit instead (%s)",
+			argTV.Value.ExactString(), unitName, unitSuggestion[unitName])
 		return true
 	})
-	return nil, nil
-}
-
-// unitBaseGrain names the unit constant equal to 1 in each guarded
-// type, so the value-preserving rewrite N -> N * <grain> never changes
-// behaviour — it only makes the (probably wrong) unit visible.
-var unitBaseGrain = map[string]string{
-	"Time":      "Picosecond",
-	"Bandwidth": "Bps",
-}
-
-// unitlitFix rewrites units.Time(N) to N * units.Picosecond (and
-// Bandwidth to units.Bps), preserving the value exactly.  The units
-// qualifier is taken from the call site, so import aliases and code
-// inside package units itself stay correct.
-func unitlitFix(call *ast.CallExpr, unitName string) (analysis.SuggestedFix, bool) {
-	grain := unitBaseGrain[unitName]
-	if grain == "" {
-		return analysis.SuggestedFix{}, false
-	}
-	qualified := grain
-	if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
-		id, ok := sel.X.(*ast.Ident)
-		if !ok {
-			return analysis.SuggestedFix{}, false
-		}
-		qualified = id.Name + "." + grain
-	}
-	arg := call.Args[0]
-	var edits []analysis.TextEdit
-	switch arg.(type) {
-	case *ast.BasicLit, *ast.Ident:
-		// units.Time(500) -> 500 * units.Picosecond
-		edits = []analysis.TextEdit{
-			{Pos: call.Pos(), End: arg.Pos()},
-			{Pos: call.Rparen, End: call.Rparen + 1, NewText: []byte(" * " + qualified)},
-		}
-	default:
-		// units.Time(3+2) -> (3+2) * units.Picosecond
-		edits = []analysis.TextEdit{
-			{Pos: call.Pos(), End: arg.Pos(), NewText: []byte("(")},
-			{Pos: call.Rparen, End: call.Rparen + 1, NewText: []byte(") * " + qualified)},
-		}
-	}
-	return analysis.SuggestedFix{
-		Message:   fmt.Sprintf("multiply by %s instead of converting", qualified),
-		TextEdits: edits,
-	}, true
 }
 
 // exprCarriesUnit reports whether e references an object of the
 // guarded units type — e.g. 5*units.Nanosecond mentions Nanosecond, a
 // units.Time constant, so the duration already carries its unit.
-func exprCarriesUnit(pass *analysis.Pass, e ast.Expr, unitName string) bool {
+func exprCarriesUnit(pass *Pass, e ast.Expr, unitName string) bool {
 	carries := false
 	ast.Inspect(e, func(n ast.Node) bool {
 		id, ok := n.(*ast.Ident)
