@@ -11,13 +11,19 @@ package hyades
 // they must never change an answer).
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"errors"
+	"fmt"
+	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"hyades/internal/cluster"
 	"hyades/internal/comm"
+	"hyades/internal/des"
 	"hyades/internal/fault"
 	"hyades/internal/gcm"
 	"hyades/internal/gcm/physics"
@@ -469,5 +475,173 @@ func TestNodeOutageGrammar(t *testing.T) {
 		if !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("outages %+v: error %v, want %q", tc.outages, err, tc.want)
 		}
+	}
+}
+
+// TestDropsWithCrashesEndInFaultFreeDigest runs the plan that used to
+// hang — 1 % packet drops on every link plus two node crashes — for 30
+// steps of the 4-node gyre, on a cluster built here so that the engine
+// watchdog can be one second of virtual time and a host-time deadline
+// can watch the run from outside.  A lease lapsing on a peer that is
+// only lossy used to send one rank alone into the recovery rendezvous,
+// where it parked until the watchdog named it.  The run must end in the
+// fault-free digest; a missed deadline reports whether virtual time is
+// still advancing (a retransmit or lease livelock) or has stopped (a
+// host loop).  About 4 s of host time, and a hundred under the race
+// detector, so -short skips it; ci.sh runs it in its chaos stage.
+func TestDropsWithCrashesEndInFaultFreeDigest(t *testing.T) {
+	if testing.Short() {
+		t.Skip("30 steps of the 4-node gyre under loss; ci.sh runs it without -race")
+	}
+	const steps, every = 30, 5
+	d := tile.Decomp{NXg: 64, NYg: 64, Px: 2, Py: 2}
+	cfg := gcm.GyreConfig(64, 64, 4, d)
+	outages, err := fault.ParseNodeOutages("1:2100000-2101000,2:4900000-4901000")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ccfg := cluster.DefaultConfig(4, 1)
+	ccfg.Fault = fault.Config{Seed: 11, DropRate: 1e-2, NodeOutages: outages}
+	cl, err := cluster.New(ccfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl.Eng.SetWatchdog(units.Second)
+	lib, err := comm.NewHyades(cl, comm.DefaultHyadesConfig())
+	if err != nil {
+		cl.Close()
+		t.Fatal(err)
+	}
+	rec := lib.Recovery(true)
+
+	// The rank loop of gcm's runner with warm-up 0: rendezvous, restore
+	// the committed checkpoint or start with a barrier, step with a
+	// coordinated checkpoint every few steps, retry after an interrupt.
+	models := make([]*gcm.Model, cl.Processors())
+	finished := 0
+	attempt := func(rank int, ep comm.Endpoint) (done bool) {
+		defer func() {
+			if r := recover(); r != nil {
+				if _, ok := r.(*des.Interrupt); !ok {
+					panic(r) // a killed incarnation dies with its node
+				}
+			}
+		}()
+		if rec.Enter(rank) {
+			return true
+		}
+		m, err := gcm.New(cfg, ep)
+		if err != nil {
+			rec.Fail(err)
+			return true
+		}
+		if step, blob, ok := rec.Checkpoint(rank); ok {
+			if err := m.Restore(bytes.NewReader(blob)); err != nil || m.Steps != step {
+				rec.Fail(fmt.Errorf("rank %d restore from step %d: %v", rank, step, err))
+				return true
+			}
+			ep.Busy(rec.CopyCost(len(blob)))
+		} else {
+			ep.Barrier()
+		}
+		for m.Steps < steps {
+			m.Run(1)
+			if m.Steps%every == 0 && m.Steps < steps {
+				var buf bytes.Buffer
+				if err := m.Checkpoint(&buf); err != nil {
+					rec.Fail(err)
+					return true
+				}
+				ep.Busy(rec.CopyCost(buf.Len()))
+				rec.SaveCheckpoint(rank, m.Steps, buf.Bytes())
+			}
+		}
+		ep.Barrier()
+		rec.Done(rank)
+		models[rank] = m
+		finished++
+		return true
+	}
+	cl.Start(func(w *cluster.Worker) {
+		ep := lib.Bind(w)
+		for !attempt(w.Rank, ep) {
+		}
+	})
+
+	// A probe event publishes the virtual clock to the host every 10 ms
+	// of virtual time until every rank is finished, and fails the run
+	// once the deadline has passed.
+	var clock atomic.Int64
+	var stop atomic.Bool
+	var probe func()
+	probe = func() {
+		clock.Store(int64(cl.Eng.Now()))
+		if stop.Load() {
+			cl.Eng.Fail(errors.New("host-time deadline passed"))
+			return
+		}
+		if finished < len(models) {
+			cl.Eng.After(10*units.Millisecond, probe)
+		}
+	}
+	cl.Eng.After(0, probe)
+	ran := make(chan error, 1)
+	go func() { ran <- cl.Run() }()
+	const deadline = 3 * time.Minute
+	select {
+	case err = <-ran:
+	case <-time.After(deadline):
+		v0 := units.Time(clock.Load())
+		time.Sleep(time.Second)
+		v1 := units.Time(clock.Load())
+		stop.Store(true)
+		if v1 == v0 {
+			// The engine is stuck inside one instant and cannot be
+			// stopped from here; leave it to the test binary's exit.
+			t.Fatalf("no result after %v of host time: virtual time stopped at %v (a host loop)", deadline, v1)
+		}
+		<-ran
+		cl.Close()
+		t.Fatalf("no result after %v of host time: virtual time still advancing, %v → %v (a retransmit or lease livelock)", deadline, v0, v1)
+	}
+	cl.Close()
+	if err != nil {
+		t.Fatalf("drops plus crashes: %v", err)
+	}
+	if got := rec.Stats().Restarts; got != 2 {
+		t.Fatalf("plan staged 2 crashes, run survived %d", got)
+	}
+	h := sha256.New()
+	for r, m := range models {
+		if err := m.Checkpoint(h); err != nil {
+			t.Fatalf("rank %d: checkpoint: %v", r, err)
+		}
+	}
+	res0, err := gcm.RunParallelOpts(4, 1, cfg, 0, steps, gcm.ParallelOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := [32]byte(h.Sum(nil)), stateDigest(t, res0); got != want {
+		t.Errorf("drops plus crashes ended in %x, fault-free state %x", got, want)
+	}
+}
+
+// TestRestartBudgetExhausted stages nine short crash windows, all
+// inside the run, against the restart budget of eight: the ninth crash
+// must end the run with the budget diagnostic, not a ninth recovery.
+func TestRestartBudgetExhausted(t *testing.T) {
+	cfg := recoveryScenario()
+	var outages []fault.NodeOutage
+	for k := 0; k < comm.DefaultMaxRestarts+1; k++ {
+		from := 100*units.Millisecond + units.Time(k)*15*units.Millisecond
+		outages = append(outages, fault.NodeOutage{Node: strconv.Itoa(1 + k%3), From: from, Until: from + units.Millisecond})
+	}
+	fc := fault.Config{Seed: 7, NodeOutages: outages}
+	_, err := gcm.RunParallelOpts(4, 1, cfg, 0, 24, gcm.ParallelOpts{Fault: fc, CheckpointEvery: 2})
+	if err == nil {
+		t.Fatal("nine crashes against a budget of eight produced no error")
+	}
+	if want := fmt.Sprintf("crash #%d exceeds the restart budget (max %d)", comm.DefaultMaxRestarts+1, comm.DefaultMaxRestarts); !strings.Contains(err.Error(), want) {
+		t.Errorf("error %v, want %q", err, want)
 	}
 }

@@ -227,6 +227,10 @@ echo "== chaos (fault injection + reliable delivery)"
 # report a nonzero retransmit count (the reliable channel is working,
 # not just lucky).
 go test -race -run 'TestChaosRunIsDeterministic|TestPeerUnreachableSurfaces|TestCrashWithoutCheckpointFailsLoudly' .
+# Drops and node crashes in one plan must end in the fault-free digest.
+# -short skips the case (a hundred seconds under the race detector), so
+# it runs here without it.
+go test -run 'TestDropsWithCrashesEndInFaultFreeDigest' .
 
 echo "== determinism across worker counts (race)"
 # The worker-pool determinism matrix under the race detector: digests,

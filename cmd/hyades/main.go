@@ -47,7 +47,6 @@ func main() {
 	linkOutage := flag.String("link-outage", "", "comma-separated LINK[:FROM_US[-UNTIL_US]] outage windows (LINK may end in * as a prefix wildcard)")
 	nodeOutage := flag.String("node-outage", "", "comma-separated NODE[:FROM_US[-UNTIL_US]] whole-node crash windows (NODE may end in * or be *; no UNTIL means permanent)")
 	checkpointEvery := flag.Int("checkpoint-every", 0, "save a coordinated checkpoint every N model steps (0 = never; required to survive node crashes)")
-	maxRestarts := flag.Int("max-restarts", 0, "abort after this many node crashes (0 = controller default)")
 	digest := flag.Bool("digest", false, "print a SHA-256 over the final model state (the survival-contract observable)")
 	profiles := prof.Flags()
 	flag.Parse()
@@ -138,8 +137,7 @@ func main() {
 		res, err = gcm.RunParallelNet(prm, cfg, *warmup, *steps)
 	} else {
 		res, err = gcm.RunParallelOpts(*nodes, *ppn, cfg, *warmup, *steps,
-			gcm.ParallelOpts{Fault: fcfg, Workers: *poolWorkers,
-				CheckpointEvery: *checkpointEvery, MaxRestarts: *maxRestarts})
+			gcm.ParallelOpts{Fault: fcfg, Workers: *poolWorkers, CheckpointEvery: *checkpointEvery})
 	}
 	if err != nil {
 		log.Fatal(err)

@@ -17,23 +17,19 @@ type Config struct {
 	// 4^Levels endpoints; Endpoints may be smaller.  Zero means "just
 	// enough stages for Endpoints".
 	Levels int
-	// LinkBandwidth is the per-direction link rate (paper: 150 MByte/s).
-	LinkBandwidth units.Bandwidth
-	// RouterLatency is the per-stage forwarding latency (paper: <0.15 us).
-	RouterLatency units.Time
 	// Faults, when non-nil, injects deterministic link faults: drops,
 	// corruption and outages (package fault).
 	Faults *fault.Plan
 }
 
-// DefaultConfig returns the published Arctic parameters for n endpoints.
-func DefaultConfig(n int) Config {
-	return Config{
-		Endpoints:     n,
-		LinkBandwidth: 150 * units.MBps,
-		RouterLatency: 150 * units.Nanosecond,
-	}
-}
+// The published Arctic link and router costs.
+const (
+	LinkBandwidth = 150 * units.MBps       // per-direction link rate (paper: 150 MByte/s)
+	RouterLatency = 150 * units.Nanosecond // per-stage forwarding latency (paper: <0.15 us)
+)
+
+// DefaultConfig returns a fault-free fabric for n endpoints.
+func DefaultConfig(n int) Config { return Config{Endpoints: n} }
 
 // Stats aggregates fabric-wide counters.
 type Stats struct {
@@ -460,7 +456,6 @@ func (l *link) startNext() {
 	}
 	f := l.fab
 	l.stats.Transmitted++
-	bw, lat := f.cfg.LinkBandwidth, f.cfg.RouterLatency
 	if l.flt != nil {
 		now := f.eng.Now()
 		if l.flt.Down(now) {
@@ -480,7 +475,7 @@ func (l *link) startNext() {
 			// tail never arrives anywhere.
 			l.stats.FaultDropped++
 			f.stats.FaultDropped++
-			l.hold(bw.Transfer(t.pkt.WireBytes()))
+			l.hold(LinkBandwidth.Transfer(t.pkt.WireBytes()))
 			f.releasePacket(t.pkt)
 			f.recycle(t)
 			return
@@ -490,15 +485,15 @@ func (l *link) startNext() {
 			f.stats.FaultCorrupted++
 		}
 	}
-	full := bw.Transfer(t.pkt.WireBytes())
+	full := LinkBandwidth.Transfer(t.pkt.WireBytes())
 	// Virtual cut-through: the downstream hop sees the packet head after
 	// the router latency plus the header serialization; the link itself
 	// stays occupied for the full wire size.  The final hop into an
 	// endpoint completes only when the tail arrives.
-	head := lat + bw.Transfer(HeaderBytes)
+	head := RouterLatency + LinkBandwidth.Transfer(HeaderBytes)
 	handoff := head
 	if l.final {
-		handoff = lat + full
+		handoff = RouterLatency + full
 	}
 	t.link = l
 	f.eng.Schedule(handoff, t.deliverFn)

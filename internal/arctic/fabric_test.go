@@ -137,10 +137,9 @@ func TestLatencyMatchesCutThroughModel(t *testing.T) {
 	p := mkPacket(fab, 0, 13, 2, 1) // 8-byte payload, 20 wire bytes
 	fab.Inject(0, p)
 	eng.Run()
-	cfg := fab.Config()
 	hops := fab.HopsBetween(0, 13)
-	want := units.Time(hops-1)*(cfg.RouterLatency+cfg.LinkBandwidth.Transfer(HeaderBytes)) +
-		cfg.RouterLatency + cfg.LinkBandwidth.Transfer(p.WireBytes())
+	want := units.Time(hops-1)*(RouterLatency+LinkBandwidth.Transfer(HeaderBytes)) +
+		RouterLatency + LinkBandwidth.Transfer(p.WireBytes())
 	if arrived != want {
 		t.Fatalf("latency = %v, want %v (hops=%d)", arrived, want, hops)
 	}

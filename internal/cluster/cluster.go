@@ -17,7 +17,6 @@ import (
 	"hyades/internal/des"
 	"hyades/internal/fault"
 	"hyades/internal/node"
-	"hyades/internal/pci"
 	"hyades/internal/startx"
 	"hyades/internal/units"
 )
@@ -27,21 +26,11 @@ type Config struct {
 	Nodes        int // number of SMPs
 	ProcsPerNode int // 1 (network benchmarks) or 2 (production mix-mode)
 
-	Arctic arctic.Config
-	PCI    pci.Config
-	NIU    startx.Config
-	Node   node.Config
-
 	// Fault selects the deterministic fault plan to inject into the
-	// fabric.  When it enables any fault the NIUs' go-back-N reliable
-	// channel is switched on with it, so link faults are masked (or
+	// fabric.  When it enables any fault the NIUs run their go-back-N
+	// reliable channel (startx.New), so link faults are masked (or
 	// surface as ErrPeerUnreachable) instead of wedging the run.
 	Fault fault.Config
-
-	// Watchdog bounds any single blocking wait in virtual time; a wait
-	// exceeding it panics with the full parked-waiter map (see
-	// des.SetWatchdog).  Zero disables it.
-	Watchdog units.Time
 
 	// Workers chooses when the ranks' compute phases (Proc.Exec) run on
 	// the host.  Negative: inline at submission, no pool.  Otherwise a
@@ -60,18 +49,15 @@ type Config struct {
 // DefaultConfig returns the published Hyades machine with the given SMP
 // count and processors per SMP.
 func DefaultConfig(nodes, procsPerNode int) Config {
-	return Config{
-		Nodes:        nodes,
-		ProcsPerNode: procsPerNode,
-		Arctic:       arctic.DefaultConfig(nodes),
-		PCI:          pci.DefaultConfig(),
-		NIU:          startx.DefaultConfig(),
-		Node:         node.DefaultConfig(),
-		// An hour of virtual time is ~20x the longest production run the
-		// paper analyses; any single wait that long is a protocol bug.
-		Watchdog: units.Hour,
-	}
+	return Config{Nodes: nodes, ProcsPerNode: procsPerNode}
 }
+
+// watchdog bounds any single blocking wait in virtual time; a wait
+// exceeding it panics with the full parked-waiter map (see
+// des.SetWatchdog).  An hour of virtual time is ~20x the longest
+// production run the paper analyses; any single wait that long is a
+// protocol bug.  Tests shorten it with Eng.SetWatchdog.
+const watchdog = units.Hour
 
 // Cluster is an assembled machine.
 type Cluster struct {
@@ -80,6 +66,10 @@ type Cluster struct {
 	Fabric *arctic.Fabric
 	Nodes  []*node.Node
 	Pool   *des.Pool // defers compute phases to completion (nil: inline)
+
+	// plan is the compiled fault plan the fabric injects (nil when the
+	// config enables no fault).
+	plan *fault.Plan
 
 	// Crash/restart machinery (armed by Start when the fault plan
 	// crashes nodes).  body is the rank body, re-run by respawned
@@ -106,23 +96,22 @@ func New(cfg Config) (*Cluster, error) {
 	if cfg.ProcsPerNode < 1 || cfg.ProcsPerNode > 8 {
 		return nil, fmt.Errorf("cluster: %d processors per node out of range", cfg.ProcsPerNode)
 	}
-	eng := des.NewEngineWithScheduler(cfg.Scheduler)
-	eng.SetWatchdog(cfg.Watchdog)
-	cfg.Arctic.Endpoints = cfg.Nodes
+	var plan *fault.Plan
 	if cfg.Fault.Enabled() {
-		cfg.Arctic.Faults = fault.NewPlan(cfg.Fault)
-		cfg.NIU.Reliable = true
+		plan = fault.NewPlan(cfg.Fault)
 	}
 	if cfg.Fault.NodesEnabled() {
-		if err := validateNodePlan(cfg); err != nil {
+		if err := validateNodePlan(cfg, plan); err != nil {
 			return nil, err
 		}
 	}
-	fab, err := arctic.New(eng, cfg.Arctic)
+	eng := des.NewEngineWithScheduler(cfg.Scheduler)
+	eng.SetWatchdog(watchdog)
+	fab, err := arctic.New(eng, arctic.Config{Endpoints: cfg.Nodes, Faults: plan})
 	if err != nil {
 		return nil, err
 	}
-	c := &Cluster{Cfg: cfg, Eng: eng, Fabric: fab}
+	c := &Cluster{Cfg: cfg, Eng: eng, Fabric: fab, plan: plan}
 	if cfg.Workers >= 0 {
 		workers := cfg.Workers
 		if workers == 0 {
@@ -132,8 +121,8 @@ func New(cfg Config) (*Cluster, error) {
 		eng.SetPool(c.Pool)
 	}
 	for i := 0; i < cfg.Nodes; i++ {
-		n := node.New(eng, i, cfg.Node, cfg.PCI)
-		n.AttachNIU(startx.New(eng, n.Bus, fab, i, cfg.NIU))
+		n := node.New(eng, i)
+		n.AttachNIU(startx.New(eng, n.Bus, fab, i))
 		c.Nodes = append(c.Nodes, n)
 	}
 	return c, nil
@@ -143,14 +132,14 @@ func New(cfg Config) (*Cluster, error) {
 // execute: a spec naming a node that does not exist (an exact index out
 // of range matches nothing and would silently inject no fault — a typo,
 // like a duplicate spec) and overlapping crash windows on one node.
-func validateNodePlan(cfg Config) error {
+func validateNodePlan(cfg Config, plan *fault.Plan) error {
 	for _, o := range cfg.Fault.NodeOutages {
 		if idx, err := strconv.Atoi(o.Node); err == nil && (idx < 0 || idx >= cfg.Nodes) {
 			return fmt.Errorf("cluster: node outage names node %d, but the machine has nodes 0..%d", idx, cfg.Nodes-1)
 		}
 	}
 	for i := 0; i < cfg.Nodes; i++ {
-		if err := cfg.Arctic.Faults.Node(i).Validate(); err != nil {
+		if err := plan.Node(i).Validate(); err != nil {
 			return fmt.Errorf("cluster: %w", err)
 		}
 	}
@@ -213,9 +202,8 @@ func (c *Cluster) armNodeFaults() {
 	if !c.Cfg.Fault.NodesEnabled() {
 		return
 	}
-	plan := c.Cfg.Arctic.Faults
 	for i := range c.Nodes {
-		for _, win := range plan.Node(i).Windows() {
+		for _, win := range c.plan.Node(i).Windows() {
 			win, nodeID := win, i
 			c.Eng.ScheduleAt(win.From, func() { c.crashNode(nodeID, win) })
 		}

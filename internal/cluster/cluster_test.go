@@ -27,8 +27,8 @@ func TestBuildPublishedMachine(t *testing.T) {
 			t.Fatalf("node %d NIU wiring", i)
 		}
 	}
-	if cl.Fabric.Config().LinkBandwidth != 150*units.MBps {
-		t.Fatal("Arctic link bandwidth")
+	if cl.Fabric.Config().Endpoints != 16 {
+		t.Fatal("Arctic endpoints")
 	}
 }
 
@@ -97,13 +97,13 @@ func TestDeadlockDetected(t *testing.T) {
 }
 
 func TestWatchdogTurnsHangIntoDiagnosis(t *testing.T) {
-	cfg := DefaultConfig(2, 1)
-	cfg.Watchdog = 200 * units.Microsecond
-	cl, err := New(cfg)
+	const limit = 200 * units.Microsecond
+	cl, err := New(DefaultConfig(2, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cl.Close()
+	cl.Eng.SetWatchdog(limit)
 	cl.Start(func(w *Worker) {
 		if w.Rank == 0 {
 			// Rank 1 never sends; rank 0 parks far past the limit while
@@ -123,8 +123,8 @@ func TestWatchdogTurnsHangIntoDiagnosis(t *testing.T) {
 	if !errors.As(err, &wd) {
 		t.Fatalf("error is not a watchdog diagnosis: %v", err)
 	}
-	if wd.Limit != cfg.Watchdog {
-		t.Errorf("reported limit %v, want %v", wd.Limit, cfg.Watchdog)
+	if wd.Limit != limit {
+		t.Errorf("reported limit %v, want %v", wd.Limit, limit)
 	}
 	if !strings.Contains(err.Error(), "rank0") {
 		t.Errorf("culprit dump names no rank: %v", err)

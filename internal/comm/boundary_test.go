@@ -59,13 +59,12 @@ const boundaryWatchdog = 100 * units.Microsecond
 // node, else with the other CPU of its own, else with itself.
 func boundaryRun(t *testing.T, nodes, ppn, rank int, watchdog, at units.Time) (row boundaryRow, from, to units.Time) {
 	t.Helper()
-	cfg := cluster.DefaultConfig(nodes, ppn)
-	cfg.Watchdog = watchdog
-	cl, err := cluster.New(cfg)
+	cl, err := cluster.New(cluster.DefaultConfig(nodes, ppn))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cl.Close()
+	cl.Eng.SetWatchdog(watchdog)
 	h, err := NewHyades(cl, DefaultHyadesConfig())
 	if err != nil {
 		t.Fatal(err)

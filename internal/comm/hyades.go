@@ -5,6 +5,7 @@ import (
 
 	"hyades/internal/cluster"
 	"hyades/internal/des"
+	"hyades/internal/node"
 	"hyades/internal/startx"
 	"hyades/internal/units"
 )
@@ -327,21 +328,18 @@ func (ep *HyadesEndpoint) keyOf(class, srcRank, seq int) matchKey {
 // magnitude more expensive than the raw wire time.
 func (ep *HyadesEndpoint) copyOp(layout Block) {
 	cfg := ep.h.cfg
-	nodeCfg := ep.w.Node.Cfg
 	var d units.Time
 	if layout.Rows > 1 {
-		row := cfg.PackRowCached
-		bw := nodeCfg.MemcpyBandwidth
+		row, bw := cfg.PackRowCached, node.MemcpyBandwidth
 		if !layout.Cached {
-			row = cfg.PackRowUncached
-			bw = nodeCfg.UncachedCopyBandwidth
+			row, bw = cfg.PackRowUncached, node.UncachedCopyBandwidth
 		}
 		d = units.Time(layout.Rows)*row + bw.Transfer(layout.Bytes())
 	}
 	if ep.w.CPU != 0 {
 		// Slave data is staged through shared memory for the NIU.
 		d += cfg.SlaveStageBandwidth.Transfer(layout.Bytes())
-		d += 2 * nodeCfg.SemaphoreCost
+		d += 2 * node.SemaphoreCost
 	}
 	if d > 0 {
 		ep.add(op{kind: opDelay, d: d})
@@ -349,7 +347,7 @@ func (ep *HyadesEndpoint) copyOp(layout Block) {
 }
 
 // semOp adds one shared-memory semaphore operation to the program.
-func (ep *HyadesEndpoint) semOp() { ep.add(op{kind: opDelay, d: ep.w.Node.Cfg.SemaphoreCost}) }
+func (ep *HyadesEndpoint) semOp() { ep.add(op{kind: opDelay, d: node.SemaphoreCost}) }
 
 // sendOps adds one direction of an exchange to the program: negotiate
 // with the receiver, then stream the packed slab through the VI-mode DMA

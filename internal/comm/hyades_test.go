@@ -488,13 +488,12 @@ func TestHiddenCollectiveMismatchEndsInError(t *testing.T) {
 		for _, sh := range shapes {
 			for _, wd := range []units.Time{0, 500 * units.Microsecond} {
 				t.Run(fmt.Sprintf("%dx%d/%s/watchdog=%v", shape[0], shape[1], sh.name, wd), func(t *testing.T) {
-					cfg := cluster.DefaultConfig(shape[0], shape[1])
-					cfg.Watchdog = wd
-					cl, err := cluster.New(cfg)
+					cl, err := cluster.New(cluster.DefaultConfig(shape[0], shape[1]))
 					if err != nil {
 						t.Fatal(err)
 					}
 					defer cl.Close()
+					cl.Eng.SetWatchdog(wd)
 					h, err := NewHyades(cl, DefaultHyadesConfig())
 					if err != nil {
 						t.Fatal(err)

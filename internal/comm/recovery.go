@@ -35,12 +35,14 @@ import (
 	"fmt"
 
 	"hyades/internal/des"
+	"hyades/internal/node"
 	"hyades/internal/plates"
 	"hyades/internal/startx"
 	"hyades/internal/units"
 )
 
-// DefaultMaxRestarts is the crash budget of a new controller.
+// DefaultMaxRestarts bounds the number of crashes survived before the
+// run fails with a diagnostic instead of retrying forever.
 const DefaultMaxRestarts = 8
 
 // The release of a post-crash generation is delayed by backoffBase,
@@ -83,11 +85,6 @@ type RecoveryStats struct {
 
 // Recovery coordinates crash recovery for one Hyades library instance.
 type Recovery struct {
-	// MaxRestarts bounds the number of crashes survived before the run
-	// fails with a diagnostic instead of retrying forever.  Set it
-	// before the simulation runs.
-	MaxRestarts int
-
 	h   *Hyades
 	sig *des.Signal // generation release broadcast
 
@@ -125,17 +122,16 @@ type Recovery struct {
 func newRecovery(h *Hyades) *Recovery {
 	n := h.cl.Processors()
 	return &Recovery{
-		MaxRestarts: DefaultMaxRestarts,
-		h:           h,
-		sig:         des.NewSignal(h.cl.Eng, "recovery.release"),
-		n:           n,
-		joined:      make([]bool, n),
-		done:        make([]bool, n),
-		nodeDown:    make([]bool, h.cl.Cfg.Nodes),
-		ckStep:      -1,
-		ckData:      make([][]byte, n),
-		pendStep:    -1,
-		pendData:    make([][]byte, n),
+		h:        h,
+		sig:      des.NewSignal(h.cl.Eng, "recovery.release"),
+		n:        n,
+		joined:   make([]bool, n),
+		done:     make([]bool, n),
+		nodeDown: make([]bool, h.cl.Cfg.Nodes),
+		ckStep:   -1,
+		ckData:   make([][]byte, n),
+		pendStep: -1,
+		pendData: make([][]byte, n),
 	}
 }
 
@@ -262,9 +258,9 @@ func (rc *Recovery) nodeCrashed(nodeID int, permanent bool) {
 			nodeID, now, rc.doneN, rc.n))
 		return
 	}
-	if rc.stats.Restarts > rc.MaxRestarts {
+	if rc.stats.Restarts > DefaultMaxRestarts {
 		rc.eng().Fail(fmt.Errorf("comm: node %d crash #%d exceeds the restart budget (max %d)",
-			nodeID, rc.stats.Restarts, rc.MaxRestarts))
+			nodeID, rc.stats.Restarts, DefaultMaxRestarts))
 		return
 	}
 	rc.crashed = true
@@ -311,9 +307,13 @@ func (rc *Recovery) nodeRestarted(nodeID int) {
 
 // peerDead observes one NIU's lease-based death declaration (engine
 // context): the observer node's ranks abandon their in-flight
-// communication and fall back to the rendezvous.
+// communication and fall back to the rendezvous.  A lapse with no crash
+// outstanding and the peer up is dropped heartbeats on a live peer, not
+// a death: interrupting the observer alone would send it into a
+// rendezvous no other rank joins, so the declaration is ignored, as
+// unreachable ignores a stall that points at no crash.
 func (rc *Recovery) peerDead(observer, peer int) {
-	if rc.doneN == rc.n {
+	if rc.doneN == rc.n || !rc.crashed && !rc.nodeDown[peer] {
 		return
 	}
 	rc.interruptNode(observer, &NodeDownError{Observer: observer, Peer: peer, At: rc.eng().Now()})
@@ -441,5 +441,5 @@ func (rc *Recovery) Fail(err error) { rc.eng().Fail(err) }
 // CopyCost is the virtual time a rank's processor spends moving an
 // n-byte checkpoint through memory, in either direction.
 func (rc *Recovery) CopyCost(n int) units.Time {
-	return rc.h.cl.Cfg.Node.MemcpyBandwidth.Transfer(n)
+	return node.MemcpyBandwidth.Transfer(n)
 }

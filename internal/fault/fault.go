@@ -228,28 +228,50 @@ func (l *Link) Transmit(t units.Time) Verdict {
 //
 // LINK may use the trailing-* prefix wildcard.
 func ParseOutage(s string) (Outage, error) {
-	link, window, hasWindow := strings.Cut(s, ":")
-	if link == "" {
-		return Outage{}, fmt.Errorf("fault: empty link name in outage %q", s)
+	link, from, until, err := linkGrammar.parse(s)
+	if err != nil {
+		return Outage{}, err
 	}
-	o := Outage{Link: link}
+	return Outage{Link: link, From: from, Until: until}, nil
+}
+
+// outageGrammar words the errors of one outage flag; each text is a
+// format taking the spec (and, for a bad instant, the cause).
+type outageGrammar struct {
+	emptyName, badFrom, badUntil, emptyWindow string
+}
+
+var linkGrammar = outageGrammar{
+	emptyName:   "fault: empty link name in outage %q",
+	badFrom:     "fault: bad outage window start in %q: %v",
+	badUntil:    "fault: bad outage window end in %q: %v",
+	emptyWindow: "fault: empty outage window in %q",
+}
+
+// parse reads NAME[:FROM[-UNTIL]], the grammar both outage flags share,
+// with the instants in microseconds.  No FROM means from t=0; no UNTIL
+// leaves until at 0, for good.
+func (g *outageGrammar) parse(s string) (name string, from, until units.Time, err error) {
+	name, window, hasWindow := strings.Cut(s, ":")
+	if name == "" {
+		return "", 0, 0, fmt.Errorf(g.emptyName, s)
+	}
 	if !hasWindow {
-		return o, nil
+		return name, 0, 0, nil
 	}
-	from, until, hasUntil := strings.Cut(window, "-")
-	var err error
-	if o.From, err = parseInstant(from); err != nil {
-		return Outage{}, fmt.Errorf("fault: bad outage window start in %q: %v", s, err)
+	fromUS, untilUS, hasUntil := strings.Cut(window, "-")
+	if from, err = parseInstant(fromUS); err != nil {
+		return "", 0, 0, fmt.Errorf(g.badFrom, s, err)
 	}
 	if hasUntil {
-		if o.Until, err = parseInstant(until); err != nil {
-			return Outage{}, fmt.Errorf("fault: bad outage window end in %q: %v", s, err)
+		if until, err = parseInstant(untilUS); err != nil {
+			return "", 0, 0, fmt.Errorf(g.badUntil, s, err)
 		}
-		if o.Until <= o.From {
-			return Outage{}, fmt.Errorf("fault: empty outage window in %q", s)
+		if until <= from {
+			return "", 0, 0, fmt.Errorf(g.emptyWindow, s)
 		}
 	}
-	return o, nil
+	return name, from, until, nil
 }
 
 // maxInstantUS is the latest instant a window may name, in
@@ -272,25 +294,29 @@ func parseInstant(s string) (units.Time, error) {
 	return units.Micros(us), nil
 }
 
-// ParseOutages parses a comma-separated list of outage specs.  Link
-// names themselves contain commas — up(s0,1,p0) — so only commas
-// outside parentheses separate specs.  An exact duplicate (same link
-// pattern, same window) is rejected: it is a typo, not a request to
-// take the link down twice, and letting it through would silently
-// change nothing.
-func ParseOutages(s string) ([]Outage, error) {
+// ParseOutages parses a comma-separated list of outage specs.
+func ParseOutages(s string) ([]Outage, error) { return parseList(s, "outage", ParseOutage) }
+
+// parseList parses a comma-separated list of specs, one of them per
+// parse.  Link names themselves contain commas — up(s0,1,p0) — so only
+// commas outside parentheses separate specs.  An exact duplicate (same
+// name, same window) is rejected: it is a typo, not a request to fail
+// the thing twice, and letting it through would silently change
+// nothing.
+func parseList[T comparable](s, what string, parse func(string) (T, error)) ([]T, error) {
 	if s == "" {
 		return nil, nil
 	}
-	var out []Outage
-	seen := map[Outage]bool{}
+	var out []T
+	seen := map[T]bool{}
 	for _, part := range splitTopLevel(s) {
-		o, err := ParseOutage(strings.TrimSpace(part))
+		part = strings.TrimSpace(part)
+		o, err := parse(part)
 		if err != nil {
 			return nil, err
 		}
 		if seen[o] {
-			return nil, fmt.Errorf("fault: duplicate outage spec %q", strings.TrimSpace(part))
+			return nil, fmt.Errorf("fault: duplicate %s spec %q", what, part)
 		}
 		seen[o] = true
 		out = append(out, o)

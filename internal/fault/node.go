@@ -108,31 +108,21 @@ func matchNode(pattern string, id int) bool {
 //
 // NODE is a decimal node index, a trailing-* prefix pattern, or "*".
 func ParseNodeOutage(s string) (NodeOutage, error) {
-	node, window, hasWindow := strings.Cut(s, ":")
-	if node == "" {
-		return NodeOutage{}, fmt.Errorf("fault: empty node selector in node outage %q", s)
+	node, from, until, err := nodeGrammar.parse(s)
+	if err == nil {
+		err = checkNodePattern(node, s)
 	}
-	if err := checkNodePattern(node, s); err != nil {
+	if err != nil {
 		return NodeOutage{}, err
 	}
-	o := NodeOutage{Node: node}
-	if !hasWindow {
-		return o, nil
-	}
-	from, until, hasUntil := strings.Cut(window, "-")
-	var err error
-	if o.From, err = parseInstant(from); err != nil {
-		return NodeOutage{}, fmt.Errorf("fault: bad node-outage crash instant in %q: %v", s, err)
-	}
-	if hasUntil {
-		if o.Until, err = parseInstant(until); err != nil {
-			return NodeOutage{}, fmt.Errorf("fault: bad node-outage restart instant in %q: %v", s, err)
-		}
-		if o.Until <= o.From {
-			return NodeOutage{}, fmt.Errorf("fault: node outage %q restarts at or before its crash (reversed or empty window)", s)
-		}
-	}
-	return o, nil
+	return NodeOutage{Node: node, From: from, Until: until}, nil
+}
+
+var nodeGrammar = outageGrammar{
+	emptyName:   "fault: empty node selector in node outage %q",
+	badFrom:     "fault: bad node-outage crash instant in %q: %v",
+	badUntil:    "fault: bad node-outage restart instant in %q: %v",
+	emptyWindow: "fault: node outage %q restarts at or before its crash (reversed or empty window)",
 }
 
 // checkNodePattern validates a node selector: "*", digits, or digits
@@ -153,25 +143,8 @@ func checkNodePattern(pattern, spec string) error {
 	return nil
 }
 
-// ParseNodeOutages parses a comma-separated list of node-outage specs.
-// An exact duplicate (same selector, same window) is rejected as a typo,
-// matching ParseOutages.
+// ParseNodeOutages parses a comma-separated list of node-outage specs,
+// rejecting an exact duplicate as ParseOutages does.
 func ParseNodeOutages(s string) ([]NodeOutage, error) {
-	if s == "" {
-		return nil, nil
-	}
-	var out []NodeOutage
-	seen := map[NodeOutage]bool{}
-	for _, part := range splitTopLevel(s) {
-		o, err := ParseNodeOutage(strings.TrimSpace(part))
-		if err != nil {
-			return nil, err
-		}
-		if seen[o] {
-			return nil, fmt.Errorf("fault: duplicate node-outage spec %q", strings.TrimSpace(part))
-		}
-		seen[o] = true
-		out = append(out, o)
-	}
-	return out, nil
+	return parseList(s, "node-outage", ParseNodeOutage)
 }

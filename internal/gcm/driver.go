@@ -89,10 +89,6 @@ type ParallelOpts struct {
 	// the work a crash can destroy; without them it still exercises
 	// the checkpoint machinery (the state digest is unaffected).
 	CheckpointEvery int
-
-	// MaxRestarts overrides the recovery controller's crash budget
-	// when positive.
-	MaxRestarts int
 }
 
 // RunParallel executes cfg for the given number of timed steps (plus
@@ -164,9 +160,6 @@ func runHyades(nodes, ppn int, opts ParallelOpts, dir *plates.Dir, build buildFn
 		return nil, err
 	}
 	rec := lib.Recovery(opts.CheckpointEvery > 0 || dir != nil)
-	if rec != nil && opts.MaxRestarts > 0 {
-		rec.MaxRestarts = opts.MaxRestarts
-	}
 	if dir != nil {
 		rec.Persist(dir)
 	}

@@ -93,8 +93,7 @@ func goldenState(nx, ny, nz int) *State {
 func goldenParams() *Params {
 	return &Params{
 		Dt: 600, AhMom: 120, KhTracer: 60, AvMom: 2e-3, KvTracer: 3e-5,
-		BotDrag: 1e-5, ABEps: 0.01, EOS: eos.DefaultOcean(),
-		ImplicitConvection: true,
+		BotDrag: 1e-5, EOS: eos.DefaultOcean(),
 	}
 }
 

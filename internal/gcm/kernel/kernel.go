@@ -122,11 +122,11 @@ type Params struct {
 	KhTracer float64 // lateral diffusivity (m^2/s)
 	KvTracer float64 // vertical diffusivity (m^2/s)
 	BotDrag  float64 // linear bottom drag (1/s) on the deepest wet level
-	ABEps    float64 // Adams-Bashforth stabilising offset
 	EOS      eos.EOS
-	// ImplicitConvection enables the convective-adjustment mixing pass.
-	ImplicitConvection bool
 }
+
+// ABEps is the Adams-Bashforth stabilising offset.
+const ABEps = 0.01
 
 // Validate sanity-checks the parameters.
 func (p *Params) Validate() error {
@@ -255,11 +255,11 @@ func ContinuityOps(g *grid.Local) int64 {
 
 // abCoeffs returns the Adams-Bashforth-2 weights; the first step falls
 // back to forward Euler.
-func (s *State) abCoeffs(eps float64) (aNow, aPrev float64) {
+func (s *State) abCoeffs() (aNow, aPrev float64) {
 	if s.firstStep {
 		return 1, 0
 	}
-	return 1.5 + eps, -(0.5 + eps)
+	return 1.5 + ABEps, -(0.5 + ABEps)
 }
 
 // faceFlux is the flux of a tracer through the face between two cells,
@@ -400,7 +400,7 @@ func ComputeGTracers(g *grid.Local, s *State, p *Params, c *Counters) {
 func StepTracers(g *grid.Local, s *State, p *Params, c *Counters) {
 	const h = Halo
 	m := Halo - 1
-	aNow, aPrev := s.abCoeffs(p.ABEps)
+	aNow, aPrev := s.abCoeffs()
 	now, prev := s.cur, 1-s.cur
 	dt := p.Dt
 	for k := 0; k < g.NZ; k++ {
@@ -621,7 +621,7 @@ func bottomAt(hcr, hcrDn []float64, n, k, nz int) bool {
 func StepMomentum(g *grid.Local, s *State, p *Params, c *Counters) {
 	const h = Halo
 	m := 1
-	aNow, aPrev := s.abCoeffs(p.ABEps)
+	aNow, aPrev := s.abCoeffs()
 	now, prev := s.cur, 1-s.cur
 	dt := p.Dt
 	for k := 0; k < g.NZ; k++ {
@@ -713,9 +713,6 @@ func Continuity(g *grid.Local, s *State, c *Counters) {
 // every pair of levels compared: it is the modelled kernel's work and
 // feeds virtual time (see the *Ops helpers).
 func ConvectiveAdjust(g *grid.Local, s *State, p *Params, c *Counters) {
-	if !p.ImplicitConvection {
-		return
-	}
 	const h = Halo
 	m := Halo - 1
 	nz, stride := g.NZ, s.Theta.Stride()

@@ -29,7 +29,7 @@ func testGrid(t *testing.T, nx, ny, nz int) *grid.Local {
 func testParams() *Params {
 	return &Params{
 		Dt: 600, AhMom: 100, KhTracer: 50, AvMom: 1e-3, KvTracer: 1e-5,
-		ABEps: 0.01, EOS: eos.DefaultOcean(), ImplicitConvection: true,
+		EOS: eos.DefaultOcean(),
 	}
 }
 
@@ -193,17 +193,19 @@ func TestConvectiveAdjustStabilizes(t *testing.T) {
 	}
 }
 
+// TestConvectiveAdjustDisabledByFlag pins that the pass has no off
+// switch any more: the two-level column the retired ImplicitConvection
+// flag used to leave alone is mixed.
 func TestConvectiveAdjustDisabledByFlag(t *testing.T) {
 	g := testGrid(t, 4, 4, 2)
 	s := NewState(4, 4, 2)
 	p := testParams()
-	p.ImplicitConvection = false
 	s.Theta.Set(1, 1, 0, 0)
 	s.Theta.Set(1, 1, 1, 5) // unstable
 	var c Counters
 	ConvectiveAdjust(g, s, p, &c)
-	if s.Theta.At(1, 1, 1) != 5 {
-		t.Fatal("adjustment ran despite the flag")
+	if s.Theta.At(1, 1, 1) == 5 || c.PS == 0 {
+		t.Fatalf("unstable column left alone: theta %g, %d flops", s.Theta.At(1, 1, 1), c.PS)
 	}
 }
 

@@ -186,9 +186,6 @@ func oracleHydrostatic(g *grid.Local, s *State, p *Params, c *Counters) {
 }
 
 func oracleConvectiveAdjust(g *grid.Local, s *State, p *Params, c *Counters) {
-	if !p.ImplicitConvection {
-		return
-	}
 	m := Halo - 1
 	var ops int64
 	unstable := func(i, j, ka, kb int) bool {
@@ -551,12 +548,12 @@ func TestKernelsMatchOracles(t *testing.T) {
 	}{
 		{"ocean", 12, 35, 0.3, Params{
 			Dt: 600, AhMom: 120, AvMom: 2e-3, KhTracer: 60, KvTracer: 3e-5, BotDrag: 1e-5,
-			ABEps: 0.01, EOS: eos.DefaultOcean(), ImplicitConvection: true,
+			EOS: eos.DefaultOcean(),
 		}},
 		// AvMom 0 takes the vertical friction's early return.
 		{"atmosphere", 290, 0.01, 0.004, Params{
 			Dt: 600, AhMom: 8e4, KhTracer: 2e4, KvTracer: 1e-2,
-			ABEps: 0.01, EOS: eos.DefaultAtmosphere(), ImplicitConvection: true,
+			EOS: eos.DefaultAtmosphere(),
 		}},
 	}
 	seed := int64(0)

@@ -59,7 +59,7 @@ func goldenAtm(t *testing.T) (*grid.Local, *kernel.State, *kernel.Params) {
 			}
 		}
 	}
-	p := &kernel.Params{Dt: 405, ABEps: 0.01, EOS: eos.DefaultAtmosphere()}
+	p := &kernel.Params{Dt: 405, EOS: eos.DefaultAtmosphere()}
 	return g, s, p
 }
 

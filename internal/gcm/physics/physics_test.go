@@ -21,7 +21,7 @@ func atmRig(t *testing.T) (*grid.Local, *kernel.State, *kernel.Params) {
 	}
 	s := kernel.NewState(16, 8, 5)
 	s.Theta.Fill(280)
-	p := &kernel.Params{Dt: 405, ABEps: 0.01, EOS: eos.DefaultAtmosphere()}
+	p := &kernel.Params{Dt: 405, EOS: eos.DefaultAtmosphere()}
 	return g, s, p
 }
 

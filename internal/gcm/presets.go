@@ -132,10 +132,7 @@ func CoarseOceanConfig(d tile.Decomp) Config {
 			KhTracer: 1e3,
 			KvTracer: 3e-5,
 			BotDrag:  1e-6,
-			ABEps:    0.01,
 			EOS:      eos.DefaultOcean(),
-
-			ImplicitConvection: true,
 		},
 		Decomp: d,
 		// Tuned so the warm-started SSOR-preconditioned CG averages near
@@ -191,10 +188,7 @@ func CoarseAtmosphereConfig(d tile.Decomp) Config {
 			AvMom:    1e-2,
 			KhTracer: 8e5,
 			KvTracer: 1e-2,
-			ABEps:    0.01,
 			EOS:      eos.DefaultAtmosphere(),
-
-			ImplicitConvection: true,
 		},
 		Decomp:        d,
 		SolverTol:     3e-3,
@@ -249,10 +243,7 @@ func GyreConfig(nx, ny, nz int, d tile.Decomp) Config {
 			KhTracer: 500,
 			KvTracer: 1e-5,
 			BotDrag:  1e-6,
-			ABEps:    0.01,
 			EOS:      eos.DefaultOcean(),
-
-			ImplicitConvection: true,
 		},
 		Decomp:        d,
 		SolverTol:     1e-8,

@@ -36,7 +36,7 @@ func TestTimedAccountingOneDefinition(t *testing.T) {
 		t.Fatalf("scenario broken: plain %+v, checkpointed %+v", plain.Recovery, ck.Recovery)
 	}
 	// Every committed byte was charged once, as a memcpy, to its rank.
-	charge := node.DefaultConfig().MemcpyBandwidth.Transfer(int(ck.Recovery.CheckpointBytes / 8))
+	charge := node.MemcpyBandwidth.Transfer(int(ck.Recovery.CheckpointBytes / 8))
 	charge *= 8
 	if got := ck.ComputeTime - plain.ComputeTime; got != charge {
 		t.Errorf("ComputeTime: checkpointed run exceeds plain by %v, want the checkpoint charge %v", got, charge)

@@ -16,41 +16,31 @@ import (
 	"hyades/internal/units"
 )
 
-// Config holds per-node cost parameters.  The copy rates are calibrated
-// (together with the per-row pack overheads in package comm) so the
-// stand-alone exchange benchmarks land on the paper's measured texch
-// values; the semaphore cost reproduces the ~1 us mix-mode global-sum
-// penalty and the ~30% slave-exchange bandwidth loss.
-type Config struct {
+// Calibrated per-node costs.  The copy rates are calibrated (together
+// with the per-row pack overheads in package comm) so the stand-alone
+// exchange benchmarks land on the paper's measured texch values; the
+// semaphore cost reproduces the ~1 us mix-mode global-sum penalty and
+// the ~30% slave-exchange bandwidth loss.
+const (
 	// MemcpyBandwidth is the rate of a well-behaved cached block copy.
-	MemcpyBandwidth units.Bandwidth
+	MemcpyBandwidth = 300 * units.MBps
 	// UncachedCopyBandwidth is the rate of a copy whose working set
 	// misses the cache (large 3-D fields swept between exchanges).
-	UncachedCopyBandwidth units.Bandwidth
+	UncachedCopyBandwidth = 150 * units.MBps
 	// SemaphoreCost is one shared-memory semaphore operation.
-	SemaphoreCost units.Time
-}
-
-// DefaultConfig returns the calibrated Hyades node parameters.
-func DefaultConfig() Config {
-	return Config{
-		MemcpyBandwidth:       300 * units.MBps,
-		UncachedCopyBandwidth: 150 * units.MBps,
-		SemaphoreCost:         300 * units.Nanosecond,
-	}
-}
+	SemaphoreCost = 300 * units.Nanosecond
+)
 
 // Node is one SMP.
 type Node struct {
 	ID  int
-	Cfg Config
 	Bus *pci.Bus
 	NIU *startx.NIU
 }
 
 // New creates a node with its bus; the NIU is attached by the cluster.
-func New(e *des.Engine, id int, cfg Config, busCfg pci.Config) *Node {
-	return &Node{ID: id, Cfg: cfg, Bus: pci.NewBus(e, busCfg)}
+func New(e *des.Engine, id int) *Node {
+	return &Node{ID: id, Bus: pci.NewBus(e)}
 }
 
 // AttachNIU installs the node's network interface.

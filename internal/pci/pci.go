@@ -20,26 +20,16 @@ import (
 	"hyades/internal/units"
 )
 
-// Config holds the host I/O cost parameters.
-type Config struct {
-	MMapReadLatency  units.Time      // uncached 8-byte register read
-	MMapWriteLatency units.Time      // back-to-back 8-byte register write
-	DMABandwidth     units.Bandwidth // sustained device DMA rate
-}
-
-// DefaultConfig returns the published Hyades host parameters.
-func DefaultConfig() Config {
-	return Config{
-		MMapReadLatency:  930 * units.Nanosecond,
-		MMapWriteLatency: 180 * units.Nanosecond,
-		DMABandwidth:     120 * units.MBps,
-	}
-}
+// The published host I/O costs.
+const (
+	MMapReadLatency  = 930 * units.Nanosecond // uncached 8-byte register read
+	MMapWriteLatency = 180 * units.Nanosecond // back-to-back 8-byte register write
+	DMABandwidth     = 120 * units.MBps       // sustained device DMA rate
+)
 
 // Bus is one node's PCI bus.
 type Bus struct {
 	eng *des.Engine
-	cfg Config
 	dma des.Resource
 
 	// Counters for tests and reports.
@@ -48,26 +38,23 @@ type Bus struct {
 }
 
 // NewBus creates a bus on engine e.
-func NewBus(e *des.Engine, cfg Config) *Bus {
-	return &Bus{eng: e, cfg: cfg}
+func NewBus(e *des.Engine) *Bus {
+	return &Bus{eng: e}
 }
-
-// Config returns the bus parameters.
-func (b *Bus) Config() Config { return b.cfg }
 
 // ChargeReads counts n back-to-back uncached 8-byte register reads and
 // returns the processor stall they cost.  A step function takes the
 // stall itself (des.Proc.StepDelay); process code calls MMapReadN.
 func (b *Bus) ChargeReads(n int) units.Time {
 	b.Reads += int64(n)
-	return units.Time(n) * b.cfg.MMapReadLatency
+	return units.Time(n) * MMapReadLatency
 }
 
 // ChargeWrites counts n back-to-back 8-byte register writes and returns
 // the processor stall they cost.
 func (b *Bus) ChargeWrites(n int) units.Time {
 	b.Writes += int64(n)
-	return units.Time(n) * b.cfg.MMapWriteLatency
+	return units.Time(n) * MMapWriteLatency
 }
 
 // MMapRead stalls the calling processor for one uncached 8-byte register
@@ -85,7 +72,7 @@ func (b *Bus) MMapWriteN(p *des.Proc, n int) { p.Delay(b.ChargeWrites(n)) }
 // It never blocks; device models chain events from the returned times.
 func (b *Bus) DMA(ready units.Time, n int) (start, end units.Time) {
 	b.DMABytes += int64(n)
-	return b.dma.Claim(ready, b.cfg.DMABandwidth.Transfer(n))
+	return b.dma.Claim(ready, DMABandwidth.Transfer(n))
 }
 
 // DMAFreeAt reports when the bus next becomes idle for DMA.

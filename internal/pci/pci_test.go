@@ -8,21 +8,20 @@ import (
 )
 
 func TestPublishedConstants(t *testing.T) {
-	cfg := DefaultConfig()
-	if cfg.MMapReadLatency != 930*units.Nanosecond {
-		t.Errorf("mmap read = %v, paper 0.93us", cfg.MMapReadLatency)
+	if MMapReadLatency != 930*units.Nanosecond {
+		t.Errorf("mmap read = %v, paper 0.93us", MMapReadLatency)
 	}
-	if cfg.MMapWriteLatency != 180*units.Nanosecond {
-		t.Errorf("mmap write = %v, paper 0.18us", cfg.MMapWriteLatency)
+	if MMapWriteLatency != 180*units.Nanosecond {
+		t.Errorf("mmap write = %v, paper 0.18us", MMapWriteLatency)
 	}
-	if cfg.DMABandwidth != 120*units.MBps {
-		t.Errorf("DMA bandwidth = %v, paper 120MB/s", cfg.DMABandwidth)
+	if DMABandwidth != 120*units.MBps {
+		t.Errorf("DMA bandwidth = %v, paper 120MB/s", DMABandwidth)
 	}
 }
 
 func TestMMapAccessCosts(t *testing.T) {
 	eng := des.NewEngine()
-	bus := NewBus(eng, DefaultConfig())
+	bus := NewBus(eng)
 	var after units.Time
 	eng.Spawn("p", func(p *des.Proc) {
 		bus.MMapRead(p)
@@ -42,7 +41,7 @@ func TestMMapAccessCosts(t *testing.T) {
 
 func TestDMASerializes(t *testing.T) {
 	eng := des.NewEngine()
-	bus := NewBus(eng, DefaultConfig())
+	bus := NewBus(eng)
 	// Two overlapping 120-byte transfers: each takes 1us at 120 MB/s,
 	// and the second must queue behind the first.
 	s1, e1 := bus.DMA(0, 120)
@@ -63,7 +62,7 @@ func TestDMASerializes(t *testing.T) {
 
 func TestDMASustainedRate(t *testing.T) {
 	eng := des.NewEngine()
-	bus := NewBus(eng, DefaultConfig())
+	bus := NewBus(eng)
 	var end units.Time
 	for i := 0; i < 1000; i++ {
 		_, end = bus.DMA(0, 96)

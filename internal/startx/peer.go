@@ -155,9 +155,6 @@ func (n *NIU) Restart() {
 // Down reports whether the NIU is crashed.
 func (n *NIU) Down() bool { return n.down }
 
-// Epoch returns the NIU's current communication incarnation.
-func (n *NIU) Epoch() uint32 { return n.epoch }
-
 // ResetComm rolls the NIU onto a new communication epoch: all queued
 // and in-flight protocol state is discarded, the go-back-N sequence
 // spaces restart from zero, and leases restart from the present.  The

@@ -21,9 +21,9 @@
 //     fruitless retries declares the peer unreachable — loudly, via
 //     OnUnreachable / Engine.Fail, never by hanging.
 //
-// The layer is gated by Config.Reliable: switched off (the default) it
-// adds zero packets, zero events and zero virtual time, so fault-free
-// runs are bit-identical to builds that predate it.
+// The layer runs exactly when the fabric injects faults: on a
+// fault-free fabric it adds zero packets, zero events and zero virtual
+// time, so fault-free runs are bit-identical to builds that predate it.
 package startx
 
 import (
@@ -121,7 +121,7 @@ func (n *NIU) inject(pkt *arctic.Packet) {
 		return
 	}
 	pkt.Epoch = n.epoch
-	if !n.cfg.Reliable {
+	if !n.reliable {
 		n.fab.Inject(n.ep, pkt)
 		return
 	}

@@ -11,8 +11,8 @@ import (
 	"hyades/internal/units"
 )
 
-// relRig builds an n-NIU machine with the reliable channel on and the
-// given fault plan injected into the fabric.
+// relRig builds an n-NIU machine with the given fault plan injected
+// into the fabric, which switches the reliable channel on.
 func relRig(t *testing.T, n int, fc fault.Config) (*des.Engine, []*NIU) {
 	t.Helper()
 	eng := des.NewEngine()
@@ -22,12 +22,9 @@ func relRig(t *testing.T, n int, fc fault.Config) (*des.Engine, []*NIU) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	scfg := DefaultConfig()
-	scfg.Reliable = true
 	nius := make([]*NIU, n)
 	for i := 0; i < n; i++ {
-		bus := pci.NewBus(eng, pci.DefaultConfig())
-		nius[i] = New(eng, bus, fab, i, scfg)
+		nius[i] = New(eng, pci.NewBus(eng), fab, i)
 	}
 	return eng, nius
 }
@@ -161,19 +158,22 @@ func TestUnreachableDefaultFailsEngine(t *testing.T) {
 }
 
 func TestReliableOffAddsZeroPackets(t *testing.T) {
-	// The acceptance bar for the fault-free path: with Reliable unset
-	// the layer must add no packets and no virtual time.
+	// The acceptance bar for the fault-free path: on a fabric without
+	// a fault plan the layer must add no packets and no virtual time.
+	// A zero-rate plan switches the layer on without losing a packet.
 	run := func(reliable bool) (int64, units.Time, uint64) {
 		eng := des.NewEngine()
-		fab, err := arctic.New(eng, arctic.DefaultConfig(2))
+		acfg := arctic.DefaultConfig(2)
+		if reliable {
+			acfg.Faults = fault.NewPlan(fault.Config{})
+		}
+		fab, err := arctic.New(eng, acfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		cfg := DefaultConfig()
-		cfg.Reliable = reliable
 		var nius [2]*NIU
 		for i := 0; i < 2; i++ {
-			nius[i] = New(eng, pci.NewBus(eng, pci.DefaultConfig()), fab, i, cfg)
+			nius[i] = New(eng, pci.NewBus(eng), fab, i)
 		}
 		eng.Spawn("tx", func(p *des.Proc) {
 			for i := 0; i < 10; i++ {

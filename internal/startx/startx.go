@@ -47,27 +47,14 @@ const (
 	MaxWindow = 0x3ff
 )
 
-// Config holds NIU-internal pipeline latencies.  These are the only
-// parameters not published directly in the paper; they are calibrated so
-// that the simulated LogP characteristics land on Fig. 2 (see package
-// comm's tests).
-type Config struct {
-	TxLatency units.Time // NIU transmit pipeline, register to first link
-	RxLatency units.Time // NIU receive pipeline, last link to visible data
-
-	// Reliable switches on the go-back-N reliable channel (see
-	// reliable.go).  Off by default: a fault-free fabric delivers every
-	// packet, and the paper's software layer assumes exactly that.
-	Reliable bool
-}
-
-// DefaultConfig returns the calibrated StarT-X pipeline latencies.
-func DefaultConfig() Config {
-	return Config{
-		TxLatency: 250 * units.Nanosecond,
-		RxLatency: 250 * units.Nanosecond,
-	}
-}
+// NIU-internal pipeline latencies.  These are the only costs not
+// published directly in the paper; they are calibrated so that the
+// simulated LogP characteristics land on Fig. 2 (see package comm's
+// tests).
+const (
+	TxLatency = 250 * units.Nanosecond // NIU transmit pipeline, register to first link
+	RxLatency = 250 * units.Nanosecond // NIU receive pipeline, last link to visible data
+)
 
 // Message is a received PIO-mode message.
 type Message struct {
@@ -91,7 +78,12 @@ type NIU struct {
 	bus *pci.Bus
 	fab *arctic.Fabric
 	ep  int
-	cfg Config
+
+	// reliable switches on the go-back-N reliable channel (see
+	// reliable.go): exactly when the fabric injects faults.  A
+	// fault-free fabric delivers every packet, and the paper's software
+	// layer assumes exactly that.
+	reliable bool
 
 	rxHi *des.Mailbox[Message]
 	rxLo *des.Mailbox[Message]
@@ -119,8 +111,8 @@ type NIU struct {
 	// wake pollers without modelling every idle status read.
 	OnPIODeliver func()
 
-	// Rel counts reliable-channel protocol events (all zero unless
-	// Config.Reliable is set).
+	// Rel counts reliable-channel protocol events (all zero on a
+	// fault-free fabric).
 	Rel RelStats
 
 	// OnUnreachable, if set, observes an exhausted retry budget; when
@@ -291,10 +283,11 @@ func (j *rxJob) run() {
 	}
 }
 
-// New attaches a NIU for endpoint ep to fabric fab and bus.
-func New(e *des.Engine, bus *pci.Bus, fab *arctic.Fabric, ep int, cfg Config) *NIU {
+// New attaches a NIU for endpoint ep to fabric fab and bus.  The NIU
+// runs the reliable channel when the fabric carries a fault plan.
+func New(e *des.Engine, bus *pci.Bus, fab *arctic.Fabric, ep int) *NIU {
 	n := &NIU{
-		eng: e, bus: bus, fab: fab, ep: ep, cfg: cfg,
+		eng: e, bus: bus, fab: fab, ep: ep, reliable: fab.Config().Faults != nil,
 		rxHi: des.NewMailbox[Message](e, fmt.Sprintf("niu%d.rxHi", ep)),
 		rxLo: des.NewMailbox[Message](e, fmt.Sprintf("niu%d.rxLo", ep)),
 		rxVI: des.NewMailbox[Transfer](e, fmt.Sprintf("niu%d.rxVI", ep)),
@@ -307,9 +300,6 @@ func New(e *des.Engine, bus *pci.Bus, fab *arctic.Fabric, ep int, cfg Config) *N
 // Endpoint returns the NIU's Arctic endpoint number.
 func (n *NIU) Endpoint() int { return n.ep }
 
-// Bus returns the host PCI bus the NIU is attached to.
-func (n *NIU) Bus() *pci.Bus { return n.bus }
-
 // pioAccesses returns the number of 8-byte mmap accesses needed to move
 // a message with the given payload through the register interface: one
 // for the header pair plus one per 8 payload bytes.
@@ -319,12 +309,12 @@ func pioAccesses(payloadWords int) int {
 
 // PIOSendCost returns the processor overhead Os of a PIO send.
 func (n *NIU) PIOSendCost(payloadWords int) units.Time {
-	return units.Time(pioAccesses(payloadWords)) * n.bus.Config().MMapWriteLatency
+	return units.Time(pioAccesses(payloadWords)) * pci.MMapWriteLatency
 }
 
 // PIORecvCost returns the processor overhead Or of a PIO receive.
 func (n *NIU) PIORecvCost(payloadWords int) units.Time {
-	return units.Time(pioAccesses(payloadWords)) * n.bus.Config().MMapReadLatency
+	return units.Time(pioAccesses(payloadWords)) * pci.MMapReadLatency
 }
 
 // PIOSend transmits a PIO-mode message, stalling the calling processor
@@ -360,7 +350,7 @@ func (n *NIU) CompletePIOSend(dst int, tag int, words []uint32, pri arctic.Prior
 	pkt.Tag = uint16(tag)
 	pkt.Payload = words
 	n.fab.RouteFor(pkt, n.ep, dst)
-	n.scheduleInject(n.cfg.TxLatency, pkt)
+	n.scheduleInject(TxLatency, pkt)
 }
 
 // PIORecv blocks until a PIO message of the given priority is available,
@@ -466,7 +456,7 @@ func (n *NIU) pumpTx() {
 		n.releaseDma(job)
 	}
 	n.fab.RouteFor(pkt, n.ep, dst)
-	inject := end - n.eng.Now() + n.cfg.TxLatency
+	inject := end - n.eng.Now() + TxLatency
 	n.scheduleInject(inject, pkt)
 	n.txIdle.Hold(end-n.eng.Now(), len(n.txQueue) > 0)
 }
@@ -514,7 +504,7 @@ func (n *NIU) receive(pkt *arctic.Packet) {
 	if n.lastHeard != nil && !pkt.Corrupted() {
 		n.noteHeard(pkt.Src)
 	}
-	if n.cfg.Reliable && pkt.Epoch != n.epoch {
+	if n.reliable && pkt.Epoch != n.epoch {
 		// A straggler from before a recovery rollback: the reliable
 		// streams it belongs to no longer exist.  Dropping it (ACKs
 		// included) keeps the fresh epoch's sequence spaces clean.
@@ -524,7 +514,7 @@ func (n *NIU) receive(pkt *arctic.Packet) {
 	if pkt.Corrupted() {
 		n.CorruptSeen++
 	}
-	if n.cfg.Reliable && !n.relAdmit(pkt) {
+	if n.reliable && !n.relAdmit(pkt) {
 		return
 	}
 	if pkt.Tag&viTagFlag != 0 {
@@ -543,7 +533,7 @@ func (n *NIU) receive(pkt *arctic.Packet) {
 				j.kind = rxVI
 				j.xfer = Transfer{Src: pkt.Src, Tag: int(pkt.Tag &^ viTagFlag), Data: pkt.Bulk}
 			}
-			n.eng.ScheduleAt(end+n.cfg.RxLatency, j.fn)
+			n.eng.ScheduleAt(end+RxLatency, j.fn)
 		}
 		return
 	}
@@ -551,7 +541,7 @@ func (n *NIU) receive(pkt *arctic.Packet) {
 	j.kind = rxPIO
 	j.hi = pkt.Pri == arctic.High
 	j.msg = Message{Src: pkt.Src, Tag: int(pkt.Tag), Words: pkt.Payload, Corrupt: pkt.Corrupted()}
-	n.eng.Schedule(n.cfg.RxLatency, j.fn)
+	n.eng.Schedule(RxLatency, j.fn)
 }
 
 // ---- Remote-memory mechanism ----

@@ -19,8 +19,7 @@ func rig(t *testing.T) (*des.Engine, [2]*NIU) {
 	}
 	var nius [2]*NIU
 	for i := 0; i < 2; i++ {
-		bus := pci.NewBus(eng, pci.DefaultConfig())
-		nius[i] = New(eng, bus, fab, i, DefaultConfig())
+		nius[i] = New(eng, pci.NewBus(eng), fab, i)
 	}
 	return eng, nius
 }
