@@ -1,11 +1,10 @@
 package hyades
 
-// One benchmark per table and figure of the paper's evaluation, plus
-// ablations of this reproduction's own design choices.  Benchmarks
-// report the paper-relevant quantities as custom metrics (simulated
-// microseconds, MFlop/s), so `go test -bench=. -benchmem` regenerates
-// the evaluation in one run; the cmd/ tools print the same data as
-// formatted tables.
+// Ablations of this reproduction's own design choices, the E11 scaling
+// point and the hot-path microbenchmarks.  Benchmarks report the
+// paper-relevant quantities as custom metrics (simulated microseconds,
+// MFlop/s); the paper's own evaluation is one table, printed by
+// cmd/paper and reported row by row by its BenchmarkPaper.
 
 import (
 	"bytes"
@@ -18,164 +17,11 @@ import (
 	"hyades/internal/des"
 	"hyades/internal/fault"
 	"hyades/internal/gcm"
-	"hyades/internal/gcm/physics"
 	"hyades/internal/gcm/solver"
 	"hyades/internal/gcm/tile"
-	"hyades/internal/logp"
 	"hyades/internal/mpistart"
-	"hyades/internal/netmodel"
-	"hyades/internal/perfmodel"
 	"hyades/internal/units"
-	"hyades/internal/vector"
 )
-
-// BenchmarkFig2LogP regenerates the LogP table (Fig. 2).
-func BenchmarkFig2LogP(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := logp.Fig2()
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(rows[0].Os.Micros(), "Os8B_us")
-		b.ReportMetric(rows[0].HalfRTT.Micros(), "halfRTT8B_us")
-		b.ReportMetric(rows[1].HalfRTT.Micros(), "halfRTT64B_us")
-	}
-}
-
-// BenchmarkFig7Bandwidth regenerates three anchor points of the
-// bandwidth-vs-block-size curve (Fig. 7).
-func BenchmarkFig7Bandwidth(b *testing.B) {
-	r := bench.HyadesRunner{PPN: 1}
-	for i := 0; i < b.N; i++ {
-		oneK, err := bench.TransferBandwidth(r, 1024, 3)
-		if err != nil {
-			b.Fatal(err)
-		}
-		nineK, err := bench.TransferBandwidth(r, 9*1024, 3)
-		if err != nil {
-			b.Fatal(err)
-		}
-		peak, err := bench.TransferBandwidth(r, 128*1024, 2)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(oneK.MBperSec(), "MBs_1KiB")
-		b.ReportMetric(nineK.MBperSec(), "MBs_9KiB")
-		b.ReportMetric(peak.MBperSec(), "MBs_128KiB")
-	}
-}
-
-// BenchmarkSec42GlobalSum regenerates the §4.2 global-sum latencies.
-func BenchmarkSec42GlobalSum(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		l16, err := bench.Gsum(bench.HyadesRunner{PPN: 1}, 16, 8)
-		if err != nil {
-			b.Fatal(err)
-		}
-		l2x8, err := bench.Gsum(bench.HyadesRunner{PPN: 2}, 16, 8)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(l16.Micros(), "us_16way")
-		b.ReportMetric(l2x8.Micros(), "us_2x8way")
-	}
-}
-
-// BenchmarkFig10Sustained regenerates the sustained-performance table:
-// the simulated Hyades rates on 1 and 16 processors and the vector-
-// machine roofline estimates.
-func BenchmarkFig10Sustained(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		serialCfg := gcm.CoarseOceanConfig(tile.Decomp{NXg: 128, NYg: 64, Px: 1, Py: 1, PeriodicX: true})
-		m1, elapsed, err := gcm.RunSerial(serialCfg, 3)
-		if err != nil {
-			b.Fatal(err)
-		}
-		one := float64(m1.C.PS+m1.C.DS) / elapsed.Seconds() / 1e6
-		res, err := gcm.RunParallel(8, 2, gcm.CoarseOceanConfig(bench.ScalingDecomp()), 1, 3)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(one, "MFs_1proc")
-		b.ReportMetric(res.SustainedMFlops(), "MFs_16proc")
-		b.ReportMetric(res.SustainedMFlops()/one, "speedup")
-		b.ReportMetric(vector.Fig10Machines()[0].SustainedGFlops()*1000, "MFs_YMP1")
-	}
-}
-
-// BenchmarkFig11Params regenerates the performance-model parameters.
-func BenchmarkFig11Params(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		p, err := bench.MeasureHyades()
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(p.Tgsum.Micros(), "tgsum_us")
-		b.ReportMetric(p.Texchxy.Micros(), "texchxy_us")
-		b.ReportMetric(p.Texchxyz.Micros(), "texchxyz_atm_us")
-		b.ReportMetric(p.Ocean3D.Micros(), "texchxyz_ocean_us")
-	}
-}
-
-// BenchmarkValidation regenerates the §5.3 model validation: predicted
-// versus simulated-observed runtime of the one-year atmosphere.
-func BenchmarkValidation(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		cfg := gcm.CoarseAtmosphereConfig(bench.ScalingDecomp())
-		cfg.Forcing = physics.New(physics.Default())
-		res, err := gcm.RunParallel(8, 2, cfg, 1, 4)
-		if err != nil {
-			b.Fatal(err)
-		}
-		year := res.PerStep().Minutes() * 77760
-		b.ReportMetric(year, "simYear_min")
-		exp, observed := perfmodel.PaperValidation()
-		b.ReportMetric(exp.Trun().Minutes(), "paperModel_min")
-		b.ReportMetric(observed.Minutes(), "paperObserved_min")
-	}
-}
-
-// BenchmarkFig12Pfpp regenerates the Pfpp table from primitives
-// measured on the three machines.
-func BenchmarkFig12Pfpp(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		arctic, err := bench.MeasureHyades()
-		if err != nil {
-			b.Fatal(err)
-		}
-		ge, err := bench.MeasureNet(netmodel.GigabitEthernet())
-		if err != nil {
-			b.Fatal(err)
-		}
-		fe, err := bench.MeasureNet(netmodel.FastEthernet())
-		if err != nil {
-			b.Fatal(err)
-		}
-		ra := perfmodel.Fig12Row("Arctic", arctic.Tgsum, arctic.Texchxy, arctic.Texchxyz)
-		rg := perfmodel.Fig12Row("G.E.", ge.Tgsum, ge.Texchxy, ge.Texchxyz)
-		rf := perfmodel.Fig12Row("F.E.", fe.Tgsum, fe.Texchxy, fe.Texchxyz)
-		b.ReportMetric(ra.PfppDS, "PfppDS_Arctic")
-		b.ReportMetric(rg.PfppDS, "PfppDS_GE")
-		b.ReportMetric(rf.PfppDS, "PfppDS_FE")
-		b.ReportMetric(ra.PfppPS, "PfppPS_Arctic")
-	}
-}
-
-// BenchmarkHPVMComparison regenerates the §6 Myrinet/HPVM anchors.
-func BenchmarkHPVMComparison(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		barrier, err := bench.Gsum(bench.NetRunner{Prm: netmodel.MyrinetHPVM()}, 16, 8)
-		if err != nil {
-			b.Fatal(err)
-		}
-		ours, err := bench.Gsum(bench.HyadesRunner{PPN: 1}, 16, 8)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(barrier.Micros(), "HPVM16_us")
-		b.ReportMetric(barrier.Micros()/ours.Micros(), "HPVMvsHyades_x")
-	}
-}
 
 // BenchmarkAblationPreconditioner compares the DS solver with the SSOR
 // and Jacobi preconditioners — the design choice that brings Ni near

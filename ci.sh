@@ -194,7 +194,7 @@ go build ./...
 # The smoke stages below run the drivers several times; link them once.
 bin_dir="$tmp_root/bin"
 mkdir "$bin_dir"
-go build -o "$bin_dir/" ./cmd/hyades ./cmd/figure9
+go build -o "$bin_dir/" ./cmd/hyades ./cmd/figure9 ./cmd/paper
 
 echo "== go test -race -short"
 go test -race -short ./...
@@ -211,6 +211,20 @@ echo "== steady-state allocations (no race detector)"
 # operation once warm; -short skips the check above because the race
 # detector's own allocations would count against it.
 go test -run 'TestSteadyStateAllocs' .
+
+echo "== paper (cmd/paper: one row per published quantity)"
+# The evaluation's one table, printed end to end: a panic or an error in
+# any experiment, or a missing experiment heading, fails the stage.
+# TestPaperConformance, skipped under -race -short above, holds every
+# row to its tolerance.
+paper_out=$("$bin_dir/paper")
+for e in E1 E2 E3 E4 E5 E6 E7 E9 E10; do
+    if ! grep -q "^$e  " <<< "$paper_out"; then
+        echo "paper: no $e heading in the output of cmd/paper" >&2
+        exit 1
+    fi
+done
+go test -run '^TestPaperConformance$' ./cmd/paper
 
 echo "== fuzz (every native fuzz target, 5 s each)"
 # The seed corpora and every committed crasher under testdata/fuzz run
@@ -245,6 +259,12 @@ retx=$(echo "$chaos_out" | awk '/^retransmits/ {print $(NF-2)}')
 retx=${retx:-0}
 if [ "$retx" -eq 0 ]; then
     echo "chaos smoke: drop-rate 1e-2 produced zero retransmits" >&2
+    exit 1
+fi
+
+# A flag the chosen run never reads is an error, not a silent no-op.
+if "$bin_dir/hyades" -model gyre -serial -steps 1 -warmup 1 > /dev/null 2>&1; then
+    echo "chaos smoke: hyades -serial accepted -warmup, which a serial run ignores" >&2
     exit 1
 fi
 

@@ -70,6 +70,11 @@ func main() {
 	if fcfg.Enabled() && (*serial || *netName != "") {
 		log.Fatal("fault injection models the Arctic fabric: drop -serial / -net to use it")
 	}
+	set := map[string]bool{}
+	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	if err := ignoredFlag(set, *serial, *netName != ""); err != nil {
+		log.Fatal(err)
+	}
 
 	workers := *nodes * *ppn
 	if *serial {
@@ -188,6 +193,26 @@ func main() {
 		}
 		fmt.Printf("state digest: %x\n", h.Sum(nil))
 	}
+}
+
+// ignoredFlag names the first explicitly set flag that the chosen run
+// never reads: a -serial run has no warm-up, checkpoint cadence,
+// compute pool or machine; a -net run has no checkpoints or pool; and
+// only a -serial run writes or restores a checkpoint file.
+func ignoredFlag(set map[string]bool, serial, net bool) error {
+	run, ignored := "parallel Hyades", []string{"checkpoint", "restore"}
+	switch {
+	case serial:
+		run, ignored = "-serial", []string{"warmup", "checkpoint-every", "workers", "nodes", "ppn", "net"}
+	case net:
+		run, ignored = "-net", []string{"checkpoint-every", "workers", "checkpoint", "restore"}
+	}
+	for _, name := range ignored {
+		if set[name] {
+			return fmt.Errorf("-%s has no effect on a %s run: drop it", name, run)
+		}
+	}
+	return nil
 }
 
 func decompFor(model string, workers, px, py int) tile.Decomp {

@@ -1,0 +1,46 @@
+package main
+
+import (
+	"strings"
+	"testing"
+)
+
+// TestIgnoredFlagIsAnError: a flag set on a run that never reads it
+// fails with an error naming it; flags left at their defaults, and
+// flags the run reads, pass.
+func TestIgnoredFlagIsAnError(t *testing.T) {
+	cases := []struct {
+		serial, net bool
+		set         []string
+		want        string // the flag the error names; "" for no error
+	}{
+		{serial: true, set: []string{"serial", "model", "steps", "digest", "checkpoint", "restore", "px", "py"}},
+		{serial: true, set: []string{"serial", "warmup"}, want: "-warmup"},
+		{serial: true, set: []string{"serial", "checkpoint-every"}, want: "-checkpoint-every"},
+		{serial: true, set: []string{"serial", "workers"}, want: "-workers"},
+		{serial: true, set: []string{"serial", "nodes"}, want: "-nodes"},
+		{serial: true, set: []string{"serial", "ppn"}, want: "-ppn"},
+		{serial: true, set: []string{"serial", "net"}, want: "-net"},
+		{net: true, set: []string{"net", "nodes", "ppn", "warmup", "steps", "px", "py", "digest"}},
+		{net: true, set: []string{"net", "checkpoint-every"}, want: "-checkpoint-every"},
+		{net: true, set: []string{"net", "workers"}, want: "-workers"},
+		{net: true, set: []string{"net", "restore"}, want: "-restore"},
+		{set: []string{"nodes", "ppn", "warmup", "workers", "checkpoint-every", "node-outage", "digest"}},
+		{set: []string{"checkpoint"}, want: "-checkpoint"},
+		{set: []string{"restore"}, want: "-restore"},
+		{set: []string{"serial"}}, // -serial=false
+	}
+	for _, c := range cases {
+		set := map[string]bool{}
+		for _, name := range c.set {
+			set[name] = true
+		}
+		err := ignoredFlag(set, c.serial, c.net)
+		switch {
+		case c.want == "" && err != nil:
+			t.Errorf("%v: unexpected error %v", c.set, err)
+		case c.want != "" && (err == nil || !strings.HasPrefix(err.Error(), c.want+" ")):
+			t.Errorf("%v: error %v, want one naming %s", c.set, err, c.want)
+		}
+	}
+}

@@ -190,15 +190,6 @@ func ScalingDecomp() tile.Decomp {
 	return tile.Decomp{NXg: 128, NYg: 64, Px: 4, Py: 4, PeriodicX: true}
 }
 
-// MeasurePrimitives runs the three stand-alone benchmarks of Fig. 11.
-// The global sum spans all sixteen processors (the paper's 2x8-way
-// value, 13.5 us); the exchanges run over the eight 32x32 tiles with
-// one communicating master per SMP, so gsumRunner and exchRunner may
-// configure the machine differently (Hyades: ppn=2 vs ppn=1).
-func MeasurePrimitives(gsumRunner, exchRunner Runner) (Primitives, error) {
-	return MeasureConfig(gsumRunner, exchRunner, ProductionDecomp(), 16, 5, 15)
-}
-
 // MeasureConfig measures the primitives for an arbitrary decomposition
 // and level counts, with the global sum spanning gsumWorkers
 // processors.
@@ -221,25 +212,19 @@ func MeasureConfig(gsumRunner, exchRunner Runner, d tile.Decomp, gsumWorkers, nz
 }
 
 // MeasureHyades runs the Fig. 11 benchmarks on the simulated Hyades
-// machine in its production configuration.
+// machine in its production configuration.  The global sum spans all
+// sixteen processors (the paper's 2x8-way value); the exchanges run
+// over the eight 32x32 tiles of ProductionDecomp with one
+// communicating master per SMP.
 func MeasureHyades() (Primitives, error) {
-	return MeasurePrimitives(HyadesRunner{PPN: 2}, HyadesRunner{PPN: 1})
+	return MeasureConfig(HyadesRunner{PPN: 2}, HyadesRunner{PPN: 1}, ProductionDecomp(), 16, 5, 15)
 }
 
-// MeasureNet runs the Fig. 12 benchmarks on a modelled interconnect.
+// MeasureNet runs the Fig. 12 benchmarks, the same as MeasureHyades,
+// on a modelled interconnect.
 func MeasureNet(prm netmodel.Params) (Primitives, error) {
 	r := NetRunner{Prm: prm}
-	return MeasurePrimitives(r, r)
-}
-
-// Contig1K is the layout of a contiguous 1-KiB block (test helper for
-// the §6 HPVM bandwidth anchor).
-func Contig1K() comm.Block { return comm.Contiguous(1024, true) }
-
-// BWPoint is one point of the Fig. 7 bandwidth curve.
-type BWPoint struct {
-	Bytes     int
-	Perceived units.Bandwidth
+	return MeasureConfig(r, r, ProductionDecomp(), 16, 5, 15)
 }
 
 // TransferBandwidth measures the perceived one-directional transfer
@@ -268,27 +253,4 @@ func TransferBandwidth(r Runner, size, reps int) (units.Bandwidth, error) {
 	}
 	perTransfer := (end - start) / units.Time(2*reps)
 	return units.Rate(size, perTransfer), nil
-}
-
-// Fig7Sizes returns the paper's Fig. 7 x-axis: 4 B to 128 KiB in
-// powers of two.
-func Fig7Sizes() []int {
-	var sizes []int
-	for b := 4; b <= 131072; b *= 2 {
-		sizes = append(sizes, b)
-	}
-	return sizes
-}
-
-// Fig7Curve measures the full bandwidth-vs-block-size curve.
-func Fig7Curve(r Runner) ([]BWPoint, error) {
-	var pts []BWPoint
-	for _, size := range Fig7Sizes() {
-		bw, err := TransferBandwidth(r, size, 3)
-		if err != nil {
-			return nil, err
-		}
-		pts = append(pts, BWPoint{Bytes: size, Perceived: bw})
-	}
-	return pts, nil
 }

@@ -120,27 +120,11 @@ func TestMyrinetHPVMAnchors(t *testing.T) {
 		t.Errorf("HPVM barrier %.1f us outside [40, 80]", us)
 	}
 	// 1-KiB transfer bandwidth: one-way message cost.
-	c := netmodel.New(2, prm)
-	defer c.Close()
-	var elapsed units.Time
-	c.Start(func(ep *netmodel.Endpoint) {
-		if ep.Rank() == 0 {
-			t0 := ep.Now()
-			for i := 0; i < 4; i++ {
-				ep.Exchange(1, make([]byte, 1024), Contig1K())
-			}
-			elapsed = (ep.Now() - t0) / 4
-		} else {
-			for i := 0; i < 4; i++ {
-				ep.Exchange(0, make([]byte, 1024), Contig1K())
-			}
-		}
-	})
-	if err := c.Run(); err != nil {
+	perceived, err := TransferBandwidth(NetRunner{Prm: prm}, 1024, 4)
+	if err != nil {
 		t.Fatal(err)
 	}
-	// An exchange is two sequential 1-KiB transfers; per-transfer rate:
-	bw := units.Rate(2*1024, elapsed).MBperSec()
+	bw := perceived.MBperSec()
 	t.Logf("HPVM 1-KiB transfer bandwidth = %.1f MB/s (paper: ~42)", bw)
 	if bw < 30 || bw > 55 {
 		t.Errorf("HPVM 1-KiB bandwidth %.1f MB/s outside [30, 55]", bw)

@@ -166,12 +166,12 @@ func Fig12Row(name string, tgsum, texchxy, texchxyz units.Time) InterconnectRow 
 }
 
 // PaperFig12 returns the published Fig. 12 rows (the paper's measured
-// primitive costs on each interconnect).
+// primitive costs on each interconnect; Arctic's are Fig. 11's).
 func PaperFig12() []InterconnectRow {
 	return []InterconnectRow{
 		Fig12Row("F.E.", 942*units.Microsecond, 10008*units.Microsecond, 100000*units.Microsecond),
 		Fig12Row("G.E.", 1193*units.Microsecond, 1789*units.Microsecond, 5742*units.Microsecond),
-		Fig12Row("Arctic", units.Micros(13.5), 115*units.Microsecond, 1640*units.Microsecond),
+		Fig12Row("Arctic", PaperDS().Tgsum, PaperDS().Texchxy, PaperAtmospherePS().Texchxyz),
 	}
 }
 
