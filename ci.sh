@@ -59,22 +59,38 @@ fi
 # one workload, the parent tree (a checkout of the parent commit kept
 # outside this one, under /root/scratch) first on odd pairs and this
 # tree first on even ones.  Every run is a foreground child that is
-# waited for; nothing is backgrounded, and the command ends by checking
-# both trees for leftovers, so a measurement loop cannot outlive the
-# session that started it.  HYADES_PAIRS_LOG names a file that keeps the
-# pairs: a later call continues the alternation where the file ends
-# and summarises all of it (ten pairs take longer than some callers
-# may wait for one command).
+# waited for, under `timeout -k 10 300`, so a stuck run dies inside the
+# call and the pair names the side that hung; nothing is backgrounded,
+# and the command ends by checking both trees for leftovers, so a
+# measurement loop cannot outlive the session that started it.  A pair
+# takes about 80 s, so keep N at 4 or less per call: HYADES_PAIRS_LOG
+# names a file that keeps the pairs, a later call continues the
+# alternation where the file ends and summarises all of it.
 if [ "${1:-}" = "pairs" ]; then
     if [ $# -lt 4 ]; then
         echo "usage: ci.sh pairs PARENT_DIR WORKLOAD N [SEED]" >&2
         exit 2
     fi
     parent=$(cd "$2" && pwd) workload=$3 pairs=$4 seed=${5:-1}
-    run_one() { # DIR -> "wall_us_per_op peak_rss_mb setup_s failed"
-        (cd "$1" && bash benchmark/run.sh --workload "$workload" --seed "$seed" --seconds 30 --trace 0) |
-            tail -n 1 |
-            sed -n 's/.*"failed":\([0-9]*\).*"peak_rss_mb":{"value":\([0-9.e+-]*\).*"setup_s":{"value":\([0-9.e+-]*\).*"wall_us_per_op":{"value":\([0-9.e+-]*\).*/\4 \2 \3 \1/p'
+    if [ "$pairs" -gt 4 ]; then
+        echo "ci.sh pairs: at most 4 pairs per call; continue through HYADES_PAIRS_LOG" >&2
+        exit 2
+    fi
+    run_one() { # SIDE DIR -> "wall_us_per_op peak_rss_mb setup_s failed"
+        local out status=0
+        out=$(cd "$2" && timeout -k 10 300 bash benchmark/run.sh --workload "$workload" --seed "$seed" --seconds 30 --trace 0 | tail -n 1) || status=$?
+        case $status in
+            0) ;;
+            124 | 137)
+                echo "ci.sh pairs: pair $i: the $1 run timed out after 300 s and was killed" >&2
+                return 1
+                ;;
+            *)
+                echo "ci.sh pairs: pair $i: the $1 run failed with status $status" >&2
+                return 1
+                ;;
+        esac
+        echo "$out" | sed -n 's/.*"failed":\([0-9]*\).*"peak_rss_mb":{"value":\([0-9.e+-]*\).*"setup_s":{"value":\([0-9.e+-]*\).*"wall_us_per_op":{"value":\([0-9.e+-]*\).*/\4 \2 \3 \1/p'
     }
     log=${HYADES_PAIRS_LOG:-$tmp_root/pairs}
     touch "$log"
@@ -82,11 +98,11 @@ if [ "${1:-}" = "pairs" ]; then
     echo "== $pairs pairs of $workload, seed $seed, after $kept kept: parent $parent, change $PWD"
     for i in $(seq $((kept + 1)) $((kept + pairs))); do
         if [ $((i % 2)) -eq 1 ]; then
-            p=$(run_one "$parent")
-            c=$(run_one "$PWD")
+            p=$(run_one parent "$parent") || exit 1
+            c=$(run_one change "$PWD") || exit 1
         else
-            c=$(run_one "$PWD")
-            p=$(run_one "$parent")
+            c=$(run_one change "$PWD") || exit 1
+            p=$(run_one parent "$parent") || exit 1
         fi
         if [ -z "$p" ] || [ -z "$c" ]; then
             echo "ci.sh pairs: pair $i printed no metrics (parent '$p', change '$c')" >&2

@@ -28,6 +28,10 @@ const (
 	RouterLatency = 150 * units.Nanosecond // per-stage forwarding latency (paper: <0.15 us)
 )
 
+// headDelay is when the next stage sees a packet's head: the router
+// latency plus the header's serialization (virtual cut-through).
+var headDelay = RouterLatency + LinkBandwidth.Transfer(HeaderBytes)
+
 // DefaultConfig returns a fault-free fabric for n endpoints.
 func DefaultConfig(n int) Config { return Config{Endpoints: n} }
 
@@ -112,8 +116,9 @@ func (l *link) down() bool {
 // per hop) and survives recycling.
 type transit struct {
 	pkt         *Packet
-	upRemaining int   // up hops left before the packet turns downwards
-	link        *link // link currently transmitting this transit
+	wire        units.Time // the whole packet's time on a link, fixed at injection
+	upRemaining int        // up hops left before the packet turns downwards
+	link        *link      // link currently transmitting this transit
 	deliverFn   func()
 }
 
@@ -130,7 +135,6 @@ type router struct {
 type Fabric struct {
 	eng     *des.Engine
 	cfg     Config
-	levels  int
 	routers [][]*router // [stage][index]
 	inject  []*link     // endpoint -> leaf router
 	eject   []*link     // leaf router -> endpoint
@@ -215,11 +219,10 @@ func New(e *des.Engine, cfg Config) (*Fabric, error) {
 		return nil, fmt.Errorf("arctic: %d endpoints exceed capacity %d of %d-level tree", cfg.Endpoints, capacity, levels)
 	}
 	f := &Fabric{
-		eng:    e,
-		cfg:    cfg,
-		levels: levels,
-		rx:     make([]func(*Packet), cfg.Endpoints),
-		rng:    rand.New(rand.NewSource(0x41524354)), // "ARCT"
+		eng: e,
+		cfg: cfg,
+		rx:  make([]func(*Packet), cfg.Endpoints),
+		rng: rand.New(rand.NewSource(0x41524354)), // "ARCT"
 	}
 	routersPerStage := capacity / Radix
 	f.routers = make([][]*router, levels)
@@ -291,9 +294,6 @@ func (f *Fabric) newLink(name string) *link {
 	return l
 }
 
-// Engine returns the simulation engine the fabric runs on.
-func (f *Fabric) Engine() *des.Engine { return f.eng }
-
 // Config returns the fabric configuration.
 func (f *Fabric) Config() Config { return f.cfg }
 
@@ -356,7 +356,9 @@ func (f *Fabric) Inject(src int, p *Packet) {
 		panic(fmt.Sprintf("arctic: inject to invalid endpoint %d", p.Dst))
 	}
 	p.Seal()
-	f.inject[src].enqueue(f.newTransit(p, int(p.UpSteps)))
+	t := f.newTransit(p, int(p.UpSteps))
+	t.wire = LinkBandwidth.Transfer(p.WireBytes())
+	f.inject[src].enqueue(t)
 }
 
 // routerInput returns the forwarding action for packets whose head has
@@ -475,7 +477,7 @@ func (l *link) startNext() {
 			// tail never arrives anywhere.
 			l.stats.FaultDropped++
 			f.stats.FaultDropped++
-			l.hold(LinkBandwidth.Transfer(t.pkt.WireBytes()))
+			l.hold(t.wire)
 			f.releasePacket(t.pkt)
 			f.recycle(t)
 			return
@@ -485,23 +487,18 @@ func (l *link) startNext() {
 			f.stats.FaultCorrupted++
 		}
 	}
-	full := LinkBandwidth.Transfer(t.pkt.WireBytes())
 	// Virtual cut-through: the downstream hop sees the packet head after
-	// the router latency plus the header serialization; the link itself
-	// stays occupied for the full wire size.  The final hop into an
-	// endpoint completes only when the tail arrives.
-	head := RouterLatency + LinkBandwidth.Transfer(HeaderBytes)
-	handoff := head
+	// headDelay; the link itself stays occupied for the full wire size.
+	// The final hop into an endpoint completes only when the tail
+	// arrives.
+	handoff := headDelay
 	if l.final {
-		handoff = RouterLatency + full
+		handoff = RouterLatency + t.wire
 	}
 	t.link = l
 	f.eng.Schedule(handoff, t.deliverFn)
-	l.hold(full)
+	l.hold(t.wire)
 }
-
-// Levels reports the number of router stages.
-func (f *Fabric) Levels() int { return f.levels }
 
 // HopsBetween returns the number of links a packet crosses from src to
 // dst (injection and ejection links included).

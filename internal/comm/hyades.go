@@ -2,6 +2,7 @@ package comm
 
 import (
 	"fmt"
+	"slices"
 
 	"hyades/internal/cluster"
 	"hyades/internal/des"
@@ -106,6 +107,10 @@ type nodeComm struct {
 
 	// Intra-SMP exchange staging, keyed by (srcCPU, dstCPU).
 	shm map[[2]int]*des.Mailbox[[]byte]
+
+	// Each CPU's reduction program (allReduce), nil until built; its
+	// waits hold match boxes, so it goes when they are replaced.
+	red [2][]op
 }
 
 // Hyades is the communication library instance for one cluster.
@@ -230,6 +235,7 @@ func (h *Hyades) resetNodeComm() {
 		nc.pioBox = make(map[matchKey]*des.Mailbox[startx.Message])
 		nc.viBox = make(map[matchKey]*des.Mailbox[startx.Transfer])
 		nc.shm = make(map[[2]int]*des.Mailbox[[]byte])
+		nc.red = [2][]op{}
 		for _, mb := range append([]*des.Mailbox[float64]{nc.partial}, nc.results...) {
 			for _, ok := mb.TryRecv(); ok; _, ok = mb.TryRecv() {
 			}
@@ -251,6 +257,7 @@ type HyadesEndpoint struct {
 	nc    *nodeComm
 	stats Stats
 	prog  program // the primitive in flight as a step function
+	ops   []op    // the build buffer: the exchange in flight
 }
 
 var _ Endpoint = (*HyadesEndpoint)(nil)
@@ -357,7 +364,7 @@ func (ep *HyadesEndpoint) sendOps(peer int, data []byte, layout Block) {
 	ep.copyOp(layout) // pack into the VI region
 	ep.add(op{kind: opSend, node: node, tag: encodeTag(clsExchReq, ep.w.CPU, cpu, 0),
 		w: [2]uint32{uint32(len(data)), uint32(ep.w.Rank)}})
-	ep.add(op{kind: opHandshake, key: ep.keyOf(clsExchAck, peer, 0)})
+	ep.add(ep.waitOp(opHandshake, ep.keyOf(clsExchAck, peer, 0)))
 	ep.add(op{kind: opDelay, d: ep.h.cfg.SetupCost})
 	ep.add(op{kind: opDMA, node: node, tag: encodeTag(clsExchData, ep.w.CPU, cpu, 0), data: data})
 }
@@ -365,7 +372,7 @@ func (ep *HyadesEndpoint) sendOps(peer int, data []byte, layout Block) {
 // recvOps adds the accepting direction of an exchange to the program;
 // the slab lands in prog.xfer.
 func (ep *HyadesEndpoint) recvOps(peer int, layout Block) {
-	ep.add(op{kind: opHandshake, key: ep.keyOf(clsExchReq, peer, 0)})
+	ep.add(ep.waitOp(opHandshake, ep.keyOf(clsExchReq, peer, 0)))
 	ep.add(op{kind: opSend, node: ep.nodeOf(peer), tag: encodeTag(clsExchAck, ep.w.CPU, ep.cpuOf(peer), 0),
 		w: [2]uint32{uint32(ep.w.Rank), 0}})
 	ep.add(op{kind: opVIWait, key: ep.keyOf(clsExchData, peer, 0), src: peer})
@@ -393,7 +400,7 @@ func (ep *HyadesEndpoint) Exchange(peer int, send []byte, layout Block) []byte {
 		ep.recvOps(peer, layout)
 		ep.sendOps(peer, send, layout)
 	}
-	ep.run()
+	ep.run(ep.ops)
 	recv := ep.prog.xfer.Data
 	if peer == ep.w.Rank {
 		recv = append([]byte(nil), send...)
@@ -477,8 +484,22 @@ func (ep *HyadesEndpoint) enterCollective(kind string) {
 // allReduce runs a reduction as one program.  A slave hands its partial
 // to the SMP's master through shared memory and waits for the total; a
 // master gathers its slaves' partials, runs the inter-node reduction
-// among the masters and hands the total back.
+// among the masters and hands the total back.  Every GlobalSum and
+// Barrier of a rank runs the same program, so it is built at the first
+// and replayed until a recovery release replaces the match boxes.
 func (ep *HyadesEndpoint) allReduce(x float64) float64 {
+	red := &ep.nc.red[ep.w.CPU]
+	if *red == nil {
+		ep.buildReduce()
+		*red = slices.Clone(ep.ops)
+	}
+	ep.prog.sum = x
+	ep.run(*red)
+	return ep.prog.sum
+}
+
+// buildReduce builds the reduction program in the build buffer.
+func (ep *HyadesEndpoint) buildReduce() {
 	ep.begin()
 	if ep.w.CPU != 0 {
 		ep.semOp()
@@ -497,9 +518,6 @@ func (ep *HyadesEndpoint) allReduce(x float64) float64 {
 			ep.add(op{kind: opShmPut, sums: ep.nc.results[i]})
 		}
 	}
-	ep.prog.sum = x
-	ep.run()
-	return ep.prog.sum
 }
 
 // masterOps adds the inter-node reduction among the CPU-0 processors to
@@ -514,7 +532,7 @@ func (ep *HyadesEndpoint) masterOps() {
 		for r := 0; 1<<r < nNodes; r++ {
 			partner := me ^ 1<<r
 			ep.add(op{kind: opSendSum, node: partner, tag: encodeTag(clsGsum, 0, 0, r)})
-			ep.add(op{kind: opAdd, key: matchKey{class: clsGsum, srcNode: partner, seq: r}})
+			ep.add(ep.waitOp(opAdd, matchKey{class: clsGsum, srcNode: partner, seq: r}))
 			ep.add(op{kind: opDelay, d: ep.h.cfg.GsumRoundCPU})
 		}
 		return
@@ -529,10 +547,10 @@ func (ep *HyadesEndpoint) masterOps() {
 		case SendUp, SendDown:
 			ep.add(op{kind: opSendSum, node: s.Peer, tag: encodeTag(clsGsum, 0, 0, seq)})
 		case RecvAdd:
-			ep.add(op{kind: opAdd, key: key})
+			ep.add(ep.waitOp(opAdd, key))
 			ep.add(op{kind: opDelay, d: ep.h.cfg.GsumRoundCPU})
 		case RecvResult:
-			ep.add(op{kind: opSet, key: key})
+			ep.add(ep.waitOp(opSet, key))
 		}
 	}
 }

@@ -230,7 +230,7 @@ func measureTransfer(t *testing.T, n, reps int) units.Time {
 			for i := 0; i < reps; i++ {
 				ep.begin()
 				ep.sendOps(1, data, Contiguous(n, true))
-				ep.run()
+				ep.run(ep.ops)
 				waitEcho(ep)
 			}
 			end = ep.Now()
@@ -238,7 +238,7 @@ func measureTransfer(t *testing.T, n, reps int) units.Time {
 			for i := 0; i < reps; i++ {
 				ep.begin()
 				ep.recvOps(0, Contiguous(n, true))
-				ep.run()
+				ep.run(ep.ops)
 				echo(ep)
 			}
 		}
@@ -285,8 +285,8 @@ func echo(ep *HyadesEndpoint) {
 // PIO wait.
 func waitEcho(ep *HyadesEndpoint) {
 	ep.begin()
-	ep.add(op{kind: opHandshake, key: ep.keyOf(clsExchAck, 1, 1)})
-	ep.run()
+	ep.add(ep.waitOp(opHandshake, ep.keyOf(clsExchAck, 1, 1)))
+	ep.run(ep.ops)
 }
 
 // measureEcho times the bare 8-byte ping/pong used as the completion
@@ -554,6 +554,104 @@ func TestCollectiveRegisterResetsAtRelease(t *testing.T) {
 	})
 	if err := cl.Run(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestReductionProgramDroppedAtRelease: allReduce builds each rank's
+// program once and replays it, but its waits hold the match boxes that
+// a recovery release replaces.  A GlobalSum and a Barrier, a release at
+// a rendezvous of every rank, then both again must read the sums, clock
+// and event count of the same run without the release — a program kept
+// across it would wait on boxes nothing delivers to any more.
+func TestReductionProgramDroppedAtRelease(t *testing.T) {
+	type result struct {
+		sums   [2]float64
+		now    units.Time
+		events uint64
+	}
+	for _, shape := range [][2]int{{16, 1}, {8, 2}} {
+		run := func(release bool) result {
+			cl, err := cluster.New(cluster.DefaultConfig(shape[0], shape[1]))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cl.Close()
+			h, err := NewHyades(cl, DefaultHyadesConfig())
+			if err != nil {
+				t.Fatal(err)
+			}
+			var res result
+			sig, arrived := des.NewSignal(cl.Eng, "rendezvous"), 0
+			cl.Start(func(w *cluster.Worker) {
+				ep := h.Bind(w)
+				r := float64(ep.Rank())
+				first := ep.GlobalSum(r + 1)
+				ep.Barrier()
+				if arrived++; arrived < ep.N() {
+					sig.Wait(w.Proc, sig.Seq())
+				} else {
+					if release {
+						h.resetNodeComm()
+						for _, nc := range h.nodes {
+							if nc.red[0] != nil || nc.red[1] != nil {
+								t.Errorf("%dx%d: a reduction program outlived the release", shape[0], shape[1])
+							}
+						}
+					}
+					sig.Broadcast()
+				}
+				// Staggered entries make partials arrive ahead of their
+				// round, so the pollers deposit them in the match boxes.
+				ep.Busy(units.Time(ep.Rank()%3) * 7 * units.Microsecond)
+				second := ep.GlobalSum(r * r)
+				ep.Barrier()
+				if ep.Rank() == 0 {
+					res.sums = [2]float64{first, second}
+				}
+			})
+			if err := cl.Run(); err != nil {
+				t.Fatalf("%dx%d, release %v: %v", shape[0], shape[1], release, err)
+			}
+			res.now, res.events = cl.Eng.Now(), cl.Eng.Events()
+			return res
+		}
+		n := float64(shape[0] * shape[1])
+		want := run(false)
+		if want.sums != [2]float64{n * (n + 1) / 2, (n - 1) * n * (2*n - 1) / 6} {
+			t.Errorf("%dx%d: sums %v", shape[0], shape[1], want.sums)
+		}
+		if got := run(true); got != want {
+			t.Errorf("%dx%d: with a release %+v, without %+v", shape[0], shape[1], got, want)
+		}
+	}
+}
+
+// TestReplayedCollectiveIsChecked: the collective-order register runs
+// on every call, not only on the one that builds the program.
+func TestReplayedCollectiveIsChecked(t *testing.T) {
+	for _, shape := range [][2]int{{4, 1}, {2, 2}} {
+		cl, err := cluster.New(cluster.DefaultConfig(shape[0], shape[1]))
+		if err != nil {
+			t.Fatal(err)
+		}
+		h, err := NewHyades(cl, DefaultHyadesConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		cl.Start(func(w *cluster.Worker) {
+			ep := h.Bind(w)
+			ep.GlobalSum(1)
+			if ep.Rank() == 3 {
+				ep.Barrier()
+			} else {
+				ep.GlobalSum(2)
+			}
+		})
+		var mis *CollectiveMismatchError
+		if err := cl.Run(); !errors.As(err, &mis) || mis.Index != 1 {
+			t.Errorf("%dx%d: err = %v, want a *CollectiveMismatchError at index 1", shape[0], shape[1], err)
+		}
+		cl.Close()
 	}
 }
 

@@ -37,6 +37,7 @@ type op struct {
 	tag   int
 	w     [2]uint32
 	key   matchKey
+	box   *des.Mailbox[startx.Message] // a PIO wait's match box, resolved when the op is built
 	src   int
 	data  []byte
 	sums  *des.Mailbox[float64]
@@ -54,27 +55,32 @@ type program struct {
 	sub     uint8 // where the op at pc resumes; 0 starts it
 	expired bool  // a PIO or VI wait outlived the watchdog: the process raises it
 
-	sum      float64                      // the global sum's running sum
-	words    []uint32                     // the payload of the PIO send in progress
-	msg      startx.Message               // the matched PIO message, or the polled one
-	polled   bool                         // the hardware poll found a message
-	box      *des.Mailbox[startx.Message] // the PIO wait's match box
-	snap     uint64                       // the delivery signal's generation before the poll
-	xfer     startx.Transfer              // the matched VI transfer, or the slab from shared memory
+	sum      float64         // the global sum's running sum
+	words    []uint32        // the payload of the PIO send in progress
+	msg      startx.Message  // the matched PIO message, or the polled one
+	polled   bool            // the hardware poll found a message
+	snap     uint64          // the delivery signal's generation before the poll
+	xfer     startx.Transfer // the matched VI transfer, or the slab from shared memory
 	vbox     *des.Mailbox[startx.Transfer]
 	timed    bool       // the VI receive waits under the watchdog
 	deadline units.Time // ... until this instant
 }
 
-// begin starts a new program; add appends an op to it.
-func (ep *HyadesEndpoint) begin()   { ep.prog.ops = ep.prog.ops[:0] }
-func (ep *HyadesEndpoint) add(o op) { ep.prog.ops = append(ep.prog.ops, o) }
+// begin starts a new program in the endpoint's build buffer; add
+// appends an op to it.
+func (ep *HyadesEndpoint) begin()   { ep.ops = ep.ops[:0] }
+func (ep *HyadesEndpoint) add(o op) { ep.ops = append(ep.ops, o) }
 
-// run executes the program as one stretch of the process (des.Proc.Await)
-// and raises, in process context, the watchdog of a wait that starved.
-func (ep *HyadesEndpoint) run() {
+// waitOp is a PIO wait of the given kind for key, with its match box.
+func (ep *HyadesEndpoint) waitOp(kind opKind, key matchKey) op {
+	return op{kind: kind, key: key, box: ep.nc.pioMB(ep.h.cl.Eng, key)}
+}
+
+// run executes ops as one stretch of the process (des.Proc.Await) and
+// raises, in process context, the watchdog of a wait that starved.
+func (ep *HyadesEndpoint) run(ops []op) {
 	pr := &ep.prog
-	pr.pc, pr.sub, pr.expired = 0, 0, false
+	pr.ops, pr.pc, pr.sub, pr.expired = ops, 0, 0, false
 	ep.w.Proc.Await(pr.fn)
 	if pr.expired {
 		panic(ep.starved(&pr.ops[pr.pc]))
@@ -165,7 +171,7 @@ func (ep *HyadesEndpoint) exec(o *op) bool {
 		}
 		pr.xfer = startx.Transfer{Data: v}
 	default:
-		if !ep.pioWait(o.key) {
+		if !ep.pioWait(o) {
 			return false
 		}
 		if pr.expired {
@@ -196,16 +202,15 @@ func recvStep[T any](p *des.Proc, mb *des.Mailbox[T], sub *uint8) (T, bool) {
 
 // Where a PIO wait resumes (program.sub).
 const (
-	pioStart    uint8 = iota
-	pioMatch          // look in the match box
-	pioPull           // take the pull lock, poll the hardware queue
-	pioLockWoke       // woken for the pull lock
-	pioPolled         // the poll's reads are paid
-	pioSigWoke        // woken by the delivery signal
-	pioSigTimed       // woken by the delivery signal or its deadline
+	pioMatch    uint8 = iota // look in the match box; the wait starts here
+	pioPull                  // take the pull lock, poll the hardware queue
+	pioLockWoke              // woken for the pull lock
+	pioPolled                // the poll's reads are paid
+	pioSigWoke               // woken by the delivery signal
+	pioSigTimed              // woken by the delivery signal or its deadline
 )
 
-// pioWait takes the next PIO message matching key into msg.  The two
+// pioWait takes the next PIO message matching o's key into msg.  The two
 // SMP processors cooperate through the node's match boxes: whoever polls
 // the hardware queue deposits messages that are not its own and signals
 // the other CPU.  A successful poll charges the usual mmap reads;
@@ -213,14 +218,12 @@ const (
 // than modelling every idle status read, with the engine watchdog as an
 // explicit deadline, so a starved wait names the rank and the exact
 // match key it starved on, not just the shared signal.
-func (ep *HyadesEndpoint) pioWait(key matchKey) bool {
+func (ep *HyadesEndpoint) pioWait(o *op) bool {
 	pr, p, nc, eng := &ep.prog, ep.w.Proc, ep.nc, ep.h.cl.Eng
 	for {
 		switch pr.sub {
-		case pioStart:
-			pr.box, pr.sub = nc.pioMB(eng, key), pioMatch
 		case pioMatch:
-			if m, ok := pr.box.TryRecv(); ok {
+			if m, ok := o.box.TryRecv(); ok {
 				pr.msg = m
 				return true
 			}
@@ -230,7 +233,7 @@ func (ep *HyadesEndpoint) pioWait(key matchKey) bool {
 				pr.sub = pioLockWoke
 				return false
 			}
-			if m, ok := pr.box.TryRecv(); ok {
+			if m, ok := o.box.TryRecv(); ok {
 				nc.pioLock.Release()
 				pr.msg = m
 				return true
@@ -260,7 +263,7 @@ func (ep *HyadesEndpoint) pioWait(key matchKey) bool {
 				pr.sub = pioMatch
 				continue
 			}
-			if got := keyOfTag(pr.msg.Tag, pr.msg.Src); got != key {
+			if got := keyOfTag(pr.msg.Tag, pr.msg.Src); got != o.key {
 				nc.pioMB(eng, got).Send(pr.msg)
 				nc.pioSig.Broadcast()
 				pr.sub = pioMatch

@@ -177,47 +177,12 @@ func (e *Engine) eventAt(at units.Time, seq uint64, fn func()) *event {
 	return &event{at: at, seq: seq, fn: fn}
 }
 
-// recycle returns a fired or cancelled event to the freelist.  The
-// closure is dropped so recycling never retains captured state.
-func (e *Engine) recycle(ev *event) {
-	ev.fn = nil
-	ev.dead = false
-	e.free = append(e.free, ev)
-}
-
 // cancelEvent removes a queued event.  Schedulers that tombstone
-// instead of removing hand the event back through popNext, which
-// recycles it there.
+// instead of removing hand the event back through head or next, which
+// recycle it there.
 func (e *Engine) cancelEvent(ev *event) {
 	if e.sched.cancel(ev) {
-		e.recycle(ev)
-	}
-}
-
-// popNext returns the next live event, draining (and recycling) any
-// tombstoned cancellations in front of it.  Nil means the queue is
-// empty.
-func (e *Engine) popNext() *event {
-	for {
-		ev := e.sched.pop()
-		if ev == nil || !ev.dead {
-			return ev
-		}
-		e.recycle(ev)
-	}
-}
-
-// peekNext returns the next live event without removing it; dead events
-// at the front are drained so the caller's timestamp check sees a real
-// activity.
-func (e *Engine) peekNext() *event {
-	for {
-		ev := e.sched.peek()
-		if ev == nil || !ev.dead {
-			return ev
-		}
-		e.sched.pop()
-		e.recycle(ev)
+		recycle(&e.free, ev)
 	}
 }
 
@@ -274,12 +239,11 @@ func (e *Engine) RunUntil(limit units.Time) {
 	e.limit = limit
 	defer func() { e.limit = prev }()
 	for !e.stopped && e.failed == nil {
-		ev := e.peekNext()
-		if ev == nil || ev.at > limit {
+		ev := e.sched.next(limit, &e.free)
+		if ev == nil {
 			e.settle(limit)
 			return
 		}
-		e.sched.pop()
 		e.dispatch(ev)
 	}
 }
@@ -314,7 +278,7 @@ func (e *Engine) dispatch(ev *event) {
 	e.cur = ev.seq
 	e.ctr.Dispatched++
 	ev.fn()
-	e.recycle(ev)
+	recycle(&e.free, ev)
 }
 
 // Fail records a fatal simulation error and stops the run loop at the
@@ -533,7 +497,7 @@ func (e *Engine) Step() bool {
 	if e.stopped {
 		return false
 	}
-	ev := e.popNext()
+	ev := e.sched.next(units.Never, &e.free)
 	if ev == nil {
 		e.settle(units.Never)
 		return false
@@ -1021,7 +985,7 @@ func (p *Proc) StepDelay(d units.Time) bool {
 	// reserved before), so clock, event order and event count are
 	// bit-identical to the slow path.
 	if !e.stopped && e.failed == nil && at <= e.limit {
-		if nxt := e.peekNext(); nxt == nil || nxt.at > at {
+		if nxt := e.sched.head(&e.free); nxt == nil || nxt.at > at {
 			e.seq++
 			e.cur = e.seq
 			e.now = at

@@ -21,18 +21,26 @@ import (
 	"hyades/internal/units"
 )
 
-// scheduler is the pending-event set.  pop and peek return events in
-// ascending (at, seq) order; they may surface cancelled (dead) events,
-// which the engine filters and recycles.  cancel reports whether the
-// event left the structure immediately (true: the caller may recycle it
-// now) or was tombstoned in place (false: it comes back through pop).
-// len counts live events only.
+// scheduler is the pending-event set, in ascending (at, seq) order.
+// head returns the first live event; next removes it if it is at or
+// before limit, one call per dispatch.  Both recycle the cancelled
+// (dead) events in front of it onto free.  cancel reports whether the
+// event left at once (true: the caller recycles it) or was tombstoned
+// (false: head or next drains it).  len counts live events only.
 type scheduler interface {
 	push(ev *event)
-	pop() *event
-	peek() *event
+	head(free *[]*event) *event
+	next(limit units.Time, free *[]*event) *event
 	cancel(ev *event) bool
 	len() int
+}
+
+// recycle returns a fired or cancelled event to the freelist free.  The
+// closure is dropped so recycling never retains captured state.
+func recycle(free *[]*event, ev *event) {
+	ev.fn = nil
+	ev.dead = false
+	*free = append(*free, ev)
 }
 
 // SchedulerKind selects the event-queue implementation behind an Engine.
@@ -85,17 +93,17 @@ func (h *eventHeap) Pop() any {
 type heapSched struct{ h eventHeap }
 
 func (s *heapSched) push(ev *event) { heap.Push(&s.h, ev) }
-func (s *heapSched) pop() *event {
-	if len(s.h) == 0 {
-		return nil
-	}
-	return heap.Pop(&s.h).(*event)
-}
-func (s *heapSched) peek() *event {
+func (s *heapSched) head(*[]*event) *event {
 	if len(s.h) == 0 {
 		return nil
 	}
 	return s.h[0]
+}
+func (s *heapSched) next(limit units.Time, _ *[]*event) *event {
+	if len(s.h) == 0 || s.h[0].at > limit {
+		return nil
+	}
+	return heap.Pop(&s.h).(*event)
 }
 func (s *heapSched) cancel(ev *event) bool {
 	heap.Remove(&s.h, ev.idx)
@@ -125,6 +133,10 @@ const (
 	// sorted regardless of size (degenerate same-timestamp storms hit
 	// the width==1 stop long before this).
 	ladderMaxRungs = 8
+	// bottomShift bounds how far back from bottom's tail an insert
+	// scans before it binary-searches: bottom holds 12–22 events at 16
+	// endpoints but about 300 at 1,024 (DESIGN.md, "Event scheduler").
+	bottomShift = 16
 )
 
 // Values of event.rng identifying the container an event sits in; a
@@ -197,7 +209,7 @@ func (r *rung) reset() {
 // Cancellation: top and rung buckets are unsorted, so a cancelled event
 // is swap-removed in O(1) via its (rng, bkt, idx) location stamp.  Only
 // bottom — at most one sorted bucket, ≤ ladderSortThreshold events in
-// steady state — uses tombstones (event.dead), drained at pop.  This
+// steady state — uses tombstones (event.dead), drained by head.  This
 // matters because every park of every process arms a watchdog event
 // (1 hour of virtual time by default) that is almost always cancelled:
 // eager removal in the unsorted regions keeps millions of armed-then-
@@ -252,6 +264,10 @@ func (l *ladderQueue) push(ev *event) {
 // clamped to the present; a passed slot is never queued), so the
 // insertion point is never before cursor.
 //
+// Most inserts land at or near the tail, so the point is found by
+// stepping back from it over at most bottomShift slots, and only a
+// deeper insert binary-searches the rest.
+//
 // The drained prefix bottom[:cursor] is dead weight: in steady state
 // every pop of a wake event triggers a push of the next one into
 // bottom, so the region never fully drains and a plain append would
@@ -268,44 +284,67 @@ func (l *ladderQueue) insertBottom(ev *event) {
 		l.bottom = l.bottom[:n]
 		l.cursor = 0
 	}
-	lo, hi := l.cursor, len(l.bottom)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if eventBefore(l.bottom[mid], ev) {
-			lo = mid + 1
-		} else {
-			hi = mid
+	n := len(l.bottom)
+	if n == l.cursor || eventBefore(l.bottom[n-1], ev) {
+		l.bottom = append(l.bottom, ev)
+		return
+	}
+	lo := max(l.cursor, n-bottomShift)
+	pos := n - 1
+	for pos > lo && eventBefore(ev, l.bottom[pos-1]) {
+		pos--
+	}
+	if pos == lo {
+		// The window is exhausted: the point lies in bottom[cursor:lo+1].
+		hi := lo
+		lo = l.cursor
+		for lo < hi {
+			mid := int(uint(lo+hi) >> 1)
+			if eventBefore(l.bottom[mid], ev) {
+				lo = mid + 1
+			} else {
+				hi = mid
+			}
 		}
+		pos = lo
 	}
 	l.bottom = append(l.bottom, nil)
-	copy(l.bottom[lo+1:], l.bottom[lo:])
-	l.bottom[lo] = ev
+	copy(l.bottom[pos+1:], l.bottom[pos:n])
+	l.bottom[pos] = ev
 }
 
-func (l *ladderQueue) peek() *event {
-	for l.cursor >= len(l.bottom) {
-		l.bottom = l.bottom[:0]
-		l.cursor = 0
-		if !l.refill() {
-			// Fully drained: reopen top at time zero so the next epoch
-			// of pushes takes the O(1) append path again.
-			l.topStart = 0
-			return nil
+// head returns the first live event, refilling bottom from the rungs
+// and top as it empties and recycling tombstones onto free.
+func (l *ladderQueue) head(free *[]*event) *event {
+	for {
+		for l.cursor >= len(l.bottom) {
+			l.bottom = l.bottom[:0]
+			l.cursor = 0
+			if !l.refill() {
+				// Fully drained: reopen top at time zero so the next epoch
+				// of pushes takes the O(1) append path again.
+				l.topStart = 0
+				return nil
+			}
 		}
+		ev := l.bottom[l.cursor]
+		if !ev.dead {
+			return ev
+		}
+		l.bottom[l.cursor] = nil
+		l.cursor++
+		recycle(free, ev)
 	}
-	return l.bottom[l.cursor]
 }
 
-func (l *ladderQueue) pop() *event {
-	ev := l.peek()
-	if ev == nil {
+func (l *ladderQueue) next(limit units.Time, free *[]*event) *event {
+	ev := l.head(free)
+	if ev == nil || ev.at > limit {
 		return nil
 	}
 	l.bottom[l.cursor] = nil
 	l.cursor++
-	if !ev.dead {
-		l.live--
-	}
+	l.live--
 	return ev
 }
 

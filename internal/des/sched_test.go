@@ -1,7 +1,9 @@
 package des
 
 import (
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"hyades/internal/units"
@@ -28,15 +30,9 @@ func TestLadderMatchesHeapOrder(t *testing.T) {
 	type pair struct{ l, h *event }
 	var cancellable []pair
 
+	var free []*event
 	popBoth := func() bool {
-		var le *event
-		for {
-			le = lad.pop()
-			if le == nil || !le.dead {
-				break
-			}
-		}
-		he := hp.pop()
+		le, he := lad.next(units.Never, &free), hp.next(units.Never, &free)
 		if (le == nil) != (he == nil) {
 			t.Fatalf("emptiness mismatch: ladder %v heap %v", le, he)
 		}
@@ -118,6 +114,7 @@ func TestLadderMatchesHeapWithReservedSeqs(t *testing.T) {
 	var seq uint64
 	last := event{} // the last popped key: nothing may be queued before it
 	var reserved []event
+	var free []*event
 	landed := map[int8]int{} // region each late push went to
 	push := func(at units.Time, s uint64) *event {
 		le, he := &event{at: at, seq: s}, &event{at: at, seq: s}
@@ -161,7 +158,7 @@ func TestLadderMatchesHeapWithReservedSeqs(t *testing.T) {
 				landed[le.rng]++
 			}
 		default:
-			le, he := lad.pop(), hp.pop()
+			le, he := lad.next(units.Never, &free), hp.next(units.Never, &free)
 			if (le == nil) != (he == nil) {
 				t.Fatalf("emptiness mismatch: ladder %v heap %v", le, he)
 			}
@@ -180,6 +177,155 @@ func TestLadderMatchesHeapWithReservedSeqs(t *testing.T) {
 	for name, region := range map[string]int8{"top": rngTop, "a rung": 0, "bottom": rngBottom} {
 		if landed[region] < 100 {
 			t.Errorf("only %d out-of-order pushes landed in %s", landed[region], name)
+		}
+	}
+}
+
+// TestLadderBottomInsertMatchesHeap drives the sorted bottom the way a
+// simulated machine does: one far-future watchdog keeps rung 0 an hour
+// wide, so every near event lands in bottom, whose length follows the
+// number of live activities — a dozen or two at 16 endpoints, a few
+// hundred at 1,024.  Against the heap it checks the order after every
+// kind of bottom insert: appends, inserts within bottomShift slots of
+// the tail, deeper ones that fall back to the binary search, inserts
+// right after a prefix compaction, and reserved positions (an older
+// seq) that tie the tail's timestamp and so sort just before it.
+func TestLadderBottomInsertMatchesHeap(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	lad, hp := &ladderQueue{}, &heapSched{}
+	var free []*event
+	var seq uint64
+	var now units.Time
+	var stash []uint64 // positions drawn and not yet queued, oldest first
+	watchdogs := 0
+	const horizon = units.Time(3600e12)
+
+	counts := map[string]int{}
+	push := func(at units.Time, s uint64) {
+		le := &event{at: at, seq: s}
+		c0 := lad.cursor
+		lad.push(le)
+		hp.push(&event{at: at, seq: s})
+		if le.rng != rngBottom {
+			return
+		}
+		pos := len(lad.bottom) - 1
+		for lad.bottom[pos] != le {
+			pos--
+		}
+		switch depth := len(lad.bottom) - 1 - pos; {
+		case depth == 0:
+			counts["append"]++
+		case depth <= bottomShift:
+			counts["within the window"]++
+		default:
+			counts["past the window"]++
+		}
+		if lad.cursor < c0 && pos < len(lad.bottom)-1 {
+			counts["shifted after a compaction"]++
+		}
+		if next := pos + 1; next < len(lad.bottom) && lad.bottom[next].at == at {
+			counts["tie before a newer seq"]++
+		}
+	}
+	newSeq := func() uint64 { seq++; return seq }
+
+	push(now+horizon, newSeq())
+	watchdogs++
+	for i := range 16 {
+		push(units.Time(i), newSeq())
+	}
+	for _, phase := range []struct{ actors, pops int }{{16, 40000}, {300, 60000}, {20, 40000}} {
+		for i := 0; i < phase.pops; i++ {
+			le, he := lad.next(units.Never, &free), hp.next(units.Never, &free)
+			if le == nil || he == nil || le.at != he.at || le.seq != he.seq {
+				t.Fatalf("pop diverged: ladder %+v heap %+v", le, he)
+			}
+			now = le.at
+			if le.at >= horizon {
+				t.Fatalf("the watchdog fired at %d", le.at)
+			}
+			successors := 1
+			if actors := hp.len() - watchdogs; actors < phase.actors {
+				successors = 2
+			} else if actors > phase.actors+1 {
+				successors = 0
+			}
+			for range successors {
+				at := now + units.Time(rng.Intn(100))*10 // coarse steps: many equal timestamps
+				if rng.Intn(3) == 0 {
+					at = now + 1000 + units.Time(rng.Intn(10)) // beyond the others: an append
+				}
+				push(at, newSeq())
+			}
+			if rng.Intn(4) == 0 {
+				stash = append(stash, newSeq())
+			}
+			// Queue a reserved position at the tail's timestamp when
+			// the tail is newer: it must go in front of the tail.
+			if n := len(lad.bottom); rng.Intn(3) == 0 && len(stash) > 0 && n > lad.cursor {
+				if tail := lad.bottom[n-1]; stash[0] < tail.seq {
+					push(tail.at, stash[0])
+					stash = stash[1:]
+				}
+			}
+			if lad.len() != hp.len() {
+				t.Fatalf("live count diverged: ladder %d heap %d", lad.len(), hp.len())
+			}
+		}
+	}
+	for _, kind := range []string{"append", "within the window", "past the window", "shifted after a compaction", "tie before a newer seq"} {
+		if counts[kind] < 100 {
+			t.Errorf("only %d bottom inserts %s (all: %v)", counts[kind], kind, counts)
+		}
+	}
+}
+
+// TestRunUntilDrainsATombstonedHead stops RunUntil at limits that fall
+// between events while the head of the queue is a cancelled timer, and
+// lets Delay's inline fast path look past another one.  The clock,
+// Events() and Pending() after each stop were recorded when the run
+// loop still peeked and popped in two scheduler calls.
+func TestRunUntilDrainsATombstonedHead(t *testing.T) {
+	type stop struct {
+		limit  units.Time
+		now    units.Time
+		events uint64
+		queued int
+		log    string
+	}
+	want := []stop{
+		{12, 10, 7, 4, ""},
+		{18, 17, 8, 3, ""},
+		{30, 26, 9, 1, "a@20 p@26"},
+		{units.Never, 1e15, 9, 0, "a@20 p@26 b@1000000000000000"},
+	}
+	for _, kind := range []SchedulerKind{SchedLadder, SchedHeap} {
+		e := NewEngineWithScheduler(kind)
+		var log []string
+		note := func(s string) func() { return func() { log = append(log, fmt.Sprintf("%s@%d", s, e.Now())) } }
+		t1 := e.After(15, note("t1"))
+		t2 := e.After(25, note("t2"))
+		e.Schedule(20, note("a"))
+		e.Schedule(1e15, note("b")) // rung 0 is coarse: the rest sorts into bottom
+		e.Spawn("p", func(p *Proc) {
+			p.Delay(10)
+			t1.Cancel()
+			if l, ok := e.sched.(*ladderQueue); ok && !l.bottom[l.cursor].dead {
+				t.Errorf("the cancelled timer is not a tombstone at the head of bottom")
+			}
+			p.Delay(7) // past the limit of 12: queued behind the tombstone
+			t2.Cancel()
+			p.Delay(5)
+			p.Delay(4) // inline: the tombstone at 25 is all that comes first
+			note("p")()
+		})
+		for _, w := range want {
+			e.RunUntil(w.limit)
+			got := stop{w.limit, e.Now(), e.Events(), e.Pending(), strings.Join(log, " ")}
+			if got != w {
+				t.Errorf("scheduler %d: RunUntil(%d) left %+v, want %+v", kind, w.limit, got, w)
+			}
 		}
 	}
 }
