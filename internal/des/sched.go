@@ -133,10 +133,6 @@ const (
 	// sorted regardless of size (degenerate same-timestamp storms hit
 	// the width==1 stop long before this).
 	ladderMaxRungs = 8
-	// bottomShift bounds how far back from bottom's tail an insert
-	// scans before it binary-searches: bottom holds 12–22 events at 16
-	// endpoints but about 300 at 1,024 (DESIGN.md, "Event scheduler").
-	bottomShift = 16
 )
 
 // Values of event.rng identifying the container an event sits in; a
@@ -264,9 +260,8 @@ func (l *ladderQueue) push(ev *event) {
 // clamped to the present; a passed slot is never queued), so the
 // insertion point is never before cursor.
 //
-// Most inserts land at or near the tail, so the point is found by
-// stepping back from it over at most bottomShift slots, and only a
-// deeper insert binary-searches the rest.
+// Most inserts sort after the tail and are appended; the rest
+// binary-search for their point.
 //
 // The drained prefix bottom[:cursor] is dead weight: in steady state
 // every pop of a wake event triggers a push of the next one into
@@ -284,33 +279,22 @@ func (l *ladderQueue) insertBottom(ev *event) {
 		l.bottom = l.bottom[:n]
 		l.cursor = 0
 	}
-	n := len(l.bottom)
-	if n == l.cursor || eventBefore(l.bottom[n-1], ev) {
+	lo, hi := l.cursor, len(l.bottom)
+	if lo == hi || eventBefore(l.bottom[hi-1], ev) {
 		l.bottom = append(l.bottom, ev)
 		return
 	}
-	lo := max(l.cursor, n-bottomShift)
-	pos := n - 1
-	for pos > lo && eventBefore(ev, l.bottom[pos-1]) {
-		pos--
-	}
-	if pos == lo {
-		// The window is exhausted: the point lies in bottom[cursor:lo+1].
-		hi := lo
-		lo = l.cursor
-		for lo < hi {
-			mid := int(uint(lo+hi) >> 1)
-			if eventBefore(l.bottom[mid], ev) {
-				lo = mid + 1
-			} else {
-				hi = mid
-			}
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if eventBefore(l.bottom[mid], ev) {
+			lo = mid + 1
+		} else {
+			hi = mid
 		}
-		pos = lo
 	}
 	l.bottom = append(l.bottom, nil)
-	copy(l.bottom[pos+1:], l.bottom[pos:n])
-	l.bottom[pos] = ev
+	copy(l.bottom[lo+1:], l.bottom[lo:])
+	l.bottom[lo] = ev
 }
 
 // head returns the first live event, refilling bottom from the rungs

@@ -186,10 +186,10 @@ func TestLadderMatchesHeapWithReservedSeqs(t *testing.T) {
 // wide, so every near event lands in bottom, whose length follows the
 // number of live activities — a dozen or two at 16 endpoints, a few
 // hundred at 1,024.  Against the heap it checks the order after every
-// kind of bottom insert: appends, inserts within bottomShift slots of
-// the tail, deeper ones that fall back to the binary search, inserts
-// right after a prefix compaction, and reserved positions (an older
-// seq) that tie the tail's timestamp and so sort just before it.
+// kind of bottom insert: appends past the tail, binary-searched ones
+// into short and long bottoms, inserts right after a prefix compaction,
+// and reserved positions (an older seq) that tie the tail's timestamp
+// and so sort just before it.
 func TestLadderBottomInsertMatchesHeap(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	lad, hp := &ladderQueue{}, &heapSched{}
@@ -213,13 +213,13 @@ func TestLadderBottomInsertMatchesHeap(t *testing.T) {
 		for lad.bottom[pos] != le {
 			pos--
 		}
-		switch depth := len(lad.bottom) - 1 - pos; {
-		case depth == 0:
+		switch n := len(lad.bottom) - lad.cursor; {
+		case pos == len(lad.bottom)-1:
 			counts["append"]++
-		case depth <= bottomShift:
-			counts["within the window"]++
+		case n <= 32:
+			counts["searched in a short bottom"]++
 		default:
-			counts["past the window"]++
+			counts["searched in a long bottom"]++
 		}
 		if lad.cursor < c0 && pos < len(lad.bottom)-1 {
 			counts["shifted after a compaction"]++
@@ -274,7 +274,7 @@ func TestLadderBottomInsertMatchesHeap(t *testing.T) {
 			}
 		}
 	}
-	for _, kind := range []string{"append", "within the window", "past the window", "shifted after a compaction", "tie before a newer seq"} {
+	for _, kind := range []string{"append", "searched in a short bottom", "searched in a long bottom", "shifted after a compaction", "tie before a newer seq"} {
 		if counts[kind] < 100 {
 			t.Errorf("only %d bottom inserts %s (all: %v)", counts[kind], kind, counts)
 		}
