@@ -9,6 +9,7 @@
 package main
 
 import (
+	"bufio"
 	"crypto/sha256"
 	"flag"
 	"fmt"
@@ -94,10 +95,11 @@ func main() {
 			if err != nil {
 				log.Fatal(err)
 			}
-			if err := m.Restore(f); err != nil {
-				log.Fatal(err)
-			}
+			err = gcm.RestoreWhole(m, f)
 			f.Close()
+			if err != nil {
+				log.Fatalf("restore from %s: %v", *restoreFrom, err)
+			}
 			fmt.Printf("restored from %s at step %d\n", *restoreFrom, m.Steps)
 		}
 		start := ep.Now()
@@ -108,14 +110,7 @@ func main() {
 		fmt.Printf("sustained: %.1f MFlop/s; mean Ni = %.0f; flops: PS=%d DS=%d\n",
 			float64(m.C.PS+m.C.DS)/elapsed.Seconds()/1e6, m.Solver.MeanIters(), m.C.PS, m.C.DS)
 		if *saveTo != "" {
-			f, err := os.Create(*saveTo)
-			if err != nil {
-				log.Fatal(err)
-			}
-			if err := m.Checkpoint(f); err != nil {
-				log.Fatal(err)
-			}
-			if err := f.Close(); err != nil {
+			if err := saveCheckpoint(m, *saveTo); err != nil {
 				log.Fatal(err)
 			}
 			fmt.Printf("checkpoint written to %s (step %d)\n", *saveTo, m.Steps)
@@ -193,6 +188,28 @@ func main() {
 		}
 		fmt.Printf("state digest: %x\n", h.Sum(nil))
 	}
+}
+
+// fileBuffer is the write buffer of a checkpoint file: the model
+// streams in chunks of a few KiB, and the file takes them a MiB at a
+// time.
+const fileBuffer = 1 << 20
+
+// saveCheckpoint writes m's checkpoint to the file path.
+func saveCheckpoint(m *gcm.Model, path string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	bw := bufio.NewWriterSize(f, fileBuffer)
+	err = m.Checkpoint(bw)
+	if err == nil {
+		err = bw.Flush()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // ignoredFlag names the first explicitly set flag that the chosen run

@@ -19,17 +19,30 @@ const checkpointMagic = 0x48594144 // "HYAD"
 // checkpointVersion is bumped on incompatible layout changes.
 const checkpointVersion = 1
 
+// headerWords is the length of a tile stream's header in 64-bit words.
+const headerWords = 8
+
 // Checkpoint writes the tile's state to w.
 func (m *Model) Checkpoint(w io.Writer) error {
-	h := [8]uint64{
+	return m.checkpointTo(newEncoder(w))
+}
+
+// checkpointTo writes the tile's part of a stream through e.
+func (m *Model) checkpointTo(e *encoder) error {
+	h := [headerWords]uint64{
 		checkpointMagic, checkpointVersion,
 		uint64(m.Cfg.Grid.NX), uint64(m.Cfg.Grid.NY), uint64(m.Cfg.Grid.NZ),
 		uint64(m.EP.Rank()), uint64(m.Steps), uint64(m.S.ABCursor()),
 	}
-	if err := binary.Write(w, binary.LittleEndian, h); err != nil {
+	if err := e.words(h[:]...); err != nil {
 		return fmt.Errorf("gcm: checkpoint header: %w", err)
 	}
-	return writeSections(w, m.checkpointSections())
+	return e.sections(m.checkpointSections())
+}
+
+// checkpointLen is the length of the stream Checkpoint writes.
+func (m *Model) checkpointLen() int {
+	return 8*headerWords + sectionsLen(m.checkpointSections())
 }
 
 // Restore loads a checkpoint written by a model with the same
@@ -44,6 +57,23 @@ func (m *Model) Restore(r io.Reader) error {
 	return nil
 }
 
+// RestoreWhole restores j — a *Model or a *Coupled — from r and then
+// requires r to be at its end: bytes after the last section are an
+// error, reported once the sections before them have been loaded.
+func RestoreWhole(j interface{ Restore(io.Reader) error }, r io.Reader) error {
+	if err := j.Restore(r); err != nil {
+		return err
+	}
+	n, err := io.Copy(io.Discard, r)
+	if err != nil {
+		return fmt.Errorf("gcm: after the last checkpoint section: %w", err)
+	}
+	if n != 0 {
+		return fmt.Errorf("gcm: %d bytes after the last checkpoint section", n)
+	}
+	return nil
+}
+
 // staged is the tile's part of a stream, parsed but not yet adopted.
 type staged struct {
 	secs          []checkpointSection
@@ -53,7 +83,7 @@ type staged struct {
 
 // stage parses the tile's part of a stream without touching the model.
 func (m *Model) stage(r io.Reader) (staged, error) {
-	var h [8]uint64
+	var h [headerWords]uint64
 	if err := binary.Read(r, binary.LittleEndian, &h); err != nil {
 		return staged{}, fmt.Errorf("gcm: checkpoint header: %w", err)
 	}
@@ -114,13 +144,12 @@ func (m *Model) checkpointSections() []checkpointSection {
 	return append(secs, checkpointSection{"Ps", s.Ps.Raw()})
 }
 
-func writeSections(w io.Writer, secs []checkpointSection) error {
+func sectionsLen(secs []checkpointSection) int {
+	n := 0
 	for _, sec := range secs {
-		if err := writeFloats(w, sec.data); err != nil {
-			return fmt.Errorf("gcm: checkpoint section %s: %w", sec.name, err)
-		}
+		n += 8 * len(sec.data)
 	}
-	return nil
+	return n
 }
 
 // readSections reads the raw bytes of the stream's next sections.  The
@@ -145,11 +174,66 @@ func loadSections(secs []checkpointSection, raw [][]byte) {
 	}
 }
 
-func writeFloats(w io.Writer, data []float64) error {
-	buf := make([]byte, 8*len(data))
-	for i, v := range data {
-		binary.LittleEndian.PutUint64(buf[8*i:], math.Float64bits(v))
+// chunkBytes is the size of the one buffer a checkpoint is encoded
+// through: no Write the destination sees is longer.
+const chunkBytes = 4 << 10
+
+// encoder streams a checkpoint to w through one chunk buffer.  Each
+// part of the stream — the header, a section, the coupled flags — is
+// flushed when it ends, so a failed Write carried bytes of the part
+// its error names.
+type encoder struct {
+	w   io.Writer
+	buf []byte
+}
+
+func newEncoder(w io.Writer) *encoder {
+	return &encoder{w: w, buf: make([]byte, 0, chunkBytes)}
+}
+
+// words writes a part of a few words; it must fit in one chunk.
+func (e *encoder) words(vals ...uint64) error {
+	for _, v := range vals {
+		e.buf = binary.LittleEndian.AppendUint64(e.buf, v)
 	}
-	_, err := w.Write(buf)
+	return e.flush()
+}
+
+// sections writes each section as a part of its own.
+func (e *encoder) sections(secs []checkpointSection) error {
+	for _, sec := range secs {
+		if err := e.floats(sec.data); err != nil {
+			return fmt.Errorf("gcm: checkpoint section %s: %w", sec.name, err)
+		}
+	}
+	return nil
+}
+
+func (e *encoder) floats(data []float64) error {
+	for len(data) > 0 {
+		n := min(len(data), (cap(e.buf)-len(e.buf))/8)
+		b := e.buf[len(e.buf) : len(e.buf)+8*n]
+		for i, v := range data[:n] {
+			binary.LittleEndian.PutUint64(b[8*i:], math.Float64bits(v))
+		}
+		e.buf, data = e.buf[:len(e.buf)+8*n], data[n:]
+		if len(data) > 0 {
+			if err := e.flush(); err != nil {
+				return err
+			}
+		}
+	}
+	return e.flush()
+}
+
+func (e *encoder) flush() error {
+	if len(e.buf) == 0 {
+		return nil
+	}
+	n, err := e.w.Write(e.buf)
+	if err == nil && n < len(e.buf) {
+		err = io.ErrShortWrite
+	}
+	e.buf = e.buf[:0]
 	return err
 }

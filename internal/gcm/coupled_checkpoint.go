@@ -26,25 +26,37 @@ const coupledFlagActive = 2
 
 // Checkpoint writes the worker's full coupled state to w.
 func (c *Coupled) Checkpoint(w io.Writer) error {
-	if err := c.M.Checkpoint(w); err != nil {
+	e := newEncoder(w)
+	if err := c.M.checkpointTo(e); err != nil {
 		return err
 	}
-	var flags uint64
-	var secs []checkpointSection
-	if c.IsOcean {
+	flags, secs := c.coupling()
+	if err := e.words(flags); err != nil {
+		return fmt.Errorf("gcm: coupled checkpoint flags: %w", err)
+	}
+	return e.sections(secs)
+}
+
+// checkpointLen is the length of the stream Checkpoint writes.
+func (c *Coupled) checkpointLen() int {
+	_, secs := c.coupling()
+	return c.M.checkpointLen() + 8 + sectionsLen(secs)
+}
+
+// coupling returns the flags word and the sections of the coupling
+// state, in stream order.
+func (c *Coupled) coupling() (flags uint64, secs []checkpointSection) {
+	switch {
+	case c.IsOcean:
 		flags = coupledFlagHasField
 		if c.oceanF.active {
 			flags |= coupledFlagActive
 		}
-		secs = c.oceanSections()
-	} else if c.phys != nil && c.phys.SST != nil {
-		flags = coupledFlagHasField
-		secs = []checkpointSection{{"SST", c.phys.SST.Raw()}}
+		return flags, c.oceanSections()
+	case c.phys != nil && c.phys.SST != nil:
+		return coupledFlagHasField, []checkpointSection{{"SST", c.phys.SST.Raw()}}
 	}
-	if err := binary.Write(w, binary.LittleEndian, flags); err != nil {
-		return fmt.Errorf("gcm: coupled checkpoint flags: %w", err)
-	}
-	return writeSections(w, secs)
+	return 0, nil
 }
 
 // oceanSections lists the ocean side's coupling state in stream order.

@@ -20,7 +20,8 @@ type job interface {
 	Run(n int)
 	Checkpoint(w io.Writer) error
 	Restore(r io.Reader) error
-	tile() *Model // step count, flop counters, solver statistics
+	checkpointLen() int // the length of the stream Checkpoint writes
+	tile() *Model       // step count, flop counters, solver statistics
 }
 
 func (m *Model) tile() *Model   { return m }
@@ -152,8 +153,10 @@ func run(n int, launch func(body func(ep comm.Endpoint)) error, rec *comm.Recove
 			}
 			j.Run(1)
 			if rec != nil && every > 0 && m.Steps%every == 0 && m.Steps < total {
-				var buf bytes.Buffer
-				if err := j.Checkpoint(&buf); err != nil {
+				// The buffer is the committed blob: sized once, exactly, it
+				// carries no slack into the store.
+				buf := bytes.NewBuffer(make([]byte, 0, j.checkpointLen()))
+				if err := j.Checkpoint(buf); err != nil {
 					rec.Fail(fmt.Errorf("gcm: rank %d checkpoint at step %d: %w", rank, m.Steps, err))
 					return true
 				}
@@ -210,12 +213,8 @@ func run(n int, launch func(body func(ep comm.Endpoint)) error, rec *comm.Recove
 // restoreFrom loads a committed blob into j.  The stream must be
 // consumed exactly, and be at the step the store committed it under.
 func restoreFrom(j job, step int, blob []byte) error {
-	rd := bytes.NewReader(blob)
-	if err := j.Restore(rd); err != nil {
+	if err := RestoreWhole(j, bytes.NewReader(blob)); err != nil {
 		return err
-	}
-	if rd.Len() != 0 {
-		return fmt.Errorf("gcm: %d bytes after the last checkpoint section", rd.Len())
 	}
 	if at := j.tile().Steps; at != step {
 		return fmt.Errorf("gcm: checkpoint header: stream is at step %d", at)
