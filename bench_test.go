@@ -29,7 +29,6 @@ import (
 func BenchmarkAblationPreconditioner(b *testing.B) {
 	run := func(pre solver.Precond) (ni float64) {
 		cfg := gcm.CoarseOceanConfig(tile.Decomp{NXg: 128, NYg: 64, Px: 1, Py: 1, PeriodicX: true})
-		cfg.FpsMFlops, cfg.FdsMFlops = 0, 0
 		m, err := gcm.New(cfg, &comm.Serial{})
 		if err != nil {
 			b.Fatal(err)

@@ -217,6 +217,25 @@ go build -o "$bin_dir/" ./cmd/hyades ./cmd/figure9 ./cmd/paper
 echo "== go test -race -short"
 go test -race -short ./...
 
+echo "== zero-coverage ratchet (DESIGN.md, \"Line budget\")"
+# A function of internal/ that no test reaches under -short is dead code
+# or an untested path.  Their count may not grow past DESIGN.md's
+# "Zero-coverage functions: N" line, which only goes down.
+go test -short -coverpkg=./internal/... -coverprofile="$tmp_root/cover.out" ./... > /dev/null
+zero_funcs=$(go tool cover -func "$tmp_root/cover.out" | awk '$NF == "0.0%"')
+zero_now=$(grep -c . <<< "$zero_funcs" || true)
+zero_max=$(sed -n 's/^Zero-coverage functions: \([0-9][0-9]*\)$/\1/p' DESIGN.md)
+if [ -z "$zero_max" ]; then
+    echo "zero-coverage ratchet: DESIGN.md records no \"Zero-coverage functions: N\" line" >&2
+    exit 1
+fi
+echo "zero-coverage functions: $zero_now (ceiling $zero_max)"
+if [ "$zero_now" -gt "$zero_max" ]; then
+    echo "zero-coverage ratchet: $zero_now functions no test reaches, ceiling $zero_max:" >&2
+    echo "$zero_funcs" >&2
+    exit 1
+fi
+
 echo "== rank-runner fixture (full worker matrix, no race detector)"
 # testdata/golden_runner.json pins digest, event count and clock of the
 # fault-free, checkpoint-only, crash-recovery and commodity-network
@@ -288,6 +307,17 @@ if "$bin_dir/hyades" -model gyre -serial -steps 1 -warmup 1 > /dev/null 2>&1; th
     echo "chaos smoke: hyades -serial accepted -warmup, which a serial run ignores" >&2
     exit 1
 fi
+# So is a run length that runs nothing, or one given twice.
+if "$bin_dir/hyades" -model gyre -serial -steps 0 > /dev/null 2>&1; then
+    echo "chaos smoke: hyades accepted -steps 0" >&2
+    exit 1
+fi
+for fig_bad in "-nx 32 -ny 16 -days -1" "-nx 32 -ny 16 -days 0.02 -years 0.0001"; do
+    if "$bin_dir/figure9" $fig_bad -out "$tmp_root/figure9_bad" > /dev/null 2>&1; then
+        echo "chaos smoke: figure9 accepted $fig_bad" >&2
+        exit 1
+    fi
+done
 
 echo "== node-failure smoke (crash, recover, bit-identical digest)"
 # Lose a whole node mid-run with checkpointing on: the driver must

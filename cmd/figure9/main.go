@@ -40,7 +40,7 @@ const yearSeconds = 360 * 86400
 
 func main() {
 	days := flag.Float64("days", 10, "model days to integrate")
-	years := flag.Float64("years", 0, "model years to integrate (360-day years; overrides -days)")
+	years := flag.Float64("years", 0, "model years to integrate (360-day years; instead of -days)")
 	ckEvery := flag.Float64("checkpoint-every", 0, "model years between checkpoint plates (0 = none)")
 	resume := flag.Bool("resume", false, "resume from the newest complete plate set in <out>/plates")
 	nx := flag.Int("nx", 128, "global grid points in x")
@@ -52,11 +52,18 @@ func main() {
 
 	d := tile.Decomp{NXg: *nx, NYg: *ny, Px: 4, Py: 2, PeriodicX: true}
 	cfg := gcm.DefaultCoupledConfig(d)
-	var steps int
-	if *years > 0 {
-		steps = int(*years * yearSeconds / cfg.Ocean.Kernel.Dt)
-	} else {
-		steps = int(*days * 86400 / cfg.Ocean.Kernel.Dt)
+	set := map[string]bool{}
+	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	if set["days"] && set["years"] {
+		usage(fmt.Errorf("-days and -years both set: give the run length once"))
+	}
+	length, seconds := "-days", *days*86400
+	if set["years"] {
+		length, seconds = "-years", *years*yearSeconds
+	}
+	steps := int(seconds / cfg.Ocean.Kernel.Dt)
+	if steps < 1 {
+		usage(fmt.Errorf("%s gives %d steps of %g s: a run needs at least one", length, steps, cfg.Ocean.Kernel.Dt))
 	}
 	chunk := 0
 	if *ckEvery > 0 {
@@ -184,6 +191,14 @@ func main() {
 		fmt.Printf("\nOCEAN diagnostics: overturning psi in [%.1f, %.1f] Sv; peak meridional heat transport %.3f PW\n",
 			minPsi, maxPsi, peak)
 	}
+}
+
+// usage reports a flag that the run cannot honour, prints the flag
+// summary and exits with status 2, as a flag that fails to parse does.
+func usage(err error) {
+	fmt.Fprintf(flag.CommandLine.Output(), "figure9: %v\n", err)
+	flag.Usage()
+	os.Exit(2)
 }
 
 // maskLand marks the land columns of the ocean's depth map as NaN for

@@ -73,8 +73,11 @@ func main() {
 	}
 	set := map[string]bool{}
 	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	if err := badSteps(*steps, *warmup); err != nil {
+		usage(err)
+	}
 	if err := ignoredFlag(set, *serial, *netName != ""); err != nil {
-		log.Fatal(err)
+		usage(err)
 	}
 
 	workers := *nodes * *ppn
@@ -210,6 +213,27 @@ func saveCheckpoint(m *gcm.Model, path string) error {
 		err = cerr
 	}
 	return err
+}
+
+// usage reports a flag that the run cannot honour, prints the flag
+// summary and exits with status 2, as a flag that fails to parse does.
+func usage(err error) {
+	fmt.Fprintf(flag.CommandLine.Output(), "hyades: %v\n", err)
+	flag.Usage()
+	os.Exit(2)
+}
+
+// badSteps refuses step counts a run cannot take: every run reports
+// per-step time and a sustained rate over its timed steps, and a
+// negative warm-up would eat into them.
+func badSteps(steps, warmup int) error {
+	switch {
+	case steps < 1:
+		return fmt.Errorf("-steps %d: a run needs at least one timed step", steps)
+	case warmup < 0:
+		return fmt.Errorf("-warmup %d: a warm-up cannot be negative", warmup)
+	}
+	return nil
 }
 
 // ignoredFlag names the first explicitly set flag that the chosen run

@@ -43,4 +43,19 @@ func TestIgnoredFlagIsAnError(t *testing.T) {
 			t.Errorf("%v: error %v, want one naming %s", c.set, err, c.want)
 		}
 	}
+	// Step counts a run cannot take are refused the same way: -steps 0
+	// would divide by zero, a negative count would report NaN, and a
+	// negative warm-up would run no timed step at all.
+	for _, c := range []struct{ steps, warmup int }{{0, 2}, {-3, 2}, {1, -1}} {
+		want := "-steps "
+		if c.steps > 0 {
+			want = "-warmup "
+		}
+		if err := badSteps(c.steps, c.warmup); err == nil || !strings.HasPrefix(err.Error(), want) {
+			t.Errorf("-steps %d -warmup %d: error %v, want one naming %s", c.steps, c.warmup, err, want)
+		}
+	}
+	if err := badSteps(1, 0); err != nil {
+		t.Errorf("-steps 1 -warmup 0: unexpected error %v", err)
+	}
 }

@@ -6,6 +6,7 @@ import (
 
 	"hyades/internal/bench"
 	"hyades/internal/gcm"
+	"hyades/internal/gcm/kernel"
 	"hyades/internal/gcm/physics"
 	"hyades/internal/gcm/tile"
 	"hyades/internal/logp"
@@ -150,8 +151,8 @@ func (m *measured) validation() (perfmodel.Experiment, units.Time) {
 	nps := float64(r.TotalPS) / float64(r.Steps) / float64(128*64*5)
 	nds := float64(r.TotalDS) / (r.MeanNi * float64(r.Steps)) / float64(128*64)
 	e := perfmodel.Experiment{
-		PS: perfmodel.PS{Nps: nps, Nxyz: 128 * 64 * 5 / 16, Texchxyz: m.valPrim.Texchxyz, FpsMFlops: gcm.PaperFpsMFlops},
-		DS: perfmodel.DS{Nds: nds, Nxy: 128 * 64 / 16, Tgsum: m.valPrim.Tgsum, Texchxy: m.valPrim.Texchxy, FdsMFlops: gcm.PaperFdsMFlops},
+		PS: perfmodel.PS{Nps: nps, Nxyz: 128 * 64 * 5 / 16, Texchxyz: m.valPrim.Texchxyz, FpsMFlops: kernel.FpsMFlops},
+		DS: perfmodel.DS{Nds: nds, Nxy: 128 * 64 / 16, Tgsum: m.valPrim.Tgsum, Texchxy: m.valPrim.Texchxy, FdsMFlops: kernel.FdsMFlops},
 		Nt: paper.Nt, Ni: r.MeanNi,
 	}
 	return e, units.Time(int64(r.PerStep()) * int64(paper.Nt))

@@ -34,6 +34,7 @@ import (
 	"hyades/internal/bench"
 	"hyades/internal/des"
 	"hyades/internal/gcm"
+	"hyades/internal/gcm/kernel"
 	"hyades/internal/gcm/tile"
 	"hyades/internal/perfmodel"
 	"hyades/internal/prof"
@@ -78,6 +79,11 @@ func main() {
 	jsonPath := flag.String("json", "", "append rows as JSON benchmark entries to this file")
 	profiles := prof.Flags()
 	flag.Parse()
+	if *steps < 1 {
+		fmt.Fprintf(flag.CommandLine.Output(), "scaling: -steps %d: a point needs at least one timed step\n", *steps)
+		flag.Usage()
+		os.Exit(2)
+	}
 	defer profiles.Start()()
 
 	t := report.NewTable("Strong scaling of the ocean isomorph on Arctic (one worker per node)",
@@ -190,8 +196,8 @@ func modelPrediction(workers int, d tile.Decomp, ni float64) float64 {
 	const npsOcean, ndsOcean = 283, 37 // measured from this implementation
 	nxy := d.NXg * d.NYg / workers
 	nxyz := nxy * 15
-	ps := perfmodel.PS{Nps: npsOcean, Nxyz: nxyz, FpsMFlops: gcm.PaperFpsMFlops}
-	ds := perfmodel.DS{Nds: ndsOcean, Nxy: nxy, FdsMFlops: gcm.PaperFdsMFlops}
+	ps := perfmodel.PS{Nps: npsOcean, Nxyz: nxyz, FpsMFlops: kernel.FpsMFlops}
+	ds := perfmodel.DS{Nds: ndsOcean, Nxy: nxy, FdsMFlops: kernel.FdsMFlops}
 	if workers == 1 {
 		ps.Texchxyz, ds.Texchxy, ds.Tgsum = 0, 0, 0
 	} else {

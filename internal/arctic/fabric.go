@@ -13,10 +13,6 @@ import (
 type Config struct {
 	// Endpoints is the number of attached network endpoints (NIUs).
 	Endpoints int
-	// Levels is the number of router stages.  The fabric's capacity is
-	// 4^Levels endpoints; Endpoints may be smaller.  Zero means "just
-	// enough stages for Endpoints".
-	Levels int
 	// Faults, when non-nil, injects deterministic link faults: drops,
 	// corruption and outages (package fault).
 	Faults *fault.Plan
@@ -199,24 +195,14 @@ func New(e *des.Engine, cfg Config) (*Fabric, error) {
 	if cfg.Endpoints < 1 {
 		return nil, fmt.Errorf("arctic: need at least 1 endpoint, got %d", cfg.Endpoints)
 	}
-	levels := cfg.Levels
-	if levels == 0 {
-		for capacity := Radix; ; capacity *= Radix {
-			levels++
-			if capacity >= cfg.Endpoints {
-				break
-			}
-		}
+	// Just enough router stages for the endpoints: capacity 4^levels.
+	levels, capacity := 1, Radix
+	for capacity < cfg.Endpoints {
+		levels++
+		capacity *= Radix
 	}
 	if levels > maxUpSteps {
 		return nil, fmt.Errorf("arctic: %d levels exceeds the %d-stage routing header", levels, maxUpSteps)
-	}
-	capacity := 1
-	for i := 0; i < levels; i++ {
-		capacity *= Radix
-	}
-	if cfg.Endpoints > capacity {
-		return nil, fmt.Errorf("arctic: %d endpoints exceed capacity %d of %d-level tree", cfg.Endpoints, capacity, levels)
 	}
 	f := &Fabric{
 		eng: e,

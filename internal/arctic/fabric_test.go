@@ -271,12 +271,7 @@ func TestInvalidConfigs(t *testing.T) {
 	if _, err := New(eng, DefaultConfig(0)); err == nil {
 		t.Fatal("0 endpoints accepted")
 	}
-	cfg := DefaultConfig(16)
-	cfg.Levels = 1 // capacity 4 < 16
-	if _, err := New(eng, cfg); err == nil {
-		t.Fatal("over-capacity config accepted")
-	}
-	cfg = DefaultConfig(5000) // needs 6 levels > header capacity
+	cfg := DefaultConfig(5000) // needs 7 levels > header capacity
 	if _, err := New(eng, cfg); err == nil {
 		t.Fatal("oversized tree accepted")
 	}

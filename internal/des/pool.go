@@ -59,9 +59,7 @@ func (e *Engine) Pool() *Pool { return e.pool }
 //
 // fn must touch only state owned by this process's rank: no engine
 // calls, no scheduling, no communication.  A blocking call or a scheduled
-// event from inside fn panics with a *ProcPanic naming the process; charge
-// hooks that would advance virtual time from inside fn must be
-// suspended by the caller.
+// event from inside fn panics with a *ProcPanic naming the process.
 func (p *Proc) Exec(d units.Time, fn func()) {
 	p.mayBlock(nil)
 	if p.eng.pool == nil {

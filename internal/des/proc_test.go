@@ -135,6 +135,19 @@ func TestInterrupt(t *testing.T) {
 	}
 }
 
+// An interrupt's error names the process and its cause, and unwraps to
+// the cause.
+func TestInterruptError(t *testing.T) {
+	cause := errors.New("node down")
+	intr := &Interrupt{Proc: "rank3", Cause: cause}
+	if got, want := intr.Error(), "des: process rank3 interrupted: node down"; got != want {
+		t.Fatalf("Error() = %q, want %q", got, want)
+	}
+	if !errors.Is(intr, cause) {
+		t.Fatalf("%v does not unwrap to its cause", intr)
+	}
+}
+
 // A Kill issued from another process's context stops the victim's
 // coroutine from inside the killer's: a nested switch, which the runtime
 // allows.  The killer carries on in the same activation.

@@ -112,9 +112,6 @@ type Plan struct {
 // NewPlan compiles cfg.
 func NewPlan(cfg Config) *Plan { return &Plan{cfg: cfg} }
 
-// Config returns the plan's originating configuration.
-func (p *Plan) Config() Config { return p.cfg }
-
 // Link returns the fault state for the named link, creating it on first
 // use.  The fabric calls this once per link at construction time, so
 // the linear scan never runs hot.
@@ -187,9 +184,6 @@ type Link struct {
 	plan    *Plan
 	outages []Outage
 }
-
-// Name returns the link's name.
-func (l *Link) Name() string { return l.name }
 
 // Down reports whether the link is in an outage window at time t.
 func (l *Link) Down(t units.Time) bool {

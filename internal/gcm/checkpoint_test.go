@@ -78,7 +78,6 @@ func TestCheckpointRejectsMismatch(t *testing.T) {
 
 	// Wrong grid.
 	other := GyreConfig(24, 24, 3, tile.Decomp{NXg: 24, NYg: 24, Px: 1, Py: 1})
-	other.FpsMFlops, other.FdsMFlops = 0, 0
 	m2, err := New(other, &comm.Serial{})
 	if err != nil {
 		t.Fatal(err)

@@ -17,8 +17,6 @@ func miniCoupled(px, py int) CoupledConfig {
 	cfg.Ocean.Grid.NZ = 4
 	cfg.Ocean.Grid.DZ = defaultDZ(4, 4000)
 	cfg.Atmos.Grid.NX, cfg.Atmos.Grid.NY = 16, 8
-	cfg.Ocean.FpsMFlops, cfg.Ocean.FdsMFlops = 0, 0
-	cfg.Atmos.FpsMFlops, cfg.Atmos.FdsMFlops = 0, 0
 	cfg.CoupleEvery = 5
 	return cfg
 }

@@ -124,21 +124,6 @@ func (f *F3) Fill(v float64) {
 	}
 }
 
-// Copy duplicates the field.
-func (f *F3) Copy() *F3 {
-	g := NewF3(f.NX, f.NY, f.NZ, f.H)
-	copy(g.data, f.data)
-	return g
-}
-
-// CopyFrom copies src (same shape) into f.
-func (f *F3) CopyFrom(src *F3) {
-	if f.NX != src.NX || f.NY != src.NY || f.NZ != src.NZ || f.H != src.H {
-		panic("field: CopyFrom shape mismatch")
-	}
-	copy(f.data, src.data)
-}
-
 // Raw exposes the backing slice for kernel sweeps.
 func (f *F3) Raw() []float64 { return f.data }
 

@@ -8,8 +8,8 @@
 // serial endpoint (numerics tests, single-processor baselines) and on
 // simulated-cluster endpoints (Hyades, modelled Ethernets), charging
 // virtual processor time for its floating-point work at the measured
-// phase rates Fps/Fds so the discrete-event simulation reproduces the
-// paper's timing analysis.
+// phase rates Fps/Fds (kernel.PSTime/DSTime) so the discrete-event
+// simulation reproduces the paper's timing analysis.
 package gcm
 
 import (
@@ -23,7 +23,6 @@ import (
 	"hyades/internal/gcm/reduce"
 	"hyades/internal/gcm/solver"
 	"hyades/internal/gcm/tile"
-	"hyades/internal/units"
 )
 
 // Isomorph selects the fluid.
@@ -59,12 +58,6 @@ type Config struct {
 	// Init sets the initial condition on a tile; nil leaves the state
 	// at rest and uniform.
 	Init func(g *grid.Local, s *kernel.State)
-
-	// FpsMFlops/FdsMFlops are the measured single-processor kernel
-	// rates used to convert counted flops into simulated time
-	// (paper Fig. 11: 50 and 60 MFlop/s).  Zero disables time charging
-	// (pure numerics runs).
-	FpsMFlops, FdsMFlops float64
 }
 
 // Validate checks the configuration.
@@ -137,16 +130,6 @@ func New(cfg Config, ep comm.Endpoint) (*Model, error) {
 	}
 	m.Solver = solver.New(g, h, cfg.SolverTol, cfg.SolverMaxIter)
 	m.bindPhases()
-	if cfg.FpsMFlops > 0 {
-		rate := cfg.FpsMFlops * 1e6
-		m.C.TimePS = func(f int64) units.Time { return units.Seconds(float64(f) / rate) }
-		m.C.ChargePS = func(f int64) { ep.Busy(m.C.TimePS(f)) }
-	}
-	if cfg.FdsMFlops > 0 {
-		rate := cfg.FdsMFlops * 1e6
-		m.C.TimeDS = func(f int64) units.Time { return units.Seconds(float64(f) / rate) }
-		m.C.ChargeDS = func(f int64) { ep.Busy(m.C.TimeDS(f)) }
-	}
 	if cfg.Init != nil {
 		cfg.Init(g, m.S)
 	}
@@ -189,11 +172,7 @@ func (m *Model) exchangeState() {
 }
 
 // bindPhases builds the Exec phase closures once.  Each kernel sweep
-// here has analytically-known cost and carries the ep.Busy charge
-// hooks on its flop counters; exec detaches those hooks
-// (SuspendCharges) before handing the phase to the pool, so the
-// statically visible AddPS/AddDS -> Busy chain is dead for the phase's
-// duration.
+// here has analytically-known cost, which Step charges up front.
 func (m *Model) bindPhases() {
 	p := &m.Cfg.Kernel
 	g, s, c := m.G, m.S, &m.C
@@ -217,34 +196,6 @@ func (m *Model) bindPhases() {
 	}
 }
 
-// exec runs phase — pure compute over this tile's own state, with the
-// modeled cost d fixed up front — through the endpoint's Exec.  The
-// charge hooks are suspended for the duration (des panics if a phase
-// delays): the phase's flops are still counted, but its time is charged
-// by Exec rather than from inside the sweep.
-func (m *Model) exec(d units.Time, phase func()) {
-	ps, ds := m.C.SuspendCharges()
-	m.EP.Exec(d, phase)
-	m.C.RestoreCharges(ps, ds)
-}
-
-// psTime/dsTime convert flop counts at the configured phase rates; a
-// zero rate (pure numerics runs) charges zero time, matching the
-// disabled charge hooks.
-func (m *Model) psTime(f int64) units.Time {
-	if m.C.TimePS == nil {
-		return 0
-	}
-	return m.C.TimePS(f)
-}
-
-func (m *Model) dsTime(f int64) units.Time {
-	if m.C.TimeDS == nil {
-		return 0
-	}
-	return m.C.TimeDS(f)
-}
-
 // Step advances the model one time step through the PS/DS sequence of
 // Fig. 6.
 //
@@ -253,29 +204,30 @@ func (m *Model) dsTime(f int64) units.Time {
 // the modeled time; the phase runs at submission, or at its completion
 // event when a pool is attached, on the one dispatcher thread either way.
 // Data-dependent work — the forcing package, convective adjustment and
-// everything that communicates — runs in the rank's process, where its
-// cost is charged as it accrues.
+// everything that communicates — runs in the rank's process and is
+// charged the flops it counted, once, after it runs.
 func (m *Model) Step() {
 	p := &m.Cfg.Kernel
 	g, s, c := m.G, m.S, &m.C
-	// The pre-bound phases (bindPhases) call kernel sweeps whose flop
-	// counters carry the ep.Busy charge hooks; exec suspends those hooks
-	// around each one.
 	// ---- PS: prognostic step ----
-	m.exec(m.psTime(kernel.ComputeGTracersOps(g)), m.phTracers)
+	m.EP.Exec(kernel.PSTime(kernel.ComputeGTracersOps(g)), m.phTracers)
 	if m.Cfg.Forcing != nil {
+		ps0 := c.PS
 		m.Cfg.Forcing.AddTendencies(g, s, p, c)
+		m.EP.Busy(kernel.PSTime(c.PS - ps0))
 	}
-	m.exec(m.psTime(kernel.StepTracersOps(g)), m.phStepTracers)
+	m.EP.Exec(kernel.PSTime(kernel.StepTracersOps(g)), m.phStepTracers)
+	ps0 := c.PS
 	kernel.ConvectiveAdjust(g, s, p, c)
-	m.exec(m.psTime(kernel.HydrostaticOps(g, p))+
-		m.psTime(kernel.ComputeGMomentumOps(g))+
-		m.psTime(kernel.StepMomentumOps(g)), m.phMomentum)
+	m.EP.Busy(kernel.PSTime(c.PS - ps0))
+	m.EP.Exec(kernel.PSTime(kernel.HydrostaticOps(g, p))+
+		kernel.PSTime(kernel.ComputeGMomentumOps(g))+
+		kernel.PSTime(kernel.StepMomentumOps(g)), m.phMomentum)
 	// ---- DS: diagnostic step (surface pressure) ----
-	m.exec(m.dsTime(solver.BuildRHSOps(g)), m.phBuildRHS)
+	m.EP.Exec(kernel.DSTime(solver.BuildRHSOps(g)), m.phBuildRHS)
 	m.Solver.Solve(s.Ps, m.rhs, c)
-	m.exec(m.dsTime(solver.CorrectVelocitiesOps(g))+
-		m.psTime(kernel.ContinuityOps(g)), m.phCorrect)
+	m.EP.Exec(kernel.DSTime(solver.CorrectVelocitiesOps(g))+
+		kernel.PSTime(kernel.ContinuityOps(g)), m.phCorrect)
 	m.rhs = nil
 	m.S.Rotate()
 	m.Steps++

@@ -10,14 +10,13 @@ import (
 	"hyades/internal/gcm/kernel"
 	"hyades/internal/gcm/physics"
 	"hyades/internal/gcm/tile"
+	"hyades/internal/units"
 )
 
 // smallGyre returns a quick test configuration.
 func smallGyre(px, py int) Config {
 	d := tile.Decomp{NXg: 16, NYg: 16, Px: px, Py: py}
 	cfg := GyreConfig(16, 16, 3, d)
-	cfg.FpsMFlops = 0 // pure numerics unless a test wants timing
-	cfg.FdsMFlops = 0
 	return cfg
 }
 
@@ -189,7 +188,6 @@ func TestAtmosphereWithPhysicsStable(t *testing.T) {
 	cfg := CoarseAtmosphereConfig(d)
 	cfg.Grid.NX, cfg.Grid.NY = 32, 16
 	cfg.Forcing = physics.New(physics.Default())
-	cfg.FpsMFlops, cfg.FdsMFlops = 0, 0
 	m, _, err := RunSerial(cfg, 40)
 	if err != nil {
 		t.Fatal(err)
@@ -212,7 +210,6 @@ func TestCoarseOceanBuilds(t *testing.T) {
 	d := tile.Decomp{NXg: 128, NYg: 64, Px: 4, Py: 4, PeriodicX: true}
 	cfg := CoarseOceanConfig(d)
 	cfg.Decomp = tile.Decomp{NXg: 128, NYg: 64, Px: 1, Py: 1, PeriodicX: true}
-	cfg.FpsMFlops, cfg.FdsMFlops = 0, 0
 	ep := &comm.Serial{}
 	m, err := New(cfg, ep)
 	if err != nil {
@@ -263,9 +260,62 @@ func TestFlopCountersAdvance(t *testing.T) {
 	}
 }
 
+// TestEveryFlopIsChargedOnce: the virtual compute time of a run is the
+// time of the flops it counted at the paper's rates, whether a sweep ran
+// as an up-front-charged Exec phase (the *Ops counts) or in the rank's
+// process (the forcing packages and convective adjustment, charged what
+// they counted after they ran).  A flop charged twice, or never, moves
+// the sum by at least its own time; each conversion to picoseconds may
+// round, so one picosecond per charge is allowed.
+func TestEveryFlopIsChargedOnce(t *testing.T) {
+	// charges bounds the conversions a model made: per step, ten in the
+	// PS/DS sequence and two opening the solve; five per CG iteration.
+	charges := func(m *Model) int64 { return 12*int64(m.Steps) + 5*m.Solver.TotalIters }
+	check := func(name string, charged units.Time, ps, ds, n int64) {
+		t.Helper()
+		want := kernel.PSTime(ps) + kernel.DSTime(ds)
+		if d := charged - want; d < -units.Time(n) || d > units.Time(n) || want == 0 {
+			t.Errorf("%s: charged %v, counted flops PS=%d DS=%d take %v (%d ps apart, %d charges)",
+				name, charged, ps, ds, want, int64(d), n)
+		}
+	}
+
+	m, elapsed, err := RunSerial(smallGyre(1, 1), 6) // WindStress
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("serial gyre", elapsed, m.C.PS, m.C.DS, charges(m))
+
+	d := tile.Decomp{NXg: 32, NYg: 16, Px: 1, Py: 1, PeriodicX: true}
+	cfg := CoarseAtmosphereConfig(d)
+	cfg.Grid.NX, cfg.Grid.NY = 32, 16
+	cfg.Forcing = physics.New(physics.Default()) // physics, ConvectiveAdjust
+	m, elapsed, err = RunSerial(cfg, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("serial atmosphere", elapsed, m.C.PS, m.C.DS, charges(m))
+
+	cc := miniCoupled(2, 1) // CoupledOceanForcing
+	res, err := RunCoupled(2*cc.Ocean.Decomp.Tiles(), 1, cc, 6, ParallelOpts{}, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var n int64
+	for _, m := range res.Models {
+		n += charges(m)
+	}
+	check("coupled 2x1", res.ComputeTime, res.TotalPS, res.TotalDS, n)
+	if f := res.TotalFlops(); f != res.TotalPS+res.TotalDS {
+		t.Errorf("TotalFlops = %d, want PS+DS = %d", f, res.TotalPS+res.TotalDS)
+	}
+	if got, want := res.SustainedMFlops(), float64(res.TotalFlops())/res.Elapsed.Seconds()/1e6; got != want || got <= 0 {
+		t.Errorf("SustainedMFlops = %g, want %g", got, want)
+	}
+}
+
 func TestTimedRunChargesVirtualTime(t *testing.T) {
 	cfg := smallGyre(1, 1)
-	cfg.FpsMFlops, cfg.FdsMFlops = 50, 60
 	_, elapsed, err := RunSerial(cfg, 2)
 	if err != nil {
 		t.Fatal(err)

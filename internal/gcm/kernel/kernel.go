@@ -143,61 +143,38 @@ func (p *Params) Validate() error {
 }
 
 // Counters accumulates floating-point operation counts, split by model
-// phase as the performance model requires.  The optional charge hooks
-// let a driver convert flops to simulated processor time at the
-// measured phase rates (Fps, Fds of Fig. 11) at the same granularity
-// as the real machine — between communication points.
+// phase as the performance model requires.  Counting is all it does:
+// whoever calls a sweep charges its time, at PSTime/DSTime.
 type Counters struct {
 	PS int64 // flops in the prognostic step
 	DS int64 // flops in the diagnostic (solver) step
-
-	ChargePS func(flops int64)
-	ChargeDS func(flops int64)
-
-	// TimePS/TimeDS convert a flop count into modeled processor time
-	// at the phase rates (the same conversion the charge hooks use).
-	// The parallel driver needs them to charge an offloaded phase's
-	// cost *up front*: a phase handed to the worker pool must advance
-	// the virtual clock by a duration fixed at submission time.
-	TimePS func(flops int64) units.Time
-	TimeDS func(flops int64) units.Time
 }
 
 // AddPS records prognostic-step work.
-func (c *Counters) AddPS(f int64) {
-	c.PS += f
-	if c.ChargePS != nil {
-		c.ChargePS(f)
-	}
-}
+func (c *Counters) AddPS(f int64) { c.PS += f }
 
 // AddDS records diagnostic-step work.
-func (c *Counters) AddDS(f int64) {
-	c.DS += f
-	if c.ChargeDS != nil {
-		c.ChargeDS(f)
-	}
-}
+func (c *Counters) AddDS(f int64) { c.DS += f }
 
-// SuspendCharges detaches the charge hooks around an offloaded compute
-// phase whose time is charged up front (comm.Endpoint.Exec): charging
-// from inside the phase would advance virtual time off the baton.
-// Flop accumulation continues unchanged.  Returns the hooks for
-// RestoreCharges.
-func (c *Counters) SuspendCharges() (ps, ds func(int64)) {
-	ps, ds = c.ChargePS, c.ChargeDS
-	c.ChargePS, c.ChargeDS = nil, nil
-	return ps, ds
-}
+// The measured single-processor kernel rates of the PS and DS phases
+// (paper Fig. 11), in MFlop/s.
+const (
+	FpsMFlops = 50
+	FdsMFlops = 60
+)
 
-// RestoreCharges reattaches hooks detached by SuspendCharges.
-func (c *Counters) RestoreCharges(ps, ds func(int64)) {
-	c.ChargePS, c.ChargeDS = ps, ds
-}
+// PSTime converts a prognostic-step flop count into modeled processor
+// time at Fps.
+func PSTime(f int64) units.Time { return units.Seconds(float64(f) / (FpsMFlops * 1e6)) }
+
+// DSTime converts a diagnostic-step flop count into modeled processor
+// time at Fds.
+func DSTime(f int64) units.Time { return units.Seconds(float64(f) / (FdsMFlops * 1e6)) }
 
 // Forcing adds external tendencies (wind stress, heating, the
-// atmospheric physics package) into the current G buffers.  AddingNil
-// is allowed: a nil Forcing means an unforced fluid.
+// atmospheric physics package) into the current G buffers and counts
+// its flops in c; the caller charges them.  AddingNil is allowed: a nil
+// Forcing means an unforced fluid.
 type Forcing interface {
 	AddTendencies(g *grid.Local, s *State, p *Params, c *Counters)
 }

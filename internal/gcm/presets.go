@@ -9,12 +9,6 @@ import (
 	"hyades/internal/gcm/tile"
 )
 
-// Published single-processor kernel rates (paper Fig. 11).
-const (
-	PaperFpsMFlops = 50
-	PaperFdsMFlops = 60
-)
-
 // WindStress is the idealized ocean surface forcing: a zonal wind
 // stress profile driving gyres/circumpolar flow, plus surface
 // restoring of temperature and salinity to latitudinal profiles.
@@ -141,8 +135,6 @@ func CoarseOceanConfig(d tile.Decomp) Config {
 		SolverMaxIter: 300,
 		Forcing:       DefaultWindStress(),
 		Init:          OceanInit,
-		FpsMFlops:     PaperFpsMFlops,
-		FdsMFlops:     PaperFdsMFlops,
 	}
 }
 
@@ -194,8 +186,6 @@ func CoarseAtmosphereConfig(d tile.Decomp) Config {
 		SolverTol:     3e-3,
 		SolverMaxIter: 300,
 		Init:          AtmosphereInit,
-		FpsMFlops:     PaperFpsMFlops,
-		FdsMFlops:     PaperFdsMFlops,
 	}
 }
 
@@ -260,7 +250,5 @@ func GyreConfig(nx, ny, nz int, d tile.Decomp) Config {
 				}
 			}
 		},
-		FpsMFlops: PaperFpsMFlops,
-		FdsMFlops: PaperFdsMFlops,
 	}
 }

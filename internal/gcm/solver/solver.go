@@ -198,18 +198,9 @@ func (sv *Solver) precondOps() int64 {
 }
 
 // exec runs a local solver segment — pure per-tile compute of known
-// flop count — off the DES baton through the endpoint's Exec, with the
-// charge hooks suspended (the time is charged up front instead).
-// Without a time converter (pure numerics runs) the segment runs
-// inline under whatever hooks are installed.
-func (sv *Solver) exec(c *kernel.Counters, flops int64, fn func()) {
-	if c.TimeDS == nil {
-		fn()
-		return
-	}
-	ps, ds := c.SuspendCharges()
-	sv.H.EP.Exec(c.TimeDS(flops), fn)
-	c.RestoreCharges(ps, ds)
+// flop count — through the endpoint's Exec, its time charged up front.
+func (sv *Solver) exec(flops int64, fn func()) {
+	sv.H.EP.Exec(kernel.DSTime(flops), fn)
 }
 
 // BuildRHS computes div(U*)/dt from the provisional velocities into a
@@ -294,7 +285,9 @@ func (sv *Solver) Apply(p, q *field.F2, c *kernel.Counters) float64 {
 // gsum charges a local inner product over the tile and returns its
 // global sum.
 func (sv *Solver) gsum(local float64, c *kernel.Counters) float64 {
-	c.AddDS(int64(sv.G.NX*sv.G.NY) * 2)
+	f := int64(sv.G.NX*sv.G.NY) * 2
+	c.AddDS(f)
+	sv.H.EP.Busy(kernel.DSTime(f))
 	return sv.H.EP.GlobalSum(local)
 }
 
@@ -306,7 +299,7 @@ func (sv *Solver) Solve(x, b *field.F2, c *kernel.Counters) int {
 	sv.sx, sv.sb, sv.sc = x, b, c
 	// r = b - A(x)
 	sv.H.Update2(x, 1)
-	sv.exec(c, ApplyOps(g)+int64(g.NX*g.NY)+sv.precondOps(), sv.fnInit)
+	sv.exec(ApplyOps(g)+int64(g.NX*g.NY)+sv.precondOps(), sv.fnInit)
 	rz := sv.gsum(reduce.Dot2(sv.r, sv.z), c)
 	rz0 := rz
 	iters := 0
@@ -320,17 +313,17 @@ func (sv *Solver) Solve(x, b *field.F2, c *kernel.Counters) int {
 		// preconditioner slot.
 		sv.H.Update2(sv.p, 1)
 		sv.H.Update2(sv.r, 1)
-		sv.exec(c, ApplyOps(g), sv.fnApplyP)
+		sv.exec(ApplyOps(g), sv.fnApplyP)
 		pq := sv.gsum(sv.pq, c) // global sum 1; p.q rode the operator sweep
 		if pq == 0 {
 			break
 		}
 		sv.alpha = rz / pq
-		sv.exec(c, int64(g.NX*g.NY)*4+sv.precondOps(), sv.fnAxpy)
+		sv.exec(int64(g.NX*g.NY)*4+sv.precondOps(), sv.fnAxpy)
 		rzNew := sv.gsum(reduce.Dot2(sv.r, sv.z), c) // global sum 2
 		sv.beta = rzNew / rz
 		rz = rzNew
-		sv.exec(c, int64(g.NX*g.NY)*2, sv.fnPUpd)
+		sv.exec(int64(g.NX*g.NY)*2, sv.fnPUpd)
 	}
 	sv.H.Update2(x, 1)
 	sv.sx, sv.sb, sv.sc = nil, nil, nil

@@ -61,9 +61,6 @@ func New(w *cluster.Worker, size int) (*Comm, error) {
 // Rank returns this process's rank (its node id).
 func (c *Comm) Rank() int { return c.w.Rank }
 
-// Size returns the communicator size.
-func (c *Comm) Size() int { return c.size }
-
 // Send transmits data to dst with a tag (0..255).  Small messages go
 // eagerly through PIO; larger ones stream through the VI DMA engine.
 func (c *Comm) Send(dst, tag int, data []byte) {

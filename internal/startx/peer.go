@@ -152,9 +152,6 @@ func (n *NIU) Restart() {
 	n.refreshLeases()
 }
 
-// Down reports whether the NIU is crashed.
-func (n *NIU) Down() bool { return n.down }
-
 // ResetComm rolls the NIU onto a new communication epoch: all queued
 // and in-flight protocol state is discarded, the go-back-N sequence
 // spaces restart from zero, and leases restart from the present.  The
