@@ -288,8 +288,8 @@ go test -run 'TestDropsWithCrashesEndInFaultFreeDigest' .
 
 echo "== determinism across worker counts (race)"
 # The worker-pool determinism matrix under the race detector: digests,
-# event counts and virtual clocks must be bit-identical for inline,
-# single-worker and GOMAXPROCS pools, with and without fault injection
+# event counts and virtual clocks must be bit-identical for inline and
+# pooled compute phases, with and without fault injection
 # — including the node-crash recovery matrix (two crashes exercising
 # both dead-peer detection paths, digest equal to the fault-free run).
 go test -race -run 'TestDeterminismAcrossWorkerCounts|TestChaosDeterminismAcrossWorkerCounts|TestNodeCrashRecoveryDeterministic' .
@@ -312,7 +312,10 @@ if "$bin_dir/hyades" -model gyre -serial -steps 0 > /dev/null 2>&1; then
     echo "chaos smoke: hyades accepted -steps 0" >&2
     exit 1
 fi
-for fig_bad in "-nx 32 -ny 16 -days -1" "-nx 32 -ny 16 -days 0.02 -years 0.0001"; do
+# A checkpoint cadence that is negative or not a number used to read as
+# "never"; it is refused like a bad run length.
+for fig_bad in "-nx 32 -ny 16 -days -1" "-nx 32 -ny 16 -days 0.02 -years 0.0001" \
+    "-nx 32 -ny 16 -days 0.02 -checkpoint-every -1" "-nx 32 -ny 16 -days 0.02 -checkpoint-every NaN"; do
     if "$bin_dir/figure9" $fig_bad -out "$tmp_root/figure9_bad" > /dev/null 2>&1; then
         echo "chaos smoke: figure9 accepted $fig_bad" >&2
         exit 1

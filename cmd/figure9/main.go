@@ -65,12 +65,12 @@ func main() {
 	if steps < 1 {
 		usage(fmt.Errorf("%s gives %d steps of %g s: a run needs at least one", length, steps, cfg.Ocean.Kernel.Dt))
 	}
+	if !(*ckEvery >= 0) || math.IsInf(*ckEvery, 1) {
+		usage(fmt.Errorf("-checkpoint-every %g: give a finite number of years, or 0 for none", *ckEvery))
+	}
 	chunk := 0
 	if *ckEvery > 0 {
-		chunk = int(*ckEvery * yearSeconds / cfg.Ocean.Kernel.Dt)
-		if chunk < 1 {
-			chunk = 1
-		}
+		chunk = max(1, int(*ckEvery*yearSeconds/cfg.Ocean.Kernel.Dt))
 	}
 	nWorkers := 2 * d.Tiles()
 

@@ -41,7 +41,6 @@ func main() {
 	py := flag.Int("py", 0, "tiles in y")
 	saveTo := flag.String("checkpoint", "", "write a checkpoint here after a -serial run")
 	restoreFrom := flag.String("restore", "", "restore a -serial run from this checkpoint before stepping")
-	poolWorkers := flag.Int("workers", 0, "compute-phase pool size (0 = GOMAXPROCS, negative = no pool: phases run inline; same schedule either way)")
 	faultSeed := flag.Uint64("fault-seed", 1, "seed for the deterministic fault plan")
 	dropRate := flag.Float64("drop-rate", 0, "per-packet silent drop probability on every fabric link")
 	corruptRate := flag.Float64("corrupt-rate", 0, "per-packet corruption probability on every fabric link")
@@ -73,7 +72,7 @@ func main() {
 	}
 	set := map[string]bool{}
 	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
-	if err := badSteps(*steps, *warmup); err != nil {
+	if err := badSteps(*steps, *warmup, *checkpointEvery); err != nil {
 		usage(err)
 	}
 	if err := ignoredFlag(set, *serial, *netName != ""); err != nil {
@@ -140,7 +139,7 @@ func main() {
 		res, err = gcm.RunParallelNet(prm, cfg, *warmup, *steps)
 	} else {
 		res, err = gcm.RunParallelOpts(*nodes, *ppn, cfg, *warmup, *steps,
-			gcm.ParallelOpts{Fault: fcfg, Workers: *poolWorkers, CheckpointEvery: *checkpointEvery})
+			gcm.ParallelOpts{Fault: fcfg, CheckpointEvery: *checkpointEvery})
 	}
 	if err != nil {
 		log.Fatal(err)
@@ -224,29 +223,31 @@ func usage(err error) {
 }
 
 // badSteps refuses step counts a run cannot take: every run reports
-// per-step time and a sustained rate over its timed steps, and a
-// negative warm-up would eat into them.
-func badSteps(steps, warmup int) error {
+// per-step time and a sustained rate over its timed steps, a negative
+// warm-up would eat into them, and a negative cadence would mean never.
+func badSteps(steps, warmup, checkpointEvery int) error {
 	switch {
 	case steps < 1:
 		return fmt.Errorf("-steps %d: a run needs at least one timed step", steps)
 	case warmup < 0:
 		return fmt.Errorf("-warmup %d: a warm-up cannot be negative", warmup)
+	case checkpointEvery < 0:
+		return fmt.Errorf("-checkpoint-every %d: a cadence cannot be negative (0 = never)", checkpointEvery)
 	}
 	return nil
 }
 
 // ignoredFlag names the first explicitly set flag that the chosen run
-// never reads: a -serial run has no warm-up, checkpoint cadence,
-// compute pool or machine; a -net run has no checkpoints or pool; and
-// only a -serial run writes or restores a checkpoint file.
+// never reads: a -serial run has no warm-up, checkpoint cadence or
+// machine; a -net run has no checkpoints; and only a -serial run writes
+// or restores a checkpoint file.
 func ignoredFlag(set map[string]bool, serial, net bool) error {
 	run, ignored := "parallel Hyades", []string{"checkpoint", "restore"}
 	switch {
 	case serial:
-		run, ignored = "-serial", []string{"warmup", "checkpoint-every", "workers", "nodes", "ppn", "net"}
+		run, ignored = "-serial", []string{"warmup", "checkpoint-every", "nodes", "ppn", "net"}
 	case net:
-		run, ignored = "-net", []string{"checkpoint-every", "workers", "checkpoint", "restore"}
+		run, ignored = "-net", []string{"checkpoint-every", "checkpoint", "restore"}
 	}
 	for _, name := range ignored {
 		if set[name] {

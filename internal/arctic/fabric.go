@@ -44,15 +44,6 @@ type Stats struct {
 	FailedOver     int64 // up-phase hops re-routed around a downed up-link
 }
 
-// LinkStats is the per-link fault counter snapshot (see Fabric.LinkStats).
-type LinkStats struct {
-	Name          string
-	Transmitted   int64 // packets that started crossing the link
-	FaultDropped  int64
-	Corrupted     int64
-	OutageDropped int64
-}
-
 // transitQueue is a FIFO ring of transits.  Links queue and dequeue
 // packets on every hop of every journey; a ring recycles one buffer in
 // steady state where the old append + [1:] idiom leaked front capacity
@@ -88,7 +79,6 @@ func (q *transitQueue) pop() *transit {
 // transmitting with a successor waiting (free queued to run startNext).
 type link struct {
 	fab     *Fabric
-	name    string
 	free    des.Slot
 	queueHi transitQueue
 	queueLo transitQueue
@@ -98,8 +88,7 @@ type link struct {
 	final   bool // link terminates at an endpoint: wait for the tail
 
 	// flt is the link's fault-injection state (nil = pristine link).
-	flt   *fault.Link
-	stats LinkStats
+	flt *fault.Link
 }
 
 // down reports whether the link is inside an injected outage window.
@@ -134,7 +123,6 @@ type Fabric struct {
 	routers [][]*router // [stage][index]
 	inject  []*link     // endpoint -> leaf router
 	eject   []*link     // leaf router -> endpoint
-	links   []*link     // every link in creation order, for LinkStats
 	rx      []func(*Packet)
 	rng     *rand.Rand // the up-route generator of RandomUp packets, fixed seed
 	stats   Stats
@@ -270,13 +258,11 @@ func replaceDigit(v, stage, q int) int {
 }
 
 func (f *Fabric) newLink(name string) *link {
-	l := &link{fab: f, name: name}
+	l := &link{fab: f}
 	l.free.Init(f.eng, l.startNext)
-	l.stats.Name = name
 	if f.cfg.Faults != nil {
 		l.flt = f.cfg.Faults.Link(name)
 	}
-	f.links = append(f.links, l)
 	return l
 }
 
@@ -285,18 +271,6 @@ func (f *Fabric) Config() Config { return f.cfg }
 
 // Stats returns a snapshot of the fabric counters.
 func (f *Fabric) Stats() Stats { return f.stats }
-
-// LinkStats returns per-link counters for every link that saw at least
-// one injected fault, in deterministic link-creation order.
-func (f *Fabric) LinkStats() []LinkStats {
-	var out []LinkStats
-	for _, l := range f.links {
-		if l.stats.FaultDropped > 0 || l.stats.Corrupted > 0 || l.stats.OutageDropped > 0 {
-			out = append(out, l.stats)
-		}
-	}
-	return out
-}
 
 // Attach registers the receive handler for an endpoint.  The handler
 // runs in engine context at the packet's delivery time.
@@ -443,14 +417,12 @@ func (l *link) startNext() {
 		return
 	}
 	f := l.fab
-	l.stats.Transmitted++
 	if l.flt != nil {
 		now := f.eng.Now()
 		if l.flt.Down(now) {
 			// Whole-link outage: the packet vanishes at the head of the
 			// wire.  Try the next queued packet immediately (it too will
 			// be lost while the outage lasts, in FIFO order).
-			l.stats.OutageDropped++
 			f.stats.OutageDropped++
 			f.releasePacket(t.pkt)
 			f.recycle(t)
@@ -461,7 +433,6 @@ func (l *link) startNext() {
 		case fault.Drop:
 			// The packet occupies the wire for its full length but its
 			// tail never arrives anywhere.
-			l.stats.FaultDropped++
 			f.stats.FaultDropped++
 			l.hold(t.wire)
 			f.releasePacket(t.pkt)
@@ -469,7 +440,6 @@ func (l *link) startNext() {
 			return
 		case fault.Corrupt:
 			t.pkt.Corrupt()
-			l.stats.Corrupted++
 			f.stats.FaultCorrupted++
 		}
 	}

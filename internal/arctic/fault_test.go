@@ -88,9 +88,6 @@ func TestInjectedCorruptionCountsAndDrops(t *testing.T) {
 	if s.Dropped == 0 {
 		t.Fatalf("corruption did not trip a router CRC check")
 	}
-	if ls := fab.LinkStats(); len(ls) == 0 {
-		t.Fatalf("no per-link counters for a corrupting link")
-	}
 }
 
 func TestInjectedDropIsSilent(t *testing.T) {

@@ -271,8 +271,8 @@ var crcTable = crc32.MakeTable(crc32.IEEE)
 // crcSlice4 holds the slicing-by-4 extension tables: crcSlice4[0] is
 // crcTable itself, and crcSlice4[k][b] is the CRC contribution of byte
 // b positioned k bytes before the end of a 4-byte group.  Built once at
-// init from crcTable, so the folded form below is bit-identical to the
-// byte-at-a-time loop it replaces.
+// init from crcTable, so the folded form below is bit-identical to
+// crc32.ChecksumIEEE over the little-endian wire image.
 var crcSlice4 = func() [4][256]uint32 {
 	var t [4][256]uint32
 	t[0] = *crcTable
@@ -286,29 +286,16 @@ var crcSlice4 = func() [4][256]uint32 {
 	return t
 }()
 
-// crcUpdateWord folds one little-endian wire word into a running CRC.
-// This is the standard byte-at-a-time reflected CRC-32 — bit-identical
-// to crc32.Update over the word's four bytes — open-coded because
-// passing even a stack buffer through hash/crc32 makes it escape, and
-// Seal/checkCRC run on every packet at every router stage.
-func crcUpdateWord(crc, w uint32) uint32 {
-	crc = ^crc
-	crc = crcTable[byte(crc)^byte(w)] ^ (crc >> 8)
-	crc = crcTable[byte(crc)^byte(w>>8)] ^ (crc >> 8)
-	crc = crcTable[byte(crc)^byte(w>>16)] ^ (crc >> 8)
-	crc = crcTable[byte(crc)^byte(w>>24)] ^ (crc >> 8)
-	return ^crc
-}
-
-// crcOfWords computes the IEEE CRC-32 of a word sequence.  The real
-// Arctic link layer uses a hardware CRC; any strong checksum preserves
-// the software-visible behaviour (a 1-bit good/bad status).
+// crcOfWords computes the IEEE CRC-32 of a word sequence, folded the
+// way wireCRC folds it.  The real Arctic link layer uses a hardware CRC;
+// any strong checksum preserves the software-visible behaviour (a 1-bit
+// good/bad status).
 func crcOfWords(words []uint32) uint32 {
-	var crc uint32
+	crc := ^uint32(0)
 	for _, w := range words {
-		crc = crcUpdateWord(crc, w)
+		crc = crcFoldWord(crc, w)
 	}
-	return crc
+	return ^crc
 }
 
 // wireCRC computes the checksum over the words the CRC trailer covers —

@@ -1,7 +1,9 @@
 package arctic
 
 import (
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -153,9 +155,8 @@ func TestDigitHelpers(t *testing.T) {
 }
 
 // TestWireCRCMatchesByteAtATime pins the slicing-by-4 fold in wireCRC
-// to the byte-at-a-time reference (crcUpdateWord, still used by the
-// Encode/Decode path): the two must agree on every packet, or sealed
-// packets would fail verification at the first router stage.
+// to hash/crc32's IEEE CRC-32 of the little-endian wire image, which
+// Encode/Decode's trailer must also match.
 func TestWireCRCMatchesByteAtATime(t *testing.T) {
 	for trial := 0; trial < 50; trial++ {
 		p := &Packet{
@@ -167,13 +168,13 @@ func TestWireCRCMatchesByteAtATime(t *testing.T) {
 		for i := range p.Payload {
 			p.Payload[i] = uint32(trial*31+i) * 2654435761
 		}
-		ref := crcUpdateWord(0, p.header0())
-		ref = crcUpdateWord(ref, p.header1())
+		wire := binary.LittleEndian.AppendUint32(nil, p.header0())
+		wire = binary.LittleEndian.AppendUint32(wire, p.header1())
 		for _, w := range p.Payload {
-			ref = crcUpdateWord(ref, w)
+			wire = binary.LittleEndian.AppendUint32(wire, w)
 		}
-		if got := p.wireCRC(); got != ref {
-			t.Fatalf("trial %d: wireCRC %08x != byte-at-a-time %08x", trial, got, ref)
+		if got, ref := p.wireCRC(), crc32.ChecksumIEEE(wire); got != ref {
+			t.Fatalf("trial %d: wireCRC %08x != crc32 %08x", trial, got, ref)
 		}
 	}
 }

@@ -99,47 +99,22 @@ func Gsum(r Runner, workers, reps int) (units.Time, error) {
 // over reps.
 func Exchange2(r Runner, d tile.Decomp, reps int) (units.Time, error) {
 	nx, ny := d.TileSize()
-	var start, end units.Time
-	err := r.Run(d.Tiles(), func(ep comm.Endpoint) {
-		h, err := tile.NewHalo(ep, d)
-		if err != nil {
-			panic(err)
-		}
+	return haloLoop(r, d, reps, func(h *tile.Halo) func() {
 		f := field.NewF2(nx, ny, 1)
 		for j := 0; j < ny; j++ {
 			for i := 0; i < nx; i++ {
 				f.Set(i, j, float64(i*j))
 			}
 		}
-		h.Update2(f, 1) // warm-up
-		ep.Barrier()
-		if ep.Rank() == 0 {
-			start = ep.Now()
-		}
-		for i := 0; i < reps; i++ {
-			h.Update2(f, 1)
-		}
-		ep.Barrier()
-		if ep.Rank() == 0 {
-			end = ep.Now()
-		}
+		return func() { h.Update2(f, 1) }
 	})
-	if err != nil {
-		return 0, err
-	}
-	return (end - start) / units.Time(reps), nil
 }
 
 // Exchange3 measures the full 3-D halo update of one field with the
 // GCM's overcomputation width (texchxyz).
 func Exchange3(r Runner, d tile.Decomp, nz, width, reps int) (units.Time, error) {
 	nx, ny := d.TileSize()
-	var start, end units.Time
-	err := r.Run(d.Tiles(), func(ep comm.Endpoint) {
-		h, err := tile.NewHalo(ep, d)
-		if err != nil {
-			panic(err)
-		}
+	return haloLoop(r, d, reps, func(h *tile.Halo) func() {
 		f := field.NewF3(nx, ny, nz, width)
 		for k := 0; k < nz; k++ {
 			for j := 0; j < ny; j++ {
@@ -148,13 +123,29 @@ func Exchange3(r Runner, d tile.Decomp, nz, width, reps int) (units.Time, error)
 				}
 			}
 		}
-		h.Update3(f, width) // warm-up
+		return func() { h.Update3(f, width) }
+	})
+}
+
+// haloLoop is the timed loop of Exchange2 and Exchange3 on every tile
+// of d: prepare fills the tile's field and returns its halo update,
+// which runs once to warm up and then reps times between two barriers;
+// rank 0 stamps the time after each barrier.
+func haloLoop(r Runner, d tile.Decomp, reps int, prepare func(h *tile.Halo) func()) (units.Time, error) {
+	var start, end units.Time
+	err := r.Run(d.Tiles(), func(ep comm.Endpoint) {
+		h, err := tile.NewHalo(ep, d)
+		if err != nil {
+			panic(err)
+		}
+		update := prepare(h)
+		update() // warm-up
 		ep.Barrier()
 		if ep.Rank() == 0 {
 			start = ep.Now()
 		}
 		for i := 0; i < reps; i++ {
-			h.Update3(f, width)
+			update()
 		}
 		ep.Barrier()
 		if ep.Rank() == 0 {

@@ -10,7 +10,6 @@ package cluster
 
 import (
 	"fmt"
-	"runtime"
 	"strconv"
 
 	"hyades/internal/arctic"
@@ -34,10 +33,9 @@ type Config struct {
 
 	// Workers chooses when the ranks' compute phases (Proc.Exec) run on
 	// the host.  Negative: inline at submission, no pool.  Otherwise a
-	// des.Pool of that nominal size is attached (zero means GOMAXPROCS)
-	// and each phase runs at its completion event; the pool has no host
-	// threads (des/pool.go says why), so the size only labels it.  The
-	// virtual schedule is identical for every value.
+	// des.Pool is attached and each phase runs at its completion event;
+	// the pool has no host threads and no size (des/pool.go says why).
+	// The virtual schedule is identical for every value.
 	Workers int
 
 	// Scheduler selects the engine's event-queue implementation.  The
@@ -113,11 +111,7 @@ func New(cfg Config) (*Cluster, error) {
 	}
 	c := &Cluster{Cfg: cfg, Eng: eng, Fabric: fab, plan: plan}
 	if cfg.Workers >= 0 {
-		workers := cfg.Workers
-		if workers == 0 {
-			workers = runtime.GOMAXPROCS(0)
-		}
-		c.Pool = des.NewPool(workers)
+		c.Pool = des.NewPool(cfg.Workers)
 		eng.SetPool(c.Pool)
 	}
 	for i := 0; i < cfg.Nodes; i++ {

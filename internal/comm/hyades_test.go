@@ -693,3 +693,19 @@ func TestSerialEndpoint(t *testing.T) {
 		t.Fatal("stats")
 	}
 }
+
+// TestSerialEndpointHasNoNeighbours: a serial run has no peer to
+// exchange with, so Exchange panics rather than return made-up halos,
+// and CommTime sums the three communication totals.
+func TestSerialEndpointHasNoNeighbours(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Exchange on a serial endpoint did not panic")
+		}
+	}()
+	s := &Serial{S: Stats{ExchangeTime: 1, GsumTime: 2, BarrierTime: 4, ComputeTime: 8}}
+	if got := s.S.CommTime(); got != 7 {
+		t.Fatalf("CommTime = %v, want 7ps", got)
+	}
+	s.Exchange(0, nil, Block{})
+}

@@ -27,8 +27,8 @@
 //
 // Everything below runs on engine virtual time and rank-indexed
 // slices; for a fixed (config, seed, fault plan, checkpoint interval)
-// the entire crash/detect/rollback/replay timeline is deterministic at
-// any -workers count.
+// the entire crash/detect/rollback/replay timeline is deterministic
+// with compute phases inline or pooled.
 package comm
 
 import (
@@ -361,11 +361,7 @@ func (rc *Recovery) SaveCheckpoint(rank, step int, blob []byte) {
 			// interrupted the round; the replay supersedes it.
 			rc.stats.PendingDiscarded++
 		}
-		rc.pendStep = step
-		rc.pendN = 0
-		for i := range rc.pendData {
-			rc.pendData[i] = nil
-		}
+		rc.resetPending(step)
 	}
 	if rc.pendData[rank] == nil {
 		rc.pendN++
@@ -376,11 +372,7 @@ func (rc *Recovery) SaveCheckpoint(rank, step int, blob []byte) {
 	}
 	rc.ckStep = rc.pendStep
 	rc.ckData, rc.pendData = rc.pendData, rc.ckData
-	rc.pendStep = -1
-	rc.pendN = 0
-	for i := range rc.pendData {
-		rc.pendData[i] = nil
-	}
+	rc.resetPending(-1)
 	rc.stats.Checkpoints++
 	rc.commitAt = rc.eng().Now()
 	for _, b := range rc.ckData {
@@ -420,12 +412,16 @@ func (rc *Recovery) discardPending() {
 	if rc.pendStep < 0 {
 		return
 	}
-	rc.pendStep = -1
-	rc.pendN = 0
-	for i := range rc.pendData {
-		rc.pendData[i] = nil
-	}
+	rc.resetPending(-1)
 	rc.stats.PendingDiscarded++
+}
+
+// resetPending empties the pending set and opens it for step (-1: no
+// set pending).
+func (rc *Recovery) resetPending(step int) {
+	rc.pendStep = step
+	rc.pendN = 0
+	clear(rc.pendData)
 }
 
 // Stats summarizes the run.  RecoveryTime sums each round's

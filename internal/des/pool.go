@@ -12,17 +12,17 @@
 //     dispatcher and then resumes the process.  The phase is complete
 //     before any other activity can observe the rank's state.
 //   - Virtual event order is a pure function of the schedule: digest,
-//     event count and clock are bit-identical with a pool of any size
-//     and with none (Exec then runs the closure at submission).
+//     event count and clock are bit-identical with a pool and without
+//     one (Exec then runs the closure at submission).
 //
-// The pool has no host threads: handing phases to worker threads lost
-// to running them on the dispatcher on every workload measured, the
-// 128x64 coupled step included (DESIGN.md, "Parallel execution model").
+// The pool has no host threads and no size: handing phases to worker
+// threads lost to running them on the dispatcher on every workload
+// measured (DESIGN.md, "Parallel execution model"; EXPERIMENTS.md E12).
 // What the pool keeps is the seam: a pending phase runs at another host
-// moment than inline, so the worker-count determinism matrices go on
-// testing that phases are pure (a phase that blocks or schedules panics
-// in either mode), and whoever measures threads winning has one place —
-// the claim in complete — to let them in.
+// moment than inline, so the inline-versus-pool determinism matrices go
+// on testing that phases are pure (a phase that blocks or schedules
+// panics in either mode), and whoever measures threads winning has one
+// place — the claim in complete — to let them in.
 package des
 
 import "hyades/internal/units"
@@ -30,15 +30,11 @@ import "hyades/internal/units"
 // Pool makes Proc.Exec defer each compute phase to its completion
 // event.  Create one with NewPool, attach it with Engine.SetPool and
 // Close it when the simulation is torn down.
-type Pool struct{ workers int }
+type Pool struct{}
 
-// NewPool returns a pool of nominal size n (n < 1 is clamped to 1).
-// The size is reported by Workers and otherwise unused: every phase is
-// claimed by the dispatcher.
-func NewPool(n int) *Pool { return &Pool{workers: max(n, 1)} }
-
-// Workers returns the pool size.
-func (p *Pool) Workers() int { return p.workers }
+// NewPool returns a pool.  n is ignored: the pool has no threads to
+// size, and every phase is claimed by the dispatcher.
+func NewPool(n int) *Pool { return &Pool{} }
 
 // Close releases the pool, which today holds nothing.  Idempotent.
 func (p *Pool) Close() {}
@@ -47,9 +43,6 @@ func (p *Pool) Close() {}
 // closure to the completion event.  A nil pool (the default) makes Exec
 // run inline.
 func (e *Engine) SetPool(p *Pool) { e.pool = p }
-
-// Pool returns the attached pool, if any.
-func (e *Engine) Pool() *Pool { return e.pool }
 
 // Exec runs fn — a pure compute phase whose modeled cost d is known up
 // front — and suspends the process for d of virtual time.  With a pool

@@ -385,3 +385,13 @@ func TestPingPongIdenticalAcrossWorkerCounts(t *testing.T) {
 		}
 	}
 }
+
+// TestProcString: a process formats as proc(name) under %v.
+func TestProcString(t *testing.T) {
+	e := NewEngine()
+	p := e.Spawn("rank3", func(p *Proc) {})
+	if got := fmt.Sprint(p); got != "proc(rank3)" {
+		t.Fatalf("Proc prints as %q, want proc(rank3)", got)
+	}
+	e.Run()
+}

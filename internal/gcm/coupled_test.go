@@ -125,3 +125,29 @@ func TestOffsetEndpointGlobalSum(t *testing.T) {
 		t.Fatalf("%d workers computed a wrong component-local sum", bad)
 	}
 }
+
+// TestOffsetEndpointBarrier: a component-local Barrier on every rank
+// after the run (the after hook) meets only its component's ranks, so
+// it ends, later in virtual time than the same run without it.
+func TestOffsetEndpointBarrier(t *testing.T) {
+	cfg := miniCoupled(2, 1)
+	n := 2 * cfg.Ocean.Decomp.Tiles()
+	plain, err := RunCoupled(n, 1, cfg, 2, ParallelOpts{}, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	met := 0
+	res, err := RunCoupled(n, 1, cfg, 2, ParallelOpts{}, nil, func(cp *Coupled) {
+		cp.M.EP.Barrier()
+		met++
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if met != n {
+		t.Fatalf("%d of %d ranks left the barrier", met, n)
+	}
+	if res.FinalTime <= plain.FinalTime {
+		t.Fatalf("barrier took no virtual time: %v, plain run %v", res.FinalTime, plain.FinalTime)
+	}
+}

@@ -1,7 +1,7 @@
 // Package diag computes the standard circulation diagnostics a
-// climate-research user of the model reaches for first: zonal means,
-// the meridional overturning streamfunction, and meridional heat
-// transport.  These are the quantities behind plates like the paper's
+// climate-research user of the model reaches for first: the meridional
+// overturning streamfunction, meridional heat transport and the
+// barotropic streamfunction.  These are the quantities behind plates like the paper's
 // Fig. 9 and the predictability studies its §5 motivates.
 //
 // Diagnostics operate on globally gathered level fields (the root rank
@@ -41,29 +41,6 @@ func (s *State) Validate() error {
 		}
 	}
 	return nil
-}
-
-// ZonalMean returns the zonal (along-x) mean of a per-level field set
-// over wet cells, as an (NY x NZ) field: element (j, k) is the mean at
-// latitude row j, level k.  Dry rows yield zero.
-func (s *State) ZonalMean(f []*field.F2) *field.F2 {
-	g := s.G
-	out := field.NewF2(g.NY, g.NZ, 0)
-	for k := 0; k < g.NZ; k++ {
-		for j := 0; j < g.NY; j++ {
-			sum, n := 0.0, 0
-			for i := 0; i < g.NX; i++ {
-				if g.HFacC.At(i, j, k) > 0 {
-					sum += f[k].At(i, j)
-					n++
-				}
-			}
-			if n > 0 {
-				out.Set(j, k, sum/float64(n))
-			}
-		}
-	}
-	return out
 }
 
 // Overturning returns the meridional overturning streamfunction
@@ -129,36 +106,4 @@ func (s *State) BarotropicStreamfunction() *field.F2 {
 		}
 	}
 	return out
-}
-
-// KineticEnergyProfile returns the mean kinetic energy per unit mass
-// at each level — a quick stratification-of-activity diagnostic.
-func (s *State) KineticEnergyProfile() []float64 {
-	g := s.G
-	out := make([]float64, g.NZ)
-	for k := 0; k < g.NZ; k++ {
-		sum, n := 0.0, 0
-		for j := 0; j < g.NY; j++ {
-			for i := 0; i < g.NX; i++ {
-				if g.HFacC.At(i, j, k) == 0 {
-					continue
-				}
-				u := 0.5 * (s.U[k].At(i, j) + s.U[k].At(min(i+1, g.NX-1), j))
-				v := 0.5 * (s.V[k].At(i, j) + s.V[k].At(i, min(j+1, g.NY-1)))
-				sum += 0.5 * (u*u + v*v)
-				n++
-			}
-		}
-		if n > 0 {
-			out[k] = sum / float64(n)
-		}
-	}
-	return out
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -47,25 +47,6 @@ func TestValidateShapes(t *testing.T) {
 	}
 }
 
-func TestZonalMean(t *testing.T) {
-	s := rig(t, 8, 6, 2, func(k int, u, v, th *field.F2) {
-		for j := 0; j < 6; j++ {
-			for i := 0; i < 8; i++ {
-				u.Set(i, j, float64(j)+10*float64(k)) // zonally uniform
-			}
-		}
-	})
-	zm := s.ZonalMean(s.U)
-	for k := 0; k < 2; k++ {
-		for j := 0; j < 6; j++ {
-			want := float64(j) + 10*float64(k)
-			if got := zm.At(j, k); math.Abs(got-want) > 1e-12 {
-				t.Fatalf("zonal mean (%d,%d) = %g, want %g", j, k, got, want)
-			}
-		}
-	}
-}
-
 func TestOverturningUniformV(t *testing.T) {
 	// v = 0.1 m/s everywhere: psi at level k is cumulative transport
 	// 0.1 * nx*dx * dz * (k+1).
@@ -131,18 +112,5 @@ func TestBarotropicStreamfunctionGyre(t *testing.T) {
 	// North of the jet the cumulative integral is flat.
 	if math.Abs(psi.At(5, 8)-psi.At(5, 6)) > 1e-12 {
 		t.Fatalf("psi not flat north of the jet")
-	}
-}
-
-func TestKineticEnergyProfile(t *testing.T) {
-	s := rig(t, 6, 6, 3, func(k int, u, v, th *field.F2) {
-		u.Fill(float64(k + 1)) // speed grows with depth index
-	})
-	ke := s.KineticEnergyProfile()
-	for k := 0; k < 3; k++ {
-		want := 0.5 * float64((k+1)*(k+1))
-		if math.Abs(ke[k]-want) > 1e-9 {
-			t.Fatalf("KE(%d) = %g, want %g", k, ke[k], want)
-		}
 	}
 }

@@ -79,9 +79,9 @@ type ParallelOpts struct {
 	Fault fault.Config
 
 	// Workers chooses when the ranks' compute phases run on the host:
-	// negative inline at submission, 0 (GOMAXPROCS) or n under a pool
-	// of that nominal size, at completion.  Every value produces the
-	// identical virtual schedule (see cluster.Config).
+	// negative inline at submission, anything else under a pool, at
+	// completion.  Every value produces the identical virtual schedule
+	// (see cluster.Config).
 	Workers int
 
 	// CheckpointEvery saves a coordinated checkpoint every so many

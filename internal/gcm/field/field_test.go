@@ -186,3 +186,12 @@ func TestFill(t *testing.T) {
 		t.Fatal("Fill missed halo")
 	}
 }
+
+func TestSideNames(t *testing.T) {
+	want := map[Side]string{West: "west", East: "east", South: "south", North: "north"}
+	for s, name := range want {
+		if s.String() != name || s.Opposite().Opposite() != s {
+			t.Errorf("side %d: %q, opposite of opposite %v", int(s), s.String(), s.Opposite().Opposite())
+		}
+	}
+}

@@ -324,3 +324,15 @@ func TestTimedRunChargesVirtualTime(t *testing.T) {
 		t.Fatal("no virtual time charged")
 	}
 }
+
+func TestIsomorphNames(t *testing.T) {
+	d := tile.Decomp{NXg: 128, NYg: 64, Px: 1, Py: 1, PeriodicX: true}
+	for _, c := range []struct {
+		cfg  Config
+		want string
+	}{{CoarseOceanConfig(d), "ocean"}, {CoarseAtmosphereConfig(d), "atmosphere"}} {
+		if got := c.cfg.Iso.String(); got != c.want {
+			t.Errorf("%s: isomorph %q, want %q", c.cfg.Name, got, c.want)
+		}
+	}
+}

@@ -2,11 +2,14 @@ package gcm
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"hyades/internal/comm"
+	"hyades/internal/fault"
 	"hyades/internal/gcm/tile"
 	"hyades/internal/node"
 	"hyades/internal/plates"
@@ -153,5 +156,19 @@ func TestRestoreIsAllOrNothing(t *testing.T) {
 				t.Fatalf("ocean=%v: %s: failed restore changed the worker's state", cp.IsOcean, name)
 			}
 		}
+	}
+}
+
+// TestLinkFailureUnderRecovery: with checkpoints on, the recovery
+// controller is attached although no node crashes, and it hands a
+// stall that points at no crash back to the caller: a permanently
+// severed link still ends the run in an error that wraps
+// comm.ErrPeerUnreachable, not in a rollback.
+func TestLinkFailureUnderRecovery(t *testing.T) {
+	d := tile.Decomp{NXg: 16, NYg: 16, Px: 2, Py: 1}
+	plan := fault.Config{Outages: []fault.Outage{{Link: "inject(1)", From: 0}}}
+	_, err := RunParallelOpts(2, 1, GyreConfig(16, 16, 3, d), 0, 4, ParallelOpts{Fault: plan, CheckpointEvery: 2})
+	if !errors.Is(err, comm.ErrPeerUnreachable) {
+		t.Fatalf("severed link under recovery: %v, want an error wrapping ErrPeerUnreachable", err)
 	}
 }

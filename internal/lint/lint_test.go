@@ -1,6 +1,8 @@
 package lint_test
 
 import (
+	"cmp"
+	"path/filepath"
 	"slices"
 	"strings"
 	"testing"
@@ -35,6 +37,26 @@ func TestDimcheck(t *testing.T) {
 
 func TestRedorder(t *testing.T) {
 	analysistest.Run(t, "testdata", lint.Redorder, "redorder")
+}
+
+// TestCheckSortsFindings: Check returns every finding of the analyzers
+// that apply to a package, in position order.
+func TestCheckSortsFindings(t *testing.T) {
+	pkg, err := analysistest.Loader(t).LoadDir(filepath.Join("testdata", "src", "unitlit"), "unitlit")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := lint.Check(pkg)
+	want := 0
+	for _, a := range lint.AnalyzersFor(pkg.Path) {
+		want += len(lint.Run(a, pkg))
+	}
+	if len(got) < 2 || len(got) != want {
+		t.Fatalf("Check found %d, its analyzers %d; want the same count, at least 2", len(got), want)
+	}
+	if !slices.IsSortedFunc(got, func(x, y lint.Diagnostic) int { return cmp.Compare(x.Pos, y.Pos) }) {
+		t.Errorf("findings out of position order: %v", got)
+	}
 }
 
 // TestAnalyzersForScope pins the scope table: determinism rules guard

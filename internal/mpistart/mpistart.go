@@ -128,33 +128,6 @@ func (c *Comm) pull() (src, tag int, data []byte) {
 	}
 }
 
-// Sendrecv performs the symmetric exchange the portable halo code uses.
-func (c *Comm) Sendrecv(peer, tag int, send []byte) []byte {
-	if c.Rank() < peer {
-		c.Send(peer, tag, send)
-		return c.Recv(peer, tag)
-	}
-	data := c.Recv(peer, tag)
-	c.Send(peer, tag, send)
-	return data
-}
-
-// Bcast distributes root's buffer to every rank over the broadcast half
-// of a binomial tree rotated to root, and returns each rank's copy.
-func (c *Comm) Bcast(root, tag int, data []byte) []byte {
-	me := (c.Rank() - root + c.size) % c.size
-	for s := range (comm.BinomialTree{Me: me, N: c.size}).Steps {
-		peer := (s.Peer + root) % c.size
-		switch s.Kind {
-		case comm.RecvResult:
-			data = c.Recv(peer, tag)
-		case comm.SendDown:
-			c.Send(peer, tag, data)
-		}
-	}
-	return data
-}
-
 // Allreduce sums one float64 across all ranks with the portable
 // reduce-then-broadcast algorithm (2 log2 N sequential message
 // latencies on the critical path, against the custom butterfly's
@@ -178,23 +151,6 @@ func (c *Comm) Allreduce(x float64, tag int) float64 {
 
 // Barrier blocks until every rank arrives.
 func (c *Comm) Barrier(tag int) { c.Allreduce(0, tag) }
-
-// Gather collects every rank's buffer at root, in rank order; other
-// ranks return nil.
-func (c *Comm) Gather(root, tag int, data []byte) [][]byte {
-	if c.Rank() != root {
-		c.Send(root, tag, data)
-		return nil
-	}
-	out := make([][]byte, c.size)
-	out[root] = data
-	for r := 0; r < c.size; r++ {
-		if r != root {
-			out[r] = c.Recv(r, tag)
-		}
-	}
-	return out
-}
 
 func encodeFloat(v float64) []byte {
 	var b [8]byte

@@ -81,47 +81,6 @@ func TestAllreduceValueAllSizes(t *testing.T) {
 	}
 }
 
-func TestBcast(t *testing.T) {
-	for _, root := range []int{0, 2} {
-		root := root
-		run(t, 5, func(c *Comm) {
-			var in []byte
-			if c.Rank() == root {
-				in = []byte{9, 8, 7}
-			}
-			got := c.Bcast(root, 20, in)
-			if len(got) != 3 || got[0] != 9 || got[2] != 7 {
-				t.Errorf("root %d rank %d: bcast = %v", root, c.Rank(), got)
-			}
-		})
-	}
-}
-
-func TestGather(t *testing.T) {
-	run(t, 4, func(c *Comm) {
-		out := c.Gather(0, 30, []byte{byte(c.Rank() * 11)})
-		if c.Rank() == 0 {
-			for r := 0; r < 4; r++ {
-				if out[r][0] != byte(r*11) {
-					t.Errorf("gather[%d] = %v", r, out[r])
-				}
-			}
-		} else if out != nil {
-			t.Error("non-root got gather output")
-		}
-	})
-}
-
-func TestSendrecvSymmetric(t *testing.T) {
-	run(t, 4, func(c *Comm) {
-		peer := c.Rank() ^ 1
-		got := c.Sendrecv(peer, 40, []byte{byte(c.Rank())})
-		if got[0] != byte(peer) {
-			t.Errorf("rank %d sendrecv = %v", c.Rank(), got)
-		}
-	})
-}
-
 func TestRejectsMixMode(t *testing.T) {
 	cl, err := cluster.New(cluster.DefaultConfig(2, 2))
 	if err != nil {

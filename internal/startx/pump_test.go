@@ -20,7 +20,7 @@ func TestTransmitPumpAcrossIdleGaps(t *testing.T) {
 	var log string
 	eng.Spawn("rx", func(p *des.Proc) {
 		for {
-			x, ok := nius[1].VIRecvDeadline(p, 100*units.Microsecond)
+			x, ok := nius[1].rxVI.RecvDeadline(p, 100*units.Microsecond)
 			if !ok {
 				return
 			}

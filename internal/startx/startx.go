@@ -468,16 +468,10 @@ func (n *NIU) VIRecv(p *des.Proc) Transfer {
 	return n.rxVI.Recv(p)
 }
 
-// VIRecvDeadline is VIRecv with a virtual-time bound; ok is false if
-// the deadline elapsed with no completed transfer.
-func (n *NIU) VIRecvDeadline(p *des.Proc, d units.Time) (Transfer, bool) {
-	return n.rxVI.RecvDeadline(p, d)
-}
-
 // VIRecvStep is the step form of VIRecv (des.Mailbox.RecvStep).
 func (n *NIU) VIRecvStep(p *des.Proc) (Transfer, bool) { return n.rxVI.RecvStep(p) }
 
-// VIRecvDeadlineStep is the step form of VIRecvDeadline, against an
+// VIRecvDeadlineStep is the step form of a VIRecv bounded by an
 // absolute deadline (des.Mailbox.RecvDeadlineStep).
 func (n *NIU) VIRecvDeadlineStep(p *des.Proc, deadline units.Time) (Transfer, bool, bool) {
 	return n.rxVI.RecvDeadlineStep(p, deadline)

@@ -71,9 +71,6 @@ func (t Time) Abs() Time {
 // Micros converts a floating-point microsecond count to a Time.
 func Micros(us float64) Time { return Time(math.Round(us * float64(Microsecond))) }
 
-// Nanos converts a floating-point nanosecond count to a Time.
-func Nanos(ns float64) Time { return Time(math.Round(ns * float64(Nanosecond))) }
-
 // Seconds converts a floating-point second count to a Time.
 func Seconds(s float64) Time { return Time(math.Round(s * float64(Second))) }
 

@@ -22,9 +22,6 @@ func TestTimeConversions(t *testing.T) {
 	if got := Seconds(0.5); got != 500*Millisecond {
 		t.Fatalf("Seconds(0.5) = %v", got)
 	}
-	if Nanos(0.5) != Time(500) {
-		t.Fatalf("Nanos(0.5) = %v", Nanos(0.5))
-	}
 }
 
 func TestTimeString(t *testing.T) {
