@@ -220,9 +220,30 @@ go test -race -short ./...
 echo "== zero-coverage ratchet (DESIGN.md, \"Line budget\")"
 # A function of internal/ that no test reaches under -short is dead code
 # or an untested path.  Their count may not grow past DESIGN.md's
-# "Zero-coverage functions: N" line, which only goes down.
+# "Zero-coverage functions: N" line, which only goes down.  A function
+# without a statement (an empty body) reads 0.0 % whoever calls it, so
+# only functions with a statement in some block of the profile count:
+# a function's blocks start between its own line and the next
+# function's line in the same file.
 go test -short -coverpkg=./internal/... -coverprofile="$tmp_root/cover.out" ./... > /dev/null
-zero_funcs=$(go tool cover -func "$tmp_root/cover.out" | awk '$NF == "0.0%"')
+go tool cover -func "$tmp_root/cover.out" > "$tmp_root/cover.func"
+zero_funcs=$(awk '
+    FILENAME == ARGV[1] {
+        if ($1 == "total:") next
+        split($1, at, ":")
+        key = at[1] ":" at[2]
+        if (at[1] == file) next_line[prev] = at[2]
+        file = at[1]; prev = key
+        if ($NF == "0.0%") { zero[key] = $0; zfile[key] = at[1]; zline[key] = at[2] }
+        next
+    }
+    FNR > 1 && $2 > 0 {
+        split($1, at, ":"); split(at[2], pos, ".")
+        for (k in zero)
+            if (zfile[k] == at[1] && pos[1] + 0 >= zline[k] + 0 && (!(k in next_line) || pos[1] + 0 < next_line[k] + 0))
+                counted[k] = 1
+    }
+    END { for (k in counted) print zero[k] }' "$tmp_root/cover.func" "$tmp_root/cover.out" | sort)
 zero_now=$(grep -c . <<< "$zero_funcs" || true)
 zero_max=$(sed -n 's/^Zero-coverage functions: \([0-9][0-9]*\)$/\1/p' DESIGN.md)
 if [ -z "$zero_max" ]; then
@@ -233,6 +254,45 @@ echo "zero-coverage functions: $zero_now (ceiling $zero_max)"
 if [ "$zero_now" -gt "$zero_max" ]; then
     echo "zero-coverage ratchet: $zero_now functions no test reaches, ceiling $zero_max:" >&2
     echo "$zero_funcs" >&2
+    exit 1
+fi
+
+echo "== range-check ratchet (DESIGN.md, \"Line budget\")"
+# The compute phases on the serial ocean's path cut every row to its
+# loop's length so the compiler proves each index of a cell loop
+# (DESIGN.md, "Kernel memory layout").  A cell loop is a for loop over a
+# row's cells (index i, n, t or u) inside one of the functions below;
+# the compiler's IsInBounds reports on its lines may not outnumber
+# DESIGN.md's "Range checks in cell loops: N" line, which only goes
+# down.  The compiler's report replays from the build cache.
+bce_funcs='Apply|initResidual|axpy|updateP|precondition|BuildRHS|CorrectVelocities|sweepForward|sweepBackward|ComputeGTracers|StepTracers|Hydrostatic|ComputeGMomentum|StepMomentum|Continuity|ConvectiveAdjust'
+bce_out=$(go build -gcflags=-d=ssa/check_bce/debug=1 ./internal/gcm/solver ./internal/gcm/kernel 2>&1)
+cell_lines=$(awk -v funcs="^($bce_funcs)\$" '
+    /^func / {
+        name = $0
+        sub(/^func (\([^)]*\) )?/, "", name)
+        sub(/[[(].*/, "", name)
+        infn = name ~ funcs; depth = 0; loop = 0
+    }
+    infn {
+        if (!loop && $0 ~ /^[ \t]*for (i|n|t|u)( :=|,)/) { loop = 1; base = depth }
+        if (loop) print FILENAME ":" FNR
+        depth += gsub(/{/, "{") - gsub(/}/, "}")
+        if (loop && depth <= base) loop = 0
+    }
+    /^}/ { infn = 0 }' $(ls internal/gcm/solver/*.go internal/gcm/kernel/*.go | grep -v '_test\.go$'))
+ranged=$(grep 'Found IsInBounds' <<< "$bce_out" |
+    awk -F: 'NR == FNR { cell[$0] = 1; next } ($1 ":" $2) in cell' <(echo "$cell_lines") - || true)
+ranged_now=$(grep -c . <<< "$ranged" || true)
+ranged_max=$(sed -n 's/^Range checks in cell loops: \([0-9][0-9]*\)$/\1/p' DESIGN.md)
+if [ -z "$ranged_max" ] || [ -z "$cell_lines" ]; then
+    echo "range-check ratchet: DESIGN.md records no \"Range checks in cell loops: N\" line, or no cell loop was found" >&2
+    exit 1
+fi
+echo "range checks in cell loops: $ranged_now (ceiling $ranged_max)"
+if [ "$ranged_now" -gt "$ranged_max" ]; then
+    echo "range-check ratchet: $ranged_now range checks in cell loops, ceiling $ranged_max:" >&2
+    echo "$ranged" >&2
     exit 1
 fi
 
@@ -452,7 +512,7 @@ bench_out="${HYADES_BENCH_JSON:-$tmp_root/bench.json}"
         -benchmem -benchtime 2000x ./internal/gcm/solver ./internal/gcm/reduce
     # The PS sweeps (ns/cell, ns/col) on the serial ocean and on a
     # 16-rank atmosphere tile, each spun up by its own model.
-    go test -run '^$' -bench '^Benchmark(ComputeGTracers|ComputeGMomentum|Hydrostatic|Continuity|ConvectiveAdjust)$' \
+    go test -run '^$' -bench '^Benchmark(ComputeGTracers|ComputeGMomentum|Hydrostatic|Continuity|ConvectiveAdjust|StepTracers|StepMomentum)$' \
         -benchmem -benchtime 200x ./internal/gcm/kernel
     printf 'BenchmarkHyadeslintFullTree 1 %d lint_wall_ms\n' "$lint_ms"
 } | go run ./cmd/benchjson "gate run: 100x hot path, 200000x scheduler, 10x coupled step, 1x heavies, 2000x solver kernels, 200x PS kernels" > "$bench_out"

@@ -48,7 +48,8 @@ type Stats struct {
 // packets on every hop of every journey; a ring recycles one buffer in
 // steady state where the old append + [1:] idiom leaked front capacity
 // and re-grew the slice every few packets — the fabric's dominant
-// allocation site before the zero-alloc hunt.
+// allocation site before the zero-alloc hunt.  Capacities are powers
+// of two (4, then doubling), so a position wraps by mask, not %.
 type transitQueue struct {
 	buf     []*transit
 	head, n int
@@ -58,18 +59,18 @@ func (q *transitQueue) push(t *transit) {
 	if q.n == len(q.buf) {
 		grown := make([]*transit, max(4, 2*len(q.buf)))
 		for i := 0; i < q.n; i++ {
-			grown[i] = q.buf[(q.head+i)%len(q.buf)]
+			grown[i] = q.buf[(q.head+i)&(len(q.buf)-1)]
 		}
 		q.buf, q.head = grown, 0
 	}
-	q.buf[(q.head+q.n)%len(q.buf)] = t
+	q.buf[(q.head+q.n)&(len(q.buf)-1)] = t
 	q.n++
 }
 
 func (q *transitQueue) pop() *transit {
 	t := q.buf[q.head]
 	q.buf[q.head] = nil
-	q.head = (q.head + 1) % len(q.buf)
+	q.head = (q.head + 1) & (len(q.buf) - 1)
 	q.n--
 	return t
 }

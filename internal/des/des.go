@@ -1038,16 +1038,17 @@ func NewMailbox[T any](e *Engine, name string) *Mailbox[T] {
 	return &Mailbox[T]{eng: e, name: name}
 }
 
-// enqueue appends v to the ring, growing it when full.
+// enqueue appends v to the ring, growing it when full.  Capacities are
+// powers of two (4, then doubling), so a position wraps by mask, not %.
 func (m *Mailbox[T]) enqueue(v T) {
 	if m.n == len(m.buf) {
 		grown := make([]T, max(4, 2*len(m.buf)))
 		for i := 0; i < m.n; i++ {
-			grown[i] = m.buf[(m.head+i)%len(m.buf)]
+			grown[i] = m.buf[(m.head+i)&(len(m.buf)-1)]
 		}
 		m.buf, m.head = grown, 0
 	}
-	m.buf[(m.head+m.n)%len(m.buf)] = v
+	m.buf[(m.head+m.n)&(len(m.buf)-1)] = v
 	m.n++
 }
 
@@ -1057,7 +1058,7 @@ func (m *Mailbox[T]) dequeue() T {
 	var zero T
 	v := m.buf[m.head]
 	m.buf[m.head] = zero
-	m.head = (m.head + 1) % len(m.buf)
+	m.head = (m.head + 1) & (len(m.buf) - 1)
 	m.n--
 	return v
 }

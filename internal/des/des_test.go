@@ -254,6 +254,40 @@ func TestMailboxTryRecv(t *testing.T) {
 	}
 }
 
+// TestMailboxRingWrapsAcrossGrowth fills the ring past its capacity
+// while its head is not at slot 0, so the growth copies a wrapped ring,
+// and checks FIFO order across the growth and the later wraps.
+func TestMailboxRingWrapsAcrossGrowth(t *testing.T) {
+	mb := NewMailbox[int](NewEngine(), "mb")
+	next, want := 0, 0
+	recv := func() {
+		if v, ok := mb.TryRecv(); !ok || v != want {
+			t.Fatalf("TryRecv = %d,%v, want %d", v, ok, want)
+		}
+		want++
+	}
+	for round := 0; round < 3; round++ {
+		mb.Send(next)
+		next++
+		mb.Send(next)
+		next++
+		recv() // head leaves slot 0
+		for mb.Len() < 9 {
+			mb.Send(next)
+			next++
+		}
+		for mb.Len() > 1 {
+			recv()
+		}
+	}
+	for mb.Len() > 0 {
+		recv()
+	}
+	if want != next {
+		t.Fatalf("received %d items, sent %d", want, next)
+	}
+}
+
 func TestSemaphoreMutualExclusion(t *testing.T) {
 	e := NewEngine()
 	sem := NewSemaphore(e, "sem", 1)

@@ -74,15 +74,9 @@ func (f *F2) CopyFrom(src *F2) {
 // Raw exposes the backing slice for kernel sweeps.
 func (f *F2) Raw() []float64 { return f.data }
 
-// Stride returns the row length of the backing slice.
-func (f *F2) Stride() int { return f.stride }
-
-// Idx exposes the flat offset computation for kernel sweeps.
-func (f *F2) Idx(i, j int) int { return f.idx(i, j) }
-
 // Row returns the full backing row of j (halo included): element
 // [i+H] is cell i for i in [-H, NX+H).  The slice has exactly
-// Stride() elements so bounds checks hoist out of i-loops.
+// NX+2H elements so bounds checks hoist out of i-loops.
 func (f *F2) Row(j int) []float64 {
 	off := (j + f.H) * f.stride
 	return f.data[off : off+f.stride : off+f.stride]

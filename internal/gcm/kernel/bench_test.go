@@ -51,6 +51,11 @@ func benchSweep(b *testing.B, sweep func(*grid.Local, *kernel.State, *kernel.Par
 func BenchmarkComputeGTracers(b *testing.B)  { benchSweep(b, kernel.ComputeGTracers) }
 func BenchmarkComputeGMomentum(b *testing.B) { benchSweep(b, kernel.ComputeGMomentum) }
 func BenchmarkHydrostatic(b *testing.B)      { benchSweep(b, kernel.Hydrostatic) }
+
+// The two Adams-Bashforth steps advance the state they time, by the same
+// tendencies every iteration; the masks, and so the branches, do not move.
+func BenchmarkStepTracers(b *testing.B)  { benchSweep(b, kernel.StepTracers) }
+func BenchmarkStepMomentum(b *testing.B) { benchSweep(b, kernel.StepMomentum) }
 func BenchmarkContinuity(b *testing.B) {
 	benchSweep(b, func(g *grid.Local, s *kernel.State, _ *kernel.Params, c *kernel.Counters) {
 		kernel.Continuity(g, s, c)

@@ -51,7 +51,7 @@ type State struct {
 	// Scratch of the sweeps, sized once in NewState.  Not state: never
 	// checkpointed, and a sweep reads only what it wrote in the same
 	// call.
-	accRow []float64    // per-column accumulators of one row (Hydrostatic, Continuity)
+	accRow []float64    // per-column accumulators of one row (Hydrostatic, Continuity), ConvectiveAdjust's column marks
 	buoy   []float64    // NZ rows of buoyancy (Hydrostatic uses the first, ConvectiveAdjust all)
 	fluxN  [2][]float64 // ComputeGTracers: north-face fluxes of theta and salt, row swept last
 	fluxB  [2]*field.F2 // ComputeGTracers: their bottom-face fluxes, level swept last
@@ -380,18 +380,19 @@ func StepTracers(g *grid.Local, s *State, p *Params, c *Counters) {
 	aNow, aPrev := s.abCoeffs()
 	now, prev := s.cur, 1-s.cur
 	dt := p.Dt
+	// Every row is cut to the margin: element n is cell n-m.
+	first, w := h-m, g.NX+2*m
 	for k := 0; k < g.NZ; k++ {
 		for j := -m; j < g.NY+m; j++ {
-			hcr := g.HFacC.Row(j, k)
-			thr := s.Theta.Row(j, k)
-			sar := s.Salt.Row(j, k)
-			gthN := s.gth[now].Row(j, k)
-			gthP := s.gth[prev].Row(j, k)
-			gsN := s.gs[now].Row(j, k)
-			gsP := s.gs[prev].Row(j, k)
-			for i := -m; i < g.NX+m; i++ {
-				n := i + h
-				if hcr[n] == 0 {
+			hcr := g.HFacC.Row(j, k)[first:][:w]
+			thr := s.Theta.Row(j, k)[first:][:w]
+			sar := s.Salt.Row(j, k)[first:][:w]
+			gthN := s.gth[now].Row(j, k)[first:][:w]
+			gthP := s.gth[prev].Row(j, k)[first:][:w]
+			gsN := s.gs[now].Row(j, k)[first:][:w]
+			gsP := s.gs[prev].Row(j, k)[first:][:w]
+			for n, hc := range hcr {
+				if hc == 0 {
 					continue
 				}
 				thr[n] += dt * (aNow*gthN[n] + aPrev*gthP[n])
@@ -408,9 +409,9 @@ func StepTracers(g *grid.Local, s *State, p *Params, c *Counters) {
 func Hydrostatic(g *grid.Local, s *State, p *Params, c *Counters) {
 	const h = Halo
 	m := Halo - 1
-	first, end := h-m, g.NX+m+h // the swept columns, as row indices
-	acc := s.accRow
-	b := s.buoy[:len(acc)]
+	first, w := h-m, g.NX+2*m // the swept columns: the first as a row index, and their count
+	acc := s.accRow[first:][:w]
+	b := s.buoy[first:][:w]
 	for j := -m; j < g.NY+m; j++ {
 		clear(acc)
 		// The downward integral runs k-outer over per-column
@@ -419,11 +420,10 @@ func Hydrostatic(g *grid.Local, s *State, p *Params, c *Counters) {
 		// column-inner loop.
 		for k := 0; k < g.NZ; k++ {
 			halfDz := 0.5 * g.DZ[k]
-			hcr := g.HFacC.Row(j, k)
-			phr := s.Phy.Row(j, k)
-			p.EOS.BuoyancyRow(b[first:end], s.Theta.Row(j, k)[first:end], s.Salt.Row(j, k)[first:end], k)
-			for n := first; n < end; n++ {
-				a := acc[n]
+			hcr := g.HFacC.Row(j, k)[first:][:w]
+			phr := s.Phy.Row(j, k)[first:][:w]
+			p.EOS.BuoyancyRow(b, s.Theta.Row(j, k)[first:][:w], s.Salt.Row(j, k)[first:][:w], k)
+			for n, a := range acc {
 				if hcr[n] == 0 {
 					phr[n] = a
 					continue
@@ -601,24 +601,26 @@ func StepMomentum(g *grid.Local, s *State, p *Params, c *Counters) {
 	aNow, aPrev := s.abCoeffs()
 	now, prev := s.cur, 1-s.cur
 	dt := p.Dt
+	// Every row is cut to the faces -m..NX+m (element n is face n-m),
+	// and phrW is phr's west view (phrW[n] is phr[n-1]).
+	first, w := h-m, g.NX+2*m+1
 	for k := 0; k < g.NZ; k++ {
 		for j := -m; j < g.NY+m; j++ {
 			dx, dy := g.DXC(j), g.DYC(j)
-			hw := g.HFacW.Row(j, k)
-			hs := g.HFacS.Row(j, k)
-			ur := s.U.Row(j, k)
-			vr := s.V.Row(j, k)
-			guN := s.gu[now].Row(j, k)
-			guP := s.gu[prev].Row(j, k)
-			gvN := s.gv[now].Row(j, k)
-			gvP := s.gv[prev].Row(j, k)
-			phr := s.Phy.Row(j, k)
-			phrS := s.Phy.Row(j-1, k)
-			for i := -m; i < g.NX+m+1; i++ {
-				n := i + h
-				if hw[n] > 0 {
+			hw := g.HFacW.Row(j, k)[first:][:w]
+			hs := g.HFacS.Row(j, k)[first:][:w]
+			ur := s.U.Row(j, k)[first:][:w]
+			vr := s.V.Row(j, k)[first:][:w]
+			guN := s.gu[now].Row(j, k)[first:][:w]
+			guP := s.gu[prev].Row(j, k)[first:][:w]
+			gvN := s.gv[now].Row(j, k)[first:][:w]
+			gvP := s.gv[prev].Row(j, k)[first:][:w]
+			phr, phrW := s.Phy.Row(j, k)[first:][:w], s.Phy.Row(j, k)[first-1:][:w]
+			phrS := s.Phy.Row(j-1, k)[first:][:w]
+			for n, hwn := range hw {
+				if hwn > 0 {
 					gStar := aNow*guN[n] + aPrev*guP[n]
-					dpdx := (phr[n] - phr[n-1]) / dx
+					dpdx := (phr[n] - phrW[n]) / dx
 					ur[n] += dt * (gStar - dpdx)
 				} else {
 					ur[n] = 0
@@ -689,60 +691,91 @@ func Continuity(g *grid.Local, s *State, c *Counters) {
 // for the levels a mix rewrites.  ops still counts two evaluations for
 // every pair of levels compared: it is the modelled kernel's work and
 // feeds virtual time (see the *Ops helpers).
+// A row is scanned a level pair at a time over rows cut to the swept
+// columns: every pair of wet levels is compared and counted there, and a
+// column with an unstable pair is marked for mixColumn, which sweeps it
+// again from the surface.  An unmarked column would only be compared.
 func ConvectiveAdjust(g *grid.Local, s *State, p *Params, c *Counters) {
 	const h = Halo
 	m := Halo - 1
 	nz, stride := g.NZ, s.Theta.Stride()
-	first, end := h-m, g.NX+m+h // the swept columns, as row indices
-	th, sa, hf, b := s.Theta.Raw(), s.Salt.Raw(), g.HFacC.Raw(), s.buoy
-	plane := len(th) / nz
+	first, w := h-m, g.NX+2*m // the swept columns: the first as a row index, and their count
+	marked := s.accRow[:w]    // non-zero: the column has an unstable pair
 	pairOps := int64(2*p.EOS.FlopsPerCell()) + 1
 	var ops int64
 	for j := -m; j < g.NY+m; j++ {
 		for k := 0; k < nz; k++ {
-			p.EOS.BuoyancyRow(b[k*stride+first:k*stride+end],
-				s.Theta.Row(j, k)[first:end], s.Salt.Row(j, k)[first:end], k)
+			p.EOS.BuoyancyRow(s.buoy[k*stride+first:][:w],
+				s.Theta.Row(j, k)[first:][:w], s.Salt.Row(j, k)[first:][:w], k)
 		}
-		row := s.Theta.Idx(-h, j, 0)
-		for n := first; n < end; n++ {
-			c0 := row + n // the column's surface cell; level k is k planes on
-			for k := 0; k < nz-1; k++ {
-				if hf[c0+k*plane] == 0 || hf[c0+(k+1)*plane] == 0 {
+		clear(marked)
+		for k := 0; k < nz-1; k++ {
+			hc, hcDn := g.HFacC.Row(j, k)[first:][:w], g.HFacC.Row(j, k+1)[first:][:w]
+			b, bDn := s.buoy[k*stride+first:][:w], s.buoy[(k+1)*stride+first:][:w]
+			for n, hcn := range hc {
+				if hcn == 0 || hcDn[n] == 0 {
 					continue
 				}
 				ops += pairOps
-				if unstable := b[(k+1)*stride+n] > b[k*stride+n]; !unstable {
-					continue
+				if unstable := bDn[n] > b[n]; unstable {
+					marked[n] = 1
 				}
-				// Homogenise the pair, volume weighted, then grow the
-				// mixed region upward until the column above it is
-				// stable (or land).  The whole region becomes exactly
-				// uniform, so a mixed block is internally stable and
-				// the scheme terminates; the sweep continues below it.
-				for lo, hi := k, k+1; ; lo-- {
-					var wSum, tSum, sSum float64
-					for l := lo; l <= hi; l++ {
-						w := g.DZ[l] * hf[c0+l*plane]
-						wSum += w
-						tSum += w * th[c0+l*plane]
-						sSum += w * sa[c0+l*plane]
-					}
-					tm, sm := tSum/wSum, sSum/wSum
-					for l := lo; l <= hi; l++ {
-						th[c0+l*plane], sa[c0+l*plane] = tm, sm
-						b[l*stride+n] = p.EOS.Buoyancy(tm, sm, l)
-					}
-					ops += int64(hi-lo+1) * 8
-					if lo == 0 || hf[c0+(lo-1)*plane] == 0 {
-						break
-					}
-					ops += pairOps
-					if unstable := b[lo*stride+n] > b[(lo-1)*stride+n]; !unstable {
-						break
-					}
-				}
+			}
+		}
+		for n, mk := range marked {
+			if mk != 0 {
+				ops += mixColumn(g, s, p, j, first+n)
 			}
 		}
 	}
 	c.AddPS(ops)
+}
+
+// mixColumn sweeps column n of row j (n a row index) from the surface
+// down, mixing every unstable pair of wet levels, and returns the flops
+// the scan in ConvectiveAdjust has not counted: the mixes and the
+// comparisons above a mixed region.
+func mixColumn(g *grid.Local, s *State, p *Params, j, n int) int64 {
+	nz, stride := g.NZ, s.Theta.Stride()
+	th, sa, hf, b := s.Theta.Raw(), s.Salt.Raw(), g.HFacC.Raw(), s.buoy
+	plane := len(th) / nz
+	pairOps := int64(2*p.EOS.FlopsPerCell()) + 1
+	c0 := s.Theta.Idx(-Halo, j, 0) + n // the column's surface cell; level k is k planes on
+	var ops int64
+	for k := 0; k < nz-1; k++ {
+		if hf[c0+k*plane] == 0 || hf[c0+(k+1)*plane] == 0 {
+			continue
+		}
+		if unstable := b[(k+1)*stride+n] > b[k*stride+n]; !unstable {
+			continue
+		}
+		// Homogenise the pair, volume weighted, then grow the mixed
+		// region upward until the column above it is stable (or land).
+		// The whole region becomes exactly uniform, so a mixed block is
+		// internally stable and the scheme terminates; the sweep
+		// continues below it.
+		for lo, hi := k, k+1; ; lo-- {
+			var wSum, tSum, sSum float64
+			for l := lo; l <= hi; l++ {
+				w := g.DZ[l] * hf[c0+l*plane]
+				wSum += w
+				tSum += w * th[c0+l*plane]
+				sSum += w * sa[c0+l*plane]
+			}
+			tm, sm := tSum/wSum, sSum/wSum
+			for l := lo; l <= hi; l++ {
+				th[c0+l*plane], sa[c0+l*plane] = tm, sm
+				b[l*stride+n] = p.EOS.Buoyancy(tm, sm, l)
+			}
+			ops += int64(hi-lo+1) * 8
+			if lo == 0 || hf[c0+(lo-1)*plane] == 0 {
+				break
+			}
+			ops += pairOps
+			if unstable := b[lo*stride+n] > b[(lo-1)*stride+n]; !unstable {
+				break
+			}
+		}
+	}
+	return ops
 }

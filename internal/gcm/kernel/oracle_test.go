@@ -16,9 +16,79 @@ import (
 // The oracles below are the bodies ComputeGTracers, Hydrostatic,
 // ConvectiveAdjust, ComputeGMomentum and Continuity had before a face
 // flux and a row of buoyancy were computed once and the rows were cut
-// to the sweep (DESIGN.md, "Divider-bound kernels"), moved here
-// verbatim.  TestKernelsMatchOracles holds the kernels to them bit for
-// bit; they are the reference, not a second code path.
+// to the sweep (DESIGN.md, "Divider-bound kernels"), and the bodies
+// StepTracers and StepMomentum had before their rows were cut, moved
+// here verbatim.  TestKernelsMatchOracles holds the kernels to them bit
+// for bit; they are the reference, not a second code path.
+
+func oracleStepTracers(g *grid.Local, s *State, p *Params, c *Counters) {
+	const h = Halo
+	m := Halo - 1
+	aNow, aPrev := s.abCoeffs()
+	now, prev := s.cur, 1-s.cur
+	dt := p.Dt
+	for k := 0; k < g.NZ; k++ {
+		for j := -m; j < g.NY+m; j++ {
+			hcr := g.HFacC.Row(j, k)
+			thr := s.Theta.Row(j, k)
+			sar := s.Salt.Row(j, k)
+			gthN := s.gth[now].Row(j, k)
+			gthP := s.gth[prev].Row(j, k)
+			gsN := s.gs[now].Row(j, k)
+			gsP := s.gs[prev].Row(j, k)
+			for i := -m; i < g.NX+m; i++ {
+				n := i + h
+				if hcr[n] == 0 {
+					continue
+				}
+				thr[n] += dt * (aNow*gthN[n] + aPrev*gthP[n])
+				sar[n] += dt * (aNow*gsN[n] + aPrev*gsP[n])
+			}
+		}
+	}
+	c.AddPS(StepTracersOps(g))
+}
+
+func oracleStepMomentum(g *grid.Local, s *State, p *Params, c *Counters) {
+	const h = Halo
+	m := 1
+	aNow, aPrev := s.abCoeffs()
+	now, prev := s.cur, 1-s.cur
+	dt := p.Dt
+	for k := 0; k < g.NZ; k++ {
+		for j := -m; j < g.NY+m; j++ {
+			dx, dy := g.DXC(j), g.DYC(j)
+			hw := g.HFacW.Row(j, k)
+			hs := g.HFacS.Row(j, k)
+			ur := s.U.Row(j, k)
+			vr := s.V.Row(j, k)
+			guN := s.gu[now].Row(j, k)
+			guP := s.gu[prev].Row(j, k)
+			gvN := s.gv[now].Row(j, k)
+			gvP := s.gv[prev].Row(j, k)
+			phr := s.Phy.Row(j, k)
+			phrS := s.Phy.Row(j-1, k)
+			for i := -m; i < g.NX+m+1; i++ {
+				n := i + h
+				if hw[n] > 0 {
+					gStar := aNow*guN[n] + aPrev*guP[n]
+					dpdx := (phr[n] - phr[n-1]) / dx
+					ur[n] += dt * (gStar - dpdx)
+				} else {
+					ur[n] = 0
+				}
+				if hs[n] > 0 {
+					gStar := aNow*gvN[n] + aPrev*gvP[n]
+					dpdy := (phr[n] - phrS[n]) / dy
+					vr[n] += dt * (gStar - dpdy)
+				} else {
+					vr[n] = 0
+				}
+			}
+		}
+	}
+	c.AddPS(StepMomentumOps(g))
+}
 
 func oracleComputeGTracers(g *grid.Local, s *State, p *Params, c *Counters) {
 	const h = Halo
@@ -586,7 +656,9 @@ func matchOracles(t *testing.T, name string, g *grid.Local, p *Params, s, o *Sta
 		sameBits(t, name+" gth", s.GTh(), o.GTh())
 		sameBits(t, name+" gs", s.GS(), o.GS())
 		StepTracers(g, s, p, &cs)
-		StepTracers(g, o, p, &co)
+		oracleStepTracers(g, o, p, &co)
+		sameBits(t, name+" stepped theta", s.Theta, o.Theta)
+		sameBits(t, name+" stepped salt", s.Salt, o.Salt)
 		ConvectiveAdjust(g, s, p, &cs)
 		oracleConvectiveAdjust(g, o, p, &co)
 		sameBits(t, name+" theta", s.Theta, o.Theta)
@@ -602,7 +674,9 @@ func matchOracles(t *testing.T, name string, g *grid.Local, p *Params, s, o *Sta
 		sameBits(t, name+" gu", s.GU(), o.GU())
 		sameBits(t, name+" gv", s.GV(), o.GV())
 		StepMomentum(g, s, p, &cs)
-		StepMomentum(g, o, p, &co)
+		oracleStepMomentum(g, o, p, &co)
+		sameBits(t, name+" u", s.U, o.U)
+		sameBits(t, name+" v", s.V, o.V)
 		Continuity(g, s, &cs)
 		oracleContinuity(g, o, &co)
 		sameBits(t, name+" w", s.W, o.W)

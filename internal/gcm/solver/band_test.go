@@ -103,16 +103,7 @@ func maskedRig(t testing.TB, nx, ny int, rng *rand.Rand) *Solver {
 // with normal deviates, a few of them exact or negative zeros.
 func randomField(nx, ny, halo int, rng *rand.Rand) *field.F2 {
 	f := field.NewF2(nx, ny, halo)
-	for n := range f.Raw() {
-		switch rng.Intn(12) {
-		case 0:
-			f.Raw()[n] = math.Copysign(0, -1)
-		case 1:
-			f.Raw()[n] = 0
-		default:
-			f.Raw()[n] = rng.NormFloat64()
-		}
-	}
+	randomize(f, rng)
 	return f
 }
 

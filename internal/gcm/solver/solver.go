@@ -115,59 +115,77 @@ func New(g *grid.Local, h *tile.Halo, tol float64, maxIter int) *Solver {
 	return sv
 }
 
-// bindPhases builds the CG loop's Exec closures once.  Each captures
-// only sv; the per-solve operands arrive through the sx/sb/sc/alpha/
-// beta fields.
+// interior returns row j of f cut to n cells from column i0: element i
+// is cell i0+i.  A cell loop indexes rows of its own length only, so the
+// compiler proves every index from the loop bound; a neighbour is a
+// view shifted by one (interior(f, j, -1, n)[i] is cell i's west).
+func interior(f *field.F2, j, i0, n int) []float64 { return f.Row(j)[f.H+i0:][:n] }
+
+// bindPhases binds the CG loop's Exec phases once, as method values
+// capturing only sv; the per-solve operands arrive through the
+// sx/sb/sc/alpha/beta fields.  (Func literals here were cloned into New
+// when New inlined this, and the clones kept their range checks.)
 func (sv *Solver) bindPhases() {
-	sv.fnInit = func() {
-		g, x, b, c := sv.G, sv.sx, sv.sb, sv.sc
-		sv.Apply(x, sv.q, c)
-		hb := b.H
-		for j := 0; j < g.NY; j++ {
-			dr := sv.diag.Row(j)
-			rr := sv.r.Row(j)
-			br := b.Row(j)
-			qr := sv.q.Row(j)
-			for i := 0; i < g.NX; i++ {
-				if dr[i+1] == 0 {
-					rr[i+1] = 0
-					continue
-				}
-				rr[i+1] = br[i+hb] - qr[i+1]
-			}
-		}
-		c.AddDS(int64(g.NX * g.NY))
-		sv.precondition(sv.r, sv.z, c)
-		sv.p.CopyFrom(sv.z)
-	}
+	sv.fnInit = sv.initResidual
 	sv.fnApplyP = func() { sv.pq = sv.Apply(sv.p, sv.q, sv.sc) }
-	sv.fnAxpy = func() {
-		g, x, c, alpha := sv.G, sv.sx, sv.sc, sv.alpha
-		hx := x.H
-		for j := 0; j < g.NY; j++ {
-			xr := x.Row(j)
-			pr := sv.p.Row(j)
-			rr := sv.r.Row(j)
-			qr := sv.q.Row(j)
-			for i := 0; i < g.NX; i++ {
-				xr[i+hx] += alpha * pr[i+1]
-				rr[i+1] += -alpha * qr[i+1]
+	sv.fnAxpy = sv.axpy
+	sv.fnPUpd = sv.updateP
+}
+
+// initResidual sets r = b - A(x) on wet cells, zero on land, then
+// z = M^-1 r and p = z.
+func (sv *Solver) initResidual() {
+	g, x, b, c := sv.G, sv.sx, sv.sb, sv.sc
+	sv.Apply(x, sv.q, c)
+	nx := g.NX
+	for j := 0; j < g.NY; j++ {
+		dr := interior(sv.diag, j, 0, nx)
+		rr := interior(sv.r, j, 0, nx)
+		br := interior(b, j, 0, nx)
+		qr := interior(sv.q, j, 0, nx)
+		for i, d := range dr {
+			if d == 0 {
+				rr[i] = 0
+				continue
 			}
+			rr[i] = br[i] - qr[i]
 		}
-		c.AddDS(int64(g.NX*g.NY) * 4)
-		sv.precondition(sv.r, sv.z, c)
 	}
-	sv.fnPUpd = func() {
-		g, c, beta := sv.G, sv.sc, sv.beta
-		for j := 0; j < g.NY; j++ {
-			pr := sv.p.Row(j)
-			zr := sv.z.Row(j)
-			for i := 0; i < g.NX; i++ {
-				pr[i+1] = zr[i+1] + beta*pr[i+1]
-			}
+	c.AddDS(int64(g.NX * g.NY))
+	sv.precondition(sv.r, sv.z, c)
+	sv.p.CopyFrom(sv.z)
+}
+
+// axpy advances x += alpha p and r -= alpha q, then z = M^-1 r.
+func (sv *Solver) axpy() {
+	g, x, c, alpha := sv.G, sv.sx, sv.sc, sv.alpha
+	nx := g.NX
+	for j := 0; j < g.NY; j++ {
+		xr := interior(x, j, 0, nx)
+		pr := interior(sv.p, j, 0, nx)
+		rr := interior(sv.r, j, 0, nx)
+		qr := interior(sv.q, j, 0, nx)
+		for i := range xr {
+			xr[i] += alpha * pr[i]
+			rr[i] += -alpha * qr[i]
 		}
-		c.AddDS(int64(g.NX*g.NY) * 2)
 	}
+	c.AddDS(int64(g.NX*g.NY) * 4)
+	sv.precondition(sv.r, sv.z, c)
+}
+
+// updateP sets the next search direction p = z + beta p.
+func (sv *Solver) updateP() {
+	g, c, beta := sv.G, sv.sc, sv.beta
+	nx := g.NX
+	for j := 0; j < g.NY; j++ {
+		pr := interior(sv.p, j, 0, nx)
+		zr := interior(sv.z, j, 0, nx)
+		for i := range pr {
+			pr[i] = zr[i] + beta*pr[i]
+		}
+	}
+	c.AddDS(int64(g.NX*g.NY) * 2)
 }
 
 // The *Ops helpers mirror each local routine's exact flop accounting;
@@ -210,41 +228,43 @@ func (sv *Solver) BuildRHS(s *kernel.State, dt float64, c *kernel.Counters) *fie
 	g := sv.G
 	b := sv.rhs
 	b.Fill(0)
-	hu := s.U.H
+	nx, hu := g.NX, s.U.H
+	uw, ue, vs, vn := sv.uw[:nx], sv.ue[:nx], sv.vs[:nx], sv.vn[:nx]
 	for j := 0; j < g.NY; j++ {
 		dy := g.DYC(j)
-		uw, ue, vs, vn := sv.uw, sv.ue, sv.vs, sv.vn
-		for i := 0; i < g.NX; i++ {
-			uw[i], ue[i], vs[i], vn[i] = 0, 0, 0, 0
-		}
+		clear(uw)
+		clear(ue)
+		clear(vs)
+		clear(vn)
 		// Column integrals with the k-loop hoisted outward: each cell
 		// still accumulates its terms in ascending-k order, so the sums
 		// are bit-identical to the per-cell loop.  Dry columns are
-		// overcomputed and discarded below.
+		// overcomputed and discarded below.  The masks share the
+		// velocities' halo.
 		for k := 0; k < g.NZ; k++ {
 			dz := g.DZ[k]
-			ur := s.U.Row(j, k)
-			hw := g.HFacW.Row(j, k)
-			vr := s.V.Row(j, k)
-			vrN := s.V.Row(j+1, k)
-			hs := g.HFacS.Row(j, k)
-			hsN := g.HFacS.Row(j+1, k)
-			for i := 0; i < g.NX; i++ {
-				uw[i] += ur[i+hu] * hw[i+hu] * dz
-				ue[i] += ur[i+1+hu] * hw[i+1+hu] * dz
-				vs[i] += vr[i+hu] * hs[i+hu] * dz
-				vn[i] += vrN[i+hu] * hsN[i+hu] * dz
+			ur, hw := s.U.Row(j, k)[hu:], g.HFacW.Row(j, k)[hu:]
+			uW, uE := ur[:nx], ur[1:][:nx]
+			hW, hE := hw[:nx], hw[1:][:nx]
+			vS := s.V.Row(j, k)[hu:][:nx]
+			vN := s.V.Row(j+1, k)[hu:][:nx]
+			hS := g.HFacS.Row(j, k)[hu:][:nx]
+			hN := g.HFacS.Row(j+1, k)[hu:][:nx]
+			for i := range uw {
+				uw[i] += uW[i] * hW[i] * dz
+				ue[i] += uE[i] * hE[i] * dz
+				vs[i] += vS[i] * hS[i] * dz
+				vn[i] += vN[i] * hN[i] * dz
 			}
 		}
-		br := b.Row(j)
-		dp := sv.G.Depth.Row(j)
-		hd := sv.G.Depth.H
+		br := interior(b, j, 0, nx)
+		dp := interior(g.Depth, j, 0, nx)
 		dxsN, dxs := g.DXS(j+1), g.DXS(j)
-		for i := 0; i < g.NX; i++ {
-			if dp[i+hd] == 0 {
+		for i, d := range dp {
+			if d == 0 {
 				continue
 			}
-			br[i+1] = (dy*(ue[i]-uw[i]) + dxsN*vn[i] - dxs*vs[i]) / dt
+			br[i] = (dy*(ue[i]-uw[i]) + dxsN*vn[i] - dxs*vs[i]) / dt
 		}
 	}
 	c.AddDS(int64(g.NX*g.NY) * int64(12*g.NZ+6))
@@ -258,23 +278,20 @@ func (sv *Solver) BuildRHS(s *kernel.State, dt float64, c *kernel.Counters) *fie
 // stencil's independent work.  The dot's flops are the caller's charge.
 func (sv *Solver) Apply(p, q *field.F2, c *kernel.Counters) float64 {
 	g := sv.G
-	hp, hq := p.H, q.H
+	nx := g.NX
 	pq := 0.0
 	for j := 0; j < g.NY; j++ {
-		tw := sv.tW.Row(j)
-		ts := sv.tS.Row(j)
-		tsN := sv.tS.Row(j + 1)
-		pS := p.Row(j - 1)
-		pr := p.Row(j)
-		pN := p.Row(j + 1)
-		qr := q.Row(j)
-		for i := 0; i < g.NX; i++ {
-			pc := pr[i+hp]
-			v := tw[i+1]*(pr[i-1+hp]-pc) +
-				tw[i+2]*(pr[i+1+hp]-pc) +
-				ts[i+1]*(pS[i+hp]-pc) +
-				tsN[i+1]*(pN[i+hp]-pc)
-			qr[i+hq] = v
+		tW, tE := interior(sv.tW, j, 0, nx), interior(sv.tW, j, 1, nx)
+		tS, tN := interior(sv.tS, j, 0, nx), interior(sv.tS, j+1, 0, nx)
+		pW, pC, pE := interior(p, j, -1, nx), interior(p, j, 0, nx), interior(p, j, 1, nx)
+		pS, pN := interior(p, j-1, 0, nx), interior(p, j+1, 0, nx)
+		qr := interior(q, j, 0, nx)
+		for i, pc := range pC {
+			v := tW[i]*(pW[i]-pc) +
+				tE[i]*(pE[i]-pc) +
+				tS[i]*(pS[i]-pc) +
+				tN[i]*(pN[i]-pc)
+			qr[i] = v
 			pq += pc * v
 		}
 	}
@@ -337,19 +354,17 @@ func (sv *Solver) Solve(x, b *field.F2, c *kernel.Counters) int {
 // precondition applies the selected preconditioner z = M^-1 r.
 func (sv *Solver) precondition(r, z *field.F2, c *kernel.Counters) {
 	g := sv.G
-	hr, hz := r.H, z.H
 	if sv.Pre == PrecondJacobi {
 		for j := 0; j < g.NY; j++ {
-			dr := sv.diag.Row(j)
-			rr := r.Row(j)
-			zr := z.Row(j)
-			for i := 0; i < g.NX; i++ {
-				d := dr[i+1]
+			dr := interior(sv.diag, j, 0, g.NX)
+			rr := interior(r, j, 0, g.NX)
+			zr := interior(z, j, 0, g.NX)
+			for i, d := range dr {
 				if d == 0 {
-					zr[i+hz] = 0
+					zr[i] = 0
 					continue
 				}
-				zr[i+hz] = rr[i+hr] / d
+				zr[i] = rr[i] / d
 			}
 		}
 		c.AddDS(int64(g.NX * g.NY))
@@ -359,8 +374,8 @@ func (sv *Solver) precondition(r, z *field.F2, c *kernel.Counters) {
 	// operator D - L - U, with off-tile couplings dropped:
 	// M = (D-L) D^-1 (D-U).  Forward solve, diagonal scale, backward
 	// solve; z stays zero on land (d == 0).
-	sv.sweep(r, z, false)
-	sv.sweep(r, z, true)
+	sv.sweepForward(r, z)
+	sv.sweepBackward(z)
 	c.AddDS(int64(g.NX*g.NY) * 10)
 }
 
@@ -368,96 +383,131 @@ func (sv *Solver) precondition(r, z *field.F2, c *kernel.Counters) {
 // (DESIGN.md, "Latency-bound kernels"): a measured constant, not a knob.
 const ssorBand = 4
 
-// sweep runs one half of the SSOR preconditioner in sweep coordinates
-// (a, b): the cell itself on the forward half, its mirror image
-// (NX-1-a, NY-1-b) on the backward half, so that either way a cell
-// depends on (a-1, b) and (a, b-1).  Rows advance ssorBand at a time,
-// row b+q one column behind row b+q-1: every cell still finds both
-// neighbours finished and does the arithmetic of the row-by-row sweep
-// in the same order, but ssorBand divide chains are in flight instead
-// of one.  Both neighbours were computed one step earlier, so they are
-// carried in p0..p3 rather than reloaded; only the band's first row
-// reads the band below.
-func (sv *Solver) sweep(r, z *field.F2, back bool) {
-	if r.H != z.H {
-		panic("solver: sweep needs r and z of one shape")
-	}
+// sweepForward runs the forward half of the SSOR preconditioner from the
+// south-west corner: a cell depends on its west and south neighbours.
+// Rows advance ssorBand at a time, row b+q one column behind row b+q-1:
+// every cell still finds both neighbours finished and does the
+// arithmetic of the row-by-row sweep in the same order, but ssorBand
+// divide chains are in flight instead of one.  Both neighbours were
+// computed one step earlier, so they are carried in p0..p3 rather than
+// reloaded; only the band's first row reads the band below.  Every row
+// is cut to the tile's NX cells, so the test that skips a row while its
+// column is off the tile also proves the row's indices.
+func (sv *Solver) sweepForward(r, z *field.F2) {
 	nx, ny := sv.G.NX, sv.G.NY
-	// Sweep cell (a, b) is element origin + sg*(b*stride + a) of the
-	// coefficient fields (k) and of r and z (l).  tw and ts are re-based
-	// on the face the sweep couples through, and slices of one shape
-	// are cut to one length so one bounds check serves them all.
-	dd, tw, ts, rd, zd := sv.diag.Raw(), sv.tW.Raw(), sv.tS.Raw(), r.Raw(), z.Raw()
-	os, zs := sv.diag.Stride(), z.Stride()
-	o0, z0, sg := sv.diag.Idx(0, 0), z.Idx(0, 0), 1
-	if back {
-		o0, z0, sg = sv.diag.Idx(nx-1, ny-1), z.Idx(nx-1, ny-1), -1
-		tw, ts = tw[1:], ts[os:]
-	}
-	dd, tw, ts = dd[:len(dd)-os], tw[:len(dd)-os], ts[:len(dd)-os]
-	rd = rd[:len(zd)]
-	do, dz := sg*(os-1), sg*(zs-1)
 	for b := 0; b < ny; b += ssorBand {
 		n := min(ssorBand, ny-b) // rows in this band
+		// Row q of the band is tile row b+q; a row past the tile is cut
+		// from the last one and never visited.
+		j1, j2, j3 := min(b+1, ny-1), min(b+2, ny-1), min(b+3, ny-1)
+		d0, d1, d2, d3 := interior(sv.diag, b, 0, nx), interior(sv.diag, j1, 0, nx), interior(sv.diag, j2, 0, nx), interior(sv.diag, j3, 0, nx)
+		w0, w1, w2, w3 := interior(sv.tW, b, 0, nx), interior(sv.tW, j1, 0, nx), interior(sv.tW, j2, 0, nx), interior(sv.tW, j3, 0, nx)
+		s0, s1, s2, s3 := interior(sv.tS, b, 0, nx), interior(sv.tS, j1, 0, nx), interior(sv.tS, j2, 0, nx), interior(sv.tS, j3, 0, nx)
+		r0, r1, r2, r3 := interior(r, b, 0, nx), interior(r, j1, 0, nx), interior(r, j2, 0, nx), interior(r, j3, 0, nx)
+		z0, z1, z2, z3 := interior(z, b, 0, nx), interior(z, j1, 0, nx), interior(z, j2, 0, nx), interior(z, j3, 0, nx)
+		zS := interior(z, max(b-1, 0), 0, nx) // the row below the band, read only when there is one
 		var p0, p1, p2, p3 float64
 		for t := 0; t < nx+n-1; t++ {
 			// Row q is at column t-q, if that is on the tile; the last
 			// row goes first so that each p is overwritten only after
 			// the row above has read it.
-			k, l := o0+sg*(b*os+t)+3*do, z0+sg*(b*zs+t)+3*dz
-			if a := t - 3; n > 3 && uint(a) < uint(nx) {
-				p3 = gsCell(back, a > 0, true, dd[k], rd[l], zd[l], tw[k], p3, ts[k], p2)
-				zd[l] = p3
+			if a := t - 3; n > 3 && a >= 0 && a < nx {
+				p3 = gsForward(a > 0, true, d3[a], r3[a], w3[a], p3, s3[a], p2)
+				z3[a] = p3
 			}
-			k, l = k-do, l-dz
-			if a := t - 2; n > 2 && uint(a) < uint(nx) {
-				p2 = gsCell(back, a > 0, true, dd[k], rd[l], zd[l], tw[k], p2, ts[k], p1)
-				zd[l] = p2
+			if a := t - 2; n > 2 && a >= 0 && a < nx {
+				p2 = gsForward(a > 0, true, d2[a], r2[a], w2[a], p2, s2[a], p1)
+				z2[a] = p2
 			}
-			k, l = k-do, l-dz
-			if a := t - 1; n > 1 && uint(a) < uint(nx) {
-				p1 = gsCell(back, a > 0, true, dd[k], rd[l], zd[l], tw[k], p1, ts[k], p0)
-				zd[l] = p1
+			if a := t - 1; n > 1 && a >= 0 && a < nx {
+				p1 = gsForward(a > 0, true, d1[a], r1[a], w1[a], p1, s1[a], p0)
+				z1[a] = p1
 			}
-			k, l = k-do, l-dz
 			if t < nx {
-				zS := 0.0
+				south := 0.0
 				if b > 0 {
-					zS = zd[l-sg*zs]
+					south = zS[t]
 				}
-				p0 = gsCell(back, t > 0, b > 0, dd[k], rd[l], zd[l], tw[k], p0, ts[k], zS)
-				zd[l] = p0
+				p0 = gsForward(t > 0, b > 0, d0[t], r0[t], w0[t], p0, s0[t], south)
+				z0[t] = p0
 			}
 		}
 	}
 }
 
-// gsCell is one Gauss-Seidel cell: z = (r + tW zW + tS zS)/d forward,
-// z += (0 + tE zE + tN zN)/d backward; zero or untouched on land.  The
-// coupling along the row (t1 z1) and across rows (t2 z2) is dropped —
-// not added as zero, which would lose a -0 — where the neighbour is off
-// the tile.
-func gsCell(back, cols, rows bool, d, r, z, t1, z1, t2, z2 float64) float64 {
-	if d == 0 {
-		if back {
-			return z
+// sweepBackward runs the backward half the same way from the north-east
+// corner: band row q is tile row NY-1-b-q, a cell depends on its east
+// and north neighbours, and row q trails row q-1 by one column (it is at
+// column u+q while row 0 is at u).
+func (sv *Solver) sweepBackward(z *field.F2) {
+	nx, ny := sv.G.NX, sv.G.NY
+	for b := 0; b < ny; b += ssorBand {
+		n := min(ssorBand, ny-b)
+		j0 := ny - 1 - b
+		j1, j2, j3 := max(j0-1, 0), max(j0-2, 0), max(j0-3, 0)
+		d0, d1, d2, d3 := interior(sv.diag, j0, 0, nx), interior(sv.diag, j1, 0, nx), interior(sv.diag, j2, 0, nx), interior(sv.diag, j3, 0, nx)
+		e0, e1, e2, e3 := interior(sv.tW, j0, 1, nx), interior(sv.tW, j1, 1, nx), interior(sv.tW, j2, 1, nx), interior(sv.tW, j3, 1, nx)
+		nf0, nf1, nf2, nf3 := interior(sv.tS, j0+1, 0, nx), interior(sv.tS, j1+1, 0, nx), interior(sv.tS, j2+1, 0, nx), interior(sv.tS, j3+1, 0, nx)
+		z0, z1, z2, z3 := interior(z, j0, 0, nx), interior(z, j1, 0, nx), interior(z, j2, 0, nx), interior(z, j3, 0, nx)
+		zN := interior(z, min(j0+1, ny-1), 0, nx) // the row above the band, read only when there is one
+		var p0, p1, p2, p3 float64
+		for u := nx - 1; u > -n; u-- {
+			if i := u + 3; n > 3 && i >= 0 && i < nx {
+				p3 = gsBackward(i < nx-1, true, d3[i], z3[i], e3[i], p3, nf3[i], p2)
+				z3[i] = p3
+			}
+			if i := u + 2; n > 2 && i >= 0 && i < nx {
+				p2 = gsBackward(i < nx-1, true, d2[i], z2[i], e2[i], p2, nf2[i], p1)
+				z2[i] = p2
+			}
+			if i := u + 1; n > 1 && i >= 0 && i < nx {
+				p1 = gsBackward(i < nx-1, true, d1[i], z1[i], e1[i], p1, nf1[i], p0)
+				z1[i] = p1
+			}
+			if u >= 0 {
+				north := 0.0
+				if b > 0 {
+					north = zN[u]
+				}
+				p0 = gsBackward(u < nx-1, b > 0, d0[u], z0[u], e0[u], p0, nf0[u], north)
+				z0[u] = p0
+			}
 		}
+	}
+}
+
+// gsForward is one forward Gauss-Seidel cell, z = (r + tW zW + tS zS)/d,
+// and zero on land.  The coupling along the row (t1 z1) and across rows
+// (t2 z2) is dropped — not added as zero, which would lose a -0 — where
+// the neighbour is off the tile.
+func gsForward(cols, rows bool, d, r, t1, z1, t2, z2 float64) float64 {
+	if d == 0 {
 		return 0
 	}
 	v := r
-	if back {
-		v = 0.0
-	}
 	if cols {
 		v += t1 * z1
 	}
 	if rows {
 		v += t2 * z2
 	}
-	if back {
-		return z + v/d
-	}
 	return v / d
+}
+
+// gsBackward is one backward cell, z += (0 + tE zE + tN zN)/d, with the
+// couplings dropped as in gsForward; land is left untouched.
+func gsBackward(cols, rows bool, d, z, t1, z1, t2, z2 float64) float64 {
+	if d == 0 {
+		return z
+	}
+	v := 0.0
+	if cols {
+		v += t1 * z1
+	}
+	if rows {
+		v += t2 * z2
+	}
+	return z + v/d
 }
 
 // CorrectVelocities subtracts the surface-pressure gradient from the
@@ -465,23 +515,22 @@ func gsCell(back, cols, rows bool, d, r, z, t1, z1, t2, z2 float64) float64 {
 // projection (paper eq. 1's grad ps term).  ps must have a current
 // halo (Solve leaves it so).
 func CorrectVelocities(g *grid.Local, s *kernel.State, dt float64, c *kernel.Counters) {
-	h := s.U.H
-	hp := s.Ps.H
+	h, n := s.U.H, g.NX+1 // faces 0..NX; the masks share the velocities' halo
 	for k := 0; k < g.NZ; k++ {
 		for j := 0; j <= g.NY; j++ {
 			dx, dy := g.DXC(j), g.DYC(j)
-			hw := g.HFacW.Row(j, k)
-			hs := g.HFacS.Row(j, k)
-			ur := s.U.Row(j, k)
-			vr := s.V.Row(j, k)
-			ps := s.Ps.Row(j)
-			psS := s.Ps.Row(j - 1)
-			for i := 0; i <= g.NX; i++ {
-				if hw[i+h] > 0 {
-					ur[i+h] += -dt * (ps[i+hp] - ps[i-1+hp]) / dx
+			hw := g.HFacW.Row(j, k)[h:][:n]
+			hs := g.HFacS.Row(j, k)[h:][:n]
+			ur := s.U.Row(j, k)[h:][:n]
+			vr := s.V.Row(j, k)[h:][:n]
+			ps, psW := interior(s.Ps, j, 0, n), interior(s.Ps, j, -1, n)
+			psS := interior(s.Ps, j-1, 0, n)
+			for i, hwi := range hw {
+				if hwi > 0 {
+					ur[i] += -dt * (ps[i] - psW[i]) / dx
 				}
-				if hs[i+h] > 0 {
-					vr[i+h] += -dt * (ps[i+hp] - psS[i+hp]) / dy
+				if hs[i] > 0 {
+					vr[i] += -dt * (ps[i] - psS[i]) / dy
 				}
 			}
 		}
