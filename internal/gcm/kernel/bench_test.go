@@ -63,7 +63,9 @@ func BenchmarkContinuity(b *testing.B) {
 }
 
 // BenchmarkConvectiveAdjust times the scan of columns that are already
-// stable, which is what a step mostly pays for; a unit is one column.
+// stable, which is what a step mostly pays for: on the benchmark's ocean
+// and coupled runs under 1 % of the level pairs compared mix.  A unit is
+// one column.
 func BenchmarkConvectiveAdjust(b *testing.B) {
 	benchTiles(b, func(b *testing.B, m *gcm.Model) (int, string) {
 		var c kernel.Counters

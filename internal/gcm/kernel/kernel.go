@@ -51,7 +51,7 @@ type State struct {
 	// Scratch of the sweeps, sized once in NewState.  Not state: never
 	// checkpointed, and a sweep reads only what it wrote in the same
 	// call.
-	accRow []float64    // per-column accumulators of one row (Hydrostatic, Continuity), ConvectiveAdjust's column marks
+	accRow []float64    // per-column accumulators of one row (Hydrostatic, Continuity)
 	buoy   []float64    // NZ rows of buoyancy (Hydrostatic uses the first, ConvectiveAdjust all)
 	fluxN  [2][]float64 // ComputeGTracers: north-face fluxes of theta and salt, row swept last
 	fluxB  [2]*field.F2 // ComputeGTracers: their bottom-face fluxes, level swept last
@@ -691,16 +691,17 @@ func Continuity(g *grid.Local, s *State, c *Counters) {
 // for the levels a mix rewrites.  ops still counts two evaluations for
 // every pair of levels compared: it is the modelled kernel's work and
 // feeds virtual time (see the *Ops helpers).
-// A row is scanned a level pair at a time over rows cut to the swept
-// columns: every pair of wet levels is compared and counted there, and a
-// column with an unstable pair is marked for mixColumn, which sweeps it
-// again from the surface.  An unmarked column would only be compared.
+//
+// A row is swept a level pair at a time over rows cut to the swept
+// columns, and an unstable pair is mixed at once (mixUp).  Columns are
+// independent and each still meets its levels from the surface down,
+// reading the buoyancy the mixes above it wrote, so the result is that
+// of sweeping one column after another.
 func ConvectiveAdjust(g *grid.Local, s *State, p *Params, c *Counters) {
 	const h = Halo
 	m := Halo - 1
 	nz, stride := g.NZ, s.Theta.Stride()
 	first, w := h-m, g.NX+2*m // the swept columns: the first as a row index, and their count
-	marked := s.accRow[:w]    // non-zero: the column has an unstable pair
 	pairOps := int64(2*p.EOS.FlopsPerCell()) + 1
 	var ops int64
 	for j := -m; j < g.NY+m; j++ {
@@ -708,7 +709,6 @@ func ConvectiveAdjust(g *grid.Local, s *State, p *Params, c *Counters) {
 			p.EOS.BuoyancyRow(s.buoy[k*stride+first:][:w],
 				s.Theta.Row(j, k)[first:][:w], s.Salt.Row(j, k)[first:][:w], k)
 		}
-		clear(marked)
 		for k := 0; k < nz-1; k++ {
 			hc, hcDn := g.HFacC.Row(j, k)[first:][:w], g.HFacC.Row(j, k+1)[first:][:w]
 			b, bDn := s.buoy[k*stride+first:][:w], s.buoy[(k+1)*stride+first:][:w]
@@ -718,64 +718,48 @@ func ConvectiveAdjust(g *grid.Local, s *State, p *Params, c *Counters) {
 				}
 				ops += pairOps
 				if unstable := bDn[n] > b[n]; unstable {
-					marked[n] = 1
+					ops += mixUp(g, s, p, j, first+n, k)
 				}
-			}
-		}
-		for n, mk := range marked {
-			if mk != 0 {
-				ops += mixColumn(g, s, p, j, first+n)
 			}
 		}
 	}
 	c.AddPS(ops)
 }
 
-// mixColumn sweeps column n of row j (n a row index) from the surface
-// down, mixing every unstable pair of wet levels, and returns the flops
-// the scan in ConvectiveAdjust has not counted: the mixes and the
-// comparisons above a mixed region.
-func mixColumn(g *grid.Local, s *State, p *Params, j, n int) int64 {
-	nz, stride := g.NZ, s.Theta.Stride()
+// mixUp mixes the unstable pair of wet levels k and k+1 in column n of
+// row j (n a row index), then grows the mixed region upward until the
+// column above it is stable (or land).  It returns the mixes' flops and
+// those of the comparisons above the pair.
+//
+// The whole region becomes exactly uniform, so a mixed block is
+// internally stable and the scheme terminates; the sweep continues
+// below it.
+func mixUp(g *grid.Local, s *State, p *Params, j, n, k int) int64 {
 	th, sa, hf, b := s.Theta.Raw(), s.Salt.Raw(), g.HFacC.Raw(), s.buoy
-	plane := len(th) / nz
+	stride, plane := s.Theta.Stride(), len(th)/g.NZ
 	pairOps := int64(2*p.EOS.FlopsPerCell()) + 1
-	c0 := s.Theta.Idx(-Halo, j, 0) + n // the column's surface cell; level k is k planes on
+	c0 := s.Theta.Idx(-Halo, j, 0) + n // the column's surface cell; level l is l planes on
 	var ops int64
-	for k := 0; k < nz-1; k++ {
-		if hf[c0+k*plane] == 0 || hf[c0+(k+1)*plane] == 0 {
-			continue
+	for lo, hi := k, k+1; ; lo-- {
+		var wSum, tSum, sSum float64
+		for l := lo; l <= hi; l++ {
+			w := g.DZ[l] * hf[c0+l*plane]
+			wSum += w
+			tSum += w * th[c0+l*plane]
+			sSum += w * sa[c0+l*plane]
 		}
-		if unstable := b[(k+1)*stride+n] > b[k*stride+n]; !unstable {
-			continue
+		tm, sm := tSum/wSum, sSum/wSum
+		for l := lo; l <= hi; l++ {
+			th[c0+l*plane], sa[c0+l*plane] = tm, sm
+			b[l*stride+n] = p.EOS.Buoyancy(tm, sm, l)
 		}
-		// Homogenise the pair, volume weighted, then grow the mixed
-		// region upward until the column above it is stable (or land).
-		// The whole region becomes exactly uniform, so a mixed block is
-		// internally stable and the scheme terminates; the sweep
-		// continues below it.
-		for lo, hi := k, k+1; ; lo-- {
-			var wSum, tSum, sSum float64
-			for l := lo; l <= hi; l++ {
-				w := g.DZ[l] * hf[c0+l*plane]
-				wSum += w
-				tSum += w * th[c0+l*plane]
-				sSum += w * sa[c0+l*plane]
-			}
-			tm, sm := tSum/wSum, sSum/wSum
-			for l := lo; l <= hi; l++ {
-				th[c0+l*plane], sa[c0+l*plane] = tm, sm
-				b[l*stride+n] = p.EOS.Buoyancy(tm, sm, l)
-			}
-			ops += int64(hi-lo+1) * 8
-			if lo == 0 || hf[c0+(lo-1)*plane] == 0 {
-				break
-			}
-			ops += pairOps
-			if unstable := b[lo*stride+n] > b[(lo-1)*stride+n]; !unstable {
-				break
-			}
+		ops += int64(hi-lo+1) * 8
+		if lo == 0 || hf[c0+(lo-1)*plane] == 0 {
+			return ops
+		}
+		ops += pairOps
+		if unstable := b[lo*stride+n] > b[(lo-1)*stride+n]; !unstable {
+			return ops
 		}
 	}
-	return ops
 }
