@@ -267,8 +267,9 @@ echo "== range-check ratchet (DESIGN.md, \"Line budget\")"
 # down.  A name below that no function carries any more (renamed, split
 # or removed) fails the stage, so no function drops out of the count
 # unseen.  The compiler's report replays from the build cache.
-bce_funcs='Apply|initResidual|axpy|updateP|precondition|BuildRHS|CorrectVelocities|sweepForward|sweepBackward|ComputeGTracers|StepTracers|Hydrostatic|ComputeGMomentum|StepMomentum|Continuity|ConvectiveAdjust'
-bce_out=$(go build -gcflags=-d=ssa/check_bce/debug=1 ./internal/gcm/solver ./internal/gcm/kernel 2>&1)
+bce_pkgs='internal/gcm/solver internal/gcm/kernel internal/gcm/field'
+bce_funcs='Apply|initResidual|axpy|updateP|precondition|BuildRHS|CorrectVelocities|sweepForward|sweepBackward|ComputeGTracers|StepTracers|Hydrostatic|ComputeGMomentum|StepMomentum|Continuity|ConvectiveAdjust|Fill'
+bce_out=$(go build -gcflags=-d=ssa/check_bce/debug=1 ./${bce_pkgs// / ./} 2>&1)
 # Prints file:line for each line of an innermost loop of a named
 # function, then "missing NAME" for each name no declaration carries.
 cell_lines=$(awk -v want="$bce_funcs" '
@@ -293,9 +294,9 @@ cell_lines=$(awk -v want="$bce_funcs" '
     END {
         for (l = 1; l <= nl; l++) if (inner[owner[l]]) print line[l]
         for (f in need) if (!(f in seen)) print "missing " f
-    }' $(ls internal/gcm/solver/*.go internal/gcm/kernel/*.go | grep -v '_test\.go$'))
+    }' $(for d in $bce_pkgs; do ls "$d"/*.go; done | grep -v '_test\.go$'))
 if grep -q '^missing ' <<< "$cell_lines"; then
-    echo "range-check ratchet: no function declaration in ./internal/gcm/solver or ./internal/gcm/kernel carries these names; update bce_funcs in ci.sh:" >&2
+    echo "range-check ratchet: no function declaration in ${bce_pkgs// /, } carries these names; update bce_funcs in ci.sh:" >&2
     sed -n 's/^missing //p' <<< "$cell_lines" >&2
     exit 1
 fi

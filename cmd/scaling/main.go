@@ -18,13 +18,9 @@
 //	-max N      largest machine size to run (default 1024); points
 //	            above it are skipped, so -max 32 reproduces the
 //	            original E11 table quickly
-//	-json PATH  also append the rows as JSON benchmark entries
-//	            (events/sec, ns/op-style metrics) to PATH, for
-//	            inclusion in the committed BENCH artifacts
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"log"
@@ -65,18 +61,9 @@ var points = []point{
 	{1024, 32, 32, 256, 128},
 }
 
-// jsonRow mirrors cmd/benchjson's per-benchmark entry so scaling rows
-// can ride in the same artifact format.
-type jsonRow struct {
-	Name       string             `json:"name"`
-	Iterations int64              `json:"iterations"`
-	Metrics    map[string]float64 `json:"metrics"`
-}
-
 func main() {
 	steps := flag.Int("steps", 3, "timed steps per point")
 	max := flag.Int("max", 1024, "largest worker count to run")
-	jsonPath := flag.String("json", "", "append rows as JSON benchmark entries to this file")
 	profiles := prof.Flags()
 	flag.Parse()
 	if *steps < 1 {
@@ -89,7 +76,6 @@ func main() {
 	t := report.NewTable("Strong scaling of the ocean isomorph on Arctic (one worker per node)",
 		"grid", "workers", "time/step", "sustained MF/s", "speedup", "efficiency", "model MF/s", "comm %", "events/s (host)", "slots (queued)", "resumes (continued)")
 	base := map[int]float64{} // serial sustained rate, keyed by grid NXg
-	var rows []jsonRow
 	for _, pt := range points {
 		if pt.workers > *max {
 			continue
@@ -134,18 +120,6 @@ func main() {
 		t.Addf("%dx%d|%d|%v|%.0f|%.1fx|%.0f%%|%.0f|%.0f%%|%.2g|%d (%d)|%d (%d)",
 			pt.nxg, pt.nyg, pt.workers, perStep, sustained, sustained/base[pt.nxg], eff, model, commFrac, eventsPerSec,
 			ctr.SlotsReserved, ctr.SlotsMaterialised, ctr.Resumes, ctr.Continued)
-		rows = append(rows, jsonRow{
-			Name:       fmt.Sprintf("ScalingOcean/%dx%d/%dworkers", pt.nxg, pt.nyg, pt.workers),
-			Iterations: int64(*steps),
-			Metrics: map[string]float64{
-				"simulated_us_per_step": perStep.Micros(),
-				"sustained_MFs":         sustained,
-				"model_MFs":             model,
-				"efficiency_pct":        eff,
-				"comm_pct":              commFrac,
-				"events_per_sec":        eventsPerSec,
-			},
-		})
 	}
 	t.Note = "model: eqs. (4)-(11) with primitives measured at each machine size and " +
 		"this implementation's counted Nps/Nds; 32 workers route through a 3-level " +
@@ -154,40 +128,6 @@ func main() {
 		"its decomposition at 512 tiles, so the 1,024-endpoint point runs 256x128); " +
 		"events/s is host wall-clock event throughput of the whole run; slots: idle-marking events counted (also queued); continued: wakes a step function took without a switch"
 	fmt.Print(t)
-
-	if *jsonPath != "" {
-		writeJSON(*jsonPath, rows)
-	}
-}
-
-// writeJSON appends the scaling rows to the artifact at path: if the
-// file already holds a cmd/benchjson document the rows join its
-// "benchmarks" array, otherwise a bare rows document is written.
-func writeJSON(path string, rows []jsonRow) {
-	var doc map[string]any
-	if b, err := os.ReadFile(path); err == nil {
-		if err := json.Unmarshal(b, &doc); err != nil {
-			log.Fatalf("scaling: %s is not a JSON benchmark artifact: %v", path, err)
-		}
-	} else {
-		doc = map[string]any{}
-	}
-	var existing []any
-	if v, ok := doc["benchmarks"].([]any); ok {
-		existing = v
-	}
-	for _, r := range rows {
-		existing = append(existing, r)
-	}
-	doc["benchmarks"] = existing
-	b, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		log.Fatal(err)
-	}
-	if err := os.WriteFile(path, append(b, '\n'), 0o644); err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("appended %d scaling rows to %s\n", len(rows), path)
 }
 
 // modelPrediction evaluates the aggregate sustained rate the paper's

@@ -210,3 +210,67 @@ func rowAt(rows []boundaryRow, at units.Time) (boundaryRow, bool) {
 	}
 	return boundaryRow{}, false
 }
+
+// TestUnwoundProgramNamesNoLaterPark: a rank whose program an interrupt
+// unwound in a PIO or a VI wait, and which then parks outside any
+// program, trips the watchdog as that park, not as the stale wait its
+// program was in.
+func TestUnwoundProgramNamesNoLaterPark(t *testing.T) {
+	const n = 64 << 10
+	for _, tc := range []struct {
+		on   string // the facility rank 1 is interrupted on
+		body func(ep *HyadesEndpoint)
+	}{
+		// Rank 0 never joins the sum: rank 1 waits on its PIO signal.
+		{"node1.piosig", func(ep *HyadesEndpoint) {
+			if ep.Rank() == 1 {
+				ep.GlobalSum(1)
+			} else {
+				ep.Busy(units.Millisecond)
+			}
+		}},
+		// Rank 1 accepts first: it waits for rank 0's slab on the VI queue.
+		{"niu1.rxVI", func(ep *HyadesEndpoint) { ep.Exchange(1-ep.Rank(), make([]byte, n), Contiguous(n, true)) }},
+	} {
+		t.Run(tc.on, func(t *testing.T) {
+			cl, err := cluster.New(cluster.DefaultConfig(2, 1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cl.Close()
+			cl.Eng.SetWatchdog(boundaryWatchdog)
+			h, err := NewHyades(cl, DefaultHyadesConfig())
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Interrupt rank 1 at the first poll that finds it parked on
+			// tc.on, polling until the watchdog would have tripped.
+			var poll func()
+			poll = func() {
+				for _, w := range cl.Eng.Waiters() {
+					if w.Proc == "rank1" && w.On == tc.on {
+						cl.Worker(1).Proc.Interrupt(errors.New("unwind"))
+						return
+					}
+				}
+				if cl.Eng.Now() < boundaryWatchdog {
+					cl.Eng.Schedule(boundaryStride, poll)
+				}
+			}
+			cl.Eng.Schedule(0, poll)
+			cl.Start(func(w *cluster.Worker) {
+				ep := h.Bind(w)
+				defer func() {
+					if _, ok := recover().(*des.Interrupt); ok {
+						des.NewMailbox[int](cl.Eng, "after.unwind").Recv(w.Proc)
+					}
+				}()
+				tc.body(ep)
+			})
+			var trip *des.WatchdogError
+			if err := cl.Run(); !errors.As(err, &trip) || trip.Culprit != "rank1 (parked on after.unwind)" {
+				t.Fatalf("err = %v, want the watchdog trip of rank1 parked on after.unwind", err)
+			}
+		})
+	}
+}

@@ -26,8 +26,8 @@
 //   - Every interrupt boundary of the process form is a point where the
 //     step stops and lets the process raise: each block an op begins
 //     ends at a wake, and a wake with an interrupt pending switches in.
-//   - The *des.WatchdogError of a starved PIO or VI wait is raised in
-//     process context, after the switch-in, with the same Culprit.
+//   - A starved PIO or VI wait trips the engine watchdog with the same
+//     Culprit, which the program gives it through des.Proc.NameWaits.
 //   - A dead process's pending wake stays a no-op.
 package comm
 

@@ -247,6 +247,7 @@ func (h *Hyades) resetNodeComm() {
 func (h *Hyades) Bind(w *cluster.Worker) *HyadesEndpoint {
 	ep := &HyadesEndpoint{h: h, w: w, nc: h.nodes[w.Node.ID]}
 	ep.prog.fn = ep.step
+	w.Proc.NameWaits(ep.waitName)
 	return ep
 }
 

@@ -49,21 +49,18 @@ type op struct {
 // in the endpoint and its step function is bound once, so running a
 // primitive allocates nothing.
 type program struct {
-	fn      func() bool // the endpoint's step method
-	ops     []op
-	pc      int
-	sub     uint8 // where the op at pc resumes; 0 starts it
-	expired bool  // a PIO or VI wait outlived the watchdog: the process raises it
+	fn  func() bool // the endpoint's step method
+	ops []op
+	pc  int
+	sub uint8 // where the op at pc resumes; 0 starts it
 
-	sum      float64         // the global sum's running sum
-	words    []uint32        // the payload of the PIO send in progress
-	msg      startx.Message  // the matched PIO message, or the polled one
-	polled   bool            // the hardware poll found a message
-	snap     uint64          // the delivery signal's generation before the poll
-	xfer     startx.Transfer // the matched VI transfer, or the slab from shared memory
-	vbox     *des.Mailbox[startx.Transfer]
-	timed    bool       // the VI receive waits under the watchdog
-	deadline units.Time // ... until this instant
+	sum    float64         // the global sum's running sum
+	words  []uint32        // the payload of the PIO send in progress
+	msg    startx.Message  // the matched PIO message, or the polled one
+	polled bool            // the hardware poll found a message
+	snap   uint64          // the delivery signal's generation before the poll
+	xfer   startx.Transfer // the matched VI transfer, or the slab from shared memory
+	vbox   *des.Mailbox[startx.Transfer]
 }
 
 // begin starts a new program in the endpoint's build buffer; add
@@ -76,39 +73,37 @@ func (ep *HyadesEndpoint) waitOp(kind opKind, key matchKey) op {
 	return op{kind: kind, key: key, box: ep.nc.pioMB(ep.h.cl.Eng, key)}
 }
 
-// run executes ops as one stretch of the process (des.Proc.Await) and
-// raises, in process context, the watchdog of a wait that starved.
+// run executes ops as one stretch of the process (des.Proc.Await).
 func (ep *HyadesEndpoint) run(ops []op) {
 	pr := &ep.prog
-	pr.ops, pr.pc, pr.sub, pr.expired = ops, 0, 0, false
+	pr.ops, pr.pc, pr.sub = ops, 0, 0
 	ep.w.Proc.Await(pr.fn)
-	if pr.expired {
-		panic(ep.starved(&pr.ops[pr.pc]))
-	}
 }
 
-// starved is the watchdog error of the wait o, naming the rank and what
-// it waited for.
-func (ep *HyadesEndpoint) starved(o *op) *des.WatchdogError {
-	eng := ep.h.cl.Eng
-	culprit := fmt.Sprintf("rank %d viWait(srcRank=%d) on node %d", ep.w.Rank, o.src, ep.w.Node.ID)
-	if k := o.key; o.kind != opVIWait {
-		culprit = fmt.Sprintf("rank %d pioWait(class=%d srcNode=%d srcCPU=%d seq=%d)",
+// waitName names the wait of the program a watchdog trip found parked
+// (des.Proc.NameWaits): a PIO wait on the delivery signal or a VI wait
+// on the hardware queue, by rank and what it waits for; "" for a park
+// on a lock or a shared mailbox, which the park's facility names.
+func (ep *HyadesEndpoint) waitName() string {
+	pr := &ep.prog
+	switch o := &pr.ops[pr.pc]; {
+	case o.kind == opVIWait && pr.sub == viRecvWoke:
+		return fmt.Sprintf("rank %d viWait(srcRank=%d) on node %d", ep.w.Rank, o.src, ep.w.Node.ID)
+	case o.box != nil && pr.sub == pioSigWoke: // a PIO wait
+		k := o.key
+		return fmt.Sprintf("rank %d pioWait(class=%d srcNode=%d srcCPU=%d seq=%d)",
 			ep.w.Rank, k.class, k.srcNode, k.srcCPU, k.seq)
 	}
-	return &des.WatchdogError{Limit: eng.WatchdogLimit(), Culprit: culprit, Waiters: eng.Waiters()}
+	return ""
 }
 
 // step is the program's step function: it runs ops until one blocks
-// (false) or the program ends or a wait starves (true).
+// (false) or the program ends (true).
 func (ep *HyadesEndpoint) step() bool {
 	pr := &ep.prog
 	for pr.pc < len(pr.ops) {
 		if !ep.exec(&pr.ops[pr.pc]) {
 			return false
-		}
-		if pr.expired {
-			return true
 		}
 		pr.pc++
 		pr.sub = 0
@@ -174,9 +169,6 @@ func (ep *HyadesEndpoint) exec(o *op) bool {
 		if !ep.pioWait(o) {
 			return false
 		}
-		if pr.expired {
-			return true
-		}
 		if o.kind != opHandshake {
 			v := math.Float64frombits(uint64(pr.msg.Words[0])<<32 | uint64(pr.msg.Words[1]))
 			if o.kind == opAdd {
@@ -207,7 +199,6 @@ const (
 	pioLockWoke              // woken for the pull lock
 	pioPolled                // the poll's reads are paid
 	pioSigWoke               // woken by the delivery signal
-	pioSigTimed              // woken by the delivery signal or its deadline
 )
 
 // pioWait takes the next PIO message matching o's key into msg.  The two
@@ -215,9 +206,9 @@ const (
 // the hardware queue deposits messages that are not its own and signals
 // the other CPU.  A successful poll charges the usual mmap reads;
 // between arrivals the wait parks on the node's delivery signal rather
-// than modelling every idle status read, with the engine watchdog as an
-// explicit deadline, so a starved wait names the rank and the exact
-// match key it starved on, not just the shared signal.
+// than modelling every idle status read.  A wait starved there trips
+// the engine watchdog, which names the rank and the exact match key it
+// starved on (waitName), not just the shared signal.
 func (ep *HyadesEndpoint) pioWait(o *op) bool {
 	pr, p, nc, eng := &ep.prog, ep.w.Proc, ep.nc, ep.h.cl.Eng
 	for {
@@ -249,16 +240,9 @@ func (ep *HyadesEndpoint) pioWait(o *op) bool {
 		case pioPolled:
 			nc.pioLock.Release()
 			if !pr.polled {
-				if wd := eng.WatchdogLimit(); wd > 0 {
-					pr.sub = pioSigTimed
-					if !nc.pioSig.WaitDeadlineStep(p, pr.snap, wd) {
-						return false
-					}
-				} else {
-					pr.sub = pioSigWoke
-					if !nc.pioSig.WaitStep(p, pr.snap) {
-						return false
-					}
+				pr.sub = pioSigWoke
+				if !nc.pioSig.WaitStep(p, pr.snap) {
+					return false
 				}
 				pr.sub = pioMatch
 				continue
@@ -273,12 +257,6 @@ func (ep *HyadesEndpoint) pioWait(o *op) bool {
 		case pioSigWoke:
 			p.ParkEnd()
 			pr.sub = pioMatch
-		case pioSigTimed:
-			if !p.ParkDeadlineEnd() {
-				pr.expired = true
-				return true
-			}
-			pr.sub = pioMatch
 		}
 	}
 }
@@ -290,13 +268,14 @@ const (
 	viPull           // take the pull lock
 	viLockWoke       // woken for the pull lock
 	viRecv           // take the next transfer from the hardware queue
-	viRecvWoke       // woken for it, or by its deadline
+	viRecvWoke       // woken for it
 )
 
 // viWait takes the next bulk transfer matching key into xfer.  Unlike a
 // control message, a transfer waited for is always already committed by
 // the REQ/ACK handshake, so blocking on the hardware queue while holding
-// the pull lock cannot deadlock.
+// the pull lock cannot deadlock; a queue that stays empty trips the
+// engine watchdog, named by waitName.
 func (ep *HyadesEndpoint) viWait(key matchKey) bool {
 	pr, p, nc, eng, niu := &ep.prog, ep.w.Proc, ep.nc, ep.h.cl.Eng, ep.w.Node.NIU
 	for {
@@ -319,23 +298,12 @@ func (ep *HyadesEndpoint) viWait(key matchKey) bool {
 				pr.xfer = t
 				return true
 			}
-			wd := eng.WatchdogLimit()
-			pr.timed, pr.deadline, pr.sub = wd > 0, eng.Now()+wd, viRecv
+			pr.sub = viRecv
 		case viLockWoke:
 			p.ParkEnd()
 			pr.sub = viPull
 		case viRecv:
-			var t startx.Transfer
-			var ok bool
-			if pr.timed {
-				var done bool
-				if t, ok, done = niu.VIRecvDeadlineStep(p, pr.deadline); done && !ok {
-					pr.expired = true
-					return true
-				}
-			} else {
-				t, ok = niu.VIRecvStep(p)
-			}
+			t, ok := niu.VIRecvStep(p)
 			if !ok {
 				pr.sub = viRecvWoke
 				return false
@@ -350,12 +318,7 @@ func (ep *HyadesEndpoint) viWait(key matchKey) bool {
 			nc.viMB(eng, got).Send(t)
 			pr.sub = viMatch
 		case viRecvWoke:
-			if !pr.timed {
-				p.ParkEnd()
-			} else if !p.ParkDeadlineEnd() {
-				pr.expired = true
-				return true
-			}
+			p.ParkEnd()
 			pr.sub = viRecv
 		}
 	}

@@ -32,9 +32,8 @@
 // the wakes of its blocks run the step on the dispatcher rather than
 // switching into the process, until the step reports done.  A step is
 // written with the step forms of the blocking calls — StepDelay,
-// Semaphore.AcquireStep, Signal.WaitStep and WaitDeadlineStep,
-// Mailbox.RecvStep and RecvDeadlineStep, which begin a park that
-// ParkEnd or ParkDeadlineEnd ends — and performs exactly the engine
+// Semaphore.AcquireStep, Signal.WaitStep and Mailbox.RecvStep, which
+// begin a park that ParkEnd ends — and performs exactly the engine
 // operations the process would have, in the same order, so the
 // schedule cannot tell the two apart.  The blocking calls themselves
 // are loops over their step forms.
@@ -206,8 +205,8 @@ func (e *Engine) ScheduleAt(t units.Time, fn func()) {
 }
 
 // PastError is the panic payload of a schedule into the virtual past: a
-// negative delay to Schedule, After, Delay, Slot.Hold or a deadline
-// wait, or a ScheduleAt before now.  Clamped to now instead, the event would run
+// negative delay to Schedule, After, Delay or Slot.Hold, or a
+// ScheduleAt before now.  Clamped to now instead, the event would run
 // ahead of causes that precede it.  Raised by a process it reaches
 // Run's caller as the Value of a *ProcPanic; raised by an event it
 // unwinds through Run's caller as it is.
@@ -302,9 +301,6 @@ func (e *Engine) Err() error { return e.failed }
 // protocol thereby becomes a crash with a who-waits-on-whom map instead
 // of a silently parked process.  d = 0 disables the watchdog.
 func (e *Engine) SetWatchdog(d units.Time) { e.watchdog = d }
-
-// WatchdogLimit returns the configured watchdog bound (0 = disabled).
-func (e *Engine) WatchdogLimit() units.Time { return e.watchdog }
 
 // WaitInfo describes one blocked process for watchdog/deadlock dumps.
 type WaitInfo struct {
@@ -572,10 +568,10 @@ func (i *Interrupt) Error() string {
 // Unwrap exposes the interrupt cause.
 func (i *Interrupt) Unwrap() error { return i.Cause }
 
-// waiterList is a blocking facility that can detach a parked process —
-// the deadline-expiry hook of parkDeadline.  Implemented by Mailbox and
-// Signal; an interface rather than a closure so arming a deadline wait
-// allocates nothing.
+// waiterList is a blocking facility that can detach a parked process,
+// as Interrupt and Kill do.  Implemented by Mailbox, Semaphore and
+// Signal; an interface rather than a closure so a park allocates
+// nothing.
 type waiterList interface {
 	dropWaiter(p *Proc) bool
 }
@@ -603,16 +599,14 @@ type Proc struct {
 	waitOn    string
 	waitStart units.Time
 
-	// Park-expiry state: wdEv is the armed watchdog/deadline event
-	// (nil when idle), wdFireFn the bound expiry handler, wdFacility
-	// the facility to detach from on a deadline expiry (nil for a
-	// watchdog park, whose expiry panics instead), expired the outcome
-	// flag parkDeadline reads back.  One event object cycles through
-	// the engine freelist instead of a Timer + closures per park.
-	wdEv       *event
-	wdFireFn   func()
-	wdFacility waiterList
-	expired    bool
+	// Watchdog state: wdEv is the armed watchdog event (nil when
+	// idle), wdFireFn its bound handler.  One event object cycles
+	// through the engine freelist instead of a Timer + closure per
+	// park.  waitName, set by NameWaits, names a park begun inside
+	// Await in the trip's Culprit; it is read only while step is set.
+	wdEv     *event
+	wdFireFn func()
+	waitName func() string
 
 	// Asynchronous-termination state.  intr is a pending Interrupt
 	// cause, raised in process context at the next blocking boundary;
@@ -728,7 +722,6 @@ func (p *Proc) finishKill() {
 		p.parkFac = nil
 	}
 	p.disarmWd()
-	p.wdFacility = nil
 	p.step = nil
 	p.dead = true
 	p.eng.dropProc(p)
@@ -826,19 +819,8 @@ func (p *Proc) inPhase(call string) {
 		"; a phase may touch only its rank's own state")))
 }
 
-// armWd schedules the process's expiry event at now+d; disarmWd removes
-// and recycles it if it has not fired.  The event's fn is the bound
-// wdFireFn, so arming a park costs no allocation in steady state.  A
-// negative d (a deadline wait's bound) panics with a *PastError.
-func (p *Proc) armWd(d units.Time) {
-	if d < 0 {
-		p.eng.past("a deadline wait", d)
-	}
-	ev := p.eng.newEvent(p.eng.now+d, p.wdFireFn)
-	p.wdEv = ev
-	p.eng.sched.push(ev)
-}
-
+// disarmWd removes and recycles the park's watchdog event (beginPark)
+// if it has not fired.
 func (p *Proc) disarmWd() {
 	if p.wdEv == nil {
 		return
@@ -848,64 +830,48 @@ func (p *Proc) disarmWd() {
 	p.eng.cancelEvent(ev)
 }
 
-// wdFire is the park-expiry handler (engine context).  A watchdog park
-// (no facility) panics with the waiter map; a deadline park detaches
-// from its facility and wakes the process — unless a wake on the same
-// timestamp already claimed it, in which case expiry yields.
+// wdFire is the watchdog handler (engine context): it panics with the
+// waiter map, the starved process among the waiters.  The culprit is
+// the park, or the wait a pending Await's step names through NameWaits.
 func (p *Proc) wdFire() {
 	p.wdEv = nil
-	fac := p.wdFacility
-	if fac == nil {
-		panic(&WatchdogError{
-			Limit:   p.eng.watchdog,
-			Culprit: fmt.Sprintf("%s (parked on %s)", p.name, p.waitOn),
-			Waiters: p.eng.Waiters(),
-		})
+	culprit := ""
+	if p.step != nil && p.waitName != nil {
+		culprit = p.waitName()
 	}
-	if fac.dropWaiter(p) {
-		p.expired = true
-		p.wake()
+	if culprit == "" {
+		culprit = fmt.Sprintf("%s (parked on %s)", p.name, p.waitOn)
 	}
+	panic(&WatchdogError{Limit: p.eng.watchdog, Culprit: culprit, Waiters: p.eng.Waiters()})
 }
+
+// NameWaits sets how a watchdog trip names a park of this process
+// begun inside Await: name returns the Culprit, or "" for the default
+// "name (parked on facility)".  It is called only at a trip, and never
+// once the Await has ended, so a finished or interrupted step does not
+// name a later park.
+func (p *Proc) NameWaits(name func() string) { p.waitName = name }
 
 // beginPark parks p on the named facility, arming the engine's watchdog
 // if one is configured; the step forms call it once they have joined
-// fac's waiter list, which Interrupt and Kill detach p from.
+// fac's waiter list, which Interrupt and Kill detach p from.  The
+// watchdog event's fn is the bound wdFireFn, so arming a park costs no
+// allocation in steady state.
 func (p *Proc) beginPark(on string, fac waiterList) {
 	p.mayBlock(fac)
 	p.waitOn, p.waitStart = on, p.eng.now
 	p.parkFac = fac
 	if limit := p.eng.watchdog; limit > 0 {
-		p.armWd(limit)
+		p.wdEv = p.eng.newEvent(p.eng.now+limit, p.wdFireFn)
+		p.eng.sched.push(p.wdEv)
 	}
-}
-
-// beginParkDeadline parks p on the named facility for at most d.  On
-// expiry fac detaches p from its waiter list, reporting whether p was
-// still parked there (guarding against a wake and an expiry landing on
-// the same timestamp).
-func (p *Proc) beginParkDeadline(on string, d units.Time, fac waiterList) {
-	p.mayBlock(fac)
-	p.waitOn, p.waitStart = on, p.eng.now
-	p.expired = false
-	p.wdFacility = fac
-	p.parkFac = fac
-	p.armWd(d)
 }
 
 // ParkEnd ends the park a step form began, once its wake has come.
 func (p *Proc) ParkEnd() {
 	p.disarmWd()
-	p.wdFacility = nil
 	p.parkFac = nil
 	p.waitOn = ""
-}
-
-// ParkDeadlineEnd ends a deadline park and reports whether the process
-// was woken (true) or the deadline elapsed (false).
-func (p *Proc) ParkDeadlineEnd() bool {
-	p.ParkEnd()
-	return !p.expired
 }
 
 // park blocks until the wake of a park a step form began, ends it and
@@ -914,14 +880,6 @@ func (p *Proc) park() {
 	p.block()
 	p.ParkEnd()
 	p.maybeInterrupt()
-}
-
-// parkDeadline is park for a deadline park, reporting ParkDeadlineEnd.
-func (p *Proc) parkDeadline() bool {
-	p.block()
-	woken := p.ParkDeadlineEnd()
-	p.maybeInterrupt()
-	return woken
 }
 
 // Await runs step to completion as a stretch of this process: step
@@ -1097,37 +1055,6 @@ func (m *Mailbox[T]) RecvStep(p *Proc) (T, bool) {
 	return m.dequeue(), true
 }
 
-// RecvDeadline dequeues the oldest item, blocking for at most d of
-// virtual time.  It returns the zero value and false if the deadline
-// elapses first; a wake and an expiry on the same timestamp resolve in
-// event order, deterministically.  Deadline waits manage their own
-// bound, so the engine watchdog does not apply to them.
-func (m *Mailbox[T]) RecvDeadline(p *Proc, d units.Time) (T, bool) {
-	deadline := m.eng.now + d
-	for {
-		v, ok, done := m.RecvDeadlineStep(p, deadline)
-		if done || !p.parkDeadline() {
-			return v, ok
-		}
-	}
-}
-
-// RecvDeadlineStep is the step form of RecvDeadline against the absolute
-// deadline: done with ok and the item, done without once the deadline
-// has passed, or not done with p parked (then call again if
-// ParkDeadlineEnd reports a wake, else the deadline elapsed).
-func (m *Mailbox[T]) RecvDeadlineStep(p *Proc, deadline units.Time) (v T, ok, done bool) {
-	if m.n > 0 {
-		return m.dequeue(), true, true
-	}
-	if m.eng.now >= deadline {
-		return v, false, true
-	}
-	m.waiters = append(m.waiters, p)
-	p.beginParkDeadline(m.name, deadline-m.eng.now, m)
-	return v, false, false
-}
-
 // dropWaiter implements waiterList.
 func (m *Mailbox[T]) dropWaiter(p *Proc) bool { return removeWaiter(&m.waiters, p) }
 
@@ -1254,26 +1181,6 @@ func (s *Signal) WaitStep(p *Proc, snapshot uint64) bool {
 	}
 	s.waiters = append(s.waiters, p)
 	p.beginPark(s.name, s)
-	return false
-}
-
-// WaitDeadline is Wait with a virtual-time bound: it returns true if
-// the generation advanced (or had already advanced) and false if d
-// elapsed first.  Deadline waits manage their own bound, so the engine
-// watchdog does not apply to them.
-func (s *Signal) WaitDeadline(p *Proc, snapshot uint64, d units.Time) bool {
-	return s.WaitDeadlineStep(p, snapshot, d) || p.parkDeadline()
-}
-
-// WaitDeadlineStep is the step form of WaitDeadline: true if the
-// generation has advanced, false with p parked for at most d (then
-// ParkDeadlineEnd reports whether it advanced in time).
-func (s *Signal) WaitDeadlineStep(p *Proc, snapshot uint64, d units.Time) bool {
-	if s.seq != snapshot {
-		return true
-	}
-	s.waiters = append(s.waiters, p)
-	p.beginParkDeadline(s.name, d, s)
 	return false
 }
 

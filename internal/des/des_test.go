@@ -90,8 +90,7 @@ func TestNegativeDelayPanics(t *testing.T) {
 		}
 	}
 	procs := map[string]func(p *Proc){
-		"Delay":           func(p *Proc) { p.Delay(d) },
-		"a deadline wait": func(p *Proc) { s := NewSignal(p.Engine(), "sig"); s.WaitDeadline(p, s.Seq(), d) },
+		"Delay": func(p *Proc) { p.Delay(d) },
 	}
 	for call, fn := range procs {
 		e := NewEngine()

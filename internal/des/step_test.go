@@ -10,12 +10,10 @@ import (
 
 // Script ops of the step-function differential test.
 const (
-	sDelay        = iota // Delay(d)
-	sLock                // Acquire, hold for d, Release
-	sRecv                // Recv
-	sRecvDeadline        // RecvDeadline(d)
-	sWait                // Wait on a fresh snapshot
-	sWaitDeadline        // WaitDeadline(d) on a fresh snapshot
+	sDelay = iota // Delay(d)
+	sLock         // Acquire, hold for d, Release
+	sRecv         // Recv
+	sWait         // Wait on a fresh snapshot
 	sKinds
 )
 
@@ -34,15 +32,13 @@ type scripted struct {
 	sig   *Signal
 	notes []string
 
-	ops      []sop
-	pc, sub  int
-	deadline units.Time
-	got      int
-	ok       bool
+	ops     []sop
+	pc, sub int
+	got     int
 }
 
 func (w *scripted) note(what string) {
-	w.notes = append(w.notes, fmt.Sprintf("%s@%d#%d got=%d ok=%v", what, w.p.Now(), w.p.eng.Events(), w.got, w.ok))
+	w.notes = append(w.notes, fmt.Sprintf("%s@%d#%d got=%d", what, w.p.Now(), w.p.eng.Events(), w.got))
 }
 
 // run is the process form of op o.
@@ -57,28 +53,21 @@ func (w *scripted) run(o sop) {
 		w.sem.Release()
 	case sRecv:
 		w.got = w.mb.Recv(p)
-	case sRecvDeadline:
-		w.got, w.ok = w.mb.RecvDeadline(p, o.d)
 	case sWait:
 		w.sig.Wait(p, w.sig.Seq())
-	case sWaitDeadline:
-		w.ok = w.sig.WaitDeadline(p, w.sig.Seq(), o.d)
 	}
 }
 
 // Where a step-form op resumes (scripted.sub).
 const (
-	stStart      = iota
-	stDone       // woken from a StepDelay: the op is over
-	stParked     // woken from a park: end it, the op is over
-	stLockTry    // try the semaphore
-	stLockPark   // woken for the semaphore
-	stLockHeld   // the hold is over
-	stRecv       // try the mailbox
-	stRecvPark   // woken for the mailbox
-	stRecvDl     // try the mailbox before the deadline
-	stRecvDlPark // woken for it, or by the deadline
-	stWaitDlPark // woken by the signal, or by the deadline
+	stStart    = iota
+	stDone     // woken from a StepDelay: the op is over
+	stParked   // woken from a park: end it, the op is over
+	stLockTry  // try the semaphore
+	stLockPark // woken for the semaphore
+	stLockHeld // the hold is over
+	stRecv     // try the mailbox
+	stRecvPark // woken for the mailbox
 )
 
 // stepOp is the step form of op o: true when it is over, false when it
@@ -96,18 +85,9 @@ func (w *scripted) stepOp(o sop) bool {
 				w.sub = stLockTry
 			case sRecv:
 				w.sub = stRecv
-			case sRecvDeadline:
-				w.deadline, w.sub = p.Now()+o.d, stRecvDl
 			case sWait:
 				w.sub = stParked
 				return w.sig.WaitStep(p, w.sig.Seq())
-			case sWaitDeadline:
-				w.sub = stWaitDlPark
-				if w.sig.WaitDeadlineStep(p, w.sig.Seq(), o.d) {
-					w.ok = true
-					return true
-				}
-				return false
 			}
 		case stDone:
 			return true
@@ -140,23 +120,6 @@ func (w *scripted) stepOp(o sop) bool {
 		case stRecvPark:
 			p.ParkEnd()
 			w.sub = stRecv
-		case stRecvDl:
-			v, ok, done := w.mb.RecvDeadlineStep(p, w.deadline)
-			if !done {
-				w.sub = stRecvDlPark
-				return false
-			}
-			w.got, w.ok = v, ok
-			return true
-		case stRecvDlPark:
-			if !p.ParkDeadlineEnd() {
-				w.got, w.ok = 0, false
-				return true
-			}
-			w.sub = stRecvDl
-		case stWaitDlPark:
-			w.ok = p.ParkDeadlineEnd()
-			return true
 		}
 	}
 }

@@ -61,95 +61,69 @@ func TestTimerCancelAmongOthers(t *testing.T) {
 	}
 }
 
-func TestRecvDeadlineTimesOut(t *testing.T) {
-	e := NewEngine()
-	mb := NewMailbox[int](e, "box")
-	var ok bool
-	var at units.Time
-	e.Spawn("rx", func(p *Proc) {
-		_, ok = mb.RecvDeadline(p, 5*units.Microsecond)
-		at = p.Now()
-	})
-	e.Run()
-	if ok {
-		t.Fatalf("RecvDeadline succeeded on an empty mailbox")
-	}
-	if at != 5*units.Microsecond {
-		t.Fatalf("timed out at %v, want 5us", at)
-	}
-	if e.Blocked() != 0 {
-		t.Fatalf("process still blocked after deadline")
-	}
-}
-
-func TestRecvDeadlineDelivers(t *testing.T) {
-	e := NewEngine()
-	mb := NewMailbox[int](e, "box")
-	var got int
-	var ok bool
-	e.Spawn("rx", func(p *Proc) { got, ok = mb.RecvDeadline(p, 10*units.Microsecond) })
-	e.Schedule(2*units.Microsecond, func() { mb.Send(41) })
-	e.Run()
-	if !ok || got != 41 {
-		t.Fatalf("RecvDeadline = (%d,%v), want (41,true)", got, ok)
-	}
-	// The deadline timer must have been cancelled outright: the clock
-	// stops at the delivery, not at the 10us expiry.
-	if e.Now() != 2*units.Microsecond {
-		t.Fatalf("Now = %v, want 2us", e.Now())
-	}
-}
-
-func TestSignalWaitDeadline(t *testing.T) {
-	e := NewEngine()
-	sig := NewSignal(e, "sig")
-	var timedOut, delivered bool
-	e.Spawn("w1", func(p *Proc) {
-		timedOut = !sig.WaitDeadline(p, sig.Seq(), 3*units.Microsecond)
-	})
-	e.Run()
-	if !timedOut {
-		t.Fatalf("WaitDeadline did not time out without a broadcast")
-	}
-	e.Spawn("w2", func(p *Proc) {
-		delivered = sig.WaitDeadline(p, sig.Seq(), units.Hour)
-	})
-	e.Schedule(units.Microsecond, func() { sig.Broadcast() })
-	e.Run()
-	if !delivered {
-		t.Fatalf("WaitDeadline missed the broadcast")
-	}
-	if e.Now() >= units.Hour {
-		t.Fatalf("satisfied WaitDeadline dragged the clock to %v", e.Now())
-	}
-}
-
 func TestWatchdogPanicsWithWaiterDump(t *testing.T) {
+	wd := watchdogTrip(t, func(p *Proc, mb *Mailbox[int]) { mb.Recv(p) })
+	if !strings.Contains(wd.Culprit, "rank3") || !strings.Contains(wd.Culprit, "ocean.halo") {
+		t.Fatalf("culprit %q missing proc or facility name", wd.Culprit)
+	}
+	if len(wd.Waiters) != 1 || wd.Waiters[0].Proc != "rank3" || wd.Waiters[0].On != "ocean.halo" {
+		t.Fatalf("waiter dump = %+v", wd.Waiters)
+	}
+	if !strings.Contains(wd.Error(), "rank3 waits on ocean.halo") {
+		t.Fatalf("Error() = %q", wd.Error())
+	}
+
+	// A park inside Await trips with the name its process gives it; the
+	// same process parked outside Await, after an Await that ended,
+	// trips with the default.
+	const named = "rank 3 haloWait(tag=7)"
+	recv := func(p *Proc, mb *Mailbox[int]) func() bool {
+		parked := false
+		return func() bool {
+			if parked {
+				p.ParkEnd()
+			}
+			_, ok := mb.RecvStep(p)
+			parked = !ok
+			return ok
+		}
+	}
+	wd = watchdogTrip(t, func(p *Proc, mb *Mailbox[int]) {
+		p.NameWaits(func() string { return named })
+		p.Await(recv(p, mb))
+	})
+	if wd.Culprit != named || len(wd.Waiters) != 1 || wd.Waiters[0].Proc != "rank3" {
+		t.Fatalf("inside Await: culprit %q, waiters %+v, want %q and rank3", wd.Culprit, wd.Waiters, named)
+	}
+	wd = watchdogTrip(t, func(p *Proc, mb *Mailbox[int]) {
+		p.NameWaits(func() string { return named })
+		p.Engine().Schedule(units.Microsecond, func() { mb.Send(1) })
+		p.Await(recv(p, mb))
+		mb.Recv(p)
+	})
+	if wd.Culprit != "rank3 (parked on ocean.halo)" {
+		t.Fatalf("outside Await: culprit %q, want the default", wd.Culprit)
+	}
+}
+
+// watchdogTrip runs body as process rank3, with a mailbox, under a 1 ms
+// watchdog and returns the trip the run ends in.
+func watchdogTrip(t *testing.T, body func(p *Proc, mb *Mailbox[int])) (wd *WatchdogError) {
+	t.Helper()
 	e := NewEngine()
+	defer e.Close()
 	e.SetWatchdog(units.Millisecond)
 	mb := NewMailbox[int](e, "ocean.halo")
-	e.Spawn("rank3", func(p *Proc) { mb.Recv(p) })
-	defer e.Close()
+	e.Spawn("rank3", func(p *Proc) { body(p, mb) })
 	defer func() {
 		r := recover()
-		if r == nil {
-			t.Fatalf("watchdog did not trip")
-		}
-		wd, ok := r.(*WatchdogError)
-		if !ok {
-			t.Fatalf("panic payload = %T, want *WatchdogError", r)
-		}
-		if !strings.Contains(wd.Culprit, "rank3") || !strings.Contains(wd.Culprit, "ocean.halo") {
-			t.Fatalf("culprit %q missing proc or facility name", wd.Culprit)
-		}
-		if len(wd.Waiters) != 1 || wd.Waiters[0].Proc != "rank3" || wd.Waiters[0].On != "ocean.halo" {
-			t.Fatalf("waiter dump = %+v", wd.Waiters)
-		}
-		if !strings.Contains(wd.Error(), "rank3 waits on ocean.halo") {
-			t.Fatalf("Error() = %q", wd.Error())
+		var ok bool
+		if wd, ok = r.(*WatchdogError); !ok {
+			t.Fatalf("panic payload = %T (%v), want *WatchdogError", r, r)
 		}
 	}()
 	e.Run()
+	return nil
 }
 
 func TestWatchdogDisarmedOnWake(t *testing.T) {

@@ -51,8 +51,9 @@ func (f *F2) Add(i, j int, v float64) { f.data[f.idx(i, j)] += v }
 
 // Fill sets every element (halo included) to v.
 func (f *F2) Fill(v float64) {
-	for n := range f.data {
-		f.data[n] = v
+	data := f.data // a local copy: the range bound proves every index
+	for n := range data {
+		data[n] = v
 	}
 }
 
@@ -113,8 +114,9 @@ func (f *F3) Add(i, j, k int, v float64) { f.data[f.idx(i, j, k)] += v }
 
 // Fill sets every element to v.
 func (f *F3) Fill(v float64) {
-	for n := range f.data {
-		f.data[n] = v
+	data := f.data // a local copy: the range bound proves every index
+	for n := range data {
+		data[n] = v
 	}
 }
 

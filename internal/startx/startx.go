@@ -471,12 +471,6 @@ func (n *NIU) VIRecv(p *des.Proc) Transfer {
 // VIRecvStep is the step form of VIRecv (des.Mailbox.RecvStep).
 func (n *NIU) VIRecvStep(p *des.Proc) (Transfer, bool) { return n.rxVI.RecvStep(p) }
 
-// VIRecvDeadlineStep is the step form of a VIRecv bounded by an
-// absolute deadline (des.Mailbox.RecvDeadlineStep).
-func (n *NIU) VIRecvDeadlineStep(p *des.Proc, deadline units.Time) (Transfer, bool, bool) {
-	return n.rxVI.RecvDeadlineStep(p, deadline)
-}
-
 // VIPending reports the number of completed transfers awaiting pickup.
 func (n *NIU) VIPending() int { return n.rxVI.Len() }
 
