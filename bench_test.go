@@ -179,33 +179,27 @@ func benchGlobalSum(b *testing.B, nodes, ppn int) {
 	b.ReportMetric(elapsed.Micros()/float64(b.N), "simulated_us")
 }
 
-// BenchmarkSchedule measures the raw event-scheduler hot loop —
-// enqueue, dequeue and a periodic arm-and-cancel — against a steady
-// backlog of 1e3, 1e5 and 1e7 pending events, for both the ladder
-// queue (the default) and the binary heap it replaced.  The
-// events_per_sec metric counts scheduler operations (pushes + pops,
-// including the cancel pairs); the ladder's flat profile against the
-// heap's log-N climb is the scheduler-replacement headline.
+// BenchmarkSchedule measures the raw event-queue hot loop — enqueue,
+// dequeue and a periodic arm-and-cancel — against a steady backlog of
+// 1e3, 1e5 and 1e7 pending events on the engine's ladder queue.  The
+// events_per_sec metric counts queue operations (pushes + pops,
+// including the cancel pairs); a flat profile across the three
+// backlogs is the ladder's point.
 func BenchmarkSchedule(b *testing.B) {
-	for _, s := range []struct {
-		name string
-		kind des.SchedulerKind
-	}{{"ladder", des.SchedLadder}, {"heap", des.SchedHeap}} {
-		for _, pending := range []int{1e3, 1e5, 1e7} {
-			b.Run(fmt.Sprintf("%s/pending=%.0e", s.name, float64(pending)), func(b *testing.B) {
-				benchSchedule(b, s.kind, pending)
-			})
-		}
+	for _, pending := range []int{1e3, 1e5, 1e7} {
+		b.Run(fmt.Sprintf("ladder/pending=%.0e", float64(pending)), func(b *testing.B) {
+			benchSchedule(b, pending)
+		})
 	}
 }
 
-func benchSchedule(b *testing.B, kind des.SchedulerKind, pending int) {
+func benchSchedule(b *testing.B, pending int) {
 	b.ReportAllocs()
-	e := des.NewEngineWithScheduler(kind)
+	e := des.NewEngine()
 	defer e.Close()
 	noop := func() {}
-	// xorshift keeps the offered timestamp stream identical across
-	// scheduler kinds without math/rand overhead in the hot loop.
+	// xorshift keeps the offered timestamp stream identical from run
+	// to run without math/rand overhead in the hot loop.
 	rng := uint64(0x9E3779B97F4A7C15)
 	next := func() units.Time {
 		rng ^= rng << 13

@@ -28,14 +28,22 @@ import (
 	"hyades/internal/gcm"
 	"hyades/internal/gcm/physics"
 	"hyades/internal/gcm/tile"
+	"hyades/internal/startx"
 	"hyades/internal/units"
 )
+
+// faultStats is a run's fault-and-recovery counters: the reliable
+// channel's, summed over the NIUs, and the fabric's fault counters.
+type faultStats struct {
+	startx.RelStats
+	FaultDropped, FaultCorrupted, OutageDropped, FailedOver int64
+}
 
 // chaosFingerprint runs the small coupled configuration under the
 // given fault plan and returns a SHA-256 over every worker's
 // checkpointed state (state only — no clocks, no event counts), plus
 // the run's observables for same-seed comparison.
-func chaosFingerprint(t *testing.T, steps int, fc fault.Config, workers int) (digest [32]byte, events uint64, now units.Time, fs comm.FaultStats) {
+func chaosFingerprint(t *testing.T, steps int, fc fault.Config, workers int) (digest [32]byte, events uint64, now units.Time, fs faultStats) {
 	t.Helper()
 	d := tile.Decomp{NXg: 16, NYg: 8, Px: 2, Py: 1, PeriodicX: true}
 	cfg := gcm.DefaultCoupledConfig(d)
@@ -93,7 +101,12 @@ func chaosFingerprint(t *testing.T, steps int, fc fault.Config, workers int) (di
 		}
 	}
 	copy(digest[:], h.Sum(nil))
-	return digest, cl.Eng.Events(), cl.Eng.Now(), lib.FaultStats()
+	for _, nd := range cl.Nodes {
+		fs.Add(nd.NIU.Rel)
+	}
+	ns := cl.Fabric.Stats()
+	fs.FaultDropped, fs.FaultCorrupted, fs.OutageDropped, fs.FailedOver = ns.FaultDropped, ns.FaultCorrupted, ns.OutageDropped, ns.FailedOver
+	return digest, cl.Eng.Events(), cl.Eng.Now(), fs
 }
 
 // TestChaosRunIsDeterministic is the acceptance test for the fault
@@ -124,7 +137,7 @@ func TestChaosRunIsDeterministic(t *testing.T) {
 	}
 	// The fault-free run pays zero recovery overhead: the reliable
 	// channel is not even enabled.
-	if fs0 != (comm.FaultStats{}) {
+	if fs0 != (faultStats{}) {
 		t.Errorf("fault-free run shows nonzero fault counters: %+v", fs0)
 	}
 	if t1 <= t0 {

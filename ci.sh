@@ -391,6 +391,15 @@ if "$bin_dir/hyades" -model gyre -serial -steps 0 > /dev/null 2>&1; then
     echo "chaos smoke: hyades accepted -steps 0" >&2
     exit 1
 fi
+# A fault plan that names what the machine lacks is refused, not run
+# fault-free: an outage pattern matching no link, a drop or corrupt
+# rate that is not a probability.
+for hy_bad in "-link-outage bad" "-drop-rate 2" "-drop-rate -0.5" "-corrupt-rate NaN"; do
+    if "$bin_dir/hyades" -model gyre -nodes 2 -ppn 1 -steps 2 -warmup 0 $hy_bad > /dev/null 2>&1; then
+        echo "chaos smoke: hyades accepted $hy_bad" >&2
+        exit 1
+    fi
+done
 # A checkpoint cadence that is negative or not a number used to read as
 # "never"; it is refused like a bad run length.
 for fig_bad in "-nx 32 -ny 16 -days -1" "-nx 32 -ny 16 -days 0.02 -years 0.0001" \
@@ -505,7 +514,7 @@ bench_out="${HYADES_BENCH_JSON:-$tmp_root/bench.json}"
     # allocs/op is all setup and the zero-alloc event path is invisible.
     go test -run '^$' -bench '^(BenchmarkExchange|BenchmarkExchangeIntraNode|BenchmarkGlobalSum|BenchmarkGlobalSumMixMode)$' \
         -benchmem -benchtime 100x .
-    # Scheduler throughput: ladder vs heap at three backlog depths.
+    # Event-queue throughput at three backlog depths.
     # Iterations are bounded so the 1e7-pending prefill dominates once,
     # not per-measurement, but high enough (200k ops is ~tens of ms)
     # that rung-refill spikes amortize instead of landing whole in a

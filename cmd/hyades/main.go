@@ -67,9 +67,6 @@ func main() {
 		}
 		fcfg.NodeOutages = outages
 	}
-	if fcfg.Enabled() && (*serial || *netName != "") {
-		log.Fatal("fault injection models the Arctic fabric: drop -serial / -net to use it")
-	}
 	set := map[string]bool{}
 	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
 	if err := badSteps(*steps, *warmup, *checkpointEvery); err != nil {
@@ -160,25 +157,17 @@ func main() {
 		t.Addf("slots reserved / materialised|%d / %d", c.SlotsReserved, c.SlotsMaterialised)
 	}
 	if fcfg.Enabled() {
-		fs := res.Fault
+		rel, net := res.Fault, res.Net
 		t.Addf("fault drops / corruptions / outage drops|%d / %d / %d",
-			fs.FaultDropped, fs.FaultCorrupted, fs.OutageDropped)
-		t.Addf("retransmits / timeouts|%d / %d", fs.Retransmits, fs.Timeouts)
-		t.Addf("dup suppressed / gap dropped|%d / %d", fs.DupSuppressed, fs.GapDropped)
-		t.Addf("adaptive fail-overs|%d", fs.FailedOver)
+			net.FaultDropped, net.FaultCorrupted, net.OutageDropped)
+		t.Addf("retransmits / timeouts|%d / %d", rel.Retransmits, rel.Timeouts)
+		t.Addf("dup suppressed / gap dropped|%d / %d", rel.DupSuppressed, rel.GapDropped)
+		t.Addf("adaptive fail-overs|%d", net.FailedOver)
 		t.Addf("goodput|%.1f%% of %d wire bytes",
-			report.Goodput(res.Net.PayloadBytes, res.Net.WireBytes), res.Net.WireBytes)
+			report.Goodput(net.PayloadBytes, net.WireBytes), net.WireBytes)
 	}
 	if res.Recovery.Enabled {
-		t.AddAvailability(report.Availability{
-			Restarts:         res.Recovery.Restarts,
-			RecoveryTime:     res.Recovery.RecoveryTime.Micros(),
-			LostVirtual:      res.Recovery.LostVirtual.Micros(),
-			LostFlops:        res.Recovery.LostFlops,
-			Checkpoints:      res.Recovery.Checkpoints,
-			CheckpointBytes:  res.Recovery.CheckpointBytes,
-			PendingDiscarded: res.Recovery.PendingDiscarded,
-		})
+		addAvailability(t, res.Recovery)
 	}
 	fmt.Print(t)
 	if *digest {
@@ -189,6 +178,18 @@ func main() {
 			}
 		}
 		fmt.Printf("state digest: %x\n", h.Sum(nil))
+	}
+}
+
+// addAvailability appends the crash-recovery rows: the node losses
+// survived, what they cost and what the checkpoint insurance cost.
+func addAvailability(t *report.Table, r gcm.RecoveryResult) {
+	t.Addf("node restarts survived|%d", r.Restarts)
+	t.Addf("recovery overhead (virtual)|%s", report.Micros(r.RecoveryTime.Micros()))
+	t.Addf("lost virtual time / replayed flops|%s / %d", report.Micros(r.LostVirtual.Micros()), r.LostFlops)
+	t.Addf("checkpoints committed|%d (%d bytes)", r.Checkpoints, r.CheckpointBytes)
+	if r.PendingDiscarded > 0 {
+		t.Addf("checkpoint rounds discarded mid-crash|%d", r.PendingDiscarded)
 	}
 }
 
@@ -239,15 +240,17 @@ func badSteps(steps, warmup, checkpointEvery int) error {
 
 // ignoredFlag names the first explicitly set flag that the chosen run
 // never reads: a -serial run has no warm-up, checkpoint cadence or
-// machine; a -net run has no checkpoints; and only a -serial run writes
-// or restores a checkpoint file.
+// machine; a -net run has no checkpoints; only a -serial run writes or
+// restores a checkpoint file; and faults are injected into the Arctic
+// fabric, which neither a -serial nor a -net run has.
 func ignoredFlag(set map[string]bool, serial, net bool) error {
+	faults := []string{"fault-seed", "drop-rate", "corrupt-rate", "link-outage", "node-outage"}
 	run, ignored := "parallel Hyades", []string{"checkpoint", "restore"}
 	switch {
 	case serial:
-		run, ignored = "-serial", []string{"warmup", "checkpoint-every", "nodes", "ppn", "net"}
+		run, ignored = "-serial", append([]string{"warmup", "checkpoint-every", "nodes", "ppn", "net"}, faults...)
 	case net:
-		run, ignored = "-net", []string{"checkpoint-every", "checkpoint", "restore"}
+		run, ignored = "-net", append([]string{"checkpoint-every", "checkpoint", "restore"}, faults...)
 	}
 	for _, name := range ignored {
 		if set[name] {

@@ -17,7 +17,6 @@ import (
 
 	"hyades/internal/cluster"
 	"hyades/internal/comm"
-	"hyades/internal/des"
 	"hyades/internal/gcm"
 	"hyades/internal/gcm/physics"
 	"hyades/internal/gcm/tile"
@@ -31,13 +30,6 @@ import (
 // (cluster.Config.Workers: 0 = GOMAXPROCS, negative = inline).
 func coupledFingerprint(t testing.TB, steps, workers int) (digest [32]byte, events uint64, now units.Time) {
 	t.Helper()
-	return coupledFingerprintSched(t, steps, workers, des.SchedLadder)
-}
-
-// coupledFingerprintSched is coupledFingerprint with an explicit event
-// scheduler, for the heap-vs-ladder equivalence matrix.
-func coupledFingerprintSched(t testing.TB, steps, workers int, sched des.SchedulerKind) (digest [32]byte, events uint64, now units.Time) {
-	t.Helper()
 	d := tile.Decomp{NXg: 16, NYg: 8, Px: 2, Py: 1, PeriodicX: true}
 	cfg := gcm.DefaultCoupledConfig(d)
 	cfg.Ocean.Grid.NX, cfg.Ocean.Grid.NY = 16, 8
@@ -50,7 +42,6 @@ func coupledFingerprintSched(t testing.TB, steps, workers int, sched des.Schedul
 	nWorkers := 2 * tiles
 	ccfg := cluster.DefaultConfig(nWorkers, 1)
 	ccfg.Workers = workers
-	ccfg.Scheduler = sched
 	cl, err := cluster.New(ccfg)
 	if err != nil {
 		t.Fatal(err)
@@ -148,32 +139,6 @@ func TestDeterminismAcrossWorkerCounts(t *testing.T) {
 		}
 		if d != base {
 			t.Errorf("workers=%d: state digest %x differs from inline %x", w, d, base)
-		}
-	}
-}
-
-// TestSchedulerEquivalence is the acceptance test for the ladder-queue
-// scheduler swap: the kernel's contract is a strict (at, seq) execution
-// order, so the coupled run must produce a bit-identical state digest,
-// event count and final clock whether the pending-event set is the
-// original binary heap or the ladder queue — and for the ladder, across
-// worker-pool sizes too.
-func TestSchedulerEquivalence(t *testing.T) {
-	const steps = 12
-	heapD, heapE, heapT := coupledFingerprintSched(t, steps, -1, des.SchedHeap)
-	if heapE == 0 {
-		t.Fatal("no events were scheduled; the simulation did not run")
-	}
-	for _, w := range []int{-1, 1, runtime.GOMAXPROCS(0)} {
-		d, e, now := coupledFingerprintSched(t, steps, w, des.SchedLadder)
-		if e != heapE {
-			t.Errorf("ladder workers=%d: event count %d differs from heap %d", w, e, heapE)
-		}
-		if now != heapT {
-			t.Errorf("ladder workers=%d: final clock %v differs from heap %v", w, now, heapT)
-		}
-		if d != heapD {
-			t.Errorf("ladder workers=%d: state digest %x differs from heap %x", w, d, heapD)
 		}
 	}
 }

@@ -249,6 +249,11 @@ func New(e *des.Engine, cfg Config) (*Fabric, error) {
 		// link; down-phase forwarding finds it there.
 		leaf.down[ep%Radix] = out
 	}
+	if cfg.Faults != nil {
+		if bad := cfg.Faults.Unmatched(); len(bad) > 0 {
+			return nil, fmt.Errorf("arctic: link outages %q match no link of the %d-endpoint fabric", bad, cfg.Endpoints)
+		}
+	}
 	return f, nil
 }
 

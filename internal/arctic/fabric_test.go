@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"hyades/internal/des"
+	"hyades/internal/fault"
 	"hyades/internal/units"
 )
 
@@ -311,6 +312,11 @@ func TestInvalidConfigs(t *testing.T) {
 	cfg := DefaultConfig(5000) // needs 7 levels > header capacity
 	if _, err := New(eng, cfg); err == nil {
 		t.Fatal("oversized tree accepted")
+	}
+	cfg = DefaultConfig(8)
+	cfg.Faults = fault.NewPlan(fault.Config{Outages: []fault.Outage{{Link: "bad"}}})
+	if _, err := New(eng, cfg); err == nil {
+		t.Fatal("an outage matching no link accepted")
 	}
 }
 

@@ -1,6 +1,7 @@
 package arctic
 
 import (
+	"strings"
 	"testing"
 
 	"hyades/internal/des"
@@ -173,6 +174,32 @@ func TestOutageWindowEndsAndTrafficResumes(t *testing.T) {
 	eng.Run()
 	if len(*got) != 1 || (*got)[0].Tag != 2 {
 		t.Fatalf("got %d deliveries, want exactly the post-window packet", len(*got))
+	}
+}
+
+// TestOutageMatchingNoLinkIsAnError: an outage pattern that selects no
+// link of the fabric would inject nothing while the cluster still
+// turned the reliable channel on.  New names every such pattern and
+// none that matches.
+func TestOutageMatchingNoLinkIsAnError(t *testing.T) {
+	cfg := DefaultConfig(8)
+	cfg.Faults = fault.NewPlan(fault.Config{Outages: []fault.Outage{
+		{Link: "bad"}, {Link: "inject(7)"}, {Link: "inject(99)"}, {Link: "up(s0,*"}, {Link: "up(s1,*"},
+	}})
+	_, err := New(des.NewEngine(), cfg)
+	if err == nil {
+		t.Fatal("outages matching no link accepted")
+	}
+	msg := err.Error()
+	for _, p := range []string{`"bad"`, `"inject(99)"`, `"up(s1,*"`} {
+		if !strings.Contains(msg, p) {
+			t.Errorf("error %q does not name %s", msg, p)
+		}
+	}
+	for _, p := range []string{`"inject(7)"`, `"up(s0,*"`} {
+		if strings.Contains(msg, p) {
+			t.Errorf("error %q names %s, which matches a link", msg, p)
+		}
 	}
 }
 

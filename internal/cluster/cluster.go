@@ -10,7 +10,6 @@ package cluster
 
 import (
 	"fmt"
-	"strconv"
 
 	"hyades/internal/arctic"
 	"hyades/internal/des"
@@ -37,11 +36,6 @@ type Config struct {
 	// the pool has no host threads and no size (des/pool.go says why).
 	// The virtual schedule is identical for every value.
 	Workers int
-
-	// Scheduler selects the engine's event-queue implementation.  The
-	// zero value is the ladder queue; des.SchedHeap keeps the original
-	// binary heap for the scheduler-equivalence determinism tests.
-	Scheduler des.SchedulerKind
 }
 
 // DefaultConfig returns the published Hyades machine with the given SMP
@@ -94,16 +88,14 @@ func New(cfg Config) (*Cluster, error) {
 	if cfg.ProcsPerNode < 1 || cfg.ProcsPerNode > 8 {
 		return nil, fmt.Errorf("cluster: %d processors per node out of range", cfg.ProcsPerNode)
 	}
+	if err := cfg.Fault.Validate(cfg.Nodes); err != nil {
+		return nil, fmt.Errorf("cluster: %w", err)
+	}
 	var plan *fault.Plan
 	if cfg.Fault.Enabled() {
 		plan = fault.NewPlan(cfg.Fault)
 	}
-	if cfg.Fault.NodesEnabled() {
-		if err := validateNodePlan(cfg, plan); err != nil {
-			return nil, err
-		}
-	}
-	eng := des.NewEngineWithScheduler(cfg.Scheduler)
+	eng := des.NewEngine()
 	eng.SetWatchdog(watchdog)
 	fab, err := arctic.New(eng, arctic.Config{Endpoints: cfg.Nodes, Faults: plan})
 	if err != nil {
@@ -120,24 +112,6 @@ func New(cfg Config) (*Cluster, error) {
 		c.Nodes = append(c.Nodes, n)
 	}
 	return c, nil
-}
-
-// validateNodePlan rejects node-outage configs the machine cannot
-// execute: a spec naming a node that does not exist (an exact index out
-// of range matches nothing and would silently inject no fault — a typo,
-// like a duplicate spec) and overlapping crash windows on one node.
-func validateNodePlan(cfg Config, plan *fault.Plan) error {
-	for _, o := range cfg.Fault.NodeOutages {
-		if idx, err := strconv.Atoi(o.Node); err == nil && (idx < 0 || idx >= cfg.Nodes) {
-			return fmt.Errorf("cluster: node outage names node %d, but the machine has nodes 0..%d", idx, cfg.Nodes-1)
-		}
-	}
-	for i := 0; i < cfg.Nodes; i++ {
-		if err := plan.Node(i).Validate(); err != nil {
-			return fmt.Errorf("cluster: %w", err)
-		}
-	}
-	return nil
 }
 
 // Processors returns the total processor count.

@@ -2,11 +2,13 @@ package cluster
 
 import (
 	"errors"
+	"math"
 	"strings"
 	"testing"
 
 	"hyades/internal/arctic"
 	"hyades/internal/des"
+	"hyades/internal/fault"
 	"hyades/internal/units"
 )
 
@@ -177,5 +179,34 @@ func TestInvalidConfigs(t *testing.T) {
 	}
 	if _, err := New(DefaultConfig(2, 9)); err == nil {
 		t.Fatal("9 ppn accepted")
+	}
+	// A fault rate is a probability.  NaN and negative rates used to run
+	// fault-free without a word (Enabled tests > 0); rate 1 drops or
+	// corrupts every packet and stays valid.
+	for _, fc := range []fault.Config{
+		{DropRate: -0.5}, {DropRate: 2}, {DropRate: math.NaN()},
+		{CorruptRate: -1e-9}, {CorruptRate: 1.5}, {CorruptRate: math.NaN()},
+	} {
+		cfg := DefaultConfig(2, 1)
+		cfg.Fault = fc
+		if _, err := New(cfg); err == nil || !strings.Contains(err.Error(), "not a probability") {
+			t.Errorf("fault config %+v: err = %v, want one refusing the rate", fc, err)
+		}
+	}
+	for _, fc := range []fault.Config{{DropRate: 1}, {CorruptRate: 1}, {DropRate: 0.5, CorruptRate: 0}} {
+		cfg := DefaultConfig(2, 1)
+		cfg.Fault = fc
+		cl, err := New(cfg)
+		if err != nil {
+			t.Errorf("fault config %+v: %v", fc, err)
+			continue
+		}
+		cl.Close()
+	}
+	// A link outage that names no link of the machine is refused too.
+	cfg := DefaultConfig(8, 1)
+	cfg.Fault.Outages = []fault.Outage{{Link: "inject(99)"}}
+	if _, err := New(cfg); err == nil || !strings.Contains(err.Error(), `"inject(99)"`) {
+		t.Errorf("outage on inject(99) of an 8-node machine: err = %v", err)
 	}
 }

@@ -37,41 +37,6 @@ func (e *PeerUnreachableError) Error() string {
 // Unwrap lets errors.Is(err, ErrPeerUnreachable) succeed.
 func (e *PeerUnreachableError) Unwrap() error { return ErrPeerUnreachable }
 
-// FaultStats aggregates the fault-and-recovery counters of a run across
-// every NIU and the fabric, for benchmark reporting (goodput vs.
-// injected fault rate).
-type FaultStats struct {
-	// Reliable-channel protocol counters (summed over NIUs).
-	startx.RelStats
-
-	// Fabric fault counters.
-	FaultDropped   int64 // packets silently dropped by injected link faults
-	FaultCorrupted int64 // packets corrupted in flight
-	OutageDropped  int64 // packets lost to link outage windows
-	FailedOver     int64 // up-hops adaptively routed around a downed link
-}
-
-// FaultStats sums the recovery counters over the cluster.
-func (h *Hyades) FaultStats() FaultStats {
-	var fs FaultStats
-	for _, nd := range h.cl.Nodes {
-		r := nd.NIU.Rel
-		fs.DataPackets += r.DataPackets
-		fs.Retransmits += r.Retransmits
-		fs.Timeouts += r.Timeouts
-		fs.AcksSent += r.AcksSent
-		fs.DupSuppressed += r.DupSuppressed
-		fs.GapDropped += r.GapDropped
-		fs.CorruptDropped += r.CorruptDropped
-	}
-	ns := h.cl.Fabric.Stats()
-	fs.FaultDropped = ns.FaultDropped
-	fs.FaultCorrupted = ns.FaultCorrupted
-	fs.OutageDropped = ns.OutageDropped
-	fs.FailedOver = ns.FailedOver
-	return fs
-}
-
 // unreachableError translates a NIU diagnostic into the comm-level
 // error, mapping SMP ids to the ranks of their communication masters.
 func unreachableError(ppn int, u startx.UnreachableInfo) *PeerUnreachableError {

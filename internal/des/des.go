@@ -54,11 +54,10 @@ import (
 	"hyades/internal/units"
 )
 
-// event is a scheduled activity.  The scheduler owns the bookkeeping
-// fields: idx is the event's slot within its container (heap position,
-// or position inside an unsorted ladder region, where it makes
-// cancellation an O(1) swap-remove); rng and bkt locate that container
-// in the ladder; dead marks a tombstoned cancellation awaiting drain.
+// event is a scheduled activity.  The queue owns the bookkeeping
+// fields: idx is the event's position inside an unsorted ladder region,
+// where it makes cancellation an O(1) swap-remove; rng and bkt locate
+// that region; dead marks a tombstoned cancellation awaiting drain.
 // Cancelled timers must not advance the virtual clock to their expiry,
 // so a dead event is skipped — never executed — when popped.
 type event struct {
@@ -76,7 +75,7 @@ type event struct {
 // through the coroutine discipline described in the package comment.
 type Engine struct {
 	now   units.Time
-	sched scheduler
+	sched ladderQueue
 	seq   uint64
 	// cur is the seq of the activity holding the baton — the event being
 	// dispatched, or the number an inline Delay advance just consumed —
@@ -92,12 +91,6 @@ type Engine struct {
 	// from the event path.
 	procs   []*Proc
 	stopped bool
-
-	// free is the event freelist.  Every Schedule used to allocate an
-	// event; recycling fired (and cancelled) events makes scheduling
-	// allocation-free in steady state — the dominant allocation of the
-	// communication hot paths.
-	free []*event
 
 	// pool, when set, defers compute phases (Proc.Exec) to their
 	// completion events.  Nil means Exec runs inline.
@@ -116,26 +109,8 @@ type Engine struct {
 	failed error
 }
 
-// NewEngine returns an empty kernel at virtual time zero, using the
-// default ladder-queue scheduler.
-func NewEngine() *Engine {
-	return NewEngineWithScheduler(SchedLadder)
-}
-
-// NewEngineWithScheduler returns an empty kernel with an explicit
-// event-queue implementation.  Both kinds execute events in the same
-// strict (at, seq) order, so a simulation's digest is identical under
-// either — the determinism suite asserts exactly that.
-func NewEngineWithScheduler(kind SchedulerKind) *Engine {
-	e := &Engine{}
-	switch kind {
-	case SchedHeap:
-		e.sched = &heapSched{}
-	default:
-		e.sched = &ladderQueue{}
-	}
-	return e
-}
+// NewEngine returns an empty kernel at virtual time zero.
+func NewEngine() *Engine { return &Engine{} }
 
 // Now returns the current virtual time.
 func (e *Engine) Now() units.Time { return e.now }
@@ -160,29 +135,7 @@ func (e *Engine) Counters() Counters { return e.ctr }
 // newEvent stamps an event with the next sequence number.
 func (e *Engine) newEvent(at units.Time, fn func()) *event {
 	e.seq++
-	return e.eventAt(at, e.seq, fn)
-}
-
-// eventAt takes an event from the freelist (or allocates one) for the
-// position (at, seq): a fresh number, or one a Slot reserved earlier.
-func (e *Engine) eventAt(at units.Time, seq uint64, fn func()) *event {
-	if n := len(e.free); n > 0 {
-		ev := e.free[n-1]
-		e.free[n-1] = nil
-		e.free = e.free[:n-1]
-		ev.at, ev.seq, ev.fn = at, seq, fn
-		return ev
-	}
-	return &event{at: at, seq: seq, fn: fn}
-}
-
-// cancelEvent removes a queued event.  Schedulers that tombstone
-// instead of removing hand the event back through head or next, which
-// recycle it there.
-func (e *Engine) cancelEvent(ev *event) {
-	if e.sched.cancel(ev) {
-		recycle(&e.free, ev)
-	}
+	return e.sched.event(at, e.seq, fn)
 }
 
 // Schedule runs fn at now+d.  A zero d means "as soon as possible",
@@ -238,7 +191,7 @@ func (e *Engine) RunUntil(limit units.Time) {
 	e.limit = limit
 	defer func() { e.limit = prev }()
 	for !e.stopped && e.failed == nil {
-		ev := e.sched.next(limit, &e.free)
+		ev := e.sched.next(limit)
 		if ev == nil {
 			e.settle(limit)
 			return
@@ -277,7 +230,7 @@ func (e *Engine) dispatch(ev *event) {
 	e.cur = ev.seq
 	e.ctr.Dispatched++
 	ev.fn()
-	recycle(&e.free, ev)
+	e.sched.recycle(ev)
 }
 
 // Fail records a fatal simulation error and stops the run loop at the
@@ -408,7 +361,7 @@ func (t *Timer) Cancel() {
 	}
 	ev := t.ev
 	t.ev = nil
-	t.eng.cancelEvent(ev)
+	t.eng.sched.cancel(ev)
 }
 
 // Active reports whether the timer is still pending.
@@ -456,7 +409,7 @@ func (s *Slot) Hold(d units.Time, waiting bool) {
 	s.at, s.seq = e.now+d, e.seq
 	if waiting {
 		s.state = slotQueued
-		e.sched.push(e.eventAt(s.at, s.seq, s.release))
+		e.sched.push(e.sched.event(s.at, s.seq, s.release))
 		return
 	}
 	s.state = slotReserved
@@ -481,7 +434,7 @@ func (s *Slot) Await() bool {
 	if s.state == slotReserved {
 		s.state = slotQueued
 		e.ctr.SlotsMaterialised++
-		e.sched.push(e.eventAt(s.at, s.seq, s.release))
+		e.sched.push(e.sched.event(s.at, s.seq, s.release))
 	}
 	return true
 }
@@ -493,7 +446,7 @@ func (e *Engine) Step() bool {
 	if e.stopped {
 		return false
 	}
-	ev := e.sched.next(units.Never, &e.free)
+	ev := e.sched.next(units.Never)
 	if ev == nil {
 		e.settle(units.Never)
 		return false
@@ -601,8 +554,8 @@ type Proc struct {
 
 	// Watchdog state: wdEv is the armed watchdog event (nil when
 	// idle), wdFireFn its bound handler.  One event object cycles
-	// through the engine freelist instead of a Timer + closure per
-	// park.  waitName, set by NameWaits, names a park begun inside
+	// through the event queue's freelist instead of a Timer + closure
+	// per park.  waitName, set by NameWaits, names a park begun inside
 	// Await in the trip's Culprit; it is read only while step is set.
 	wdEv     *event
 	wdFireFn func()
@@ -827,7 +780,7 @@ func (p *Proc) disarmWd() {
 	}
 	ev := p.wdEv
 	p.wdEv = nil
-	p.eng.cancelEvent(ev)
+	p.eng.sched.cancel(ev)
 }
 
 // wdFire is the watchdog handler (engine context): it panics with the
@@ -943,7 +896,7 @@ func (p *Proc) StepDelay(d units.Time) bool {
 	// reserved before), so clock, event order and event count are
 	// bit-identical to the slow path.
 	if !e.stopped && e.failed == nil && at <= e.limit {
-		if nxt := e.sched.head(&e.free); nxt == nil || nxt.at > at {
+		if nxt := e.sched.head(); nxt == nil || nxt.at > at {
 			e.seq++
 			e.cur = e.seq
 			e.now = at

@@ -1,115 +1,17 @@
-// Event scheduler implementations.
+// The event queue.
 //
-// The kernel's contract with its scheduler is a strict total order: events
-// execute in ascending (at, seq), where seq is the global schedule counter.
-// Any structure that honours that order is digest-equivalent — the
-// simulation cannot observe which one is underneath.  Two are provided:
-//
-//   - ladderQueue (the default): a ladder queue in the style of Tang,
-//     Goh & Thng.  Amortized O(1) enqueue and dequeue via time-bucketed
-//     rungs, O(1) cancellation, no comparison work proportional to the
-//     pending-event count.  This is what lets the simulated machine grow
-//     from 32 to 1,024 nodes without the scheduler becoming the hot path.
-//   - heapSched: the original container/heap binary heap, O(log n) per
-//     operation.  Kept behind NewEngineWithScheduler so the determinism
-//     suite can assert bit-identical digests across both implementations.
+// The kernel's contract with its queue is a strict total order: events
+// execute in ascending (at, seq), where seq is the global schedule
+// counter.  The queue is a ladder queue in the style of Tang, Goh &
+// Thng: amortized O(1) enqueue and dequeue via time-bucketed rungs,
+// O(1) cancellation, no comparison work proportional to the pending-
+// event count.  This is what lets the simulated machine grow from 32
+// to 1,024 nodes without the queue becoming the hot path.  The binary
+// heap it replaced lives on in heap_test.go as the order reference the
+// ladder is tested against.
 package des
 
-import (
-	"container/heap"
-
-	"hyades/internal/units"
-)
-
-// scheduler is the pending-event set, in ascending (at, seq) order.
-// head returns the first live event; next removes it if it is at or
-// before limit, one call per dispatch.  Both recycle the cancelled
-// (dead) events in front of it onto free.  cancel reports whether the
-// event left at once (true: the caller recycles it) or was tombstoned
-// (false: head or next drains it).  len counts live events only.
-type scheduler interface {
-	push(ev *event)
-	head(free *[]*event) *event
-	next(limit units.Time, free *[]*event) *event
-	cancel(ev *event) bool
-	len() int
-}
-
-// recycle returns a fired or cancelled event to the freelist free.  The
-// closure is dropped so recycling never retains captured state.
-func recycle(free *[]*event, ev *event) {
-	ev.fn = nil
-	ev.dead = false
-	*free = append(*free, ev)
-}
-
-// SchedulerKind selects the event-queue implementation behind an Engine.
-type SchedulerKind uint8
-
-const (
-	// SchedLadder is the default ladder queue: O(1) amortized
-	// enqueue/dequeue/cancel.
-	SchedLadder SchedulerKind = iota
-	// SchedHeap is the original binary heap, retained for the
-	// scheduler-equivalence determinism tests.
-	SchedHeap
-)
-
-// ---------------------------------------------------------------------------
-// Binary heap (the original scheduler).
-
-type eventHeap []*event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].idx = i
-	h[j].idx = j
-}
-func (h *eventHeap) Push(x any) {
-	e := x.(*event)
-	e.idx = len(*h)
-	*h = append(*h, e)
-}
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	e.idx = -1
-	*h = old[:n-1]
-	return e
-}
-
-// heapSched adapts eventHeap to the scheduler interface.  Cancellation
-// removes outright (heap.Remove, O(log n) with index maintenance on
-// every swap), so it never surfaces dead events.
-type heapSched struct{ h eventHeap }
-
-func (s *heapSched) push(ev *event) { heap.Push(&s.h, ev) }
-func (s *heapSched) head(*[]*event) *event {
-	if len(s.h) == 0 {
-		return nil
-	}
-	return s.h[0]
-}
-func (s *heapSched) next(limit units.Time, _ *[]*event) *event {
-	if len(s.h) == 0 || s.h[0].at > limit {
-		return nil
-	}
-	return heap.Pop(&s.h).(*event)
-}
-func (s *heapSched) cancel(ev *event) bool {
-	heap.Remove(&s.h, ev.idx)
-	return true
-}
-func (s *heapSched) len() int { return len(s.h) }
+import "hyades/internal/units"
 
 // ---------------------------------------------------------------------------
 // Ladder queue.
@@ -148,7 +50,7 @@ const (
 // Buckets are unsorted — order is imposed only when a bucket's events
 // reach bottom.  Widths are rounded up to powers of two (width ==
 // 1<<shift) so the per-push bucket index is a shift, not an int64
-// division — the single hottest instruction in the scheduler.
+// division — the single hottest instruction in the queue.
 type rung struct {
 	start   units.Time
 	width   units.Time
@@ -188,7 +90,8 @@ func (r *rung) reset() {
 	r.start, r.width = 0, 0
 }
 
-// ladderQueue is the default scheduler.  Structure, coarse to fine:
+// ladderQueue is the engine's pending-event set.  Structure, coarse to
+// fine:
 //
 //	top    — unsorted spill list for events at or beyond topStart
 //	rungs  — bucketed refinement levels (rungs[0] coarsest); each
@@ -199,8 +102,8 @@ func (r *rung) reset() {
 // (at, seq) order) every event in any rung, and every rung precedes all
 // rungs above it and top.  Pops therefore come from bottom only, and
 // refilling bottom from the deepest rung's next bucket preserves the
-// global total order — which is what makes the ladder digest-equivalent
-// to the heap.
+// global total order: the same order a binary heap keyed on (at, seq)
+// pops, which the queue-level oracle tests check.
 //
 // Cancellation: top and rung buckets are unsorted, so a cancelled event
 // is swap-removed in O(1) via its (rng, bkt, idx) location stamp.  Only
@@ -210,6 +113,10 @@ func (r *rung) reset() {
 // (1 hour of virtual time by default) that is almost always cancelled:
 // eager removal in the unsorted regions keeps millions of armed-then-
 // cancelled watchdogs from accumulating as garbage.
+//
+// The queue recycles its own events: free is the freelist that event
+// takes from and that a fired, swap-removed or drained tombstoned event
+// returns to, so scheduling allocates nothing in steady state.
 type ladderQueue struct {
 	top            []*event
 	topMin, topMax units.Time // conservative bounds over top (stale after cancels: min only ever too low, max too high — never falsely equal)
@@ -219,9 +126,32 @@ type ladderQueue struct {
 	bottom         []*event
 	cursor         int
 	live           int
+	free           []*event
 }
 
+// len counts the live (uncancelled) events.
 func (l *ladderQueue) len() int { return l.live }
+
+// event takes an event from the freelist (or allocates one) for the
+// position (at, seq).
+func (l *ladderQueue) event(at units.Time, seq uint64, fn func()) *event {
+	if n := len(l.free); n > 0 {
+		ev := l.free[n-1]
+		l.free[n-1] = nil
+		l.free = l.free[:n-1]
+		ev.at, ev.seq, ev.fn = at, seq, fn
+		return ev
+	}
+	return &event{at: at, seq: seq, fn: fn}
+}
+
+// recycle returns a fired or cancelled event to the freelist.  The
+// closure is dropped so recycling never retains captured state.
+func (l *ladderQueue) recycle(ev *event) {
+	ev.fn = nil
+	ev.dead = false
+	l.free = append(l.free, ev)
+}
 
 func (l *ladderQueue) push(ev *event) {
 	l.live++
@@ -299,8 +229,8 @@ func (l *ladderQueue) insertBottom(ev *event) {
 }
 
 // head returns the first live event, refilling bottom from the rungs
-// and top as it empties and recycling tombstones onto free.
-func (l *ladderQueue) head(free *[]*event) *event {
+// and top as it empties and recycling the tombstones in front of it.
+func (l *ladderQueue) head() *event {
 	for {
 		for l.cursor >= len(l.bottom) {
 			l.bottom = l.bottom[:0]
@@ -318,12 +248,14 @@ func (l *ladderQueue) head(free *[]*event) *event {
 		}
 		l.bottom[l.cursor] = nil
 		l.cursor++
-		recycle(free, ev)
+		l.recycle(ev)
 	}
 }
 
-func (l *ladderQueue) next(limit units.Time, free *[]*event) *event {
-	ev := l.head(free)
+// next removes and returns the first live event if it is at or before
+// limit: one call per dispatch.
+func (l *ladderQueue) next(limit units.Time) *event {
+	ev := l.head()
 	if ev == nil || ev.at > limit {
 		return nil
 	}
@@ -333,12 +265,14 @@ func (l *ladderQueue) next(limit units.Time, free *[]*event) *event {
 	return ev
 }
 
-func (l *ladderQueue) cancel(ev *event) bool {
+// cancel removes a queued event: at once from top or a rung, as a
+// tombstone that head drains from bottom.
+func (l *ladderQueue) cancel(ev *event) {
 	l.live--
 	switch ev.rng {
 	case rngBottom:
 		ev.dead = true
-		return false
+		return
 	case rngTop:
 		last := len(l.top) - 1
 		moved := l.top[last]
@@ -346,7 +280,6 @@ func (l *ladderQueue) cancel(ev *event) bool {
 		moved.idx = ev.idx
 		l.top[last] = nil
 		l.top = l.top[:last]
-		return true
 	default:
 		r := l.rungs[ev.rng]
 		b := r.buckets[ev.bkt]
@@ -357,8 +290,8 @@ func (l *ladderQueue) cancel(ev *event) bool {
 		b[last] = nil
 		r.buckets[ev.bkt] = b[:last]
 		r.count--
-		return true
 	}
+	l.recycle(ev)
 }
 
 // refill moves the next timeline segment into the (empty) bottom and

@@ -30,9 +30,8 @@ func TestLadderMatchesHeapOrder(t *testing.T) {
 	type pair struct{ l, h *event }
 	var cancellable []pair
 
-	var free []*event
 	popBoth := func() bool {
-		le, he := lad.next(units.Never, &free), hp.next(units.Never, &free)
+		le, he := lad.next(units.Never), hp.next(units.Never)
 		if (le == nil) != (he == nil) {
 			t.Fatalf("emptiness mismatch: ladder %v heap %v", le, he)
 		}
@@ -114,7 +113,6 @@ func TestLadderMatchesHeapWithReservedSeqs(t *testing.T) {
 	var seq uint64
 	last := event{} // the last popped key: nothing may be queued before it
 	var reserved []event
-	var free []*event
 	landed := map[int8]int{} // region each late push went to
 	push := func(at units.Time, s uint64) *event {
 		le, he := &event{at: at, seq: s}, &event{at: at, seq: s}
@@ -158,7 +156,7 @@ func TestLadderMatchesHeapWithReservedSeqs(t *testing.T) {
 				landed[le.rng]++
 			}
 		default:
-			le, he := lad.next(units.Never, &free), hp.next(units.Never, &free)
+			le, he := lad.next(units.Never), hp.next(units.Never)
 			if (le == nil) != (he == nil) {
 				t.Fatalf("emptiness mismatch: ladder %v heap %v", le, he)
 			}
@@ -193,7 +191,6 @@ func TestLadderMatchesHeapWithReservedSeqs(t *testing.T) {
 func TestLadderBottomInsertMatchesHeap(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	lad, hp := &ladderQueue{}, &heapSched{}
-	var free []*event
 	var seq uint64
 	var now units.Time
 	var stash []uint64 // positions drawn and not yet queued, oldest first
@@ -237,7 +234,7 @@ func TestLadderBottomInsertMatchesHeap(t *testing.T) {
 	}
 	for _, phase := range []struct{ actors, pops int }{{16, 40000}, {300, 60000}, {20, 40000}} {
 		for i := 0; i < phase.pops; i++ {
-			le, he := lad.next(units.Never, &free), hp.next(units.Never, &free)
+			le, he := lad.next(units.Never), hp.next(units.Never)
 			if le == nil || he == nil || le.at != he.at || le.seq != he.seq {
 				t.Fatalf("pop diverged: ladder %+v heap %+v", le, he)
 			}
@@ -300,32 +297,30 @@ func TestRunUntilDrainsATombstonedHead(t *testing.T) {
 		{30, 26, 9, 1, "a@20 p@26"},
 		{units.Never, 1e15, 9, 0, "a@20 p@26 b@1000000000000000"},
 	}
-	for _, kind := range []SchedulerKind{SchedLadder, SchedHeap} {
-		e := NewEngineWithScheduler(kind)
-		var log []string
-		note := func(s string) func() { return func() { log = append(log, fmt.Sprintf("%s@%d", s, e.Now())) } }
-		t1 := e.After(15, note("t1"))
-		t2 := e.After(25, note("t2"))
-		e.Schedule(20, note("a"))
-		e.Schedule(1e15, note("b")) // rung 0 is coarse: the rest sorts into bottom
-		e.Spawn("p", func(p *Proc) {
-			p.Delay(10)
-			t1.Cancel()
-			if l, ok := e.sched.(*ladderQueue); ok && !l.bottom[l.cursor].dead {
-				t.Errorf("the cancelled timer is not a tombstone at the head of bottom")
-			}
-			p.Delay(7) // past the limit of 12: queued behind the tombstone
-			t2.Cancel()
-			p.Delay(5)
-			p.Delay(4) // inline: the tombstone at 25 is all that comes first
-			note("p")()
-		})
-		for _, w := range want {
-			e.RunUntil(w.limit)
-			got := stop{w.limit, e.Now(), e.Events(), e.Pending(), strings.Join(log, " ")}
-			if got != w {
-				t.Errorf("scheduler %d: RunUntil(%d) left %+v, want %+v", kind, w.limit, got, w)
-			}
+	e := NewEngine()
+	var log []string
+	note := func(s string) func() { return func() { log = append(log, fmt.Sprintf("%s@%d", s, e.Now())) } }
+	t1 := e.After(15, note("t1"))
+	t2 := e.After(25, note("t2"))
+	e.Schedule(20, note("a"))
+	e.Schedule(1e15, note("b")) // rung 0 is coarse: the rest sorts into bottom
+	e.Spawn("p", func(p *Proc) {
+		p.Delay(10)
+		t1.Cancel()
+		if l := &e.sched; !l.bottom[l.cursor].dead {
+			t.Errorf("the cancelled timer is not a tombstone at the head of bottom")
+		}
+		p.Delay(7) // past the limit of 12: queued behind the tombstone
+		t2.Cancel()
+		p.Delay(5)
+		p.Delay(4) // inline: the tombstone at 25 is all that comes first
+		note("p")()
+	})
+	for _, w := range want {
+		e.RunUntil(w.limit)
+		got := stop{w.limit, e.Now(), e.Events(), e.Pending(), strings.Join(log, " ")}
+		if got != w {
+			t.Errorf("RunUntil(%d) left %+v, want %+v", w.limit, got, w)
 		}
 	}
 }

@@ -54,8 +54,8 @@ func (f *facility) start() {
 // times and gaps drawn so that arrivals land before, exactly on and
 // after the end of a hold, and returns the log, Events() and the final
 // clock.
-func slotWorkload(kind SchedulerKind, seed int64, slots bool) ([]string, uint64, units.Time) {
-	e := NewEngineWithScheduler(kind)
+func slotWorkload(seed int64, slots bool) ([]string, uint64, units.Time) {
+	e := NewEngine()
 	defer e.Close()
 	rng := rand.New(rand.NewSource(seed))
 	var log []string
@@ -113,16 +113,14 @@ func slotWorkload(kind SchedulerKind, seed int64, slots bool) ([]string, uint64,
 // order, same clock at every step, same sequence numbers, same end.
 func TestSlotMatchesAlwaysQueuedEvent(t *testing.T) {
 	for seed := int64(1); seed <= 200; seed++ {
-		wantLog, wantEvents, wantNow := slotWorkload(SchedLadder, seed, false)
-		for _, kind := range []SchedulerKind{SchedLadder, SchedHeap} {
-			log, events, now := slotWorkload(kind, seed, true)
-			if events != wantEvents || now != wantNow {
-				t.Fatalf("seed %d sched %d: events %d now %d, always-queued %d %d", seed, kind, events, now, wantEvents, wantNow)
-			}
-			for i := range wantLog {
-				if i >= len(log) || log[i] != wantLog[i] {
-					t.Fatalf("seed %d sched %d: step %d is %q, always-queued %q", seed, kind, i, append(log, "<end>")[i], wantLog[i])
-				}
+		wantLog, wantEvents, wantNow := slotWorkload(seed, false)
+		log, events, now := slotWorkload(seed, true)
+		if events != wantEvents || now != wantNow {
+			t.Fatalf("seed %d: events %d now %d, always-queued %d %d", seed, events, now, wantEvents, wantNow)
+		}
+		for i := range wantLog {
+			if i >= len(log) || log[i] != wantLog[i] {
+				t.Fatalf("seed %d: step %d is %q, always-queued %q", seed, i, append(log, "<end>")[i], wantLog[i])
 			}
 		}
 	}

@@ -24,6 +24,7 @@ package fault
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -96,6 +97,37 @@ func (c Config) Enabled() bool {
 // the crash-recovery controller.
 func (c Config) NodesEnabled() bool { return len(c.NodeOutages) > 0 }
 
+// Validate rejects a config that a machine of the given node count
+// cannot execute.  A drop or corrupt rate must be a probability: NaN or
+// a negative rate would silently inject nothing (Enabled tests > 0).
+// A node outage may not name a node the machine lacks: an exact index
+// out of range matches nothing and would silently inject no fault — a
+// typo, like a duplicate spec.  And one node's crash windows may not
+// contradict each other (NodeFault.validate).
+func (c Config) Validate(nodes int) error {
+	if !(c.DropRate >= 0 && c.DropRate <= 1) {
+		return fmt.Errorf("fault: drop rate %v is not a probability in [0, 1]", c.DropRate)
+	}
+	if !(c.CorruptRate >= 0 && c.CorruptRate <= 1) {
+		return fmt.Errorf("fault: corrupt rate %v is not a probability in [0, 1]", c.CorruptRate)
+	}
+	if !c.NodesEnabled() {
+		return nil
+	}
+	for _, o := range c.NodeOutages {
+		if idx, err := strconv.Atoi(o.Node); err == nil && (idx < 0 || idx >= nodes) {
+			return fmt.Errorf("fault: node outage names node %d, but the machine has nodes 0..%d", idx, nodes-1)
+		}
+	}
+	p := NewPlan(c)
+	for i := 0; i < nodes; i++ {
+		if err := p.Node(i).validate(); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // Plan is a compiled Config: per-link PRNG streams plus the static
 // outage windows.  Build one with NewPlan and share it
 // across the fabric; it is not safe for concurrent use outside the DES
@@ -135,6 +167,19 @@ func (p *Plan) Link(name string) *Link {
 	return l
 }
 
+// Unmatched returns the pattern of each outage that selects none of the
+// links built from the plan so far, in plan order.  Such an outage
+// injects nothing: a typo, or a link only a larger fabric has.
+func (p *Plan) Unmatched() []string {
+	var bad []string
+	for _, o := range p.cfg.Outages {
+		if !slices.ContainsFunc(p.links, func(l *Link) bool { return matchLink(o.Link, l.name) }) {
+			bad = append(bad, o.Link)
+		}
+	}
+	return bad
+}
+
 // streamSeed derives an independent per-link seed from the plan seed
 // and the link name: FNV-1a over the name, mixed with the seed through
 // one splitmix step so that nearby seeds do not yield nearby streams.
@@ -152,8 +197,8 @@ func streamSeed(seed uint64, name string) uint64 {
 }
 
 // matchLink reports whether pattern selects the link name.  A pattern
-// is an exact name, or a prefix ending in '*' ("L1.*" selects every
-// first-level link), or "*" for all links.
+// is an exact name, or a prefix ending in '*' ("up(s0,*" selects every
+// up-link leaving the leaf stage), or "*" for all links.
 func matchLink(pattern, name string) bool {
 	if pattern == "*" {
 		return true

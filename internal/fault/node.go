@@ -43,11 +43,11 @@ type NodeFault struct {
 // Windows returns the node's crash windows, sorted by crash instant.
 func (nf *NodeFault) Windows() []NodeWindow { return nf.windows }
 
-// Validate rejects plans the cluster cannot execute: overlapping crash
+// validate rejects plans the cluster cannot execute: overlapping crash
 // windows on one node (the node would crash while already down) and a
 // permanent death followed by a later window (the node is gone; a
 // later crash of it is a contradiction, not a no-op).
-func (nf *NodeFault) Validate() error {
+func (nf *NodeFault) validate() error {
 	for i, w := range nf.windows {
 		if i == 0 {
 			continue

@@ -10,6 +10,7 @@ import (
 	"hyades/internal/fault"
 	"hyades/internal/netmodel"
 	"hyades/internal/plates"
+	"hyades/internal/startx"
 	"hyades/internal/units"
 )
 
@@ -29,8 +30,8 @@ type Result struct {
 
 	// Fault/recovery accounting (Hyades runs only; whole run, not just
 	// the timed region — retransmission counters are not resettable).
-	Fault comm.FaultStats
-	Net   arctic.Stats
+	Fault startx.RelStats // the reliable channel's, summed over the NIUs
+	Net   arctic.Stats    // the fabric's, injected faults among them
 
 	// Recovery reports availability behaviour when the run used the
 	// crash-recovery controller (node faults, a checkpoint interval or
@@ -171,7 +172,9 @@ func runHyades(nodes, ppn int, opts ParallelOpts, dir *plates.Dir, build buildFn
 	if err != nil {
 		return nil, err
 	}
-	res.Fault = lib.FaultStats()
+	for _, nd := range cl.Nodes {
+		res.Fault.Add(nd.NIU.Rel)
+	}
 	res.Net = cl.Fabric.Stats()
 	res.Events = cl.Eng.Events()
 	res.Counters = cl.Eng.Counters()

@@ -180,32 +180,6 @@ func fieldRange(f *field.F2) (lo, hi float64) {
 	return lo, hi
 }
 
-// Availability carries the crash-recovery counters of a run for the
-// report table: how many node losses the run survived and what they
-// cost (detection-to-release stall, rolled-back integration, replayed
-// work) next to what the insurance cost (committed checkpoint rounds).
-type Availability struct {
-	Restarts         int     // node crashes survived
-	RecoveryTime     float64 // crash-to-release virtual time, microseconds
-	LostVirtual      float64 // virtual integration time rolled back, microseconds
-	LostFlops        int64   // flops of abandoned attempts (work redone)
-	Checkpoints      int     // committed checkpoint rounds
-	CheckpointBytes  int64   // bytes across all committed rounds
-	PendingDiscarded int     // checkpoint rounds spoiled by a crash
-}
-
-// AddAvailability appends the availability rows — they sit next to the
-// goodput row in fault-injection reports.
-func (t *Table) AddAvailability(a Availability) {
-	t.Addf("node restarts survived|%d", a.Restarts)
-	t.Addf("recovery overhead (virtual)|%s", Micros(a.RecoveryTime))
-	t.Addf("lost virtual time / replayed flops|%s / %d", Micros(a.LostVirtual), a.LostFlops)
-	t.Addf("checkpoints committed|%d (%d bytes)", a.Checkpoints, a.CheckpointBytes)
-	if a.PendingDiscarded > 0 {
-		t.Addf("checkpoint rounds discarded mid-crash|%d", a.PendingDiscarded)
-	}
-}
-
 // Goodput returns delivered payload bytes as a percentage of wire
 // bytes — the efficiency metric for fault-injection runs, where
 // retransmissions and ACK traffic inflate the wire count.

@@ -41,39 +41,6 @@ func TestTableNoteAndShortRows(t *testing.T) {
 	}
 }
 
-// TestAddAvailabilityGolden pins the exact availability block: these
-// rows are the survival contract's user-facing surface, so their
-// wording and formatting are part of the interface.
-func TestAddAvailabilityGolden(t *testing.T) {
-	tb := NewTable("", "metric", "value")
-	tb.AddAvailability(Availability{
-		Restarts:         2,
-		RecoveryTime:     1412.5,
-		LostVirtual:      52300,
-		LostFlops:        987654321,
-		Checkpoints:      3,
-		CheckpointBytes:  5950080,
-		PendingDiscarded: 1,
-	})
-	want := "metric                                 value             \n" +
-		"---------------------------------------------------------\n" +
-		"node restarts survived                 2                 \n" +
-		"recovery overhead (virtual)            1.413ms           \n" +
-		"lost virtual time / replayed flops     52.3ms / 987654321\n" +
-		"checkpoints committed                  3 (5950080 bytes) \n" +
-		"checkpoint rounds discarded mid-crash  1                 \n"
-	if got := tb.String(); got != want {
-		t.Errorf("availability block drifted:\ngot:\n%swant:\n%s", got, want)
-	}
-
-	// Without a spoiled round the discard row is omitted entirely.
-	tb2 := NewTable("", "metric", "value")
-	tb2.AddAvailability(Availability{Restarts: 0, Checkpoints: 2, CheckpointBytes: 10})
-	if out := tb2.String(); strings.Contains(out, "discarded") {
-		t.Errorf("discard row printed for a clean run:\n%s", out)
-	}
-}
-
 func testField() *field.F2 {
 	f := field.NewF2(4, 3, 0)
 	v := 0.0

@@ -83,7 +83,6 @@ func (n *NIU) hbTick() {
 		pkt.Epoch = n.epoch
 		n.fab.RouteFor(pkt, n.ep, p)
 		n.fab.Inject(n.ep, pkt)
-		n.Heartbeats++
 	}
 }
 

@@ -56,6 +56,17 @@ type RelStats struct {
 	CorruptDropped int64 // CRC-failed packets discarded by the reliable layer
 }
 
+// Add accumulates o into s, to sum the counters over NIUs.
+func (s *RelStats) Add(o RelStats) {
+	s.DataPackets += o.DataPackets
+	s.Retransmits += o.Retransmits
+	s.Timeouts += o.Timeouts
+	s.AcksSent += o.AcksSent
+	s.DupSuppressed += o.DupSuppressed
+	s.GapDropped += o.GapDropped
+	s.CorruptDropped += o.CorruptDropped
+}
+
 // UnreachableInfo diagnoses an exhausted retry budget.
 type UnreachableInfo struct {
 	Local    int             // this NIU's endpoint

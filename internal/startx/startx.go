@@ -102,10 +102,6 @@ type NIU struct {
 	freeTx  []*txJob
 	freeDma []*dmaJob
 
-	// CorruptSeen counts packets that arrived with a failed CRC; the
-	// software layer observes this through Message.Corrupt.
-	CorruptSeen int64
-
 	// OnPIODeliver, if set, runs (in engine context) whenever a PIO
 	// message lands in a receive queue.  The software layer uses it to
 	// wake pollers without modelling every idle status read.
@@ -143,13 +139,6 @@ type NIU struct {
 	// OnPeerDead, if set, observes (in engine context) a peer whose
 	// lease expired; fired once per peer per monitoring epoch.
 	OnPeerDead func(peer int)
-
-	// DownDropped / StaleDropped / Heartbeats count node-failure
-	// machinery events: arrivals discarded while down, stale-epoch
-	// arrivals discarded after a rollback, heartbeat packets sent.
-	DownDropped  int64
-	StaleDropped int64
-	Heartbeats   int64
 }
 
 // dmaJob is one queued VI-mode or remote-memory transmit; offset is
@@ -486,7 +475,6 @@ func (n *NIU) receive(pkt *arctic.Packet) {
 		return
 	}
 	if n.down {
-		n.DownDropped++
 		return
 	}
 	if n.lastHeard != nil && !pkt.Corrupted() {
@@ -496,11 +484,7 @@ func (n *NIU) receive(pkt *arctic.Packet) {
 		// A straggler from before a recovery rollback: the reliable
 		// streams it belongs to no longer exist.  Dropping it (ACKs
 		// included) keeps the fresh epoch's sequence spaces clean.
-		n.StaleDropped++
 		return
-	}
-	if pkt.Corrupted() {
-		n.CorruptSeen++
 	}
 	if n.reliable && !n.relAdmit(pkt) {
 		return
