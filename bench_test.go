@@ -198,6 +198,8 @@ func benchSchedule(b *testing.B, pending int) {
 	e := des.NewEngine()
 	defer e.Close()
 	noop := func() {}
+	var tm des.Timer
+	tm.Init(e, noop)
 	// xorshift keeps the offered timestamp stream identical from run
 	// to run without math/rand overhead in the hot loop.
 	rng := uint64(0x9E3779B97F4A7C15)
@@ -218,7 +220,8 @@ func benchSchedule(b *testing.B, pending int) {
 	for i := 0; i < b.N; i++ {
 		e.Schedule(next(), noop)
 		if i%8 == 0 {
-			e.After(next(), noop).Cancel()
+			tm.Arm(next())
+			tm.Cancel()
 		}
 		e.Step()
 	}

@@ -594,10 +594,10 @@ func TestDropsWithCrashesEndInFaultFreeDigest(t *testing.T) {
 			return
 		}
 		if finished < len(models) {
-			cl.Eng.After(10*units.Millisecond, probe)
+			cl.Eng.Schedule(10*units.Millisecond, probe)
 		}
 	}
-	cl.Eng.After(0, probe)
+	cl.Eng.Schedule(0, probe)
 	ran := make(chan error, 1)
 	go func() { ran <- cl.Run() }()
 	const deadline = 3 * time.Minute

@@ -212,7 +212,7 @@ go build ./...
 # The smoke stages below run the drivers several times; link them once.
 bin_dir="$tmp_root/bin"
 mkdir "$bin_dir"
-go build -o "$bin_dir/" ./cmd/hyades ./cmd/figure9 ./cmd/paper
+go build -o "$bin_dir/" ./cmd/hyades ./cmd/figure9 ./cmd/paper ./cmd/scaling
 
 echo "== go test -race -short"
 go test -race -short ./...
@@ -397,6 +397,17 @@ fi
 for hy_bad in "-link-outage bad" "-drop-rate 2" "-drop-rate -0.5" "-corrupt-rate NaN"; do
     if "$bin_dir/hyades" -model gyre -nodes 2 -ppn 1 -steps 2 -warmup 0 $hy_bad > /dev/null 2>&1; then
         echo "chaos smoke: hyades accepted $hy_bad" >&2
+        exit 1
+    fi
+done
+# A seed that nothing draws from (no drop or corrupt rate) and a
+# machine-size cap below one worker are usage errors (exit 2), not runs
+# that silently ignore them or measure nothing.
+for bad_cmd in "hyades -model gyre -nodes 2 -ppn 1 -steps 1 -fault-seed 5" "scaling -max 0 -steps 1"; do
+    status=0
+    "$bin_dir/"$bad_cmd > /dev/null 2>&1 || status=$?
+    if [ "$status" -ne 2 ]; then
+        echo "chaos smoke: $bad_cmd exited $status, want the usage error 2" >&2
         exit 1
     fi
 done

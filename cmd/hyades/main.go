@@ -72,7 +72,7 @@ func main() {
 	if err := badSteps(*steps, *warmup, *checkpointEvery); err != nil {
 		usage(err)
 	}
-	if err := ignoredFlag(set, *serial, *netName != ""); err != nil {
+	if err := ignoredFlag(set, *serial, *netName != "", *dropRate > 0 || *corruptRate > 0); err != nil {
 		usage(err)
 	}
 
@@ -241,9 +241,11 @@ func badSteps(steps, warmup, checkpointEvery int) error {
 // ignoredFlag names the first explicitly set flag that the chosen run
 // never reads: a -serial run has no warm-up, checkpoint cadence or
 // machine; a -net run has no checkpoints; only a -serial run writes or
-// restores a checkpoint file; and faults are injected into the Arctic
-// fabric, which neither a -serial nor a -net run has.
-func ignoredFlag(set map[string]bool, serial, net bool) error {
+// restores a checkpoint file; faults are injected into the Arctic
+// fabric, which neither a -serial nor a -net run has; and only a drop
+// or corrupt rate draws from the streams -fault-seed seeds (seeded), as
+// outages and node crashes are deterministic.
+func ignoredFlag(set map[string]bool, serial, net, seeded bool) error {
 	faults := []string{"fault-seed", "drop-rate", "corrupt-rate", "link-outage", "node-outage"}
 	run, ignored := "parallel Hyades", []string{"checkpoint", "restore"}
 	switch {
@@ -256,6 +258,9 @@ func ignoredFlag(set map[string]bool, serial, net bool) error {
 		if set[name] {
 			return fmt.Errorf("-%s has no effect on a %s run: drop it", name, run)
 		}
+	}
+	if set["fault-seed"] && !seeded {
+		return fmt.Errorf("-fault-seed has no effect without a -drop-rate or -corrupt-rate above 0: drop it")
 	}
 	return nil
 }

@@ -15,9 +15,9 @@ import (
 // flags the run reads, pass.
 func TestIgnoredFlagIsAnError(t *testing.T) {
 	cases := []struct {
-		serial, net bool
-		set         []string
-		want        string // the flag the error names; "" for no error
+		serial, net, seeded bool
+		set                 []string
+		want                string // the flag the error names; "" for no error
 	}{
 		{serial: true, set: []string{"serial", "model", "steps", "digest", "checkpoint", "restore", "px", "py"}},
 		{serial: true, set: []string{"serial", "warmup"}, want: "-warmup"},
@@ -33,7 +33,11 @@ func TestIgnoredFlagIsAnError(t *testing.T) {
 		{net: true, set: []string{"net", "corrupt-rate"}, want: "-corrupt-rate"},
 		{net: true, set: []string{"net", "node-outage"}, want: "-node-outage"},
 		{set: []string{"nodes", "ppn", "warmup", "checkpoint-every", "node-outage", "digest"}},
-		{set: []string{"fault-seed", "drop-rate", "corrupt-rate", "link-outage"}},
+		{seeded: true, set: []string{"fault-seed", "drop-rate", "corrupt-rate", "link-outage"}},
+		{seeded: true, set: []string{"fault-seed", "corrupt-rate"}},
+		{set: []string{"fault-seed"}, want: "-fault-seed"},
+		{set: []string{"fault-seed", "link-outage", "node-outage"}, want: "-fault-seed"},
+		{set: []string{"fault-seed", "drop-rate"}, want: "-fault-seed"}, // -drop-rate 0
 		{set: []string{"checkpoint"}, want: "-checkpoint"},
 		{set: []string{"restore"}, want: "-restore"},
 		{set: []string{"serial"}}, // -serial=false
@@ -43,7 +47,7 @@ func TestIgnoredFlagIsAnError(t *testing.T) {
 		for _, name := range c.set {
 			set[name] = true
 		}
-		err := ignoredFlag(set, c.serial, c.net)
+		err := ignoredFlag(set, c.serial, c.net, c.seeded)
 		switch {
 		case c.want == "" && err != nil:
 			t.Errorf("%v: unexpected error %v", c.set, err)

@@ -66,8 +66,8 @@ func main() {
 	max := flag.Int("max", 1024, "largest worker count to run")
 	profiles := prof.Flags()
 	flag.Parse()
-	if *steps < 1 {
-		fmt.Fprintf(flag.CommandLine.Output(), "scaling: -steps %d: a point needs at least one timed step\n", *steps)
+	if *steps < 1 || *max < 1 {
+		fmt.Fprintf(flag.CommandLine.Output(), "scaling: -steps %d -max %d: a point needs at least one timed step and one worker\n", *steps, *max)
 		flag.Usage()
 		os.Exit(2)
 	}

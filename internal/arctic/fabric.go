@@ -44,45 +44,14 @@ type Stats struct {
 	FailedOver     int64 // up-phase hops re-routed around a downed up-link
 }
 
-// transitQueue is a FIFO ring of transits.  Links queue and dequeue
-// packets on every hop of every journey; a ring recycles one buffer in
-// steady state where the old append + [1:] idiom leaked front capacity
-// and re-grew the slice every few packets — the fabric's dominant
-// allocation site before the zero-alloc hunt.  Capacities are powers
-// of two (4, then doubling), so a position wraps by mask, not %.
-type transitQueue struct {
-	buf     []*transit
-	head, n int
-}
-
-func (q *transitQueue) push(t *transit) {
-	if q.n == len(q.buf) {
-		grown := make([]*transit, max(4, 2*len(q.buf)))
-		for i := 0; i < q.n; i++ {
-			grown[i] = q.buf[(q.head+i)&(len(q.buf)-1)]
-		}
-		q.buf, q.head = grown, 0
-	}
-	q.buf[(q.head+q.n)&(len(q.buf)-1)] = t
-	q.n++
-}
-
-func (q *transitQueue) pop() *transit {
-	t := q.buf[q.head]
-	q.buf[q.head] = nil
-	q.head = (q.head + 1) & (len(q.buf) - 1)
-	q.n--
-	return t
-}
-
 // link is one directed link with two-priority FIFO queueing: idle,
 // transmitting with nothing behind the packet (free only reserved), or
 // transmitting with a successor waiting (free queued to run startNext).
 type link struct {
 	fab     *Fabric
 	free    des.Slot
-	queueHi transitQueue
-	queueLo transitQueue
+	queueHi des.Queue[*transit]
+	queueLo des.Queue[*transit]
 	// sink receives the packet when its head has crossed this link;
 	// exactly one of nextRouter/endpoint is set.
 	deliver func(t *transit)
@@ -398,9 +367,9 @@ func (f *Fabric) deliverToEndpoint(ep int, p *Packet) {
 // preempt a transmission in progress.
 func (l *link) enqueue(t *transit) {
 	if t.pkt.Pri == High {
-		l.queueHi.push(t)
+		l.queueHi.Push(t)
 	} else {
-		l.queueLo.push(t)
+		l.queueLo.Push(t)
 	}
 	if !l.free.Await() {
 		l.startNext()
@@ -409,16 +378,16 @@ func (l *link) enqueue(t *transit) {
 
 // hold occupies the link for d; the free event at the end is queued
 // outright only if a packet is already waiting for it.
-func (l *link) hold(d units.Time) { l.free.Hold(d, l.queueHi.n+l.queueLo.n > 0) }
+func (l *link) hold(d units.Time) { l.free.Hold(d, l.queueHi.Len()+l.queueLo.Len() > 0) }
 
 // startNext begins transmitting the best queued packet, if any.
 func (l *link) startNext() {
 	var t *transit
 	switch {
-	case l.queueHi.n > 0:
-		t = l.queueHi.pop()
-	case l.queueLo.n > 0:
-		t = l.queueLo.pop()
+	case l.queueHi.Len() > 0:
+		t = l.queueHi.Pop()
+	case l.queueLo.Len() > 0:
+		t = l.queueLo.Pop()
 	default:
 		return
 	}

@@ -34,43 +34,6 @@ func mkPacket(f *Fabric, src, dst int, words int, tag uint16) *Packet {
 	return p
 }
 
-// TestTransitQueueWrapsAcrossGrowth fills the ring past its capacity
-// while its head is not at slot 0, so the growth copies a wrapped ring,
-// and checks FIFO order across the growth and the later wraps.
-func TestTransitQueueWrapsAcrossGrowth(t *testing.T) {
-	var q transitQueue
-	var sent []*transit
-	want := 0
-	push := func() {
-		tr := &transit{}
-		sent = append(sent, tr)
-		q.push(tr)
-	}
-	pop := func() {
-		if got := q.pop(); got != sent[want] {
-			t.Fatalf("pop %d returned another transit", want)
-		}
-		want++
-	}
-	for round := 0; round < 3; round++ {
-		push()
-		push()
-		pop() // head leaves slot 0
-		for q.n < 9 {
-			push()
-		}
-		for q.n > 1 {
-			pop()
-		}
-	}
-	for q.n > 0 {
-		pop()
-	}
-	if want != len(sent) {
-		t.Fatalf("popped %d transits, pushed %d", want, len(sent))
-	}
-}
-
 func TestAllPairsDelivery16(t *testing.T) {
 	eng, fab, got := testFabric(t, 16)
 	want := 0

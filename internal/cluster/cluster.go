@@ -57,7 +57,6 @@ type Cluster struct {
 	Eng    *des.Engine
 	Fabric *arctic.Fabric
 	Nodes  []*node.Node
-	Pool   *des.Pool // defers compute phases to completion (nil: inline)
 
 	// plan is the compiled fault plan the fabric injects (nil when the
 	// config enables no fault).
@@ -103,8 +102,7 @@ func New(cfg Config) (*Cluster, error) {
 	}
 	c := &Cluster{Cfg: cfg, Eng: eng, Fabric: fab, plan: plan}
 	if cfg.Workers >= 0 {
-		c.Pool = des.NewPool(cfg.Workers)
-		eng.SetPool(c.Pool)
+		eng.SetPool(des.NewPool(cfg.Workers))
 	}
 	for i := 0; i < cfg.Nodes; i++ {
 		n := node.New(eng, i)
@@ -242,10 +240,5 @@ func (c *Cluster) Run() (err error) {
 	return nil
 }
 
-// Close releases the engine's process coroutines and the pool.
-func (c *Cluster) Close() {
-	c.Eng.Close()
-	if c.Pool != nil {
-		c.Pool.Close()
-	}
-}
+// Close releases the engine's process coroutines.
+func (c *Cluster) Close() { c.Eng.Close() }

@@ -98,7 +98,7 @@ type Recovery struct {
 	nodeDown     []bool // node is crashed and not yet restarted
 	downN        int
 	crashed      bool // a crash happened since the last release
-	releaseTimer *des.Timer
+	releaseTimer des.Timer
 
 	stats   RecoveryStats // counted as the events happen
 	crashes []units.Time  // crash instants no generation has recovered from yet
@@ -121,7 +121,7 @@ type Recovery struct {
 // newRecovery builds the controller for h's cluster.
 func newRecovery(h *Hyades) *Recovery {
 	n := h.cl.Processors()
-	return &Recovery{
+	rc := &Recovery{
 		h:        h,
 		sig:      des.NewSignal(h.cl.Eng, "recovery.release"),
 		n:        n,
@@ -133,6 +133,8 @@ func newRecovery(h *Hyades) *Recovery {
 		pendStep: -1,
 		pendData: make([][]byte, n),
 	}
+	rc.releaseTimer.Init(h.cl.Eng, rc.release)
+	return rc
 }
 
 func (rc *Recovery) eng() *des.Engine { return rc.h.cl.Eng }
@@ -170,10 +172,7 @@ func (rc *Recovery) Done(r int) {
 		for _, nd := range rc.h.cl.Nodes {
 			nd.NIU.StopPeerMonitor()
 		}
-		if rc.releaseTimer != nil {
-			rc.releaseTimer.Cancel()
-			rc.releaseTimer = nil
-		}
+		rc.releaseTimer.Cancel()
 	}
 }
 
@@ -188,14 +187,14 @@ func (rc *Recovery) maybeRelease() {
 	if rc.doneN == rc.n || rc.joinedN+rc.doneN < rc.n || rc.downN > 0 {
 		return
 	}
-	if rc.releaseTimer != nil && rc.releaseTimer.Active() {
+	if rc.releaseTimer.Active() {
 		return
 	}
 	if !rc.crashed {
 		rc.release()
 		return
 	}
-	rc.releaseTimer = rc.eng().After(rc.backoff(), rc.release)
+	rc.releaseTimer.Arm(rc.backoff())
 }
 
 // backoff returns the current release delay.
@@ -215,7 +214,6 @@ func (rc *Recovery) backoff() units.Time {
 // any packet injection scheduled before the crash, so no old-epoch
 // traffic can be stamped with the new epoch.
 func (rc *Recovery) release() {
-	rc.releaseTimer = nil
 	if rc.crashed {
 		rc.crashed = false
 		rc.epoch++
@@ -277,10 +275,7 @@ func (rc *Recovery) nodeCrashed(nodeID int, permanent bool) {
 		}
 	}
 	rc.discardPending()
-	if rc.releaseTimer != nil {
-		rc.releaseTimer.Cancel()
-		rc.releaseTimer = nil
-	}
+	rc.releaseTimer.Cancel()
 }
 
 // nodeRestarted observes a cluster restart event (engine context).

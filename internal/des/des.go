@@ -18,6 +18,10 @@
 //     Semaphore.Acquire; control transfers back to the kernel until the
 //     wake-up event fires.
 //
+// Queue, the one FIFO ring, and Timer, the one cancellable expiry (bound
+// once, re-armed without allocating), carry the modelled hardware's
+// queues and timeouts.
+//
 // Processes are runtime coroutines (iter.Pull).  Every event closure runs
 // on one dispatcher — the goroutine that called Run, RunUntil or Step —
 // and an event that wakes a process switches straight into it; the
@@ -158,7 +162,7 @@ func (e *Engine) ScheduleAt(t units.Time, fn func()) {
 }
 
 // PastError is the panic payload of a schedule into the virtual past: a
-// negative delay to Schedule, After, Delay or Slot.Hold, or a
+// negative delay to Schedule, Timer.Arm, Delay or Slot.Hold, or a
 // ScheduleAt before now.  Clamped to now instead, the event would run
 // ahead of causes that precede it.  Raised by a process it reaches
 // Run's caller as the Value of a *ProcPanic; raised by an event it
@@ -328,43 +332,50 @@ func (p *ProcPanic) Unwrap() error {
 	return nil
 }
 
-// Timer is a cancellable one-shot activity created by Engine.After.
+// Timer is a re-armable, cancellable one-shot activity.  Bind it once
+// with Init; Arm then allocates nothing.  A cancelled expiry is removed
+// from the event queue outright: it neither runs nor drags the virtual
+// clock to its time.  The Timer must not be copied after Init.
 type Timer struct {
-	eng *Engine
-	ev  *event
+	eng  *Engine
+	fire func() // the expiry event's fn, bound by Init
+	ev   *event
 }
 
-// After schedules fn at now+d and returns a handle that can cancel it;
-// like Schedule, a negative d panics with a *PastError.  Unlike
-// Schedule, a cancelled After is removed from the event queue outright:
-// it neither runs nor drags the virtual clock to its expiry.
-func (e *Engine) After(d units.Time, fn func()) *Timer {
-	if d < 0 {
-		e.past("After", d)
-	}
-	t := &Timer{eng: e}
-	ev := e.newEvent(e.now+d, nil)
-	ev.fn = func() {
+// Init binds the timer to e; fn runs, in engine context, at each expiry,
+// the timer idle again, so fn may re-arm it.
+func (t *Timer) Init(e *Engine, fn func()) {
+	t.eng = e
+	t.fire = func() {
 		t.ev = nil
 		fn()
 	}
-	t.ev = ev
-	e.sched.push(ev)
-	return t
 }
 
-// Cancel removes the timer from the event queue.  It is a no-op if the
-// timer already fired or was already cancelled.
+// Arm schedules the expiry at now+d, cancelling a pending one first, and
+// takes one sequence number, as Schedule does; a negative d panics with
+// a *PastError.
+func (t *Timer) Arm(d units.Time) {
+	e := t.eng
+	if d < 0 {
+		e.past("Timer.Arm", d)
+	}
+	t.Cancel()
+	t.ev = e.newEvent(e.now+d, t.fire)
+	e.sched.push(t.ev)
+}
+
+// Cancel removes a pending expiry from the event queue.  It is a no-op
+// if the timer is idle: never armed, fired or already cancelled.
 func (t *Timer) Cancel() {
 	if t.ev == nil {
 		return
 	}
-	ev := t.ev
+	t.eng.sched.cancel(t.ev)
 	t.ev = nil
-	t.eng.sched.cancel(ev)
 }
 
-// Active reports whether the timer is still pending.
+// Active reports whether an expiry is pending.
 func (t *Timer) Active() bool { return t.ev != nil }
 
 // Slot is the "idle again" event of a serially reusable facility (a
@@ -552,13 +563,10 @@ type Proc struct {
 	waitOn    string
 	waitStart units.Time
 
-	// Watchdog state: wdEv is the armed watchdog event (nil when
-	// idle), wdFireFn its bound handler.  One event object cycles
-	// through the event queue's freelist instead of a Timer + closure
-	// per park.  waitName, set by NameWaits, names a park begun inside
+	// wd is the park watchdog, armed by beginPark and cancelled by
+	// ParkEnd.  waitName, set by NameWaits, names a park begun inside
 	// Await in the trip's Culprit; it is read only while step is set.
-	wdEv     *event
-	wdFireFn func()
+	wd       Timer
 	waitName func() string
 
 	// Asynchronous-termination state.  intr is a pending Interrupt
@@ -589,7 +597,7 @@ type Proc struct {
 func (e *Engine) Spawn(name string, fn func(p *Proc)) *Proc {
 	p := &Proc{eng: e, name: name}
 	p.wakeFn = p.wake
-	p.wdFireFn = p.wdFire
+	p.wd.Init(e, p.wdFire)
 	p.next, p.stop = iter.Pull(func(yield func(struct{}) bool) {
 		p.yield = yield
 		defer func() {
@@ -674,7 +682,7 @@ func (p *Proc) finishKill() {
 		p.parkFac.dropWaiter(p)
 		p.parkFac = nil
 	}
-	p.disarmWd()
+	p.wd.Cancel()
 	p.step = nil
 	p.dead = true
 	p.eng.dropProc(p)
@@ -772,22 +780,10 @@ func (p *Proc) inPhase(call string) {
 		"; a phase may touch only its rank's own state")))
 }
 
-// disarmWd removes and recycles the park's watchdog event (beginPark)
-// if it has not fired.
-func (p *Proc) disarmWd() {
-	if p.wdEv == nil {
-		return
-	}
-	ev := p.wdEv
-	p.wdEv = nil
-	p.eng.sched.cancel(ev)
-}
-
 // wdFire is the watchdog handler (engine context): it panics with the
 // waiter map, the starved process among the waiters.  The culprit is
 // the park, or the wait a pending Await's step names through NameWaits.
 func (p *Proc) wdFire() {
-	p.wdEv = nil
 	culprit := ""
 	if p.step != nil && p.waitName != nil {
 		culprit = p.waitName()
@@ -807,22 +803,19 @@ func (p *Proc) NameWaits(name func() string) { p.waitName = name }
 
 // beginPark parks p on the named facility, arming the engine's watchdog
 // if one is configured; the step forms call it once they have joined
-// fac's waiter list, which Interrupt and Kill detach p from.  The
-// watchdog event's fn is the bound wdFireFn, so arming a park costs no
-// allocation in steady state.
+// fac's waiter list, which Interrupt and Kill detach p from.
 func (p *Proc) beginPark(on string, fac waiterList) {
 	p.mayBlock(fac)
 	p.waitOn, p.waitStart = on, p.eng.now
 	p.parkFac = fac
 	if limit := p.eng.watchdog; limit > 0 {
-		p.wdEv = p.eng.newEvent(p.eng.now+limit, p.wdFireFn)
-		p.eng.sched.push(p.wdEv)
+		p.wd.Arm(limit)
 	}
 }
 
 // ParkEnd ends the park a step form began, once its wake has come.
 func (p *Proc) ParkEnd() {
-	p.disarmWd()
+	p.wd.Cancel()
 	p.parkFac = nil
 	p.waitOn = ""
 }
@@ -932,15 +925,54 @@ func removeWaiter(ws *[]*Proc, p *Proc) bool {
 	return i >= 0
 }
 
+// Queue is an unbounded FIFO ring; the zero value is empty.  Steady
+// traffic recycles one buffer, where an append + [1:] slice leaks its
+// front capacity and re-grows.  Capacities are powers of two (4, then
+// doubling), so a position wraps by mask, not %.
+type Queue[T any] struct {
+	buf     []T
+	head, n int
+}
+
+// Push appends v, growing the ring when full.
+func (q *Queue[T]) Push(v T) {
+	if q.n == len(q.buf) {
+		grown := make([]T, max(4, 2*len(q.buf)))
+		k := copy(grown, q.buf[q.head:])
+		copy(grown[k:], q.buf[:q.head])
+		q.buf, q.head = grown, 0
+	}
+	q.buf[(q.head+q.n)&(len(q.buf)-1)] = v
+	q.n++
+}
+
+// Pop removes and returns the oldest item; the queue must not be empty.
+// The vacated slot is zeroed so the ring never retains a pointer past
+// its Pop.
+func (q *Queue[T]) Pop() T {
+	var zero T
+	v := q.buf[q.head]
+	q.buf[q.head] = zero
+	q.head = (q.head + 1) & (len(q.buf) - 1)
+	q.n--
+	return v
+}
+
+// Front returns the oldest item without removing it.
+func (q *Queue[T]) Front() T { return q.buf[q.head] }
+
+// At returns the i-th oldest item, 0 <= i < Len.
+func (q *Queue[T]) At(i int) T { return q.buf[(q.head+i)&(len(q.buf)-1)] }
+
+// Len reports the number of queued items.
+func (q *Queue[T]) Len() int { return q.n }
+
 // Mailbox is an unbounded FIFO queue connecting activities.  Send may be
 // called from event or process context; Recv only from process context.
-// Items live in a ring buffer so steady-state traffic recycles one
-// allocation instead of re-growing a front-sliced append slice.
 type Mailbox[T any] struct {
 	eng     *Engine
 	name    string
-	buf     []T
-	head, n int
+	items   Queue[T]
 	waiters []*Proc
 }
 
@@ -949,35 +981,10 @@ func NewMailbox[T any](e *Engine, name string) *Mailbox[T] {
 	return &Mailbox[T]{eng: e, name: name}
 }
 
-// enqueue appends v to the ring, growing it when full.  Capacities are
-// powers of two (4, then doubling), so a position wraps by mask, not %.
-func (m *Mailbox[T]) enqueue(v T) {
-	if m.n == len(m.buf) {
-		grown := make([]T, max(4, 2*len(m.buf)))
-		for i := 0; i < m.n; i++ {
-			grown[i] = m.buf[(m.head+i)&(len(m.buf)-1)]
-		}
-		m.buf, m.head = grown, 0
-	}
-	m.buf[(m.head+m.n)&(len(m.buf)-1)] = v
-	m.n++
-}
-
-// dequeue removes and returns the oldest item.  The vacated slot is
-// zeroed so the ring never retains pointers past their dequeue.
-func (m *Mailbox[T]) dequeue() T {
-	var zero T
-	v := m.buf[m.head]
-	m.buf[m.head] = zero
-	m.head = (m.head + 1) & (len(m.buf) - 1)
-	m.n--
-	return v
-}
-
 // Send enqueues v and wakes the longest-waiting receiver, if any.  The
 // receiver observes the item at the current virtual time.
 func (m *Mailbox[T]) Send(v T) {
-	m.enqueue(v)
+	m.items.Push(v)
 	if len(m.waiters) > 0 {
 		var w *Proc
 		w, m.waiters = popWaiter(m.waiters)
@@ -999,13 +1006,13 @@ func (m *Mailbox[T]) Recv(p *Proc) T {
 // RecvStep is the step form of Recv: the item and true, or false with p
 // parked until a Send (then ParkEnd and call again).
 func (m *Mailbox[T]) RecvStep(p *Proc) (T, bool) {
-	if m.n == 0 {
+	if m.items.Len() == 0 {
 		m.waiters = append(m.waiters, p)
 		p.beginPark(m.name, m)
 		var zero T
 		return zero, false
 	}
-	return m.dequeue(), true
+	return m.items.Pop(), true
 }
 
 // dropWaiter implements waiterList.
@@ -1013,15 +1020,15 @@ func (m *Mailbox[T]) dropWaiter(p *Proc) bool { return removeWaiter(&m.waiters, 
 
 // TryRecv dequeues the oldest item without blocking.
 func (m *Mailbox[T]) TryRecv() (T, bool) {
-	if m.n == 0 {
+	if m.items.Len() == 0 {
 		var zero T
 		return zero, false
 	}
-	return m.dequeue(), true
+	return m.items.Pop(), true
 }
 
 // Len reports the number of queued items.
-func (m *Mailbox[T]) Len() int { return m.n }
+func (m *Mailbox[T]) Len() int { return m.items.Len() }
 
 // Semaphore is a counting semaphore with FIFO wake-up order, used to
 // model the shared-memory semaphores of the mix-mode primitives (§4.1,

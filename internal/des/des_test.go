@@ -69,7 +69,11 @@ func TestNegativeDelayPanics(t *testing.T) {
 	const d = -5 * units.Microsecond
 	events := map[string]func(e *Engine){
 		"Schedule": func(e *Engine) { e.Schedule(d, func() {}) },
-		"After":    func(e *Engine) { e.After(d, func() {}) },
+		"Timer.Arm": func(e *Engine) {
+			var tm Timer
+			tm.Init(e, func() {})
+			tm.Arm(d)
+		},
 		"Slot.Hold": func(e *Engine) {
 			var s Slot
 			s.Init(e, func() {})
@@ -110,9 +114,11 @@ func TestNegativeDelayPanics(t *testing.T) {
 func TestZeroDelayIsAsSoonAsPossible(t *testing.T) {
 	e := NewEngine()
 	var got []int
+	var tm Timer
+	tm.Init(e, func() { got = append(got, 3) })
 	e.Schedule(units.Microsecond, func() {
 		e.Schedule(0, func() { got = append(got, 2) })
-		e.After(0, func() { got = append(got, 3) })
+		tm.Arm(0)
 	})
 	e.Schedule(units.Microsecond, func() { got = append(got, 1) })
 	e.Spawn("p", func(p *Proc) { p.Delay(units.Microsecond); p.Delay(0); got = append(got, 4) })
@@ -284,6 +290,49 @@ func TestMailboxRingWrapsAcrossGrowth(t *testing.T) {
 	}
 	if want != next {
 		t.Fatalf("received %d items, sent %d", want, next)
+	}
+}
+
+// TestQueueWrapsAcrossGrowth fills a Queue past its capacity while its
+// head is not at slot 0, so the growth copies a wrapped ring, and checks
+// Front, At and FIFO order across the growth and the later wraps.
+func TestQueueWrapsAcrossGrowth(t *testing.T) {
+	var q Queue[int]
+	next, want := 0, 0
+	push := func() {
+		q.Push(next)
+		next++
+	}
+	pop := func() {
+		if f := q.Front(); f != want {
+			t.Fatalf("Front = %d, want %d", f, want)
+		}
+		for i := 0; i < q.Len(); i++ {
+			if v := q.At(i); v != want+i {
+				t.Fatalf("At(%d) = %d, want %d", i, v, want+i)
+			}
+		}
+		if v := q.Pop(); v != want {
+			t.Fatalf("Pop = %d, want %d", v, want)
+		}
+		want++
+	}
+	for round := 0; round < 3; round++ {
+		push()
+		push()
+		pop() // head leaves slot 0
+		for q.Len() < 9 {
+			push()
+		}
+		for q.Len() > 1 {
+			pop()
+		}
+	}
+	for q.Len() > 0 {
+		pop()
+	}
+	if want != next {
+		t.Fatalf("popped %d items, pushed %d", want, next)
 	}
 }
 

@@ -300,8 +300,11 @@ func TestRunUntilDrainsATombstonedHead(t *testing.T) {
 	e := NewEngine()
 	var log []string
 	note := func(s string) func() { return func() { log = append(log, fmt.Sprintf("%s@%d", s, e.Now())) } }
-	t1 := e.After(15, note("t1"))
-	t2 := e.After(25, note("t2"))
+	var t1, t2 Timer
+	t1.Init(e, note("t1"))
+	t2.Init(e, note("t2"))
+	t1.Arm(15)
+	t2.Arm(25)
 	e.Schedule(20, note("a"))
 	e.Schedule(1e15, note("b")) // rung 0 is coarse: the rest sorts into bottom
 	e.Spawn("p", func(p *Proc) {

@@ -8,10 +8,18 @@ import (
 	"hyades/internal/units"
 )
 
+// timer returns a timer bound to e that runs fn.
+func timer(e *Engine, fn func()) *Timer {
+	tm := new(Timer)
+	tm.Init(e, fn)
+	return tm
+}
+
 func TestTimerCancelDoesNotAdvanceClock(t *testing.T) {
 	e := NewEngine()
 	fired := false
-	tm := e.After(units.Hour, func() { fired = true })
+	tm := timer(e, func() { fired = true })
+	tm.Arm(units.Hour)
 	e.Schedule(units.Microsecond, func() { tm.Cancel() })
 	e.Run()
 	if fired {
@@ -28,7 +36,8 @@ func TestTimerCancelDoesNotAdvanceClock(t *testing.T) {
 func TestTimerFires(t *testing.T) {
 	e := NewEngine()
 	var at units.Time
-	tm := e.After(3*units.Microsecond, func() { at = e.Now() })
+	tm := timer(e, func() { at = e.Now() })
+	tm.Arm(3 * units.Microsecond)
 	e.Run()
 	if at != 3*units.Microsecond {
 		t.Fatalf("timer fired at %v, want 3us", at)
@@ -40,12 +49,13 @@ func TestTimerFires(t *testing.T) {
 }
 
 func TestTimerCancelAmongOthers(t *testing.T) {
-	// Cancelling an event from the middle of the heap must not disturb
+	// Cancelling an event from the middle of the queue must not disturb
 	// the ordering of the remaining events.
 	e := NewEngine()
 	var got []int
 	e.Schedule(1*units.Microsecond, func() { got = append(got, 1) })
-	tm := e.After(2*units.Microsecond, func() { got = append(got, 2) })
+	tm := timer(e, func() { got = append(got, 2) })
+	tm.Arm(2 * units.Microsecond)
 	e.Schedule(3*units.Microsecond, func() { got = append(got, 3) })
 	e.Schedule(4*units.Microsecond, func() { got = append(got, 4) })
 	tm.Cancel()
@@ -58,6 +68,52 @@ func TestTimerCancelAmongOthers(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("got %v, want %v", got, want)
 		}
+	}
+}
+
+// TestTimerRearm: arming an active timer moves its one pending expiry,
+// each Arm taking one sequence number as Schedule does, and the expiry
+// may re-arm the timer it fires from.
+func TestTimerRearm(t *testing.T) {
+	e := NewEngine()
+	var fired []units.Time
+	var tm *Timer
+	tm = timer(e, func() {
+		fired = append(fired, e.Now())
+		if len(fired) < 3 {
+			tm.Arm(units.Microsecond)
+		}
+	})
+	tm.Arm(5 * units.Microsecond)
+	tm.Arm(2 * units.Microsecond)
+	tm.Arm(3 * units.Microsecond)
+	if e.Pending() != 1 || e.Events() != 3 {
+		t.Fatalf("after three Arms: %d pending, %d events, want 1 and 3", e.Pending(), e.Events())
+	}
+	e.Run()
+	want := []units.Time{3 * units.Microsecond, 4 * units.Microsecond, 5 * units.Microsecond}
+	if len(fired) != len(want) || fired[0] != want[0] || fired[1] != want[1] || fired[2] != want[2] {
+		t.Fatalf("fired at %v, want %v", fired, want)
+	}
+	if e.Events() != 5 || e.Now() != 5*units.Microsecond {
+		t.Fatalf("run ended with %d events at %v, want 5 at 5us", e.Events(), e.Now())
+	}
+}
+
+// TestTimerArmAllocatesNothing: once the event freelist is warm, an
+// Arm/Cancel cycle and an Arm that fires allocate nothing.
+func TestTimerArmAllocatesNothing(t *testing.T) {
+	e := NewEngine()
+	tm := timer(e, func() {})
+	tm.Arm(units.Microsecond)
+	e.Run()
+	if n := testing.AllocsPerRun(100, func() {
+		tm.Arm(units.Hour)
+		tm.Cancel()
+		tm.Arm(units.Microsecond)
+		e.Run()
+	}); n != 0 {
+		t.Fatalf("Arm/Cancel cycle allocated %v times, want 0", n)
 	}
 }
 

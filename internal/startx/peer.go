@@ -21,6 +21,7 @@ package startx
 
 import (
 	"hyades/internal/arctic"
+	"hyades/internal/des"
 	"hyades/internal/units"
 )
 
@@ -48,26 +49,22 @@ func (n *NIU) StartPeerMonitor() {
 	n.lastHeard = make([]units.Time, eps)
 	n.peerDead = make([]bool, eps)
 	n.refreshLeases()
-	n.hbTimer = n.eng.After(DefaultHeartbeat, n.hbTick)
-	n.lsTimer = n.eng.After(DefaultPeerLease, n.lsTick)
+	n.hbTimer.Init(n.eng, n.hbTick)
+	n.lsTimer.Init(n.eng, n.lsTick)
+	n.hbTimer.Arm(DefaultHeartbeat)
+	n.lsTimer.Arm(DefaultPeerLease)
 }
 
 // StopPeerMonitor cancels the heartbeat and lease timers so the event
 // queue can drain once the job completes.
 func (n *NIU) StopPeerMonitor() {
-	if n.hbTimer != nil {
-		n.hbTimer.Cancel()
-		n.hbTimer = nil
-	}
-	if n.lsTimer != nil {
-		n.lsTimer.Cancel()
-		n.lsTimer = nil
-	}
+	n.hbTimer.Cancel()
+	n.lsTimer.Cancel()
 }
 
 // hbTick broadcasts one heartbeat to every peer and re-arms itself.
 func (n *NIU) hbTick() {
-	n.hbTimer = n.eng.After(DefaultHeartbeat, n.hbTick)
+	n.hbTimer.Arm(DefaultHeartbeat)
 	if n.down {
 		return
 	}
@@ -89,7 +86,7 @@ func (n *NIU) hbTick() {
 // lsTick checks every peer's lease and re-arms itself on the heartbeat
 // period (so detection lags the lease by at most one period).
 func (n *NIU) lsTick() {
-	n.lsTimer = n.eng.After(DefaultHeartbeat, n.lsTick)
+	n.lsTimer.Arm(DefaultHeartbeat)
 	if n.down {
 		return
 	}
@@ -136,7 +133,7 @@ func (n *NIU) refreshLeases() {
 // but drops every arrival until Restart.
 func (n *NIU) Crash() {
 	n.down = true
-	n.txQueue = nil
+	n.txQueue = des.Queue[*dmaJob]{}
 	n.drainRx()
 	n.resetRel()
 }
@@ -159,7 +156,7 @@ func (n *NIU) Restart() {
 // reset safe.
 func (n *NIU) ResetComm(epoch uint32) {
 	n.epoch = epoch
-	n.txQueue = nil
+	n.txQueue = des.Queue[*dmaJob]{}
 	n.drainRx()
 	n.resetRel()
 	n.refreshLeases()
@@ -188,7 +185,7 @@ func (n *NIU) drainRx() {
 // stream state, sender and receiver side.
 func (n *NIU) resetRel() {
 	for _, st := range n.relTxStreams {
-		if st != nil && st.timer != nil {
+		if st != nil {
 			st.timer.Cancel()
 		}
 	}

@@ -90,9 +90,9 @@ type relStream struct {
 	dst     int
 	pri     arctic.Priority
 	nextSeq uint64
-	unacked []*arctic.Packet // in seq order; index 0 is the oldest
-	backlog []*arctic.Packet // sequenced, waiting for window space
-	timer   *des.Timer
+	unacked des.Queue[*arctic.Packet] // in seq order; the front is the oldest
+	backlog des.Queue[*arctic.Packet] // sequenced, waiting for window space
+	timer   des.Timer
 	retries int
 	dead    bool // retry budget exhausted; stop transmitting
 }
@@ -111,7 +111,9 @@ func (n *NIU) relTx(dst int, pri arctic.Priority) *relStream {
 	}
 	i := 2*dst + int(pri)
 	if n.relTxStreams[i] == nil {
-		n.relTxStreams[i] = &relStream{niu: n, dst: dst, pri: pri}
+		st := &relStream{niu: n, dst: dst, pri: pri}
+		st.timer.Init(n.eng, st.onTimeout)
+		n.relTxStreams[i] = st
 	}
 	return n.relTxStreams[i]
 }
@@ -139,8 +141,8 @@ func (n *NIU) inject(pkt *arctic.Packet) {
 	st := n.relTx(pkt.Dst, pkt.Pri)
 	pkt.Rel = &arctic.RelHeader{Seq: st.nextSeq, Chan: pkt.Pri}
 	st.nextSeq++
-	if st.dead || len(st.unacked) >= DefaultRelWindow {
-		st.backlog = append(st.backlog, pkt)
+	if st.dead || st.unacked.Len() >= DefaultRelWindow {
+		st.backlog.Push(pkt)
 		return
 	}
 	st.sendData(pkt)
@@ -150,11 +152,11 @@ func (n *NIU) inject(pkt *arctic.Packet) {
 // original is retained for retransmission; a pristine clone crosses the
 // wire, as the NIU re-reads packet data from its queues on every send.
 func (st *relStream) sendData(pkt *arctic.Packet) {
-	st.unacked = append(st.unacked, pkt)
+	st.unacked.Push(pkt)
 	st.niu.Rel.DataPackets++
 	st.niu.fab.Inject(st.niu.ep, pkt.Clone())
-	if st.timer == nil || !st.timer.Active() {
-		st.armTimer()
+	if !st.timer.Active() {
+		st.timer.Arm(st.rto())
 	}
 }
 
@@ -165,10 +167,6 @@ func (st *relStream) rto() units.Time {
 		d = DefaultRelBackoffCap
 	}
 	return d
-}
-
-func (st *relStream) armTimer() {
-	st.timer = st.niu.eng.After(st.rto(), st.onTimeout)
 }
 
 // onTimeout fires when the oldest unacked packet has gone unanswered
@@ -183,7 +181,7 @@ func (st *relStream) onTimeout() {
 	st.retries++
 	if st.retries > DefaultRelRetryBudget {
 		st.dead = true
-		head := st.unacked[0]
+		head := st.unacked.Front()
 		info := UnreachableInfo{
 			Local:    n.ep,
 			Peer:     st.dst,
@@ -191,7 +189,7 @@ func (st *relStream) onTimeout() {
 			Tag:      int(head.Tag),
 			Pri:      st.pri,
 			Retries:  st.retries - 1,
-			Stranded: len(st.unacked) + len(st.backlog),
+			Stranded: st.unacked.Len() + st.backlog.Len(),
 		}
 		if n.OnUnreachable != nil {
 			n.OnUnreachable(info)
@@ -200,36 +198,32 @@ func (st *relStream) onTimeout() {
 		n.eng.Fail(fmt.Errorf("startx: %s", info))
 		return
 	}
-	for _, pkt := range st.unacked {
+	for i := 0; i < st.unacked.Len(); i++ {
 		n.Rel.Retransmits++
-		n.fab.Inject(n.ep, pkt.Clone())
+		n.fab.Inject(n.ep, st.unacked.At(i).Clone())
 	}
-	st.armTimer()
+	st.timer.Arm(st.rto())
 }
 
 // onAck processes a cumulative acknowledgement: everything below
 // ackSeq has been received.
 func (st *relStream) onAck(ackSeq uint64) {
 	progressed := false
-	for len(st.unacked) > 0 && st.unacked[0].Rel.Seq < ackSeq {
-		st.unacked = st.unacked[1:]
+	for st.unacked.Len() > 0 && st.unacked.Front().Rel.Seq < ackSeq {
+		st.unacked.Pop()
 		progressed = true
 	}
 	if !progressed {
 		return
 	}
 	st.retries = 0
-	if st.timer != nil {
-		st.timer.Cancel()
-	}
+	st.timer.Cancel()
 	// Window space freed: promote backlogged packets.
-	for !st.dead && len(st.backlog) > 0 && len(st.unacked) < DefaultRelWindow {
-		pkt := st.backlog[0]
-		st.backlog = st.backlog[1:]
-		st.sendData(pkt)
+	for !st.dead && st.backlog.Len() > 0 && st.unacked.Len() < DefaultRelWindow {
+		st.sendData(st.backlog.Pop())
 	}
-	if len(st.unacked) > 0 && (st.timer == nil || !st.timer.Active()) {
-		st.armTimer()
+	if st.unacked.Len() > 0 && !st.timer.Active() {
+		st.timer.Arm(st.rto())
 	}
 }
 

@@ -89,7 +89,7 @@ type NIU struct {
 	rxLo *des.Mailbox[Message]
 	rxVI *des.Mailbox[Transfer]
 
-	txQueue []*dmaJob
+	txQueue des.Queue[*dmaJob]
 
 	// txIdle holds the transmit pump between bursts: its release event,
 	// which runs pumpTx, is queued only while a burst is to follow (see
@@ -133,8 +133,8 @@ type NIU struct {
 	epoch     uint32
 	lastHeard []units.Time
 	peerDead  []bool
-	hbTimer   *des.Timer
-	lsTimer   *des.Timer
+	hbTimer   des.Timer
+	lsTimer   des.Timer
 
 	// OnPeerDead, if set, observes (in engine context) a peer whose
 	// lease expired; fired once per peer per monitoring epoch.
@@ -166,20 +166,10 @@ func (n *NIU) acquireDma() *dmaJob {
 }
 
 // releaseDma returns a finished job to the freelist.  Jobs dropped
-// wholesale (Crash nils the queue) are simply left to the GC.
+// wholesale (Crash empties the queue) are simply left to the GC.
 func (n *NIU) releaseDma(j *dmaJob) {
 	*j = dmaJob{}
 	n.freeDma = append(n.freeDma, j)
-}
-
-// popTxJob removes and returns the head of the transmit queue without
-// shedding the slice's capacity.
-func (n *NIU) popTxJob() *dmaJob {
-	j := n.txQueue[0]
-	k := copy(n.txQueue, n.txQueue[1:])
-	n.txQueue[k] = nil
-	n.txQueue = n.txQueue[:k]
-	return j
 }
 
 // txJob is a scheduled fabric injection.  Each job owns a fn bound to
@@ -404,7 +394,7 @@ func (n *NIU) ChargeDMASend(tag int, data []byte) units.Time {
 func (n *NIU) CompleteDMASend(dst int, tag int, data []byte, pri arctic.Priority) {
 	j := n.acquireDma()
 	j.dst, j.tag, j.data, j.pri = dst, tag, data, pri
-	n.txQueue = append(n.txQueue, j)
+	n.txQueue.Push(j)
 	if !n.txIdle.Await() {
 		n.pumpTx()
 	}
@@ -414,10 +404,10 @@ func (n *NIU) CompleteDMASend(dst int, tag int, data []byte, pri arctic.Priority
 // across the PCI bus and into the fabric, then holds the pump until the
 // burst ends — re-arming itself only if more is queued by then.
 func (n *NIU) pumpTx() {
-	if n.down || len(n.txQueue) == 0 {
+	if n.down || n.txQueue.Len() == 0 {
 		return
 	}
-	job := n.txQueue[0]
+	job := n.txQueue.Front()
 	chunk := len(job.data) - job.offset
 	if chunk > arctic.MaxPayloadBytes {
 		chunk = arctic.MaxPayloadBytes
@@ -441,13 +431,13 @@ func (n *NIU) pumpTx() {
 	}
 	dst := job.dst
 	if final {
-		n.popTxJob()
+		n.txQueue.Pop()
 		n.releaseDma(job)
 	}
 	n.fab.RouteFor(pkt, n.ep, dst)
 	inject := end - n.eng.Now() + TxLatency
 	n.scheduleInject(inject, pkt)
-	n.txIdle.Hold(end-n.eng.Now(), len(n.txQueue) > 0)
+	n.txIdle.Hold(end-n.eng.Now(), n.txQueue.Len() > 0)
 }
 
 // VIRecv blocks until a completed bulk transfer is available and returns
@@ -565,7 +555,7 @@ func (n *NIU) RemotePut(p *des.Proc, dst, window, offset int, data []byte, pri a
 		panic(fmt.Sprintf("startx: window %d out of range", window))
 	}
 	n.bus.MMapWriteN(p, 2)
-	n.txQueue = append(n.txQueue, &dmaJob{
+	n.txQueue.Push(&dmaJob{
 		dst: dst, tag: window, data: data, pri: pri,
 		rmem: true, window: window, winOff: offset,
 	})
