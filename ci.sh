@@ -113,21 +113,38 @@ if [ "${1:-}" = "pairs" ]; then
     done
     # Quartiles by linear interpolation between order statistics; for
     # each metric (lower is better for all three), a win is a pair in
-    # which the change's value is the lower.
+    # which the change's value is the lower.  Each metric is judged
+    # against its BENCHMARK.json bound: "unresolved" when the parent's
+    # IQR exceeds bound x its median (the runs spread too widely to
+    # tell), "outside bound" when the change's median exceeds the
+    # parent's by more than the bound.
+    outside=""
     for col in "1 wall_us_per_op" "2 peak_rss_mb" "3 setup_s"; do
         set -- $col
+        bound=$(jq -r --arg n "$2" '.end_to_end[] | select(.name == $n) | .bound // empty' BENCHMARK.json)
+        if [ -z "$bound" ]; then
+            echo "ci.sh pairs: BENCHMARK.json gives $2 no bound" >&2
+            exit 1
+        fi
         for side in 0 4; do
             awk -v c=$(($1 + side)) '{print $c}' "$log" | sort -g > "$tmp_root/col$side"
         done
-        awk -v name="$2" -v pf="$tmp_root/col0" -v cf="$tmp_root/col4" '
+        verdict=$(awk -v name="$2" -v bound="$bound" -v pf="$tmp_root/col0" -v cf="$tmp_root/col4" '
             function q(a, n, f,   x, i) { x = (n - 1) * f; i = int(x); return a[i + 1] + (x - i) * (a[(i + 2 > n) ? n : i + 2] - a[i + 1]) }
             BEGIN {
                 while ((getline v < pf) > 0) p[++np] = v
                 while ((getline v < cf) > 0) ch[++nc] = v
-                printf "%s: parent q1/median/q3 %g/%g/%g (IQR %g)  change %g/%g/%g  ratio of medians %.4f\n", name,
-                    q(p, np, .25), q(p, np, .5), q(p, np, .75), q(p, np, .75) - q(p, np, .25),
-                    q(ch, nc, .25), q(ch, nc, .5), q(ch, nc, .75), q(ch, nc, .5) / q(p, np, .5)
-            }'
+                pm = q(p, np, .5); iqr = q(p, np, .75) - q(p, np, .25); r = q(ch, nc, .5) / pm
+                mark = ""
+                if (iqr > bound * pm) mark = mark "  unresolved"
+                if (r > 1 + bound) mark = mark "  outside bound"
+                if (mark == "") mark = "  within bound"
+                printf "%s: parent q1/median/q3 %g/%g/%g (IQR %g)  change %g/%g/%g  ratio of medians %.4f  bound %g%s\n", name,
+                    q(p, np, .25), pm, q(p, np, .75), iqr,
+                    q(ch, nc, .25), q(ch, nc, .5), q(ch, nc, .75), r, bound, mark
+            }')
+        echo "$verdict"
+        case "$verdict" in *"outside bound"*) outside+=" $2" ;; esac
         awk -v c="$1" -v name="$2" '{ if ($(c + 4) < $c) w++; else if ($(c + 4) > $c) l++ }
             END { printf "%s: change wins %d, loses %d of %d pairs\n", name, w, l, NR }' "$log"
     done
@@ -135,6 +152,10 @@ if [ "${1:-}" = "pairs" ]; then
     no_process_left "$parent"
     no_process_left
     echo "no process left running in either tree"
+    if [ -n "$outside" ]; then
+        echo "ci.sh pairs: outside its bound:$outside" >&2
+        exit 1
+    fi
     exit
 fi
 
@@ -400,10 +421,12 @@ for hy_bad in "-link-outage bad" "-drop-rate 2" "-drop-rate -0.5" "-corrupt-rate
         exit 1
     fi
 done
-# A seed that nothing draws from (no drop or corrupt rate) and a
-# machine-size cap below one worker are usage errors (exit 2), not runs
-# that silently ignore them or measure nothing.
-for bad_cmd in "hyades -model gyre -nodes 2 -ppn 1 -steps 1 -fault-seed 5" "scaling -max 0 -steps 1"; do
+# A seed that nothing draws from (no drop or corrupt rate), a
+# machine-size cap below one worker and the retired tile-split flag are
+# usage errors (exit 2), not runs that silently ignore them or measure
+# nothing.
+for bad_cmd in "hyades -model gyre -nodes 2 -ppn 1 -steps 1 -fault-seed 5" "scaling -max 0 -steps 1" \
+    "hyades -model gyre -nodes 4 -ppn 1 -steps 1 -px 2"; do
     status=0
     "$bin_dir/"$bad_cmd > /dev/null 2>&1 || status=$?
     if [ "$status" -ne 2 ]; then
@@ -426,7 +449,7 @@ echo "== node-failure smoke (crash, recover, bit-identical digest)"
 # survive a nonzero number of restarts and end with the same state
 # digest as the fault-free run.  This is the survival contract on the
 # CLI surface; the in-depth matrix ran under -race above.
-crash_args=(-model gyre -nodes 4 -ppn 1 -steps 6 -warmup 0 -px 2 -py 2 -digest)
+crash_args=(-model gyre -nodes 4 -ppn 1 -steps 6 -warmup 0 -digest)
 crash_out=$("$bin_dir/hyades" "${crash_args[@]}" \
     -node-outage '1:500000-501000' -checkpoint-every 2)
 echo "$crash_out" | tail -n 6

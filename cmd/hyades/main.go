@@ -37,8 +37,6 @@ func main() {
 	serial := flag.Bool("serial", false, "single-processor serial run")
 	steps := flag.Int("steps", 10, "timed steps")
 	warmup := flag.Int("warmup", 2, "untimed warm-up steps")
-	px := flag.Int("px", 0, "tiles in x (default: fit the worker count)")
-	py := flag.Int("py", 0, "tiles in y")
 	saveTo := flag.String("checkpoint", "", "write a checkpoint here after a -serial run")
 	restoreFrom := flag.String("restore", "", "restore a -serial run from this checkpoint before stepping")
 	faultSeed := flag.Uint64("fault-seed", 1, "seed for the deterministic fault plan")
@@ -80,7 +78,7 @@ func main() {
 	if *serial {
 		workers = 1
 	}
-	d := decompFor(*model, workers, *px, *py)
+	d := decompFor(*model, workers)
 	cfg := configFor(*model, d)
 
 	if *serial {
@@ -265,14 +263,12 @@ func ignoredFlag(set map[string]bool, serial, net, seeded bool) error {
 	return nil
 }
 
-func decompFor(model string, workers, px, py int) tile.Decomp {
+func decompFor(model string, workers int) tile.Decomp {
 	nx, ny := 128, 64
 	if model == "gyre" {
 		nx, ny = 64, 64
 	}
-	if px == 0 || py == 0 {
-		px, py = bestSplit(workers)
-	}
+	px, py := bestSplit(workers)
 	return tile.Decomp{NXg: nx, NYg: ny, Px: px, Py: py, PeriodicX: model != "gyre"}
 }
 

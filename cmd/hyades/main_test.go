@@ -19,7 +19,7 @@ func TestIgnoredFlagIsAnError(t *testing.T) {
 		set                 []string
 		want                string // the flag the error names; "" for no error
 	}{
-		{serial: true, set: []string{"serial", "model", "steps", "digest", "checkpoint", "restore", "px", "py"}},
+		{serial: true, set: []string{"serial", "model", "steps", "digest", "checkpoint", "restore"}},
 		{serial: true, set: []string{"serial", "warmup"}, want: "-warmup"},
 		{serial: true, set: []string{"serial", "checkpoint-every"}, want: "-checkpoint-every"},
 		{serial: true, set: []string{"serial", "nodes"}, want: "-nodes"},
@@ -27,7 +27,7 @@ func TestIgnoredFlagIsAnError(t *testing.T) {
 		{serial: true, set: []string{"serial", "net"}, want: "-net"},
 		{serial: true, set: []string{"serial", "drop-rate"}, want: "-drop-rate"},
 		{serial: true, set: []string{"serial", "fault-seed"}, want: "-fault-seed"},
-		{net: true, set: []string{"net", "nodes", "ppn", "warmup", "steps", "px", "py", "digest"}},
+		{net: true, set: []string{"net", "nodes", "ppn", "warmup", "steps", "digest"}},
 		{net: true, set: []string{"net", "checkpoint-every"}, want: "-checkpoint-every"},
 		{net: true, set: []string{"net", "restore"}, want: "-restore"},
 		{net: true, set: []string{"net", "corrupt-rate"}, want: "-corrupt-rate"},

@@ -98,8 +98,8 @@ type nodeComm struct {
 	pioLock *des.Semaphore // one puller at a time on the PIO rx queue
 	viLock  *des.Semaphore // one puller at a time on the VI rx queue
 	pioSig  *des.Signal    // fires on PIO deliveries and stash deposits
-	pioBox  map[matchKey]*des.Mailbox[startx.Message]
-	viBox   map[matchKey]*des.Mailbox[startx.Transfer]
+	pioBox  map[matchKey]*des.Queue[startx.Message]
+	viBox   map[matchKey]*des.Queue[startx.Transfer]
 
 	// Mix-mode global sum rendezvous (§4.2).
 	partial *des.Mailbox[float64]
@@ -171,8 +171,8 @@ func NewHyades(cl *cluster.Cluster, cfg HyadesConfig) (*Hyades, error) {
 			pioLock: des.NewSemaphore(cl.Eng, fmt.Sprintf("node%d.piolock", nd.ID), 1),
 			viLock:  des.NewSemaphore(cl.Eng, fmt.Sprintf("node%d.vilock", nd.ID), 1),
 			pioSig:  des.NewSignal(cl.Eng, fmt.Sprintf("node%d.piosig", nd.ID)),
-			pioBox:  make(map[matchKey]*des.Mailbox[startx.Message]),
-			viBox:   make(map[matchKey]*des.Mailbox[startx.Transfer]),
+			pioBox:  make(map[matchKey]*des.Queue[startx.Message]),
+			viBox:   make(map[matchKey]*des.Queue[startx.Transfer]),
 			partial: des.NewMailbox[float64](cl.Eng, "gsum.partial"),
 			shm:     make(map[[2]int]*des.Mailbox[[]byte]),
 		}
@@ -232,8 +232,8 @@ func (h *Hyades) resetNodeComm() {
 		nc := h.nodes[i]
 		nc.pioLock = des.NewSemaphore(h.cl.Eng, fmt.Sprintf("node%d.piolock", nd.ID), 1)
 		nc.viLock = des.NewSemaphore(h.cl.Eng, fmt.Sprintf("node%d.vilock", nd.ID), 1)
-		nc.pioBox = make(map[matchKey]*des.Mailbox[startx.Message])
-		nc.viBox = make(map[matchKey]*des.Mailbox[startx.Transfer])
+		nc.pioBox = make(map[matchKey]*des.Queue[startx.Message])
+		nc.viBox = make(map[matchKey]*des.Queue[startx.Transfer])
 		nc.shm = make(map[[2]int]*des.Mailbox[[]byte])
 		nc.red = [2][]op{}
 		for _, mb := range append([]*des.Mailbox[float64]{nc.partial}, nc.results...) {
@@ -299,19 +299,19 @@ func (ep *HyadesEndpoint) nodeOf(rank int) int { return rank / ep.h.cl.Cfg.Procs
 // cpuOf maps a rank to its CPU index within the SMP.
 func (ep *HyadesEndpoint) cpuOf(rank int) int { return rank % ep.h.cl.Cfg.ProcsPerNode }
 
-func (nc *nodeComm) pioMB(e *des.Engine, k matchKey) *des.Mailbox[startx.Message] {
+func (nc *nodeComm) pioMB(k matchKey) *des.Queue[startx.Message] {
 	mb, ok := nc.pioBox[k]
 	if !ok {
-		mb = des.NewMailbox[startx.Message](e, "pio.stash")
+		mb = new(des.Queue[startx.Message])
 		nc.pioBox[k] = mb
 	}
 	return mb
 }
 
-func (nc *nodeComm) viMB(e *des.Engine, k matchKey) *des.Mailbox[startx.Transfer] {
+func (nc *nodeComm) viMB(k matchKey) *des.Queue[startx.Transfer] {
 	mb, ok := nc.viBox[k]
 	if !ok {
-		mb = des.NewMailbox[startx.Transfer](e, "vi.stash")
+		mb = new(des.Queue[startx.Transfer])
 		nc.viBox[k] = mb
 	}
 	return mb

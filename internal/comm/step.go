@@ -37,7 +37,7 @@ type op struct {
 	tag   int
 	w     [2]uint32
 	key   matchKey
-	box   *des.Mailbox[startx.Message] // a PIO wait's match box, resolved when the op is built
+	box   *des.Queue[startx.Message] // a PIO wait's match box, resolved when the op is built
 	src   int
 	data  []byte
 	sums  *des.Mailbox[float64]
@@ -60,7 +60,7 @@ type program struct {
 	polled bool            // the hardware poll found a message
 	snap   uint64          // the delivery signal's generation before the poll
 	xfer   startx.Transfer // the matched VI transfer, or the slab from shared memory
-	vbox   *des.Mailbox[startx.Transfer]
+	vbox   *des.Queue[startx.Transfer]
 }
 
 // begin starts a new program in the endpoint's build buffer; add
@@ -70,7 +70,7 @@ func (ep *HyadesEndpoint) add(o op) { ep.ops = append(ep.ops, o) }
 
 // waitOp is a PIO wait of the given kind for key, with its match box.
 func (ep *HyadesEndpoint) waitOp(kind opKind, key matchKey) op {
-	return op{kind: kind, key: key, box: ep.nc.pioMB(ep.h.cl.Eng, key)}
+	return op{kind: kind, key: key, box: ep.nc.pioMB(key)}
 }
 
 // run executes ops as one stretch of the process (des.Proc.Await).
@@ -210,12 +210,12 @@ const (
 // the engine watchdog, which names the rank and the exact match key it
 // starved on (waitName), not just the shared signal.
 func (ep *HyadesEndpoint) pioWait(o *op) bool {
-	pr, p, nc, eng := &ep.prog, ep.w.Proc, ep.nc, ep.h.cl.Eng
+	pr, p, nc := &ep.prog, ep.w.Proc, ep.nc
 	for {
 		switch pr.sub {
 		case pioMatch:
-			if m, ok := o.box.TryRecv(); ok {
-				pr.msg = m
+			if o.box.Len() > 0 {
+				pr.msg = o.box.Pop()
 				return true
 			}
 			pr.snap, pr.sub = nc.pioSig.Seq(), pioPull
@@ -224,9 +224,9 @@ func (ep *HyadesEndpoint) pioWait(o *op) bool {
 				pr.sub = pioLockWoke
 				return false
 			}
-			if m, ok := o.box.TryRecv(); ok {
+			if o.box.Len() > 0 {
+				pr.msg = o.box.Pop()
 				nc.pioLock.Release()
-				pr.msg = m
 				return true
 			}
 			m, ok, d := ep.w.Node.NIU.PollPIO(arctic.Low)
@@ -248,7 +248,7 @@ func (ep *HyadesEndpoint) pioWait(o *op) bool {
 				continue
 			}
 			if got := keyOfTag(pr.msg.Tag, pr.msg.Src); got != o.key {
-				nc.pioMB(eng, got).Send(pr.msg)
+				nc.pioMB(got).Push(pr.msg)
 				nc.pioSig.Broadcast()
 				pr.sub = pioMatch
 				continue
@@ -277,14 +277,14 @@ const (
 // the pull lock cannot deadlock; a queue that stays empty trips the
 // engine watchdog, named by waitName.
 func (ep *HyadesEndpoint) viWait(key matchKey) bool {
-	pr, p, nc, eng, niu := &ep.prog, ep.w.Proc, ep.nc, ep.h.cl.Eng, ep.w.Node.NIU
+	pr, p, nc, niu := &ep.prog, ep.w.Proc, ep.nc, ep.w.Node.NIU
 	for {
 		switch pr.sub {
 		case viStart:
-			pr.vbox, pr.sub = nc.viMB(eng, key), viMatch
+			pr.vbox, pr.sub = nc.viMB(key), viMatch
 		case viMatch:
-			if t, ok := pr.vbox.TryRecv(); ok {
-				pr.xfer = t
+			if pr.vbox.Len() > 0 {
+				pr.xfer = pr.vbox.Pop()
 				return true
 			}
 			pr.sub = viPull
@@ -293,9 +293,9 @@ func (ep *HyadesEndpoint) viWait(key matchKey) bool {
 				pr.sub = viLockWoke
 				return false
 			}
-			if t, ok := pr.vbox.TryRecv(); ok {
+			if pr.vbox.Len() > 0 {
+				pr.xfer = pr.vbox.Pop()
 				nc.viLock.Release()
-				pr.xfer = t
 				return true
 			}
 			pr.sub = viRecv
@@ -315,7 +315,7 @@ func (ep *HyadesEndpoint) viWait(key matchKey) bool {
 				pr.xfer = t
 				return true
 			}
-			nc.viMB(eng, got).Send(t)
+			nc.viMB(got).Push(t)
 			pr.sub = viMatch
 		case viRecvWoke:
 			p.ParkEnd()

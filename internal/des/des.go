@@ -14,13 +14,14 @@
 //     reactive hardware (link pumps, DMA engines, router stages).
 //   - Processes, created with Engine.Spawn, model threads of control with
 //     their own program counter (application code on a simulated
-//     processor).  A process blocks by calling Delay, Mailbox.Recv or
-//     Semaphore.Acquire; control transfers back to the kernel until the
-//     wake-up event fires.
+//     processor).  A process blocks by calling Delay, Mailbox.Recv,
+//     Semaphore.Acquire or Signal.Wait; control transfers back to the
+//     kernel until the wake-up event fires.
 //
 // Queue, the one FIFO ring, and Timer, the one cancellable expiry (bound
 // once, re-armed without allocating), carry the modelled hardware's
-// queues and timeouts.
+// queues and timeouts.  The processes parked on a Mailbox, Semaphore or
+// Signal wait in a Queue too, in the order they parked.
 //
 // Processes are runtime coroutines (iter.Pull).  Every event closure runs
 // on one dispatcher — the goroutine that called Run, RunUntil or Step —
@@ -52,7 +53,6 @@ import (
 	"fmt"
 	"iter"
 	"runtime/debug"
-	"slices"
 	"strings"
 
 	"hyades/internal/units"
@@ -194,14 +194,24 @@ func (e *Engine) RunUntil(limit units.Time) {
 	prev := e.limit
 	e.limit = limit
 	defer func() { e.limit = prev }()
-	for !e.stopped && e.failed == nil {
-		ev := e.sched.next(limit)
-		if ev == nil {
-			e.settle(limit)
-			return
-		}
-		e.dispatch(ev)
+	for e.step(limit) {
 	}
+}
+
+// step dispatches the next event <= limit and reports whether there was
+// one; a closed or failed engine dispatches nothing, and an engine with
+// nothing left <= limit settles its clock.
+func (e *Engine) step(limit units.Time) bool {
+	if e.stopped || e.failed != nil {
+		return false
+	}
+	ev := e.sched.next(limit)
+	if ev == nil {
+		e.settle(limit)
+		return false
+	}
+	e.dispatch(ev)
+	return true
 }
 
 // Run executes events until the event queue is empty.  Processes blocked
@@ -451,20 +461,11 @@ func (s *Slot) Await() bool {
 }
 
 // Step executes a single event — and, when that event wakes a process,
-// the process up to its next block — and reports whether one was
-// available.  A reserved Slot is not an event: Step never stops on one.
-func (e *Engine) Step() bool {
-	if e.stopped {
-		return false
-	}
-	ev := e.sched.next(units.Never)
-	if ev == nil {
-		e.settle(units.Never)
-		return false
-	}
-	e.dispatch(ev)
-	return true
-}
+// the process up to its next block — and reports whether one ran: after
+// Close or Fail, or with the queue empty, none does.  A reserved Slot is
+// not an event: Step never stops on one.  Step leaves any RunUntil
+// bound in force for the Delay fast path as it is.
+func (e *Engine) Step() bool { return e.step(units.Never) }
 
 // Pending returns the number of queued (uncancelled) events; a reserved
 // Slot that nothing has needed is not among them.
@@ -532,14 +533,6 @@ func (i *Interrupt) Error() string {
 // Unwrap exposes the interrupt cause.
 func (i *Interrupt) Unwrap() error { return i.Cause }
 
-// waiterList is a blocking facility that can detach a parked process,
-// as Interrupt and Kill do.  Implemented by Mailbox, Semaphore and
-// Signal; an interface rather than a closure so a park allocates
-// nothing.
-type waiterList interface {
-	dropWaiter(p *Proc) bool
-}
-
 // Proc is a simulated thread of control.
 type Proc struct {
 	eng  *Engine
@@ -563,7 +556,7 @@ type Proc struct {
 	waitOn    string
 	waitStart units.Time
 
-	// wd is the park watchdog, armed by beginPark and cancelled by
+	// wd is the park watchdog, armed by waitQueue.park and cancelled by
 	// ParkEnd.  waitName, set by NameWaits, names a park begun inside
 	// Await in the trip's Culprit; it is read only while step is set.
 	wd       Timer
@@ -571,13 +564,13 @@ type Proc struct {
 
 	// Asynchronous-termination state.  intr is a pending Interrupt
 	// cause, raised in process context at the next blocking boundary;
-	// parkFac is the facility of the current park (so Interrupt and
+	// parkFac is the wait queue of the current park (so Interrupt and
 	// Kill can detach a parked process); inExec marks a pending
 	// compute phase, during which termination is deferred until the
 	// phase's completion wake (the phase runs first, as it has inline);
 	// killPending records a Kill deferred that way.
 	intr        error
-	parkFac     waiterList
+	parkFac     *waitQueue
 	inExec      bool
 	killPending bool
 
@@ -679,7 +672,7 @@ func (p *Proc) Kill() {
 // killer's coroutine, which the runtime allows.
 func (p *Proc) finishKill() {
 	if p.parkFac != nil {
-		p.parkFac.dropWaiter(p)
+		p.parkFac.drop(p)
 		p.parkFac = nil
 	}
 	p.wd.Cancel()
@@ -705,7 +698,7 @@ func (p *Proc) Interrupt(cause error) {
 	if !p.blocked || p.inExec {
 		return
 	}
-	if p.parkFac != nil && p.parkFac.dropWaiter(p) {
+	if p.parkFac != nil && p.parkFac.drop(p) {
 		p.eng.Schedule(0, p.wakeFn)
 	}
 	// A facility park whose wake was already in flight, and a plain
@@ -738,18 +731,14 @@ func (p *Proc) block() {
 // one from a deferred function, on its way out, must neither park again
 // (nothing would ever wake it) nor advance the clock: the stop is raised
 // again instead.  Neither may an Exec phase block, inline or pooled.
-// fac is the waiter list the caller has already joined, if any.
-func (p *Proc) mayBlock(fac waiterList) {
+func (p *Proc) mayBlock() {
 	if p.dead || p.eng.phase != nil {
-		p.refuseBlock(fac)
+		p.refuseBlock()
 	}
 }
 
 // refuseBlock is mayBlock's slow path, out of line so the check inlines.
-func (p *Proc) refuseBlock(fac waiterList) {
-	if fac != nil {
-		fac.dropWaiter(p)
-	}
+func (p *Proc) refuseBlock() {
 	if p.dead {
 		panic(stopSignal{})
 	}
@@ -800,18 +789,6 @@ func (p *Proc) wdFire() {
 // once the Await has ended, so a finished or interrupted step does not
 // name a later park.
 func (p *Proc) NameWaits(name func() string) { p.waitName = name }
-
-// beginPark parks p on the named facility, arming the engine's watchdog
-// if one is configured; the step forms call it once they have joined
-// fac's waiter list, which Interrupt and Kill detach p from.
-func (p *Proc) beginPark(on string, fac waiterList) {
-	p.mayBlock(fac)
-	p.waitOn, p.waitStart = on, p.eng.now
-	p.parkFac = fac
-	if limit := p.eng.watchdog; limit > 0 {
-		p.wd.Arm(limit)
-	}
-}
 
 // ParkEnd ends the park a step form began, once its wake has come.
 func (p *Proc) ParkEnd() {
@@ -875,7 +852,7 @@ func (p *Proc) Delay(d units.Time) {
 // advanced inline and false when the wake is scheduled, to be waited
 // for.
 func (p *Proc) StepDelay(d units.Time) bool {
-	p.mayBlock(nil)
+	p.mayBlock()
 	e := p.eng
 	if d < 0 {
 		e.past("Delay", d)
@@ -902,28 +879,6 @@ func (p *Proc) StepDelay(d units.Time) bool {
 
 // String implements fmt.Stringer.
 func (p *Proc) String() string { return fmt.Sprintf("proc(%s)", p.name) }
-
-// popWaiter removes and returns the front of a waiter list in place,
-// shifting the tail down so the slice keeps its capacity.  The old
-// `w = w[1:]` idiom leaked front capacity, making every park/wake cycle
-// re-grow the list — one of the dominant hot-path allocations.  Waiter
-// lists are a handful of processes, so the shift is a short memmove.
-func popWaiter(ws []*Proc) (*Proc, []*Proc) {
-	w := ws[0]
-	n := copy(ws, ws[1:])
-	ws[n] = nil
-	return w, ws[:n]
-}
-
-// removeWaiter deletes p from a waiter list in place (the vacated tail
-// slot is zeroed), reporting whether it was still parked there.
-func removeWaiter(ws *[]*Proc, p *Proc) bool {
-	i := slices.Index(*ws, p)
-	if i >= 0 {
-		*ws = slices.Delete(*ws, i, i+1)
-	}
-	return i >= 0
-}
 
 // Queue is an unbounded FIFO ring; the zero value is empty.  Steady
 // traffic recycles one buffer, where an append + [1:] slice leaks its
@@ -967,29 +922,64 @@ func (q *Queue[T]) At(i int) T { return q.buf[(q.head+i)&(len(q.buf)-1)] }
 // Len reports the number of queued items.
 func (q *Queue[T]) Len() int { return q.n }
 
+// waitQueue is the FIFO of processes parked on one facility, which name
+// identifies in watchdog and deadlock dumps.
+type waitQueue struct {
+	name string
+	q    Queue[*Proc]
+}
+
+// park joins p to the queue, arming the engine's watchdog if one is
+// configured.  Interrupt and Kill detach p again (drop).
+func (w *waitQueue) park(p *Proc) {
+	p.mayBlock()
+	w.q.Push(p)
+	p.waitOn, p.waitStart = w.name, p.eng.now
+	p.parkFac = w
+	if limit := p.eng.watchdog; limit > 0 {
+		p.wd.Arm(limit)
+	}
+}
+
+// wakeOne schedules the wake of the longest-parked process, if any.
+func (w *waitQueue) wakeOne(e *Engine) {
+	if w.q.Len() > 0 {
+		e.Schedule(0, w.q.Pop().wakeFn)
+	}
+}
+
+// drop removes p, the others keeping their order, and reports whether
+// it was still parked here.
+func (w *waitQueue) drop(p *Proc) bool {
+	found := false
+	for n := w.q.Len(); n > 0; n-- {
+		if q := w.q.Pop(); q == p {
+			found = true
+		} else {
+			w.q.Push(q)
+		}
+	}
+	return found
+}
+
 // Mailbox is an unbounded FIFO queue connecting activities.  Send may be
 // called from event or process context; Recv only from process context.
 type Mailbox[T any] struct {
 	eng     *Engine
-	name    string
 	items   Queue[T]
-	waiters []*Proc
+	waiters waitQueue
 }
 
 // NewMailbox creates an empty mailbox on engine e.
 func NewMailbox[T any](e *Engine, name string) *Mailbox[T] {
-	return &Mailbox[T]{eng: e, name: name}
+	return &Mailbox[T]{eng: e, waiters: waitQueue{name: name}}
 }
 
 // Send enqueues v and wakes the longest-waiting receiver, if any.  The
 // receiver observes the item at the current virtual time.
 func (m *Mailbox[T]) Send(v T) {
 	m.items.Push(v)
-	if len(m.waiters) > 0 {
-		var w *Proc
-		w, m.waiters = popWaiter(m.waiters)
-		m.eng.Schedule(0, w.wakeFn)
-	}
+	m.waiters.wakeOne(m.eng)
 }
 
 // Recv dequeues the oldest item, blocking the calling process until one
@@ -1007,16 +997,12 @@ func (m *Mailbox[T]) Recv(p *Proc) T {
 // parked until a Send (then ParkEnd and call again).
 func (m *Mailbox[T]) RecvStep(p *Proc) (T, bool) {
 	if m.items.Len() == 0 {
-		m.waiters = append(m.waiters, p)
-		p.beginPark(m.name, m)
+		m.waiters.park(p)
 		var zero T
 		return zero, false
 	}
 	return m.items.Pop(), true
 }
-
-// dropWaiter implements waiterList.
-func (m *Mailbox[T]) dropWaiter(p *Proc) bool { return removeWaiter(&m.waiters, p) }
 
 // TryRecv dequeues the oldest item without blocking.
 func (m *Mailbox[T]) TryRecv() (T, bool) {
@@ -1035,15 +1021,14 @@ func (m *Mailbox[T]) Len() int { return m.items.Len() }
 // §4.2).
 type Semaphore struct {
 	eng     *Engine
-	name    string
 	count   int
-	waiters []*Proc
+	waiters waitQueue
 }
 
 // NewSemaphore creates a semaphore with an initial count.  The name
 // identifies it in watchdog and deadlock dumps.
 func NewSemaphore(e *Engine, name string, initial int) *Semaphore {
-	return &Semaphore{eng: e, name: name, count: initial}
+	return &Semaphore{eng: e, count: initial, waiters: waitQueue{name: name}}
 }
 
 // Acquire decrements the semaphore, blocking while the count is zero.
@@ -1058,30 +1043,19 @@ func (s *Semaphore) Acquire(p *Proc) {
 // with p parked until a Release (then ParkEnd and call again).
 func (s *Semaphore) AcquireStep(p *Proc) bool {
 	if s.count == 0 {
-		s.waiters = append(s.waiters, p)
-		p.beginPark(s.name, s)
+		s.waiters.park(p)
 		return false
 	}
 	s.count--
 	return true
 }
 
-// dropWaiter implements waiterList.
-func (s *Semaphore) dropWaiter(p *Proc) bool { return removeWaiter(&s.waiters, p) }
-
 // Release increments the semaphore and wakes one waiter.  Callable from
 // event or process context.
 func (s *Semaphore) Release() {
 	s.count++
-	if len(s.waiters) > 0 {
-		var w *Proc
-		w, s.waiters = popWaiter(s.waiters)
-		s.eng.Schedule(0, w.wakeFn)
-	}
+	s.waiters.wakeOne(s.eng)
 }
-
-// Count returns the current semaphore value.
-func (s *Semaphore) Count() int { return s.count }
 
 // Signal is a lost-wakeup-safe edge notification: waiters snapshot the
 // sequence number before testing their predicate, and Wait returns
@@ -1089,39 +1063,28 @@ func (s *Semaphore) Count() int { return s.count }
 // DES analogue of a condition variable with a generation counter.
 type Signal struct {
 	eng     *Engine
-	name    string
 	seq     uint64
-	waiters []*Proc
-	// spare is the waiter buffer retired by the last Broadcast, swapped
-	// back in so steady-state wait/broadcast cycles recycle two buffers
-	// instead of allocating a fresh waiter list per generation.
-	spare []*Proc
+	waiters waitQueue
 }
 
 // NewSignal creates a signal on engine e.  The name identifies it in
 // watchdog and deadlock dumps.
-func NewSignal(e *Engine, name string) *Signal { return &Signal{eng: e, name: name} }
+func NewSignal(e *Engine, name string) *Signal {
+	return &Signal{eng: e, waiters: waitQueue{name: name}}
+}
 
 // Seq returns the current generation, to be snapshotted before testing
 // the guarded predicate.
 func (s *Signal) Seq() uint64 { return s.seq }
 
-// Broadcast advances the generation and wakes all current waiters.
-// Callable from event or process context.  Scheduling a wake can park
-// no one (wakes are events), so swapping the retired buffer back in as
-// the next waiter list is safe even if a woken process re-Waits before
-// the next Broadcast.
+// Broadcast advances the generation and wakes all current waiters in
+// the order they parked.  Callable from event or process context.
+// Scheduling a wake parks no one (wakes are events), so the loop ends.
 func (s *Signal) Broadcast() {
 	s.seq++
-	waiters := s.waiters
-	s.waiters = s.spare[:0]
-	for i, w := range waiters {
-		s.eng.Schedule(0, w.wakeFn)
-		waiters[i] = nil
+	for s.waiters.q.Len() > 0 {
+		s.waiters.wakeOne(s.eng)
 	}
-	// The retiring buffer becomes the next spare; the buffers alternate
-	// so neither slice header ever aliases the other's backing array.
-	s.spare = waiters[:0]
 }
 
 // Wait blocks the process until the generation advances past the
@@ -1139,13 +1102,9 @@ func (s *Signal) WaitStep(p *Proc, snapshot uint64) bool {
 	if s.seq != snapshot {
 		return true
 	}
-	s.waiters = append(s.waiters, p)
-	p.beginPark(s.name, s)
+	s.waiters.park(p)
 	return false
 }
-
-// dropWaiter implements waiterList.
-func (s *Signal) dropWaiter(p *Proc) bool { return removeWaiter(&s.waiters, p) }
 
 // Resource models a serially-reusable facility (a bus, a link) with
 // busy-until semantics.  Claim returns the time at which a use of

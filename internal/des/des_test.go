@@ -381,8 +381,8 @@ func TestSemaphoreCounting(t *testing.T) {
 	if e.Now() != 2*units.Microsecond {
 		t.Fatalf("two-wide semaphore should finish at 2us, got %v", e.Now())
 	}
-	if sem.Count() != 2 {
-		t.Fatalf("count = %d, want 2", sem.Count())
+	if sem.count != 2 {
+		t.Fatalf("count = %d, want 2", sem.count)
 	}
 }
 

@@ -54,7 +54,7 @@ func (e *Engine) SetPool(p *Pool) { e.pool = p }
 // calls, no scheduling, no communication.  A blocking call or a scheduled
 // event from inside fn panics with a *ProcPanic naming the process.
 func (p *Proc) Exec(d units.Time, fn func()) {
-	p.mayBlock(nil)
+	p.mayBlock()
 	if p.eng.pool == nil {
 		p.runPhase(fn)
 		p.Delay(d)

@@ -100,8 +100,8 @@ func TestExecPhaseMayNotTouchTheEngine(t *testing.T) {
 				if !ok || pp.Proc != "rank7" || !strings.Contains(pp.Error(), "inside the Exec phase of rank7") {
 					t.Fatalf("panic = %v (%T), want a *ProcPanic of rank7 naming its Exec phase", got, got)
 				}
-				if returned || len(mb.waiters) != 0 {
-					t.Fatalf("returned=%v waiters=%d: the phase's call took effect", returned, len(mb.waiters))
+				if returned || mb.waiters.q.Len() != 0 {
+					t.Fatalf("returned=%v waiters=%d: the phase's call took effect", returned, mb.waiters.q.Len())
 				}
 			})
 		}

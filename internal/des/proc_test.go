@@ -65,9 +65,9 @@ func TestKill(t *testing.T) {
 			if unwoundAt != tc.goneAt {
 				t.Fatalf("victim unwound at %v, want %v", unwoundAt, tc.goneAt)
 			}
-			if len(mb.waiters) != 0 || len(e.procs) != 0 || e.Blocked() != 0 {
+			if mb.waiters.q.Len() != 0 || len(e.procs) != 0 || e.Blocked() != 0 {
 				t.Fatalf("kill left residue: %d waiters, %d procs, %d blocked",
-					len(mb.waiters), len(e.procs), e.Blocked())
+					mb.waiters.q.Len(), len(e.procs), e.Blocked())
 			}
 			if e.Now() != 30*us {
 				t.Fatalf("run ended at %v, want the last heartbeat at 30us", e.Now())
@@ -128,8 +128,64 @@ func TestInterrupt(t *testing.T) {
 			if gotAt != tc.at {
 				t.Fatalf("interrupt surfaced at %v, want %v", gotAt, tc.at)
 			}
-			if !resumed || len(mb.waiters) != 0 || len(e.procs) != 0 {
-				t.Fatalf("resumed=%v, %d waiters, %d procs left", resumed, len(mb.waiters), len(e.procs))
+			if !resumed || mb.waiters.q.Len() != 0 || len(e.procs) != 0 {
+				t.Fatalf("resumed=%v, %d waiters, %d procs left", resumed, mb.waiters.q.Len(), len(e.procs))
+			}
+		})
+	}
+}
+
+// Interrupting the middle one of three processes parked on a facility
+// detaches it alone: the other two wake in the order they parked.
+func TestInterruptDropsFromTheMiddle(t *testing.T) {
+	cases := []struct {
+		name string
+		// setup returns the blocking call the three processes make and
+		// the event that wakes two of them.
+		setup func(e *Engine) (block func(p *Proc), wake func())
+	}{
+		{"Mailbox", func(e *Engine) (func(*Proc), func()) {
+			mb := NewMailbox[int](e, "box")
+			return func(p *Proc) { mb.Recv(p) }, func() { mb.Send(1); mb.Send(2) }
+		}},
+		{"Semaphore", func(e *Engine) (func(*Proc), func()) {
+			sem := NewSemaphore(e, "sem", 0)
+			return sem.Acquire, func() { sem.Release(); sem.Release() }
+		}},
+		{"Signal", func(e *Engine) (func(*Proc), func()) {
+			sig := NewSignal(e, "sig")
+			return func(p *Proc) { sig.Wait(p, sig.Seq()) }, sig.Broadcast
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			e := NewEngine()
+			defer e.Close()
+			block, wake := tc.setup(e)
+			var woke, interrupted []string
+			var procs []*Proc
+			for _, name := range []string{"first", "middle", "last"} {
+				procs = append(procs, e.Spawn(name, func(p *Proc) {
+					defer func() {
+						if _, ok := recover().(*Interrupt); ok {
+							interrupted = append(interrupted, fmt.Sprintf("%s@%v", p.Name(), p.Now()))
+						}
+					}()
+					block(p)
+					woke = append(woke, fmt.Sprintf("%s@%v", p.Name(), p.Now()))
+				}))
+			}
+			e.Schedule(5*us, func() { procs[1].Interrupt(errors.New("lost")) })
+			e.Schedule(10*us, wake)
+			e.Run()
+			if fmt.Sprint(interrupted) != "[middle@5us]" {
+				t.Fatalf("interrupted %v, want [middle@5us]", interrupted)
+			}
+			if fmt.Sprint(woke) != "[first@10us last@10us]" {
+				t.Fatalf("woke %v, want [first@10us last@10us]", woke)
+			}
+			if e.Blocked() != 0 || len(e.procs) != 0 {
+				t.Fatalf("%d blocked, %d procs left", e.Blocked(), len(e.procs))
 			}
 		})
 	}

@@ -122,7 +122,7 @@ type ladderQueue struct {
 	topMin, topMax units.Time // conservative bounds over top (stale after cancels: min only ever too low, max too high — never falsely equal)
 	topStart       units.Time // events at/after this go to top
 	rungs          []*rung
-	spare          []*rung // retired rungs, bucket capacity preserved
+	retired        []*rung // dropped rungs for newRung to reuse, bucket capacity preserved
 	bottom         []*event
 	cursor         int
 	live           int
@@ -372,10 +372,10 @@ func (l *ladderQueue) clearTop() {
 
 func (l *ladderQueue) newRung(start, width units.Time) *rung {
 	var r *rung
-	if n := len(l.spare); n > 0 {
-		r = l.spare[n-1]
-		l.spare[n-1] = nil
-		l.spare = l.spare[:n-1]
+	if n := len(l.retired); n > 0 {
+		r = l.retired[n-1]
+		l.retired[n-1] = nil
+		l.retired = l.retired[:n-1]
 	} else {
 		r = new(rung)
 	}
@@ -399,7 +399,7 @@ func (l *ladderQueue) dropRung() {
 	l.rungs[n-1] = nil
 	l.rungs = l.rungs[:n-1]
 	r.reset()
-	l.spare = append(l.spare, r)
+	l.retired = append(l.retired, r)
 }
 
 // ---------------------------------------------------------------------------

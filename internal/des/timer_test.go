@@ -235,6 +235,9 @@ func TestEngineFailStopsRun(t *testing.T) {
 	if ran {
 		t.Fatalf("run loop continued past Fail")
 	}
+	if e.Step() || ran {
+		t.Fatalf("Step dispatched after Fail")
+	}
 	if !errors.Is(e.Err(), errStop) {
 		t.Fatalf("Err = %v, want %v", e.Err(), errStop)
 	}

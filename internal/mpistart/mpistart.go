@@ -24,6 +24,7 @@ import (
 	"hyades/internal/arctic"
 	"hyades/internal/cluster"
 	"hyades/internal/comm"
+	"hyades/internal/des"
 	"hyades/internal/startx"
 	"hyades/internal/units"
 )
@@ -42,7 +43,7 @@ type Comm struct {
 	w     *cluster.Worker
 	niu   *startx.NIU
 	size  int
-	stash map[key][][]byte
+	stash map[key]*des.Queue[[]byte]
 }
 
 type key struct {
@@ -55,7 +56,7 @@ func New(w *cluster.Worker, size int) (*Comm, error) {
 	if w.CPU != 0 {
 		return nil, fmt.Errorf("mpistart: one process per node only")
 	}
-	return &Comm{w: w, niu: w.Node.NIU, size: size, stash: make(map[key][][]byte)}, nil
+	return &Comm{w: w, niu: w.Node.NIU, size: size, stash: make(map[key]*des.Queue[[]byte])}, nil
 }
 
 // Rank returns this process's rank (its node id).
@@ -90,19 +91,19 @@ func (c *Comm) Send(dst, tag int, data []byte) {
 // Recv blocks for the next message from src with the given tag.
 func (c *Comm) Recv(src, tag int) []byte {
 	c.w.Proc.Delay(Overhead)
-	k := key{src, tag}
-	if q := c.stash[k]; len(q) > 0 {
-		data := q[0]
-		c.stash[k] = q[1:]
-		return data
+	if q := c.stash[key{src, tag}]; q != nil && q.Len() > 0 {
+		return q.Pop()
 	}
 	for {
 		src2, tag2, data := c.pull()
 		if src2 == src && tag2 == tag {
 			return data
 		}
-		k2 := key{src2, tag2}
-		c.stash[k2] = append(c.stash[k2], data)
+		k := key{src2, tag2}
+		if c.stash[k] == nil {
+			c.stash[k] = new(des.Queue[[]byte])
+		}
+		c.stash[k].Push(data)
 	}
 }
 
